@@ -7,8 +7,6 @@ from .sparse import (
     build_sparse,
     axis_groups,
     apply_permutation,
-    vectorize_index,
-    unvectorize_index,
     to_dense,
     from_dense,
 )

@@ -33,8 +33,6 @@ __all__ = [
 
 NONLINEARITIES = ("identity", "sigmoid", "leaky_relu", "softmax")
 
-_POOL_MODES = ("mean", "sum", "max")
-
 
 @dataclass(frozen=True)
 class Node:
@@ -91,12 +89,16 @@ class Graph:
 
     def segment_pool(self, x: str, groups: AxisGroups, mode: str = "mean",
                      name=None) -> str:
-        """(n, K) cell values -> (n_groups, K) per-group reductions."""
-        if mode not in _POOL_MODES:
-            raise ValueError(f"pool mode must be one of {_POOL_MODES}, got {mode!r}")
+        """(n, K) cell values -> (n_groups, K) per-group means.
+
+        Pooling is always a mean.  ``mode`` admits only "mean"; it stays
+        so that callers which pass it keep working.
+        """
+        if mode != "mean":
+            raise ValueError(f"pool mode must be 'mean', got {mode!r}")
         if (groups.sizes == 0).any():
             raise ValueError("segment_pool: empty group")
-        return self._add("segment_pool", (x,), name, groups=groups, mode=mode)
+        return self._add("segment_pool", (x,), name, groups=groups)
 
     def gather_broadcast(self, g: str, groups: AxisGroups, name=None) -> str:
         """(n_groups, K) group values -> (n, K), each cell gets its group's row."""
@@ -118,9 +120,6 @@ class Graph:
         if len(xs) < 1:
             raise ValueError("add needs at least one operand")
         return self._add("add", xs, name)
-
-    def scale(self, x: str, factor: float, name=None) -> str:
-        return self._add("scale", (x,), name, factor=float(factor))
 
     def dropout_mask(self, x: str, mask: np.ndarray, name=None) -> str:
         """Multiply by a fixed mask (survivor scaling baked into the mask)."""
@@ -213,14 +212,9 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
                     f"node '{name}': groups cover {g.n_members} rows, "
                     f"values have {x.shape[0]}"
                 )
-            xs = x[g.order]
-            if node.attrs["mode"] == "sum":
-                out = np.add.reduceat(xs, g.starts, axis=0)
-            elif node.attrs["mode"] == "mean":
-                out = np.add.reduceat(xs, g.starts, axis=0) / g.sizes[:, None]
-            else:
-                out = np.maximum.reduceat(xs, g.starts, axis=0)
-            values[name] = out
+            values[name] = (
+                np.add.reduceat(x[g.order], g.starts, axis=0) / g.sizes[:, None]
+            )
         elif op == "gather_broadcast":
             (gv,) = args
             g = node.attrs["groups"]
@@ -265,8 +259,6 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
                     )
                 out = out + a
             values[name] = out
-        elif op == "scale":
-            values[name] = node.attrs["factor"] * args[0]
         elif op == "dropout_mask":
             (x,) = args
             mask = node.attrs["mask"]
@@ -317,20 +309,6 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
     return values
 
 
-def _maxpool_grad(x, g: AxisGroups, dY):
-    """Route each group/channel gradient to the first max in canonical order."""
-    xs = x[g.order]
-    n, K = xs.shape
-    gmax = np.maximum.reduceat(xs, g.starts, axis=0)
-    rows_in_order = np.arange(n)[:, None]
-    cand = np.where(xs == gmax[g.group_of[g.order]], rows_in_order, n)
-    first = np.minimum.reduceat(cand, g.starts, axis=0)
-    dx = np.zeros_like(x)
-    cols = np.broadcast_to(np.arange(K), first.shape)
-    np.add.at(dx, (g.order[first], cols), dY)
-    return dx
-
-
 def backward(graph: Graph, values: Mapping[str, np.ndarray],
              loss: str) -> dict[str, np.ndarray]:
     """Reverse accumulation from a scalar loss node.
@@ -358,16 +336,9 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
         args = [values[o] for o in node.operands]
         op = node.op
         if op == "segment_pool":
-            (x,) = args
             g = node.attrs["groups"]
-            mode = node.attrs["mode"]
-            if mode == "sum":
-                accumulate(node.operands[0], dY[g.group_of])
-            elif mode == "mean":
-                accumulate(node.operands[0],
-                           dY[g.group_of] / g.sizes[g.group_of][:, None])
-            else:
-                accumulate(node.operands[0], _maxpool_grad(x, g, dY))
+            accumulate(node.operands[0],
+                       dY[g.group_of] / g.sizes[g.group_of][:, None])
         elif op == "gather_broadcast":
             g = node.attrs["groups"]
             dg = np.add.reduceat(dY[g.order], g.starts, axis=0)
@@ -394,8 +365,6 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
         elif op == "add":
             for o in node.operands:
                 accumulate(o, dY)
-        elif op == "scale":
-            accumulate(node.operands[0], node.attrs["factor"] * dY)
         elif op == "dropout_mask":
             accumulate(node.operands[0], dY * node.attrs["mask"])
         elif op == "concat_channels":

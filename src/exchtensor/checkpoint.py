@@ -49,7 +49,6 @@ def _layer_descriptor(layer: ExchLayerParams) -> dict:
     return {
         "block_keys": [block_key(S) for S in sorted(layer.blocks, key=sorted)],
         "tied": layer.tied,
-        "pool_mode": layer.pool_mode,
         "nonlinearity": layer.nonlinearity,
         "slope": layer.slope,
     }
@@ -167,6 +166,11 @@ def _rebuild_stack(
 ) -> tuple[ExchLayerParams, ...]:
     layers = []
     for i, desc in enumerate(descriptors, start=1):
+        # headers written before pooling became mean-only carry the mode
+        if desc.get("pool_mode", "mean") != "mean":
+            raise ValueError(
+                f"{prefix}{i}: unsupported pool mode {desc['pool_mode']!r}"
+            )
         blocks: dict[frozenset[int], np.ndarray] = {}
         loaded: dict[str, np.ndarray] = {}
         for key in desc["block_keys"]:
@@ -185,7 +189,6 @@ def _rebuild_stack(
             ExchLayerParams(
                 blocks=blocks,
                 bias=arrays[f"{prefix}{i}.bias"],
-                pool_mode=desc["pool_mode"],
                 nonlinearity=desc["nonlinearity"],
                 slope=desc["slope"],
                 tied=desc["tied"],
@@ -195,7 +198,20 @@ def _rebuild_stack(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read an EXCHK001 container back into config, params, and scale."""
+    """Read an EXCHK001 container back into config, params, and scale.
+
+    A malformed container, including a header without a required key,
+    raises ValueError.
+    """
+    try:
+        return _load(path)
+    except KeyError as exc:
+        raise ValueError(
+            f"{path}: checkpoint has no {exc.args[0]!r} entry"
+        ) from exc
+
+
+def _load(path: str | Path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: not an EXCHK001 checkpoint")

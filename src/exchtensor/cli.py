@@ -23,6 +23,7 @@ from .data import (
     FIVE_STAR,
     RatingScale,
     RatingsTable,
+    ScaleError,
     canonical_split,
     encode_onehot,
     parse_ratings,
@@ -162,7 +163,7 @@ def _load_data_table(
         )
     try:
         return parse_ratings(path, fmt, scale=scale)
-    except ValueError as exc:
+    except ScaleError as exc:
         raise UsageError(
             f"{exc}; the model scale is {scale.levels} -- if the data "
             f"lives on a different scale pass --rebin-from/--rebin-to"

@@ -19,16 +19,19 @@ from .sparse import SparseExchangeableTensor
 __all__ = [
     "RatingScale",
     "RatingsTable",
+    "ScaleError",
     "FIVE_STAR",
     "parse_ratings",
     "canonical_split",
     "encode_onehot",
-    "onehot_to_ratings",
     "rebin_scale",
-    "rescale_prediction",
     "synthetic_lowrank_table",
     "rmse",
 ]
+
+
+class ScaleError(ValueError):
+    """A rating outside the scale it is checked against."""
 
 
 @dataclass(frozen=True)
@@ -109,13 +112,14 @@ class RatingsTable:
             if np.unique(flat).size != flat.size:
                 dup = flat[np.argsort(flat)]
                 at = np.flatnonzero(np.diff(dup) == 0)[0]
+                uu, ii = divmod(int(dup[at]), len(self.items))
                 raise ValueError(
                     f"duplicate rating for user/item pair "
-                    f"{divmod(int(dup[at]), len(self.items))}"
+                    f"({self.users[uu]}, {self.items[ii]})"
                 )
             if (r < self.scale.lo - 1e-9).any() or (r > self.scale.hi + 1e-9).any():
                 bad = r[(r < self.scale.lo - 1e-9) | (r > self.scale.hi + 1e-9)][0]
-                raise ValueError(f"rating {bad} outside scale "
+                raise ScaleError(f"rating {bad} outside scale "
                                  f"[{self.scale.lo}, {self.scale.hi}]")
         object.__setattr__(self, "u_index", u)
         object.__setattr__(self, "i_index", i)
@@ -221,7 +225,7 @@ def parse_ratings(
     users, items, ratings, stamps = _read_triples(path, fmt, delimiter)
     for k, r in enumerate(ratings):
         if not scale.contains(r):
-            raise ValueError(
+            raise ScaleError(
                 f"{path}: rating {r} outside scale [{scale.lo}, {scale.hi}]"
             )
     umap: dict = {}
@@ -275,7 +279,7 @@ def canonical_split(
         ut, it, rt, tt = _read_triples(test_path, fmt, delimiter)
         for r in rb + rt:
             if not scale.contains(r):
-                raise ValueError(f"rating {r} outside scale "
+                raise ScaleError(f"rating {r} outside scale "
                                  f"[{scale.lo}, {scale.hi}]")
         umap: dict = {}
         imap: dict = {}
@@ -328,17 +332,6 @@ def encode_onehot(
     )
 
 
-def onehot_to_ratings(
-    t: SparseExchangeableTensor, scale: RatingScale
-) -> np.ndarray:
-    """Rating level per observed cell, aligned with t.indices."""
-    if t.channels != scale.n_levels:
-        raise ValueError(
-            f"{t.channels} channels vs {scale.n_levels} rating levels"
-        )
-    return np.asarray(scale.levels)[t.values.argmax(axis=1)]
-
-
 def _linear_map(value, src: RatingScale, dst: RatingScale):
     span_src = src.hi - src.lo
     span_dst = dst.hi - dst.lo
@@ -365,15 +358,6 @@ def rebin_scale(rating, src: RatingScale, dst: RatingScale):
     nearest = levels.size - 1 - np.argmin(gaps[:, ::-1], axis=1)
     out = levels[nearest]
     return out.reshape(arr.shape) if arr.shape else float(out[0])
-
-
-def rescale_prediction(value, src: RatingScale, dst: RatingScale):
-    """Exact inverse linear map between scales; no rounding."""
-    arr = np.asarray(value, dtype=np.float64)
-    if (arr < src.lo - 1e-9).any() or (arr > src.hi + 1e-9).any():
-        raise ValueError(f"value outside source scale [{src.lo}, {src.hi}]")
-    out = _linear_map(arr, src, dst)
-    return float(out) if out.ndim == 0 else out
 
 
 def synthetic_lowrank_table(

@@ -17,8 +17,8 @@ over observed cells only, so the same code serves dense and sparse inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,10 +33,10 @@ __all__ = [
     "random_layer_params",
     "pooling_groups",
     "add_layer_nodes",
+    "add_stack_nodes",
+    "apply_stack",
     "exchangeable_tensor_layer",
-    "exchangeable_matrix_layer",
     "broadcast_side_features",
-    "channel_dropout",
     "dropout_channel_mask",
     "pool_to_factors",
     "broadcast_factors",
@@ -68,7 +68,6 @@ class ExchLayerParams:
 
     blocks: dict[frozenset[int], np.ndarray]
     bias: np.ndarray
-    pool_mode: str = "mean"
     nonlinearity: str = "identity"
     slope: float = 0.01
     tied: bool = False
@@ -89,8 +88,6 @@ class ExchLayerParams:
         (K, O) = next(iter(shapes))
         if self.bias.shape != (O,):
             raise ValueError(f"bias shape {self.bias.shape}, expected ({O},)")
-        if self.pool_mode not in ("mean", "sum", "max"):
-            raise ValueError(f"unknown pool mode {self.pool_mode!r}")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
         if self.tied:
@@ -146,7 +143,6 @@ class ExchLayerParams:
         return ExchLayerParams(
             blocks=blocks,
             bias=np.asarray(bindings[f"{prefix}.bias"]),
-            pool_mode=self.pool_mode,
             nonlinearity=self.nonlinearity,
             slope=self.slope,
             tied=self.tied,
@@ -168,7 +164,6 @@ def random_layer_params(
     channels_in: int,
     channels_out: int,
     rng: np.random.Generator,
-    pool_mode: str = "mean",
     nonlinearity: str = "identity",
     slope: float = 0.01,
     tied: bool = False,
@@ -186,7 +181,6 @@ def random_layer_params(
     return ExchLayerParams(
         blocks=blocks,
         bias=np.zeros(channels_out),
-        pool_mode=pool_mode,
         nonlinearity=nonlinearity,
         slope=slope,
         tied=tied,
@@ -198,8 +192,10 @@ def pooling_groups(
 ) -> dict[frozenset[int], AxisGroups]:
     """Axis groups for every pooled term of a layer over t's index set.
 
-    Computed once per index set and shared across stacked layers; the full
-    subset needs no groups (its term is the identity).
+    They depend on the index set alone, not on the layer, so a stack
+    computes them once and every layer pools with them (``apply_stack``
+    and the training graphs).  The full subset needs no groups: its term
+    is the identity.
     """
     return {
         S: axis_groups(t, sorted(S))
@@ -236,9 +232,7 @@ def add_layer_nodes(
             term_in = x
         else:
             gr = groups[S]
-            term_in = g.gather_broadcast(
-                g.segment_pool(x, gr, params.pool_mode), gr
-            )
+            term_in = g.gather_broadcast(g.segment_pool(x, gr), gr)
         if not terms:
             terms.append(g.channel_mix(term_in, w_node, bias_node))
         else:
@@ -250,10 +244,37 @@ def add_layer_nodes(
     return out
 
 
+def add_stack_nodes(
+    g: Graph,
+    x: str,
+    groups: Mapping[frozenset[int], AxisGroups],
+    stack: Sequence[ExchLayerParams],
+    prefix: str,
+    dropout_masks: Mapping[int, np.ndarray] | None = None,
+) -> str:
+    """Append a stack of layers that all pool with ``groups``.
+
+    Layer k (1-based) names its parameters ``params.bindings(prefix + k)``
+    and multiplies its output by ``dropout_masks[k]`` when one is given.
+    Returns the last layer's output node.
+    """
+    dropout_masks = dropout_masks or {}
+    for k, lp in enumerate(stack, start=1):
+        x = add_layer_nodes(
+            g, x, groups, lp, f"{prefix}{k}", dropout_masks.get(k)
+        )
+    return x
+
+
 def exchangeable_tensor_layer(
-    t: SparseExchangeableTensor, params: ExchLayerParams
+    t: SparseExchangeableTensor,
+    params: ExchLayerParams,
+    groups: Mapping[frozenset[int], AxisGroups] | None = None,
 ) -> SparseExchangeableTensor:
-    """Apply one equivariant layer; output lives on the same index set."""
+    """Apply one equivariant layer; output lives on the same index set.
+
+    ``groups`` must be ``pooling_groups(t)``; it is computed when omitted.
+    """
     if params.ndim != t.ndim:
         raise ValueError(
             f"params cover {params.ndim} axes, tensor has {t.ndim}"
@@ -263,20 +284,27 @@ def exchangeable_tensor_layer(
             f"params expect {params.channels_in} channels, tensor has "
             f"{t.channels}"
         )
+    if groups is None:
+        groups = pooling_groups(t)
     g = Graph()
-    x = g.input("x")
-    out = add_layer_nodes(g, x, pooling_groups(t), params, "layer")
-    bindings = {"x": t.values, **params.bindings("layer")}
+    out = add_stack_nodes(g, g.input("x"), groups, (params,), "layer")
+    bindings = {"x": t.values, **params.bindings("layer1")}
     return t.with_values(forward(g, bindings)[out])
 
 
-def exchangeable_matrix_layer(
-    t: SparseExchangeableTensor, params: ExchLayerParams
+def apply_stack(
+    t: SparseExchangeableTensor, stack: Sequence[ExchLayerParams]
 ) -> SparseExchangeableTensor:
-    """The two-axis case: cell + column-mean + row-mean + global-mean terms."""
-    if t.ndim != 2:
-        raise ValueError(f"matrix layer requires 2 axes, tensor has {t.ndim}")
-    return exchangeable_tensor_layer(t, params)
+    """Eval-mode forward of a layer stack over t's index set.
+
+    The pooling groups are computed once for the whole stack.  Each layer
+    runs as its own one-layer graph: ``forward`` keeps every node's value,
+    so a whole-stack graph would hold all layers' intermediates at once.
+    """
+    groups = pooling_groups(t)
+    for lp in stack:
+        t = exchangeable_tensor_layer(t, lp, groups)
+    return t
 
 
 def broadcast_side_features(
@@ -327,15 +355,6 @@ def dropout_channel_mask(
     kept = rng.random(channels) >= rate
     mask = kept[None, :] / (1.0 - rate)
     return mask, kept
-
-
-def channel_dropout(
-    t: SparseExchangeableTensor, rate: float, seed: int | np.random.Generator
-) -> tuple[SparseExchangeableTensor, np.ndarray]:
-    """Zero whole channels at every observed cell; returns (tensor, kept)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    mask, kept = dropout_channel_mask(t.channels, rate, rng)
-    return t.with_values(t.values * mask), kept
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,8 @@ from .data import RatingScale
 from .layers import (
     ExchLayerParams,
     FactorPair,
+    apply_stack,
     broadcast_factors,
-    dropout_channel_mask,
-    exchangeable_tensor_layer,
     pool_to_factors,
     random_layer_params,
 )
@@ -30,11 +29,8 @@ from .sparse import SparseExchangeableTensor
 
 __all__ = [
     "ModelConfig",
-    "ObservationSplit",
     "SelfSupervisedParams",
     "FeaParams",
-    "split_observations",
-    "apply_observation_split",
     "union_with_zeros",
     "init_params",
     "count_parameters",
@@ -140,52 +136,6 @@ class ModelConfig:
         )
 
 
-@dataclass(frozen=True)
-class ObservationSplit:
-    """Disjoint input/prediction partition of an observed index set."""
-
-    input_indices: np.ndarray
-    prediction_indices: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.input_indices, dtype=np.int64)
-        b = np.asarray(self.prediction_indices, dtype=np.int64)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-            raise ValueError("index sets must be (n, ndim) with equal ndim")
-        both = {tuple(ix) for ix in a.tolist()} & {tuple(ix) for ix in b.tolist()}
-        if both:
-            raise ValueError(f"index {next(iter(both))} is in both halves")
-        object.__setattr__(self, "input_indices", a)
-        object.__setattr__(self, "prediction_indices", b)
-
-
-def split_observations(
-    t: SparseExchangeableTensor, fraction: float, seed: int = 0
-) -> ObservationSplit:
-    """Hold out round(fraction * n) observed cells for prediction."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be inside (0, 1), got {fraction}")
-    n = t.indices.shape[0]
-    n_pr = int(round(fraction * n))
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    return ObservationSplit(
-        t.indices[np.sort(order[n_pr:])], t.indices[np.sort(order[:n_pr])]
-    )
-
-
-def apply_observation_split(
-    t: SparseExchangeableTensor, split: ObservationSplit
-) -> SparseExchangeableTensor:
-    """Zero the channel vectors at the prediction cells, keeping the
-    index set whole so the model still produces outputs there."""
-    keys = np.ravel_multi_index(tuple(t.indices.T), t.dims)
-    pr = np.ravel_multi_index(tuple(split.prediction_indices.T), t.dims)
-    values = t.values.copy()
-    values[np.isin(keys, pr)] = 0.0
-    return t.with_values(values)
-
-
 def union_with_zeros(
     t: SparseExchangeableTensor, extra_indices: np.ndarray
 ) -> SparseExchangeableTensor:
@@ -263,25 +213,15 @@ def count_parameters(params) -> int:
     return sum(lp.n_params for lp in params.encoder + params.decoder)
 
 
-def _run_stack(t, layer_params, placement, rate, train_mode, rng):
-    for j, lp in enumerate(layer_params, start=1):
-        t = exchangeable_tensor_layer(t, lp)
-        if train_mode and rate > 0.0 and j in placement:
-            mask, _ = dropout_channel_mask(t.channels, rate, rng)
-            t = t.with_values(t.values * mask)
-    return t
-
-
 def self_supervised_forward(
     x_in: SparseExchangeableTensor,
     config: ModelConfig,
     params: SelfSupervisedParams,
-    train_mode: bool = False,
-    seed: int = 0,
 ) -> SparseExchangeableTensor:
     """Distribution over rating levels at every cell of x_in's index set.
 
-    Cells wanting predictions should be present with zeroed channels.
+    Eval mode: no dropout.  Cells wanting predictions should be present
+    with zeroed channels.
     """
     if config.architecture != "self-supervised":
         raise ValueError("config is not for the self-supervised model")
@@ -294,19 +234,13 @@ def self_supervised_forward(
             f"{len(params.layers)} layers of params for "
             f"{len(config.widths)} configured layers"
         )
-    rng = np.random.default_rng(seed)
-    return _run_stack(
-        x_in, params.layers, config.dropout_placement,
-        config.dropout_rate, train_mode, rng,
-    )
+    return apply_stack(x_in, params.layers)
 
 
 def fea_encode(
     x: SparseExchangeableTensor,
     config: ModelConfig,
     params: FeaParams,
-    train_mode: bool = False,
-    seed: int = 0,
 ) -> FactorPair:
     """Pool an exchangeable stack into per-row and per-column factors."""
     if config.architecture != "fea":
@@ -317,9 +251,7 @@ def fea_encode(
         )
     if len(params.encoder) != len(config.encoder_widths):
         raise ValueError("encoder params do not match the config")
-    rng = np.random.default_rng(seed)
-    hidden = _run_stack(x, params.encoder, frozenset(), 0.0, train_mode, rng)
-    return pool_to_factors(hidden)
+    return pool_to_factors(apply_stack(x, params.encoder))
 
 
 def fea_decode(
@@ -327,13 +259,11 @@ def fea_decode(
     target_indices: np.ndarray,
     config: ModelConfig,
     params: FeaParams,
-    train_mode: bool = False,
-    seed: int = 0,
     imputation: bool = False,
 ) -> SparseExchangeableTensor:
     """Rebuild rating distributions at target cells from the factors.
 
-    Cold rows or columns (ids the encoder never saw) raise unless
+    Eval mode: no dropout.  Cold rows or columns (ids the encoder never saw) raise unless
     imputation fills them with the warm-factor mean first.
     """
     if config.architecture != "fea":
@@ -343,11 +273,7 @@ def fea_decode(
     if imputation:
         factors = factors.imputed()
     base = broadcast_factors(factors, target_indices, allow_cold=imputation)
-    rng = np.random.default_rng(seed)
-    return _run_stack(
-        base, params.decoder, config.dropout_placement,
-        config.dropout_rate, train_mode, rng,
-    )
+    return apply_stack(base, params.decoder)
 
 
 def predict_ratings(

@@ -3,8 +3,7 @@
 Two schemes: uniform draws over observed cells, and a two-stage scheme
 that picks rows in proportion to how much data they carry, then columns
 in proportion to their mass within the chosen rows, keeping every
-observed cell of the induced submatrix.  A coupon-collector driver
-covers a test set with repeated batches.
+observed cell of the induced submatrix.
 """
 
 from __future__ import annotations
@@ -19,14 +18,12 @@ from .sparse import SparseExchangeableTensor
 __all__ = [
     "DEFAULT_CELL_BUDGET",
     "SampleBatch",
-    "CoverageReport",
     "uniform_subsample",
     "conditional_subsample",
     "row_marginal",
     "restricted_col_marginal",
     "budget_targets",
     "subset_tensor",
-    "cover_test_indices",
 ]
 
 DEFAULT_CELL_BUDGET = 20_000
@@ -162,46 +159,3 @@ def subset_tensor(
     if (pos >= keys.size).any() or (keys[np.minimum(pos, keys.size - 1)] != want).any():
         raise ValueError("batch contains an unobserved index")
     return SparseExchangeableTensor(t.dims, t.indices[pos], t.values[pos])
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    """Outcome of covering a test index set with repeated batches."""
-
-    batches: tuple
-    n_cells: int
-
-    @property
-    def n_batches(self) -> int:
-        return len(self.batches)
-
-
-def cover_test_indices(
-    t_test: SparseExchangeableTensor,
-    batch_builder,
-    batch_size: int,
-    seed: int = 0,
-) -> CoverageReport:
-    """Draw batches until their union covers every test cell.
-
-    batch_builder(k, rng) -> SampleBatch over the test cells.  Gives up
-    after 50 * (cells / batch_size) rounds, reporting the uncovered count.
-    """
-    n = t_test.indices.shape[0]
-    cap = max(1, math.ceil(50 * n / batch_size))
-    rng = np.random.default_rng(seed)
-    all_keys = _flat_keys(t_test.indices, t_test.dims)
-    covered = np.zeros(n, dtype=bool)
-    batches = []
-    for k in range(cap):
-        batch = batch_builder(k, rng)
-        hit = np.isin(all_keys, _flat_keys(batch.indices, t_test.dims))
-        covered |= hit
-        batches.append(batch)
-        if covered.all():
-            return CoverageReport(tuple(batches), n)
-    missing = int(n - covered.sum())
-    raise RuntimeError(
-        f"coverage failed: {missing} of {n} test cells uncovered "
-        f"after {cap} batches"
-    )

@@ -9,7 +9,7 @@ dense grid.
 
 This module provides the array type itself, grouping of observed cells by
 coordinates (the substrate for pooling), application of per-axis
-permutations, and flat/tuple index conversion.
+permutations, and dense conversion for the verifier.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "build_sparse",
     "axis_groups",
     "apply_permutation",
-    "vectorize_index",
-    "unvectorize_index",
     "to_dense",
     "from_dense",
     "DENSE_CELL_CAP",
@@ -295,26 +293,6 @@ def apply_permutation(
         raise ValueError(f"permutation dims {p.dims} do not match tensor {t.dims}")
     new_idx = np.column_stack([p.maps[a][t.indices[:, a]] for a in range(t.ndim)])
     return SparseExchangeableTensor(t.dims, new_idx, t.values)
-
-
-def vectorize_index(idx: Sequence[int], dims: Sequence[int]) -> int:
-    """Tuple -> flat id, row-major (last axis fastest)."""
-    dims = tuple(dims)
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != len(dims):
-        raise ValueError(f"index {idx} has wrong arity for dims {dims}")
-    if any(i < 0 or i >= d for i, d in zip(idx, dims)):
-        raise ValueError(f"index {idx} out of range for dims {dims}")
-    return int(np.ravel_multi_index(idx, dims))
-
-
-def unvectorize_index(flat: int, dims: Sequence[int]) -> tuple[int, ...]:
-    """Flat id -> tuple, inverse of :func:`vectorize_index`."""
-    dims = tuple(dims)
-    total = int(np.prod(dims))
-    if flat < 0 or flat >= total:
-        raise ValueError(f"flat index {flat} out of range for dims {dims}")
-    return tuple(int(v) for v in np.unravel_index(flat, dims))
 
 
 def to_dense(

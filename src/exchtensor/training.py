@@ -1,23 +1,25 @@
-"""Losses, optimizers, the training loop, and evaluation.
+"""Optimizers, the training loop, and evaluation.
 
-Training builds an explicit computation graph per epoch (cheap next to
-the forward pass) so channel-dropout masks and minibatch index sets can
+Training builds one computation graph per epoch (cheap next to the
+forward pass) so channel-dropout masks and minibatch index sets can
 change freely, then runs one optimizer step on the flat parameter
-bindings.  Validation always runs in eval mode on the full training
+bindings.  The graph is the models' own layer stack (``add_stack_nodes``
+over pooling groups computed once for the batch) ending in logits and a
+fused cross-entropy; dropout exists only here, as masks drawn per epoch.
+Validation runs the models' eval-mode forward on the full training
 matrix.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import Graph, backward, forward
 from .data import RatingScale, RatingsTable, encode_onehot, rmse
-from .layers import add_layer_nodes, dropout_channel_mask, pooling_groups
+from .layers import add_stack_nodes, dropout_channel_mask, pooling_groups
 from .models import (
     FeaParams,
     ModelConfig,
@@ -43,7 +45,6 @@ __all__ = [
     "TrainReport",
     "EvalReport",
     "mask_inputs",
-    "cross_entropy_loss",
     "OptimizerState",
     "init_optimizer_state",
     "optimizer_step",
@@ -144,23 +145,6 @@ def mask_inputs(
     return t.with_values(values), t.indices[hit]
 
 
-def cross_entropy_loss(distributions, targets) -> float:
-    """Mean of -log p(true level); probabilities floored at 1e-12."""
-    p = distributions.values if isinstance(
-        distributions, SparseExchangeableTensor) else np.asarray(distributions)
-    t = targets.values if isinstance(
-        targets, SparseExchangeableTensor) else np.asarray(targets)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-    hit = (p * t).sum(axis=1)
-    if (hit < 1e-12).any():
-        warnings.warn(
-            f"{int((hit < 1e-12).sum())} target probabilities clamped at 1e-12"
-        )
-        hit = np.maximum(hit, 1e-12)
-    return float(-np.log(hit).mean())
-
-
 @dataclass(frozen=True)
 class OptimizerState:
     step: int
@@ -220,16 +204,15 @@ def _rebuild_stack(stack, prefix: str, bindings: dict):
     )
 
 
-def _graph_layer(lp, is_last: bool):
+def _logits_stack(stack):
     """The training graph ends at logits; softmax lives in the fused loss."""
-    if is_last:
-        if lp.nonlinearity != "softmax":
-            raise ValueError(
-                "training expects a softmax on the final layer, got "
-                f"{lp.nonlinearity!r}"
-            )
-        return replace(lp, nonlinearity="identity")
-    return lp
+    last = stack[-1]
+    if last.nonlinearity != "softmax":
+        raise ValueError(
+            "training expects a softmax on the final layer, got "
+            f"{last.nonlinearity!r}"
+        )
+    return (*stack[:-1], replace(last, nonlinearity="identity"))
 
 
 def build_ss_loss_graph(
@@ -244,20 +227,16 @@ def build_ss_loss_graph(
     Returns (graph, loss node, bindings); parameter bindings use the
     prefixes layer1..layerN so gradients map back onto the stack.
     """
-    dropout_masks = dropout_masks or {}
     g = Graph()
-    node = g.input("x")
-    groups = pooling_groups(x)
-    bindings = {"x": x.values}
-    for k, lp in enumerate(layer_stack, start=1):
-        node = add_layer_nodes(
-            g, node, groups, _graph_layer(lp, k == len(layer_stack)),
-            f"layer{k}", dropout_mask=dropout_masks.get(k),
-        )
-        bindings.update(lp.bindings(f"layer{k}"))
-    t_node = g.input("targets")
-    loss = g.softmax_cross_entropy(node, t_node, row_weights=target_weights)
-    bindings["targets"] = targets
+    logits = add_stack_nodes(
+        g, g.input("x"), pooling_groups(x), _logits_stack(layer_stack),
+        "layer", dropout_masks,
+    )
+    loss = g.softmax_cross_entropy(
+        logits, g.input("targets"), row_weights=target_weights
+    )
+    bindings = {"x": x.values, "targets": targets,
+                **_stack_bindings(layer_stack, "layer")}
     return g, loss, bindings
 
 
@@ -270,29 +249,22 @@ def build_fea_loss_graph(
 ):
     """Reconstruction graph: encode, pool to factors, broadcast back over
     the same cells, decode, cross-entropy against the input's one-hots."""
-    dropout_masks = dropout_masks or {}
     g = Graph()
-    node = g.input("x")
     groups = pooling_groups(x)
-    bindings = {"x": x.values}
-    for k, lp in enumerate(encoder_stack, start=1):
-        node = add_layer_nodes(g, node, groups, lp, f"enc{k}")
-        bindings.update(lp.bindings(f"enc{k}"))
+    hidden = add_stack_nodes(g, g.input("x"), groups, encoder_stack, "enc")
     by_row = groups[frozenset({0})]
     by_col = groups[frozenset({1})]
-    node = g.concat_channels(
-        g.gather_broadcast(g.segment_pool(node, by_row, "mean"), by_row),
-        g.gather_broadcast(g.segment_pool(node, by_col, "mean"), by_col),
+    factors = g.concat_channels(
+        g.gather_broadcast(g.segment_pool(hidden, by_row), by_row),
+        g.gather_broadcast(g.segment_pool(hidden, by_col), by_col),
     )
-    for k, lp in enumerate(decoder_stack, start=1):
-        node = add_layer_nodes(
-            g, node, groups, _graph_layer(lp, k == len(decoder_stack)),
-            f"dec{k}", dropout_mask=dropout_masks.get(k),
-        )
-        bindings.update(lp.bindings(f"dec{k}"))
-    t_node = g.input("targets")
-    loss = g.softmax_cross_entropy(node, t_node)
-    bindings["targets"] = targets
+    logits = add_stack_nodes(
+        g, factors, groups, _logits_stack(decoder_stack), "dec", dropout_masks
+    )
+    loss = g.softmax_cross_entropy(logits, g.input("targets"))
+    bindings = {"x": x.values, "targets": targets,
+                **_stack_bindings(encoder_stack, "enc"),
+                **_stack_bindings(decoder_stack, "dec")}
     return g, loss, bindings
 
 
@@ -337,7 +309,7 @@ def _predict_at(
     mode: str = "expectation",
     imputation: bool = True,
 ) -> np.ndarray:
-    """Eval-mode ratings at query cells, conditioned on x_obs only."""
+    """Eval-mode ratings at query cells, given the observed x_obs."""
     if config.architecture == "self-supervised":
         x_eval = union_with_zeros(x_obs, query)
         out = self_supervised_forward(x_eval, config, params)
@@ -524,10 +496,15 @@ def evaluate(
 ) -> EvalReport:
     """Eval-mode RMSE and predictions at the query cells.
 
-    Conditions only on the observed table; works on the training matrix
-    (interpolation) or on an entirely fresh matrix with its own id space
-    (extrapolation), since no parameter depends on the matrix shape.
-    Never mutates the parameters.
+    Works on the training matrix (interpolation) or on an entirely fresh
+    matrix with its own id space (extrapolation), since no parameter
+    depends on the matrix shape.  Never mutates the parameters.
+
+    A prediction currently depends on the other query cells of the same
+    request, not only on the observed table: the self-supervised model's
+    pools include the zero-filled query cells, and the autoencoder's
+    decoder pools over the query set.  So ``cell_budget`` chunking changes
+    the predictions and the RMSE.
     """
     x_obs = encode_onehot(observed_table)
     query = query_table.indices()

@@ -1,7 +1,10 @@
 """Shared fixtures-by-hand for the test suite."""
 
+import json
+
 import numpy as np
 
+from exchtensor.checkpoint import MAGIC
 from exchtensor.sparse import SparseExchangeableTensor
 
 
@@ -25,3 +28,15 @@ def transpose_matrix(t):
     return SparseExchangeableTensor(
         (t.dims[1], t.dims[0]), t.indices[:, ::-1], t.values
     )
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a checkpoint with its JSON header passed through edit()."""
+    raw = src.read_bytes()
+    header_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + header_len])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    dst.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob
+                    + raw[16 + header_len:])
+    return dst

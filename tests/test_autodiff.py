@@ -102,20 +102,25 @@ class TestSegmentOps:
     def test_singleton_groups_identity_all_modes(self):
         t, *_ = three_cell_groups()
         both = axis_groups(t, [0, 1])
-        for mode in ("mean", "sum", "max"):
-            g = Graph()
-            x = g.input("x")
-            y = g.segment_pool(x, both, mode)
-            v = np.array([[1.0], [2.0], [3.0]])
-            assert_allclose(forward(g, {"x": v})[y], v)
+        g = Graph()
+        x = g.input("x")
+        y = g.segment_pool(x, both)
+        v = np.array([[1.0], [2.0], [3.0]])
+        assert_allclose(forward(g, {"x": v})[y], v)
 
-    def test_two_group_sum(self):
+    def test_two_group_mean(self):
         t, rows, _, _ = three_cell_groups()
         g = Graph()
         x = g.input("x")
-        y = g.segment_pool(x, rows, "sum")
+        y = g.segment_pool(x, rows)
         vals = forward(g, {"x": np.array([[1.0], [2.0], [3.0]])})
-        assert_allclose(vals[y], [[3.0], [3.0]])
+        assert_allclose(vals[y], [[1.5], [3.0]])
+
+    def test_only_mean_pooling(self):
+        t, rows, _, _ = three_cell_groups()
+        g = Graph()
+        with pytest.raises(ValueError, match="pool mode"):
+            g.segment_pool(g.input("x"), rows, "max")
 
     def test_broadcast_replicates_group_vector(self):
         t, _, _, whole = three_cell_groups()
@@ -272,21 +277,6 @@ class TestBackward:
         assert grads["unused"].shape == (3, 2)
         assert_allclose(grads["unused"], 0.0)
 
-    def test_max_pool_routes_to_first_tie(self):
-        t = build_sparse(
-            (2, 2), [((0, 0), (5.0,)), ((0, 1), (5.0,)), ((1, 0), (1.0,))]
-        )
-        rows = axis_groups(t, [0])
-        g = Graph()
-        x = g.parameter("x")
-        pooled = g.segment_pool(x, rows, "max")
-        loss = g.mean_square_error(pooled, g.input("t"))
-        vals = forward(g, {"x": t.values, "t": np.zeros((2, 1))})
-        grads = backward(g, vals, loss)
-        # both cells of row 0 hold the max; only the first may receive gradient
-        assert grads["x"][0, 0] != 0.0
-        assert grads["x"][1, 0] == 0.0
-
     def test_full_graph_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         t = build_sparse(
@@ -302,15 +292,15 @@ class TestBackward:
         w1, w2, w3 = g.parameter("w1"), g.parameter("w2"), g.parameter("w3")
         bias = g.parameter("bias")
         pr = g.gather_broadcast(g.segment_pool(x, rows, "mean"), rows)
-        pc = g.gather_broadcast(g.segment_pool(x, cols, "sum"), cols)
-        pg = g.gather_broadcast(g.segment_pool(x, both, "max"), both)
+        pc = g.gather_broadcast(g.segment_pool(x, cols, "mean"), cols)
+        pg = g.gather_broadcast(g.segment_pool(x, both, "mean"), both)
         mixed = g.add(
             g.channel_mix(x, w1, bias),
             g.channel_mix(pr, w2),
             g.channel_mix(pc, w3),
         )
         act = g.nonlinearity(mixed, "leaky_relu")
-        cat = g.concat_channels(act, g.scale(pg, 0.5))
+        cat = g.concat_channels(act, pg)
         mask = np.array([[1.0 / 0.75, 0.0, 1.0 / 0.75, 1.0 / 0.75, 0.0]])
         dropped = g.dropout_mask(cat, mask)
         wout = g.parameter("wout")

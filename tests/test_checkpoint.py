@@ -24,6 +24,8 @@ from exchtensor.models import (
     self_supervised_forward,
 )
 
+from helpers import rewrite_header
+
 
 def small_ss():
     config = ModelConfig(architecture="self-supervised", levels=5,
@@ -53,8 +55,8 @@ class TestRoundTrip:
             for S in a.blocks:
                 assert a.blocks[S].tobytes() == b.blocks[S].tobytes()
             assert a.bias.tobytes() == b.bias.tobytes()
-            assert (a.nonlinearity, a.pool_mode, a.slope, a.tied) == (
-                b.nonlinearity, b.pool_mode, b.slope, b.tied)
+            assert (a.nonlinearity, a.slope, a.tied) == (
+                b.nonlinearity, b.slope, b.tied)
 
     def test_fea_round_trip_preserves_both_stacks(self, tmp_path):
         config, params = small_fea()
@@ -188,15 +190,51 @@ class TestFailureModes:
         config, params = small_ss()
         path = tmp_path / "model.exchk"
         save_checkpoint(path, config, params, FIVE_STAR)
-        raw = bytearray(path.read_bytes())
-        header_len = int.from_bytes(raw[8:16], "little")
-        header = json.loads(raw[16:16 + header_len])
-        header["format_version"] = 99
-        blob = json.dumps(header, sort_keys=True).encode()
-        bad = tmp_path / "bad.exchk"
-        bad.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob
-                        + bytes(raw[16 + header_len:]))
+        bad = rewrite_header(path, tmp_path / "bad.exchk",
+                             lambda header: header.update(format_version=99))
         with pytest.raises(ValueError, match="version 99"):
+            load_checkpoint(bad)
+
+    def test_header_with_mean_pool_mode_loads(self, tmp_path):
+        """Older headers name each layer's pool mode; "mean" loads."""
+        config, params = small_fea()
+        path = tmp_path / "model.exchk"
+        save_checkpoint(path, config, params, FIVE_STAR)
+
+        def add_pool_mode(header):
+            for descriptors in header["stacks"].values():
+                for desc in descriptors:
+                    desc["pool_mode"] = "mean"
+
+        old = rewrite_header(path, tmp_path / "old.exchk", add_pool_mode)
+        a, b = load_checkpoint(path), load_checkpoint(old)
+        for la, lb in zip(a.params.encoder + a.params.decoder,
+                          b.params.encoder + b.params.decoder):
+            for S in la.blocks:
+                assert_array_equal(la.blocks[S], lb.blocks[S])
+            assert (la.nonlinearity, la.slope, la.tied) == (
+                lb.nonlinearity, lb.slope, lb.tied)
+
+    def test_other_pool_mode_rejected(self, tmp_path):
+        config, params = small_ss()
+        path = tmp_path / "model.exchk"
+        save_checkpoint(path, config, params, FIVE_STAR)
+
+        def max_pool(header):
+            header["stacks"]["layers"][1]["pool_mode"] = "max"
+
+        bad = rewrite_header(path, tmp_path / "bad.exchk", max_pool)
+        with pytest.raises(ValueError, match="layer2: unsupported pool mode 'max'"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("key", ["stacks", "model_config", "scale", "arrays"])
+    def test_missing_header_key_names_it(self, tmp_path, key):
+        config, params = small_ss()
+        path = tmp_path / "model.exchk"
+        save_checkpoint(path, config, params, FIVE_STAR)
+        bad = rewrite_header(path, tmp_path / "bad.exchk",
+                             lambda header: header.pop(key))
+        with pytest.raises(ValueError, match=f"no '{key}' entry"):
             load_checkpoint(bad)
 
     def test_unknown_params_type_rejected(self, tmp_path):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config merging, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from exchtensor.checkpoint import load_checkpoint, save_checkpoint
 from exchtensor.cli import main
 from exchtensor.data import FIVE_STAR, RatingScale
 from exchtensor.models import ModelConfig, init_params
+
+from helpers import rewrite_header
 
 
 def run(capsys, *argv):
@@ -166,6 +169,24 @@ class TestEvaluate:
         )
         assert code == 0
         assert records[0]["n_query"] == 3
+
+    def test_duplicate_rating_names_file_ids_without_rebin_hint(
+            self, checkpoint, capsys, tmp_path):
+        data = tmp_path / "dup.data"
+        data.write_text("1\t1\t4\t0\n2\t1\t3\t0\n1\t1\t5\t0\n")
+        code, _, err = run(capsys, "evaluate", checkpoint, "--data", str(data))
+        assert code == 2
+        assert "duplicate rating for user/item pair (1, 1)" in err
+        assert "rebin" not in err
+
+    def test_header_missing_stacks_exits_2(self, checkpoint, capsys,
+                                           tmp_path):
+        bad = rewrite_header(Path(checkpoint), tmp_path / "bad.exchk",
+                             lambda header: header.pop("stacks"))
+        code, _, err = run(capsys, "evaluate", str(bad), "--data",
+                           "synthetic")
+        assert code == 2
+        assert "'stacks'" in err
 
     def test_fraction_outside_unit_interval_exits_2(self, checkpoint,
                                                     capsys):

@@ -10,10 +10,8 @@ from exchtensor.data import (
     RatingsTable,
     canonical_split,
     encode_onehot,
-    onehot_to_ratings,
     parse_ratings,
     rebin_scale,
-    rescale_prediction,
     rmse,
     synthetic_lowrank_table,
 )
@@ -247,7 +245,7 @@ class TestEncodeOnehot:
         """encode then decode restores every rating at its cell."""
         t = small_table()
         enc = encode_onehot(t)
-        back = onehot_to_ratings(enc, t.scale)
+        back = np.asarray(t.scale.levels)[enc.values.argmax(axis=1)]
         want = {(u, i): r for u, i, r in
                 zip(t.u_index.tolist(), t.i_index.tolist(), t.ratings)}
         for (u, i), r in zip(enc.indices.tolist(), back):
@@ -257,11 +255,6 @@ class TestEncodeOnehot:
         t = RatingsTable([0], [0], [2.5], FIVE_STAR, ("a",), ("x",))
         with pytest.raises(ValueError, match="not a level"):
             encode_onehot(t)
-
-    def test_decode_needs_matching_channel_count(self):
-        enc = encode_onehot(small_table())
-        with pytest.raises(ValueError, match="channels"):
-            onehot_to_ratings(enc, RatingScale.integer(1, 3))
 
 
 class TestScaleConversion:
@@ -288,34 +281,6 @@ class TestScaleConversion:
     def test_rebin_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside source"):
             rebin_scale(0.0, FIVE_STAR, FIVE_STAR)
-
-    def test_rescale_midpoint_example(self):
-        """Level 3 of a 5-star scale sits at 50.5 on a 1..100 scale."""
-        wide = RatingScale.integer(1, 100)
-        assert rescale_prediction(3.0, FIVE_STAR, wide) == 50.5
-
-    def test_rescale_keeps_endpoints(self):
-        wide = RatingScale.integer(1, 100)
-        assert rescale_prediction(1.0, FIVE_STAR, wide) == 1.0
-        assert rescale_prediction(5.0, FIVE_STAR, wide) == 100.0
-
-    def test_rescale_is_linear_not_rounded(self):
-        wide = RatingScale.integer(1, 100)
-        out = rescale_prediction(np.array([2.0, 2.5]), FIVE_STAR, wide)
-        assert_allclose(out, [25.75, 38.125])
-
-    def test_rescale_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside source"):
-            rescale_prediction(5.2, FIVE_STAR, FIVE_STAR)
-
-    def test_rebin_then_rescale_round_trip_is_close(self):
-        """Rebinning quantizes, so the round trip lands within one bin."""
-        wide = RatingScale.integer(1, 100)
-        xs = np.linspace(1, 100, 50)
-        back = rescale_prediction(rebin_scale(xs, wide, FIVE_STAR),
-                                  FIVE_STAR, wide)
-        bin_width = 99 / 4
-        assert np.abs(back - xs).max() <= bin_width / 2 + 1e-9
 
 
 class TestSyntheticLowrankTable:

@@ -12,10 +12,10 @@ from exchtensor.layers import (
     FactorPair,
     add_layer_nodes,
     all_subsets,
+    apply_stack,
     broadcast_factors,
     broadcast_side_features,
-    channel_dropout,
-    exchangeable_matrix_layer,
+    dropout_channel_mask,
     exchangeable_tensor_layer,
     pool_to_factors,
     pooling_groups,
@@ -24,19 +24,18 @@ from exchtensor.layers import (
 from exchtensor.sparse import PermutationSpec, apply_permutation, build_sparse, to_dense
 
 
-def unit_params(ndim, nonlinearity="identity", pool_mode="mean"):
+def unit_params(ndim, nonlinearity="identity"):
     """All 2^D blocks equal to the 1x1 matrix [1], zero bias."""
     blocks = {S: np.array([[1.0]]) for S in all_subsets(ndim)}
     return ExchLayerParams(
-        blocks=blocks, bias=np.zeros(1), pool_mode=pool_mode,
-        nonlinearity=nonlinearity,
+        blocks=blocks, bias=np.zeros(1), nonlinearity=nonlinearity,
     )
 
 
 class TestMatrixLayerValues:
     def test_single_cell_collapses_to_four_x(self):
         t = build_sparse((1, 1), [((0, 0), (2.5,))])
-        y = exchangeable_matrix_layer(t, unit_params(2))
+        y = exchangeable_tensor_layer(t, unit_params(2))
         assert_allclose(y.values, [[10.0]])
 
     def test_fully_observed_2x2_unit_weights(self):
@@ -44,7 +43,7 @@ class TestMatrixLayerValues:
             (2, 2),
             [((0, 0), (1.0,)), ((0, 1), (2.0,)), ((1, 0), (3.0,)), ((1, 1), (4.0,))],
         )
-        y = exchangeable_matrix_layer(t, unit_params(2))
+        y = exchangeable_tensor_layer(t, unit_params(2))
         dense, _ = to_dense(y)
         assert_allclose(dense[:, :, 0], [[7.0, 9.0], [11.0, 13.0]])
 
@@ -52,7 +51,7 @@ class TestMatrixLayerValues:
         t = build_sparse(
             (2, 2), [((0, 0), (1.0,)), ((0, 1), (2.0,)), ((1, 0), (3.0,))]
         )
-        y = exchangeable_matrix_layer(t, unit_params(2))
+        y = exchangeable_tensor_layer(t, unit_params(2))
         # cell + column mean + row mean + global mean, observed cells only
         assert_array_equal(y.indices, [[0, 0], [0, 1], [1, 0]])
         assert_allclose(y.values[:, 0], [6.5, 7.5, 10.0])
@@ -69,7 +68,7 @@ class TestMatrixLayerValues:
             frozenset(): np.array([[0.0]]),
         }
         p = ExchLayerParams(blocks=blocks, bias=np.zeros(1))
-        y = exchangeable_matrix_layer(t, p)
+        y = exchangeable_tensor_layer(t, p)
         # Y(0,0) = 1 + 100*colmean{1,3} + 10000*rowmean{1,2}
         assert_allclose(y.values[0, 0], 1.0 + 100 * 2.0 + 10000 * 1.5)
 
@@ -77,19 +76,19 @@ class TestMatrixLayerValues:
         t = build_sparse((1, 1), [((0, 0), (-1.0,))])
         p = unit_params(2, nonlinearity="leaky_relu")
         p.bias = np.array([1.0])
-        y = exchangeable_matrix_layer(t, p)
+        y = exchangeable_tensor_layer(t, p)
         # pre-activation: 4*(-1) + 1 = -3, leaky slope 0.01
         assert_allclose(y.values, [[-0.03]])
 
     def test_channel_mismatch_rejected(self):
         t = build_sparse((2, 2), [((0, 0), (1.0, 2.0))])
         with pytest.raises(ValueError, match="channels"):
-            exchangeable_matrix_layer(t, unit_params(2))
+            exchangeable_tensor_layer(t, unit_params(2))
 
     def test_requires_two_axes(self):
         t = build_sparse((3,), [((0,), (1.0,)), ((2,), (2.0,))])
         with pytest.raises(ValueError, match="2 axes"):
-            exchangeable_matrix_layer(t, unit_params(1))
+            exchangeable_tensor_layer(t, unit_params(2))
 
 
 class TestTensorLayer:
@@ -116,12 +115,12 @@ class TestTensorLayer:
         total = sum(w[0, 0] for w in blocks.values())
         assert_allclose(y.values, [[2.0 * total + 0.5]])
 
-    def test_two_axis_case_equals_matrix_layer_bitwise(self):
+    def test_one_layer_stack_equals_tensor_layer_bitwise(self):
         rng = np.random.default_rng(2)
         t = random_sparse((4, 5), 3, 12, rng)
         p = random_layer_params(2, 3, 2, rng, nonlinearity="sigmoid")
         a = exchangeable_tensor_layer(t, p)
-        b = exchangeable_matrix_layer(t, p)
+        b = apply_stack(t, (p,))
         assert_array_equal(a.values, b.values)
 
     def test_three_axis_matches_dense_pooled_oracle(self):
@@ -165,7 +164,6 @@ class TestEquivariance:
             p = random_layer_params(
                 len(dims), channels, 2, rng,
                 nonlinearity=("sigmoid", "leaky_relu")[trial % 2],
-                pool_mode=("mean", "sum", "max")[trial % 3],
             )
             perm = PermutationSpec.random(dims, rng)
             left = exchangeable_tensor_layer(apply_permutation(t, perm), p)
@@ -180,7 +178,7 @@ class TestEquivariance:
         perm = PermutationSpec.random(t.dims, rng)
 
         def stack(x):
-            return exchangeable_matrix_layer(exchangeable_matrix_layer(x, p1), p2)
+            return apply_stack(x, (p1, p2))
 
         left = stack(apply_permutation(t, perm))
         right = apply_permutation(stack(t), perm)
@@ -191,16 +189,16 @@ class TestEquivariance:
         t = random_sparse((5, 5), 2, 17, rng)
         p = random_layer_params(2, 2, 2, rng, tied=True, nonlinearity="sigmoid")
         assert p.blocks[frozenset({0})] is p.blocks[frozenset({1})]
-        left = exchangeable_matrix_layer(transpose_matrix(t), p)
-        right = transpose_matrix(exchangeable_matrix_layer(t, p))
+        left = exchangeable_tensor_layer(transpose_matrix(t), p)
+        right = transpose_matrix(exchangeable_tensor_layer(t, p))
         assert left.allclose(right, tol=1e-10)
 
     def test_untied_blocks_do_not_commute_with_transpose(self):
         rng = np.random.default_rng(7)
         t = random_sparse((5, 5), 1, 17, rng)
         p = random_layer_params(2, 1, 1, rng)
-        left = exchangeable_matrix_layer(transpose_matrix(t), p)
-        right = transpose_matrix(exchangeable_matrix_layer(t, p))
+        left = exchangeable_tensor_layer(transpose_matrix(t), p)
+        right = transpose_matrix(exchangeable_tensor_layer(t, p))
         assert not left.allclose(right, tol=1e-10)
 
 
@@ -284,42 +282,38 @@ class TestSideFeatures:
 
 class TestChannelDropout:
     def test_rate_zero_is_identity(self):
-        rng = np.random.default_rng(12)
-        t = random_sparse((3, 3), 4, 5, rng)
-        out, kept = channel_dropout(t, 0.0, 0)
+        mask, kept = dropout_channel_mask(4, 0.0, np.random.default_rng(0))
         assert kept.all()
-        assert_allclose(out.values, t.values)
+        assert_array_equal(mask, np.ones((1, 4)))
 
     def test_dropped_channel_zero_everywhere(self):
         rng = np.random.default_rng(13)
         t = random_sparse((4, 4), 8, 12, rng)
-        out, kept = channel_dropout(t, 0.5, 99)
+        mask, kept = dropout_channel_mask(8, 0.5, np.random.default_rng(99))
+        out = t.values * mask
         for k in range(8):
             if kept[k]:
-                assert_allclose(out.values[:, k], t.values[:, k] * 2.0)
+                assert_allclose(out[:, k], t.values[:, k] * 2.0)
             else:
-                assert_allclose(out.values[:, k], 0.0)
+                assert_allclose(out[:, k], 0.0)
 
     def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(14)
-        t = random_sparse((3, 3), 6, 6, rng)
-        a, ka = channel_dropout(t, 0.4, 7)
-        b, kb = channel_dropout(t, 0.4, 7)
+        a, ka = dropout_channel_mask(6, 0.4, np.random.default_rng(7))
+        b, kb = dropout_channel_mask(6, 0.4, np.random.default_rng(7))
         assert_array_equal(ka, kb)
-        assert_allclose(a.values, b.values)
+        assert_array_equal(a, b)
 
     def test_survivor_count_concentrates(self):
-        rng = np.random.default_rng(15)
-        t = random_sparse((2, 2), 256, 3, rng)
-        survivors = [channel_dropout(t, 0.5, seed)[1].sum()
-                     for seed in range(1000)]
+        survivors = [
+            dropout_channel_mask(256, 0.5, np.random.default_rng(seed))[1].sum()
+            for seed in range(1000)
+        ]
         # Binomial(256, 0.5): mean 128, sd 8; sample mean has sd 0.25
         assert 120 <= np.mean(survivors) <= 136
 
     def test_rate_one_rejected(self):
-        t = build_sparse((1, 1), [((0, 0), (1.0,))])
         with pytest.raises(ValueError, match="rate"):
-            channel_dropout(t, 1.0, 0)
+            dropout_channel_mask(1, 1.0, np.random.default_rng(0))
 
 
 class TestFactors:

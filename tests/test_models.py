@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from exchtensor import layers
 from exchtensor.data import FIVE_STAR, RatingScale
 from exchtensor.layers import ExchLayerParams, FactorPair
 from exchtensor.models import (
     FeaParams,
     ModelConfig,
-    ObservationSplit,
     SelfSupervisedParams,
-    apply_observation_split,
     count_parameters,
     fea_decode,
     fea_encode,
     init_params,
     predict_ratings,
     self_supervised_forward,
-    split_observations,
     union_with_zeros,
 )
 from exchtensor.sparse import PermutationSpec, apply_permutation
@@ -64,7 +62,6 @@ def zero_stack(stack, bias_value=0.0):
             ExchLayerParams(
                 blocks={S: np.zeros_like(B) for S, B in lp.blocks.items()},
                 bias=np.full_like(lp.bias, bias_value),
-                pool_mode=lp.pool_mode,
                 nonlinearity=lp.nonlinearity,
                 slope=lp.slope,
                 tied=lp.tied,
@@ -110,57 +107,6 @@ class TestModelConfig:
         assert cfg.decoder_widths[-1] == 5
         assert cfg.factor_size == 100
         assert cfg.dropout_placement == frozenset({3, 4})
-
-
-class TestObservationSplit:
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="both halves"):
-            ObservationSplit(np.array([[0, 0], [1, 1]]), np.array([[1, 1]]))
-
-    def test_sizes_follow_the_fraction(self):
-        """100 cells at fraction 0.15 leave 85 for input, 15 to predict."""
-        rng = np.random.default_rng(0)
-        t = random_sparse((12, 12), 1, 100, rng)
-        split = split_observations(t, 0.15, seed=3)
-        assert split.prediction_indices.shape[0] == 15
-        assert split.input_indices.shape[0] == 85
-
-    def test_split_is_a_partition_of_the_index_set(self):
-        rng = np.random.default_rng(1)
-        t = random_sparse((9, 9), 1, 30, rng)
-        split = split_observations(t, 0.4, seed=0)
-        cells = lambda a: {tuple(ix) for ix in a.tolist()}
-        assert cells(split.input_indices) | cells(split.prediction_indices) \
-            == cells(t.indices)
-
-    def test_boundary_fractions_rejected(self):
-        rng = np.random.default_rng(2)
-        t = random_sparse((5, 5), 1, 10, rng)
-        for bad in (0.0, 1.0):
-            with pytest.raises(ValueError, match="fraction"):
-                split_observations(t, bad)
-
-    def test_same_seed_same_split(self):
-        rng = np.random.default_rng(3)
-        t = random_sparse((8, 8), 1, 25, rng)
-        a = split_observations(t, 0.3, seed=11)
-        b = split_observations(t, 0.3, seed=11)
-        assert_array_equal(a.prediction_indices, b.prediction_indices)
-
-    def test_apply_split_zeroes_only_prediction_cells(self):
-        rng = np.random.default_rng(4)
-        t = random_sparse((7, 7), 3, 20, rng)
-        split = split_observations(t, 0.25, seed=5)
-        masked = apply_observation_split(t, split)
-        assert_array_equal(masked.indices, t.indices)
-        pr = {tuple(ix) for ix in split.prediction_indices.tolist()}
-        for ix, before, after in zip(
-            t.indices.tolist(), t.values, masked.values
-        ):
-            if tuple(ix) in pr:
-                assert_array_equal(after, np.zeros(3))
-            else:
-                assert_array_equal(after, before)
 
 
 class TestUnionWithZeros:
@@ -242,29 +188,26 @@ class TestSelfSupervisedForward:
         params = init_params(cfg, seed=3)
         rng = np.random.default_rng(9)
         x = random_sparse((6, 4), 5, 10, rng)
-        a = self_supervised_forward(x, cfg, params, train_mode=False, seed=0)
-        b = self_supervised_forward(x, cfg, params, train_mode=False, seed=42)
+        a = self_supervised_forward(x, cfg, params)
+        b = self_supervised_forward(x, cfg, params)
         assert a.allclose(b)
 
-    def test_train_mode_reproducible_by_seed(self):
-        cfg = small_ss_config()
-        params = init_params(cfg, seed=4)
-        rng = np.random.default_rng(10)
-        x = random_sparse((6, 4), 5, 10, rng)
-        a = self_supervised_forward(x, cfg, params, train_mode=True, seed=5)
-        b = self_supervised_forward(x, cfg, params, train_mode=True, seed=5)
-        assert a.allclose(b)
+    def test_pooling_groups_computed_once_per_forward(self, monkeypatch):
+        """Every layer pools over the same index set, so a 3-layer stack
+        groups it once, not once per layer."""
+        calls = []
+        real = layers.pooling_groups
 
-    def test_train_mode_dropout_changes_with_the_seed(self):
-        cfg = small_ss_config(widths=(16, 5))
-        params = init_params(cfg, seed=4)
-        rng = np.random.default_rng(11)
-        x = random_sparse((6, 4), 5, 10, rng)
-        outs = [
-            self_supervised_forward(x, cfg, params, train_mode=True, seed=s)
-            for s in range(4)
-        ]
-        assert any(not outs[0].allclose(o) for o in outs[1:])
+        def counted(t):
+            calls.append(t.n_observed)
+            return real(t)
+
+        monkeypatch.setattr(layers, "pooling_groups", counted)
+        cfg = small_ss_config(widths=(6, 6, 5))
+        params = init_params(cfg, seed=3)
+        x = random_sparse((6, 4), 5, 10, np.random.default_rng(9))
+        self_supervised_forward(x, cfg, params)
+        assert calls == [10]
 
     def test_permuting_the_input_permutes_the_output(self):
         """Row/column relabeling commutes with the model in eval mode."""
@@ -349,8 +292,8 @@ class TestFeaDecode:
         x = random_dense((4, 5), 5, rng)
         f = fea_encode(x, cfg, params)
         one = np.array([[2, 3]])
-        a = fea_decode(f, one, cfg, params, seed=0)
-        b = fea_decode(f, one, cfg, params, seed=9)
+        a = fea_decode(f, one, cfg, params)
+        b = fea_decode(f, one, cfg, params)
         assert a.allclose(b)
         assert a.indices.shape == (1, 2)
 

@@ -1,4 +1,4 @@
-"""Uniform and row-then-column samplers plus test-set coverage."""
+"""Uniform and row-then-column samplers."""
 
 import math
 
@@ -7,11 +7,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from exchtensor.sampling import (
-    CoverageReport,
     SampleBatch,
     budget_targets,
     conditional_subsample,
-    cover_test_indices,
     restricted_col_marginal,
     row_marginal,
     subset_tensor,
@@ -215,73 +213,3 @@ class TestSubsetTensor:
         with pytest.raises(ValueError, match="unobserved"):
             subset_tensor(t, b)
 
-
-class TestCoverTestIndices:
-    def test_single_full_batch_covers_immediately(self):
-        t = three_cell_matrix()
-        report = cover_test_indices(
-            t, lambda k, rng: uniform_subsample(t, 3, seed=k), batch_size=3
-        )
-        assert report.n_batches == 1
-        assert report.n_cells == 3
-
-    def test_union_of_batches_equals_the_test_set(self):
-        rng = np.random.default_rng(4)
-        t = random_sparse((10, 10), 1, 40, rng)
-        report = cover_test_indices(
-            t,
-            lambda k, rng_: uniform_subsample(t, 8, seed=1000 + k),
-            batch_size=8,
-            seed=0,
-        )
-        got = set()
-        for b in report.batches:
-            got |= {tuple(ix) for ix in b.indices.tolist()}
-        assert got == {tuple(ix) for ix in t.indices.tolist()}
-
-    def test_partition_builder_needs_minimal_rounds(self):
-        """A deterministic partition covers in ceil(n / b) batches."""
-        rng = np.random.default_rng(6)
-        t = random_sparse((9, 9), 1, 22, rng)
-
-        def builder(k, rng_):
-            lo = (5 * k) % 22
-            rows = np.arange(lo, min(lo + 5, 22))
-            return SampleBatch(t.indices[rows], "partition")
-
-        report = cover_test_indices(t, builder, batch_size=5)
-        assert report.n_batches == math.ceil(22 / 5)
-
-    def test_uniform_coverage_matches_coupon_collector_rate(self):
-        """Batches of 5 over 10 cells need about (10/5) ln 10 rounds."""
-        rng = np.random.default_rng(7)
-        t = random_sparse((6, 6), 1, 10, rng)
-        rounds = []
-        for trial in range(1000):
-            report = cover_test_indices(
-                t,
-                lambda k, rng_: uniform_subsample(
-                    t, 5, seed=trial * 1000 + k
-                ),
-                batch_size=5,
-            )
-            rounds.append(report.n_batches)
-        expected = (10 / 5) * math.log(10)
-        assert 0.5 * expected <= np.mean(rounds) <= 1.5 * expected
-
-    def test_cap_failure_names_the_uncovered_count(self):
-        t = three_cell_matrix()
-
-        def stuck(k, rng_):
-            return SampleBatch(t.indices[:1], "stuck")
-
-        with pytest.raises(RuntimeError, match="2 of 3 test cells"):
-            cover_test_indices(t, stuck, batch_size=1)
-
-    def test_report_is_immutable_data(self):
-        t = three_cell_matrix()
-        report = cover_test_indices(
-            t, lambda k, rng: uniform_subsample(t, 3, seed=0), batch_size=3
-        )
-        assert isinstance(report, CoverageReport)
-        assert isinstance(report.batches, tuple)

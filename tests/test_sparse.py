@@ -12,8 +12,6 @@ from exchtensor.sparse import (
     build_sparse,
     from_dense,
     to_dense,
-    unvectorize_index,
-    vectorize_index,
 )
 
 
@@ -196,22 +194,6 @@ class TestPermutation:
             for j in range(dims[1]):
                 b[p.maps[0][i], p.maps[1][j]] = a[i, j]
         assert_allclose(b.ravel()[flat], a.ravel())
-
-
-class TestFlatIndexing:
-    def test_row_major_example(self):
-        assert vectorize_index((1, 2), (2, 3)) == 5
-
-    def test_round_trip_all_cells(self):
-        dims = (2, 3, 4)
-        for flat in range(24):
-            assert vectorize_index(unvectorize_index(flat, dims), dims) == flat
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            vectorize_index((2, 0), (2, 3))
-        with pytest.raises(ValueError):
-            unvectorize_index(6, (2, 3))
 
 
 class TestDenseRoundTrip:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from exchtensor.autodiff import forward
+from exchtensor.autodiff import apply_nonlinearity, forward
 from exchtensor.data import (
     FIVE_STAR,
     RatingScale,
@@ -18,7 +18,10 @@ from exchtensor.models import (
     FeaParams,
     ModelConfig,
     SelfSupervisedParams,
+    fea_decode,
+    fea_encode,
     init_params,
+    self_supervised_forward,
 )
 from exchtensor.training import (
     EvalReport,
@@ -26,7 +29,6 @@ from exchtensor.training import (
     TrainReport,
     build_fea_loss_graph,
     build_ss_loss_graph,
-    cross_entropy_loss,
     evaluate,
     init_optimizer_state,
     mask_inputs,
@@ -174,38 +176,6 @@ class TestMaskInputs:
             mask_inputs(t, 1.0)
 
 
-class TestCrossEntropyLoss:
-    def test_perfect_point_masses_cost_nothing(self):
-        t = np.eye(4)[[0, 2, 3]]
-        assert cross_entropy_loss(t, t) == 0.0
-
-    def test_uniform_costs_log_of_the_level_count(self):
-        p = np.full((6, 5), 0.2)
-        t = np.eye(5)[np.arange(6) % 5]
-        assert_allclose(cross_entropy_loss(p, t), math.log(5), rtol=1e-12)
-
-    def test_mixing_cells_averages_their_losses(self):
-        pa = np.array([[0.7, 0.3]])
-        pb = np.array([[0.2, 0.8]])
-        ta = np.array([[1.0, 0.0]])
-        tb = np.array([[0.0, 1.0]])
-        a = cross_entropy_loss(pa, ta)
-        b = cross_entropy_loss(pb, tb)
-        both = cross_entropy_loss(np.vstack([pa, pb]), np.vstack([ta, tb]))
-        assert_allclose(both, (a + b) / 2, rtol=1e-12)
-
-    def test_zero_probability_clamped_with_warning(self):
-        p = np.array([[1.0, 0.0]])
-        t = np.array([[0.0, 1.0]])
-        with pytest.warns(UserWarning, match="clamped"):
-            loss = cross_entropy_loss(p, t)
-        assert_allclose(loss, -math.log(1e-12))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            cross_entropy_loss(np.ones((2, 3)) / 3, np.ones((2, 4)))
-
-
 class TestOptimizerStep:
     def test_zero_gradients_leave_parameters_alone(self):
         params = {"w": np.array([1.0, -2.0]), "b": np.array([0.5])}
@@ -329,6 +299,41 @@ class TestGradientCheck:
         assert losses[0] == losses[1]
 
 
+class TestOneForwardPath:
+    """With dropout off, the training graphs compute the models' own
+    eval-mode forward; only the final softmax moves into the loss."""
+
+    @staticmethod
+    def graph_distributions(g, loss_node, bindings):
+        logits = g.node(loss_node).operands[0]
+        return apply_nonlinearity(forward(g, bindings)[logits], "softmax")
+
+    def test_ss_graph_matches_self_supervised_forward(self):
+        rng = np.random.default_rng(11)
+        cfg = tiny_ss_config(levels=3, widths=(6, 4, 3))
+        params = init_params(cfg, seed=3)
+        x = onehot_input((5, 6), 3, 17, rng)
+        g, loss_node, bindings = build_ss_loss_graph(
+            x, params.layers, x.values, None
+        )
+        want = self_supervised_forward(x, cfg, params).values
+        assert want.dtype == np.float64
+        assert_allclose(self.graph_distributions(g, loss_node, bindings),
+                        want, rtol=0, atol=1e-12)
+
+    def test_fea_graph_matches_encode_then_decode(self):
+        rng = np.random.default_rng(12)
+        cfg = tiny_fea_config(levels=3)
+        params = init_params(cfg, seed=4)
+        x = onehot_input((5, 6), 3, 17, rng)
+        g, loss_node, bindings = build_fea_loss_graph(
+            x, params.encoder, params.decoder, x.values
+        )
+        want = fea_decode(fea_encode(x, cfg, params), x.indices, cfg, params)
+        assert_allclose(self.graph_distributions(g, loss_node, bindings),
+                        want.values, rtol=0, atol=1e-12)
+
+
 def split_synthetic(seed=0, n_rows=12, n_cols=10, frac=0.5):
     scale = RatingScale.integer(1, 3)
     table = synthetic_lowrank_table(
@@ -397,7 +402,6 @@ class TestTrain:
             + (type(params.layers[1])(
                 blocks={S: B * np.nan for S, B in params.layers[1].blocks.items()},
                 bias=params.layers[1].bias,
-                pool_mode=params.layers[1].pool_mode,
                 nonlinearity=params.layers[1].nonlinearity,
                 slope=params.layers[1].slope,
                 tied=params.layers[1].tied,
