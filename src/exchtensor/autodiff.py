@@ -91,8 +91,12 @@ class Graph:
                      name=None) -> str:
         """(n, K) cell values -> (n_groups, K) per-group means.
 
-        Pooling is always a mean.  ``mode`` admits only "mean"; it stays
-        so that callers which pass it keep working.
+        The forward pass is ``groups.group_means``, a product with the
+        group-sum operator that accumulates in float64 and returns the
+        operand's dtype; the backward pass hands each cell its group's
+        gradient over the group size.  Pooling is always a mean.  ``mode``
+        admits only "mean"; it stays so that callers which pass it keep
+        working.
         """
         if mode != "mean":
             raise ValueError(f"pool mode must be 'mean', got {mode!r}")
@@ -101,7 +105,11 @@ class Graph:
         return self._add("segment_pool", (x,), name, groups=groups)
 
     def gather_broadcast(self, g: str, groups: AxisGroups, name=None) -> str:
-        """(n_groups, K) group values -> (n, K), each cell gets its group's row."""
+        """(n_groups, K) group values -> (n, K), each cell gets its group's row.
+
+        The backward pass sums each group's cell gradients with
+        ``groups.group_sums``.
+        """
         return self._add("gather_broadcast", (g,), name, groups=groups)
 
     def channel_mix(self, x: str, weights: str, bias: str | None = None,
@@ -114,6 +122,8 @@ class Graph:
                      name=None) -> str:
         if kind not in NONLINEARITIES:
             raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}, got {kind!r}")
+        if kind == "leaky_relu" and not 0.0 <= slope <= 1.0:
+            raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
         return self._add("nonlinearity", (x,), name, kind=kind, slope=float(slope))
 
     def add(self, *xs: str, name=None) -> str:
@@ -122,7 +132,10 @@ class Graph:
         return self._add("add", xs, name)
 
     def dropout_mask(self, x: str, mask: np.ndarray, name=None) -> str:
-        """Multiply by a fixed mask (survivor scaling baked into the mask)."""
+        """Multiply by a fixed mask (survivor scaling baked into the mask).
+
+        The product keeps the values' dtype whatever the mask's dtype.
+        """
         mask = np.asarray(mask)
         return self._add("dropout_mask", (x,), name, mask=mask)
 
@@ -139,7 +152,8 @@ class Graph:
         """Fused scalar loss: weighted mean over rows of logsumexp(l) − Σ t·l.
 
         ``row_weights`` selects which rows count (masked-target training);
-        None means every row with weight 1.
+        None means every row with weight 1.  The loss and its gradients
+        keep the logits' dtype.
         """
         if row_weights is not None:
             row_weights = np.asarray(row_weights, dtype=np.float64)
@@ -176,7 +190,8 @@ def apply_nonlinearity(x: np.ndarray, kind: str, slope: float = 0.01) -> np.ndar
     if kind == "sigmoid":
         return _sigmoid(x)
     if kind == "leaky_relu":
-        return np.where(x >= 0, x, slope * x)
+        # equals where(x >= 0, x, slope * x) because 0 <= slope <= 1
+        return np.maximum(x, slope * x)
     if kind == "softmax":
         return _softmax(x)
     raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}, got {kind!r}")
@@ -212,9 +227,7 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
                     f"node '{name}': groups cover {g.n_members} rows, "
                     f"values have {x.shape[0]}"
                 )
-            values[name] = (
-                np.add.reduceat(x[g.order], g.starts, axis=0) / g.sizes[:, None]
-            )
+            values[name] = g.group_means(x)
         elif op == "gather_broadcast":
             (gv,) = args
             g = node.attrs["groups"]
@@ -267,7 +280,7 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
                     f"node '{name}': mask shape {mask.shape} does not fit "
                     f"values {x.shape}"
                 )
-            values[name] = x * mask
+            values[name] = x * mask.astype(np.result_type(x, np.float32))
         elif op == "concat_channels":
             for a in args:
                 _check_2d(name, "operand", a)
@@ -292,10 +305,8 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
             m = logits.max(axis=1, keepdims=True)
             lse = (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))[:, 0]
             ce = lse - (targets * logits).sum(axis=1)
-            if w is None:
-                values[name] = np.asarray(ce.mean())
-            else:
-                values[name] = np.asarray((w * ce).sum() / w.sum())
+            loss = ce.mean() if w is None else (w * ce).sum() / w.sum()
+            values[name] = np.asarray(loss, np.result_type(logits, np.float32))
         elif op == "mean_square_error":
             pred, target = args
             if pred.shape != target.shape:
@@ -337,12 +348,11 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
         op = node.op
         if op == "segment_pool":
             g = node.attrs["groups"]
-            accumulate(node.operands[0],
-                       dY[g.group_of] / g.sizes[g.group_of][:, None])
+            dg = (dY / g.sizes[:, None]).astype(dY.dtype)
+            accumulate(node.operands[0], dg[g.group_of])
         elif op == "gather_broadcast":
             g = node.attrs["groups"]
-            dg = np.add.reduceat(dY[g.order], g.starts, axis=0)
-            accumulate(node.operands[0], dg)
+            accumulate(node.operands[0], g.group_sums(dY))
         elif op == "channel_mix":
             x, w = args[0], args[1]
             accumulate(node.operands[0], dY @ w.T)
@@ -358,7 +368,9 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
             elif kind == "sigmoid":
                 dx = dY * y * (1.0 - y)
             elif kind == "leaky_relu":
-                dx = dY * np.where(x >= 0, 1.0, node.attrs["slope"])
+                # derivative 1 where x >= 0, else slope: max(x >= 0, slope)
+                # because 0 <= slope <= 1
+                dx = dY * np.maximum(x >= 0, node.attrs["slope"], dtype=dY.dtype)
             else:
                 dx = y * (dY - (dY * y).sum(axis=1, keepdims=True))
             accumulate(node.operands[0], dx)
@@ -366,7 +378,8 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
             for o in node.operands:
                 accumulate(o, dY)
         elif op == "dropout_mask":
-            accumulate(node.operands[0], dY * node.attrs["mask"])
+            mask = node.attrs["mask"]
+            accumulate(node.operands[0], dY * mask.astype(dY.dtype))
         elif op == "concat_channels":
             off = 0
             for o, a in zip(node.operands, args):
@@ -375,10 +388,11 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
         elif op == "softmax_cross_entropy":
             logits, targets = args
             w = node.attrs["row_weights"]
+            dtype = np.result_type(logits, np.float32)
             if w is None:
-                coef = np.full(logits.shape[0], 1.0 / logits.shape[0])
+                coef = np.full(logits.shape[0], 1.0 / logits.shape[0], dtype)
             else:
-                coef = w / w.sum()
+                coef = (w / w.sum()).astype(dtype)
             p = _softmax(logits)
             accumulate(node.operands[0], dY * coef[:, None] * (p - targets))
             accumulate(node.operands[1], -dY * coef[:, None] * logits)

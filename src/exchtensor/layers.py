@@ -4,10 +4,17 @@ A layer ties its weights so that relabeling the objects along any axis
 commutes with the layer.  For a D-dimensional array the tying admits one
 channel-mixing block per subset S of the axes: the term for S pools the
 input over the axes outside S (so the result depends only on the
-coordinates in S), broadcasts the pooled values back to every observed
-cell, and mixes channels with the block's weights.  Summing the 2^D terms,
-adding a bias, and applying an element-wise nonlinearity preserves
-equivariance.
+coordinates in S), mixes the pooled channels with the block's weights,
+and broadcasts the mixed group values back to every observed cell.
+Summing the 2^D terms, adding a bias, and applying an element-wise
+nonlinearity preserves equivariance.
+
+The paper states each term as broadcast, then mix.  Mean pooling,
+broadcasting and channel mixing are all linear, and broadcasting copies
+whole rows, so broadcast(pool(x)) @ W equals broadcast(pool(x) @ W): the
+order is free and the layer mixes the few group rows instead of all n
+cells.  Pool -> mix -> broadcast leaves one (n, K) @ (K, O) product per
+layer, for the cell term, instead of 2^D.
 
 For matrices (D=2) the four subsets are: both axes (the cell itself), the
 column axis (mean over the cell's column), the row axis (mean over the
@@ -18,6 +25,7 @@ over observed cells only, so the same code serves dense and sparse inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -63,7 +71,8 @@ class ExchLayerParams:
     ``blocks`` maps each subset of axes (the axes a term does NOT pool
     over) to a (K, O) matrix.  ``tied`` marks the jointly-exchangeable
     variant for square matrices, where the row-pool and column-pool blocks
-    are one shared array.
+    are one shared array.  ``slope`` is the leaky-ReLU slope for negative
+    inputs and must lie in [0, 1], where leaky ReLU is max(x, slope * x).
     """
 
     blocks: dict[frozenset[int], np.ndarray]
@@ -90,6 +99,8 @@ class ExchLayerParams:
             raise ValueError(f"bias shape {self.bias.shape}, expected ({O},)")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
+        if not isinstance(self.slope, Real) or not 0.0 <= self.slope <= 1.0:
+            raise ValueError(f"slope must be a number in [0, 1], got {self.slope!r}")
         if self.tied:
             if ndim != 2:
                 raise ValueError("tied (jointly exchangeable) requires 2 axes")
@@ -214,9 +225,11 @@ def add_layer_nodes(
 ) -> str:
     """Append one equivariant layer to a graph; returns the output node.
 
-    Parameter nodes are named per ``params.bindings(prefix)``.  A tied
-    layer contributes a single parameter node for its shared block, so the
-    backward pass accumulates both terms' gradients into it.
+    Each pooled term is pool -> mix -> broadcast (see the module
+    docstring); the cell term carries the bias.  Parameter nodes are named
+    per ``params.bindings(prefix)``.  A tied layer contributes a single
+    parameter node for its shared block, so the backward pass accumulates
+    both terms' gradients into it.
     """
     ndim = params.ndim
     names = params.block_node_names(prefix)
@@ -229,14 +242,11 @@ def add_layer_nodes(
             added[nm] = g.parameter(nm)
         w_node = added[nm]
         if len(S) == ndim:
-            term_in = x
+            terms.append(g.channel_mix(x, w_node, bias_node))
         else:
             gr = groups[S]
-            term_in = g.gather_broadcast(g.segment_pool(x, gr), gr)
-        if not terms:
-            terms.append(g.channel_mix(term_in, w_node, bias_node))
-        else:
-            terms.append(g.channel_mix(term_in, w_node))
+            mixed = g.channel_mix(g.segment_pool(x, gr), w_node)
+            terms.append(g.gather_broadcast(mixed, gr))
     summed = g.add(*terms) if len(terms) > 1 else terms[0]
     out = g.nonlinearity(summed, params.nonlinearity, params.slope)
     if dropout_mask is not None:
@@ -415,8 +425,7 @@ def pool_to_factors(t: SparseExchangeableTensor) -> FactorPair:
     flags = []
     for axis in (0, 1):
         g = axis_groups(t, [axis])
-        means = np.add.reduceat(t.values[g.order], g.starts, axis=0)
-        means = means / g.sizes[:, None]
+        means = g.group_means(t.values)
         table = np.zeros((t.dims[axis], t.channels), dtype=t.values.dtype)
         seen = np.zeros(t.dims[axis], dtype=bool)
         table[g.keys[:, 0]] = means

@@ -153,7 +153,7 @@ def union_with_zeros(
         return t
     indices = np.concatenate([t.indices, extra])
     values = np.concatenate(
-        [t.values, np.zeros((extra.shape[0], t.channels))]
+        [t.values, np.zeros((extra.shape[0], t.channels), t.values.dtype)]
     )
     return SparseExchangeableTensor(t.dims, indices, values)
 

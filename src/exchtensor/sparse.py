@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "SparseExchangeableTensor",
@@ -168,17 +169,24 @@ class AxisGroups:
     everything into one group.  The groups partition the observed set.
 
     ``group_of`` maps each cell position (row of the owning tensor's
-    ``indices``) to its group id; ``order``/``starts`` give a permutation
-    of cell positions under which groups are contiguous, for segment
-    reductions; ``sizes`` are group cardinalities.
+    ``indices``) to its group id; ``sizes`` are group cardinalities.
+    ``sum_matrix`` is the (n_groups, n_obs) 0/1 CSR operator whose row g
+    selects group g's members, so ``sum_matrix @ x`` gives every group's
+    sum at once.  It serves both pooling (the group sums of the cell
+    values) and the gradient of broadcasting (the group sums of the cell
+    gradients).  Its rows list each group's members in ascending order.
+
+    ``group_sums`` and ``group_means`` accumulate in float64 whatever the
+    operand's dtype and return the operand's floating dtype (float64 for
+    integer operands): the global group of a large matrix sums ~10^5
+    cells, which float32 accumulation would get wrong in the fourth digit.
     """
 
     fixed_axes: tuple[int, ...]
     keys: np.ndarray       # (n_groups, len(fixed_axes)) coordinates per group
     group_of: np.ndarray   # (n_obs,) group id per cell position
     sizes: np.ndarray      # (n_groups,)
-    order: np.ndarray      # (n_obs,) cell positions sorted by group id
-    starts: np.ndarray     # (n_groups,) segment starts into ``order``
+    sum_matrix: sp.csr_array  # (n_groups, n_obs) float64 0/1 group-sum operator
 
     @property
     def n_groups(self) -> int:
@@ -188,13 +196,23 @@ class AxisGroups:
     def n_members(self) -> int:
         return self.group_of.shape[0]
 
+    def group_sums(self, x: np.ndarray) -> np.ndarray:
+        """(n_obs, K) -> (n_groups, K) per-group sums, float64-accumulated."""
+        sums = self.sum_matrix @ x
+        return sums.astype(np.result_type(x, np.float32), copy=False)
+
+    def group_means(self, x: np.ndarray) -> np.ndarray:
+        """(n_obs, K) -> (n_groups, K) per-group means, float64-accumulated."""
+        means = self.sum_matrix @ x / self.sizes[:, None]
+        return means.astype(np.result_type(x, np.float32), copy=False)
+
     def members(self) -> dict[tuple[int, ...], np.ndarray]:
         """Group key -> array of member cell positions (canonical order)."""
-        out = {}
-        for g in range(self.n_groups):
-            stop = self.starts[g + 1] if g + 1 < self.n_groups else self.n_members
-            out[tuple(self.keys[g])] = np.sort(self.order[self.starts[g] : stop])
-        return out
+        m = self.sum_matrix
+        return {
+            tuple(self.keys[g]): m.indices[m.indptr[g] : m.indptr[g + 1]].copy()
+            for g in range(self.n_groups)
+        }
 
 
 def axis_groups(
@@ -209,30 +227,29 @@ def axis_groups(
     if any(a < 0 or a >= t.ndim for a in fixed):
         raise ValueError(f"fixed_axes {fixed} out of range for ndim {t.ndim}")
     n = t.n_observed
-    if not fixed:
-        return AxisGroups(
-            fixed_axes=(),
-            keys=np.zeros((1, 0), dtype=np.int64),
-            group_of=np.zeros(n, dtype=np.int64),
-            sizes=np.array([n], dtype=np.int64),
-            order=np.arange(n, dtype=np.int64),
-            starts=np.array([0], dtype=np.int64),
-        )
-    sub = t.indices[:, fixed]
-    sub_dims = tuple(t.dims[a] for a in fixed)
-    flat = np.ravel_multi_index(tuple(sub.T), sub_dims)
-    uniq, group_of = np.unique(flat, return_inverse=True)
-    sizes = np.bincount(group_of, minlength=uniq.shape[0]).astype(np.int64)
-    order = np.argsort(group_of, kind="stable").astype(np.int64)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-    keys = np.stack(np.unravel_index(uniq, sub_dims), axis=1).astype(np.int64)
+    if fixed:
+        sub = t.indices[:, fixed]
+        sub_dims = tuple(t.dims[a] for a in fixed)
+        flat = np.ravel_multi_index(tuple(sub.T), sub_dims)
+        uniq, group_of = np.unique(flat, return_inverse=True)
+        keys = np.stack(np.unravel_index(uniq, sub_dims), axis=1)
+    else:
+        group_of = np.zeros(n, dtype=np.int64)
+        keys = np.zeros((1, 0), dtype=np.int64)
+    group_of = group_of.astype(np.int64)
+    sizes = np.bincount(group_of, minlength=keys.shape[0]).astype(np.int64)
+    # members of each group in ascending cell position: a CSR row layout
+    order = np.argsort(group_of, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    sum_matrix = sp.csr_array(
+        (np.ones(n), order, indptr), shape=(keys.shape[0], n)
+    )
     return AxisGroups(
         fixed_axes=fixed,
-        keys=keys,
-        group_of=group_of.astype(np.int64),
+        keys=keys.astype(np.int64),
+        group_of=group_of,
         sizes=sizes,
-        order=order,
-        starts=starts,
+        sum_matrix=sum_matrix,
     )
 
 

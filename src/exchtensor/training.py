@@ -57,7 +57,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Loop hyperparameters; model shape lives in ModelConfig."""
+    """Loop hyperparameters; model shape lives in ModelConfig.
+
+    ``precision`` ("float32" or "float64") is the dtype training runs in:
+    the parameters (cast on entry, so the returned parameters have it
+    too), the one-hot inputs and targets, every value and gradient of the
+    training graph, the Adam moments, and the validation forward.  Only
+    the group sums of pooling accumulate in float64 before they are cast
+    back.
+    """
 
     epochs: int = 100
     optimizer: str = "adam"
@@ -434,18 +442,23 @@ def train(
 
         values = forward(g, bindings)
         loss = float(np.asarray(values[loss_node]).reshape(()))
-        if not np.isfinite(loss):
-            diverged = True
+        diverged = not np.isfinite(loss)
+        if not diverged:
+            grads = backward(g, values, loss_node)
+            flat = {
+                name: bindings[name]
+                for prefix, stack in stacks.items()
+                for name in _stack_bindings(stack, prefix)
+            }
+            try:
+                flat, state = optimizer_step(flat, grads, state, train_config)
+            except FloatingPointError:
+                # a non-finite gradient ends the run like a non-finite loss
+                diverged = True
+        if diverged:
             losses.append(loss)
             val_curve.append(float("nan"))
             break
-        grads = backward(g, values, loss_node)
-        flat = {
-            name: bindings[name]
-            for prefix, stack in stacks.items()
-            for name in _stack_bindings(stack, prefix)
-        }
-        flat, state = optimizer_step(flat, grads, state, train_config)
         if is_ss:
             params = SelfSupervisedParams(
                 _rebuild_stack(params.layers, "layer", flat)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from exchtensor.autodiff import Graph, backward, forward
-from exchtensor.sparse import axis_groups, build_sparse
+from exchtensor.sparse import SparseExchangeableTensor, axis_groups, build_sparse
 
 
 def numeric_grads(graph, bindings, loss, params, eps=1e-5):
@@ -156,6 +156,95 @@ class TestSegmentOps:
         g.gather_broadcast(gv, rows, name="bcast")
         with pytest.raises(ValueError, match="bcast"):
             forward(g, {"gv": np.zeros((3, 1))})
+
+
+class TestGroupSumAccuracy:
+    """Group sums accumulate in float64 and come back in the operand's
+    dtype: one float32 group of 100k same-sign cells would be off in the
+    fourth digit if the sums ran in float32."""
+
+    N = 100_000
+    K = 2
+
+    def whole_set(self):
+        t = SparseExchangeableTensor(
+            (self.N,), np.arange(self.N)[:, None], np.zeros((self.N, 1))
+        )
+        return axis_groups(t, [])
+
+    def test_pool_forward_matches_float64_reference(self):
+        whole = self.whole_set()
+        rng = np.random.default_rng(21)
+        x = rng.uniform(0.5, 1.5, size=(self.N, self.K)).astype(np.float32)
+        g = Graph()
+        y = g.segment_pool(g.input("x"), whole)
+        got = forward(g, {"x": x})[y]
+        ref = np.zeros((1, self.K))
+        np.add.at(ref, np.zeros(self.N, dtype=np.int64), x.astype(np.float64))
+        ref /= self.N
+        assert got.dtype == np.float32
+        assert_allclose(got, ref, rtol=1e-6, atol=0)
+
+    def test_broadcast_backward_matches_float64_reference(self):
+        whole = self.whole_set()
+        rng = np.random.default_rng(22)
+        v = rng.uniform(0.5, 1.5, size=(self.N, self.K)).astype(np.float32)
+        g = Graph()
+        y = g.gather_broadcast(g.parameter("gv"), whole)
+        loss = g.mean_square_error(y, g.input("t"))
+        # gv = 0 and t = -v make the cell gradients 2 v / (N K), one sign
+        bindings = {"gv": np.zeros((1, self.K), np.float32), "t": -v}
+        got = backward(g, forward(g, bindings), loss)["gv"]
+        ref = np.zeros((1, self.K))
+        np.add.at(ref, np.zeros(self.N, dtype=np.int64),
+                  2.0 * v.astype(np.float64) / v.size)
+        assert got.dtype == np.float32
+        assert_allclose(got, ref, rtol=1e-6, atol=0)
+
+
+class TestDtypes:
+    def test_float32_graph_values_and_gradients_stay_float32(self):
+        """Float64 masks, row weights and slopes do not promote float32
+        values: every node value and every gradient stays float32."""
+        rng = np.random.default_rng(23)
+        t = build_sparse(
+            (3, 4), [((i, j), (0.0,)) for i in range(3) for j in range(4)
+                     if (i + j) % 3]
+        )
+        rows = axis_groups(t, [0])
+        n = t.n_observed
+        g = Graph()
+        x = g.input("x")
+        pooled = g.gather_broadcast(
+            g.channel_mix(g.segment_pool(x, rows), g.parameter("wp")), rows
+        )
+        summed = g.add(g.channel_mix(x, g.parameter("w"), g.parameter("b")),
+                       pooled)
+        act = g.nonlinearity(summed, "leaky_relu", slope=0.1)
+        dropped = g.dropout_mask(act, np.array([[2.0, 0.0, 2.0]]))
+        loss = g.softmax_cross_entropy(
+            dropped, g.input("t"), row_weights=np.arange(n) % 2 + 0.0
+        )
+        f32 = np.float32
+        bindings = {
+            "x": rng.normal(size=(n, 2)).astype(f32),
+            "w": rng.normal(size=(2, 3)).astype(f32),
+            "wp": rng.normal(size=(2, 3)).astype(f32),
+            "b": rng.normal(size=3).astype(f32),
+            "t": np.eye(3, dtype=f32)[rng.integers(0, 3, size=n)],
+        }
+        values = forward(g, bindings)
+        for name, v in values.items():
+            assert v.dtype == f32, name
+        for name, d in backward(g, values, loss).items():
+            assert d.dtype == f32, name
+
+    def test_leaky_relu_slope_outside_unit_interval_rejected(self):
+        g = Graph()
+        x = g.input("x")
+        for slope in (-0.5, 1.5):
+            with pytest.raises(ValueError, match="slope"):
+                g.nonlinearity(x, "leaky_relu", slope=slope)
 
 
 class TestChannelMix:

@@ -188,6 +188,17 @@ class TestEvaluate:
         assert code == 2
         assert "'stacks'" in err
 
+    def test_header_slope_outside_unit_interval_exits_2(self, checkpoint,
+                                                       capsys, tmp_path):
+        def steep(header):
+            header["stacks"]["layers"][0]["slope"] = 1.5
+
+        bad = rewrite_header(Path(checkpoint), tmp_path / "bad.exchk", steep)
+        code, _, err = run(capsys, "evaluate", str(bad), "--data",
+                           "synthetic")
+        assert code == 2
+        assert "slope must be a number in [0, 1], got 1.5" in err
+
     def test_fraction_outside_unit_interval_exits_2(self, checkpoint,
                                                     capsys):
         code, _, err = run(capsys, "evaluate", checkpoint, "--data", "synthetic",

@@ -139,6 +139,44 @@ class TestTensorLayer:
         ydense, _ = to_dense(y)
         assert_allclose(ydense[:, :, :, 0], acc, atol=1e-12)
 
+    @pytest.mark.parametrize("dims,n_obs,tied", [
+        ((6, 7), 25, False), ((5, 5), 18, True), ((4, 5, 3), 30, False),
+    ])
+    def test_pool_mix_broadcast_equals_broadcast_then_mix(self, dims, n_obs,
+                                                          tied):
+        """The layer mixes pooled group rows and then broadcasts; the
+        paper's order broadcasts every pooled mean to its cells and then
+        mixes.  Both give the same values."""
+        rng = np.random.default_rng(sum(dims) + n_obs)
+        t = random_sparse(dims, 3, n_obs, rng)
+        p = random_layer_params(len(dims), 3, 4, rng,
+                                nonlinearity="leaky_relu", slope=0.2,
+                                tied=tied)
+        p.bias = rng.normal(size=4)
+        pre = np.tile(p.bias, (n_obs, 1))
+        for S, w in p.blocks.items():
+            keep = sorted(S)
+            if keep:
+                _, gid = np.unique(t.indices[:, keep], axis=0,
+                                   return_inverse=True)
+                gid = gid.ravel()
+            else:
+                gid = np.zeros(n_obs, dtype=np.int64)
+            sums = np.zeros((gid.max() + 1, 3))
+            np.add.at(sums, gid, t.values)
+            means = sums / np.bincount(gid)[:, None]
+            pre += means[gid] @ w
+        expect = np.where(pre >= 0, pre, 0.2 * pre)
+        got = exchangeable_tensor_layer(t, p).values
+        assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("slope", [-0.01, 1.5, float("nan"), "0.5"])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        blocks = {S: np.ones((1, 1)) for S in all_subsets(2)}
+        with pytest.raises(ValueError, match="slope"):
+            ExchLayerParams(blocks=blocks, bias=np.zeros(1),
+                            nonlinearity="leaky_relu", slope=slope)
+
     def test_block_count_mismatch_rejected(self):
         blocks = {frozenset({0, 1}): np.ones((1, 1)), frozenset(): np.ones((1, 1))}
         with pytest.raises(ValueError, match="subsets"):

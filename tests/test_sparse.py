@@ -105,7 +105,7 @@ class TestAxisGroups:
         g = axis_groups(t, [])
         assert g.n_groups == 1
         assert g.sizes[0] == t.n_observed
-        assert_array_equal(np.sort(g.order), np.arange(t.n_observed))
+        assert_array_equal(g.members()[()], np.arange(t.n_observed))
 
     def test_all_axes_fixed_gives_singletons(self):
         t = small_matrix()
@@ -125,16 +125,17 @@ class TestAxisGroups:
             assert g.sizes.sum() == t.n_observed
             covered = np.concatenate(list(g.members().values()))
             assert_array_equal(np.sort(covered), np.arange(t.n_observed))
-            # group_of agrees with the segment layout
+            # group_of agrees with the group-sum operator's rows
             for key, mem in g.members().items():
                 gid = np.flatnonzero((g.keys == key).all(axis=1))[0]
                 assert (g.group_of[mem] == gid).all()
 
-    def test_segment_layout_supports_reduceat(self):
+    def test_sum_matrix_gives_group_sums(self):
         t = small_matrix()
         g = axis_groups(t, [0])
-        sums = np.add.reduceat(t.values[g.order], g.starts, axis=0)
-        assert_allclose(sums[:, 0], [3.0, 3.0, 9.0])
+        assert g.sum_matrix.shape == (g.n_groups, t.n_observed)
+        assert_allclose(g.group_sums(t.values)[:, 0], [3.0, 3.0, 9.0])
+        assert_allclose(g.group_means(t.values)[:, 0], [1.5, 3.0, 4.5])
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):

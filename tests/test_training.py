@@ -1,11 +1,13 @@
 """Losses, optimizers, the training loop, and evaluation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from exchtensor import training
 from exchtensor.autodiff import apply_nonlinearity, forward
 from exchtensor.data import (
     FIVE_STAR,
@@ -412,6 +414,22 @@ class TestTrain:
         assert report.diverged
         assert report.epochs_run == 1
 
+    def test_non_finite_gradient_is_reported_not_raised(self, monkeypatch):
+        real_backward = training.backward
+
+        def nan_backward(*args):
+            grads = real_backward(*args)
+            name = next(iter(grads))
+            grads[name] = np.full_like(grads[name], np.nan)
+            return grads
+
+        monkeypatch.setattr(training, "backward", nan_backward)
+        tr, val = split_synthetic()
+        tc = TrainConfig(epochs=5, seed=6, precision="float64")
+        report, _ = train(tiny_ss_config(), tc, tr, val)
+        assert report.diverged
+        assert report.epochs_run == 1
+
     def test_minibatch_paths_run(self):
         tr, val = split_synthetic(seed=3, n_rows=16, n_cols=14)
         mc = tiny_fea_config()
@@ -437,6 +455,33 @@ class TestTrain:
         tc = TrainConfig(epochs=6, seed=8)
         report, params = train(mc, tc, tr, val)
         assert report.train_loss[-1] < report.train_loss[0]
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("config", [
+        replace(tiny_ss_config(), dropout_rate=0.5,
+                dropout_placement=frozenset({1})),
+        replace(tiny_fea_config(), dropout_rate=0.5,
+                dropout_placement=frozenset({1})),
+    ], ids=["self-supervised", "fea"])
+    def test_parameters_keep_the_training_dtype(self, config):
+        """Training runs in the configured precision end to end, and the
+        float32 and float64 runs agree."""
+        tr, val = split_synthetic(seed=5)
+        reports = {}
+        for precision, dtype in (("float32", np.float32),
+                                 ("float64", np.float64)):
+            tc = TrainConfig(epochs=3, seed=2, precision=precision)
+            report, params = train(config, tc, tr, val)
+            assert report.best_epoch >= 1
+            layers = (params.layers if isinstance(params, SelfSupervisedParams)
+                      else params.encoder + params.decoder)
+            for lp in layers:
+                for arr in (*lp.blocks.values(), lp.bias):
+                    assert arr.dtype == dtype, precision
+            reports[precision] = report
+        assert_allclose(reports["float32"].val_rmse,
+                        reports["float64"].val_rmse, rtol=0, atol=1e-5)
 
 
 class TestEvaluate:
