@@ -58,10 +58,6 @@ class Graph:
     def parameters(self) -> list[str]:
         return [n.name for n in self.nodes if n.op == "parameter"]
 
-    @property
-    def inputs(self) -> list[str]:
-        return [n.name for n in self.nodes if n.op == "input"]
-
     def _add(self, op: str, operands=(), name=None, **attrs) -> str:
         if name is None:
             name = f"{op}_{len(self.nodes)}"

@@ -107,7 +107,11 @@ def save_checkpoint(
     scale: RatingScale,
     metadata: dict | None = None,
 ) -> None:
-    """Write a model to ``path`` in the EXCHK001 container format."""
+    """Write a model to ``path`` in the EXCHK001 container format.
+
+    The header is strict JSON: a non-finite number in ``metadata`` raises
+    ValueError rather than writing a NaN or Infinity token.
+    """
     if isinstance(params, SelfSupervisedParams):
         stacks = {"layers": _collect_arrays("layer", params.layers)}
     elif isinstance(params, FeaParams):
@@ -151,7 +155,7 @@ def save_checkpoint(
         "stacks": stack_blob,
         "arrays": table,
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
@@ -172,7 +176,6 @@ def _rebuild_stack(
                 f"{prefix}{i}: unsupported pool mode {desc['pool_mode']!r}"
             )
         blocks: dict[frozenset[int], np.ndarray] = {}
-        loaded: dict[str, np.ndarray] = {}
         for key in desc["block_keys"]:
             name = f"{prefix}{i}.{key}"
             if name not in arrays:
@@ -182,9 +185,7 @@ def _rebuild_stack(
                     name = f"{prefix}{i}.{other}"
                 else:
                     raise ValueError(f"checkpoint is missing array {name!r}")
-            if name not in loaded:
-                loaded[name] = arrays[name]
-            blocks[_subset_from_key(key)] = loaded[name]
+            blocks[_subset_from_key(key)] = arrays[name]
         layers.append(
             ExchLayerParams(
                 blocks=blocks,
@@ -200,8 +201,9 @@ def _rebuild_stack(
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read an EXCHK001 container back into config, params, and scale.
 
-    A malformed container, including a header without a required key,
-    raises ValueError.
+    A malformed container raises ValueError: a header that is not a JSON
+    object or lacks a required key, or an array entry whose byte count
+    does not match its shape and dtype.
     """
     try:
         return _load(path)
@@ -220,6 +222,8 @@ def _load(path: str | Path) -> Checkpoint:
     if len(raw) < body_start + header_len:
         raise ValueError(f"{path}: truncated header")
     header = json.loads(raw[body_start : body_start + header_len].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
     if header["format_version"] != FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported format version {header['format_version']}"
@@ -232,10 +236,15 @@ def _load(path: str | Path) -> Checkpoint:
         if end > len(payload):
             raise ValueError(f"{path}: truncated payload at {entry['name']!r}")
         count = int(np.prod(entry["shape"], dtype=np.int64))
-        arr = np.frombuffer(
-            payload, dtype=np.dtype(entry["dtype"]), count=count,
-            offset=entry["offset"],
-        )
+        dtype = np.dtype(entry["dtype"])
+        if entry["nbytes"] != count * dtype.itemsize:
+            raise ValueError(
+                f"{path}: array {entry['name']!r} declares {entry['nbytes']} "
+                f"bytes, but shape {entry['shape']} of {dtype.str} takes "
+                f"{count * dtype.itemsize}"
+            )
+        arr = np.frombuffer(payload, dtype=dtype, count=count,
+                            offset=entry["offset"])
         arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
 
     config = _config_from_json(header["model_config"])

@@ -2,8 +2,9 @@
 
 Configuration comes from an optional flat ``key = value`` file plus
 command-line flags; flags win.  Every command is deterministic given
-``--seed``.  Metrics are emitted as line-delimited JSON records to
-stdout and, when ``--out`` is set, to a file as well.  Exit codes:
+``--seed``.  Metrics are emitted as line-delimited strict JSON records
+(a non-finite number becomes null) to stdout and, when ``--out`` is set,
+to a file as well.  Exit codes:
 0 success, 1 check or metric failure, 2 usage or configuration error.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -109,8 +111,14 @@ class Settings:
         return default
 
 
+def _finite(record: dict) -> dict:
+    """Copy of a flat record with every non-finite float as None."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in record.items()}
+
+
 def _emit(record: dict, out_file) -> None:
-    line = json.dumps(record, sort_keys=True)
+    line = json.dumps(_finite(record), sort_keys=True, allow_nan=False)
     print(line)
     if out_file is not None:
         out_file.write(line + "\n")
@@ -297,7 +305,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                                           test).rmse
         if out is not None:
             ckpt = out / "model.exchk"
-            save_checkpoint(ckpt, model_config, params, scale, metadata)
+            save_checkpoint(ckpt, model_config, params, scale,
+                            _finite(metadata))
             final["checkpoint"] = str(ckpt)
         _emit(final, report_file)
     finally:
@@ -426,11 +435,9 @@ def cmd_sample_check(args: argparse.Namespace) -> int:
                     f"budget {budget} exceeds the {n} observed cells"
                 )
             counts = np.zeros(n)
-            all_keys = np.ravel_multi_index(tuple(t.indices.T), t.dims)
             for k in range(trials):
                 batch = uniform_subsample(t, budget, seed=seed + k)
-                keys = np.ravel_multi_index(tuple(batch.indices.T), t.dims)
-                counts += np.isin(all_keys, keys)
+                counts[t.find(batch.indices)] += 1
             expected = budget / n
             sigma = np.sqrt(expected * (1 - expected) / trials)
             dev = np.abs(counts / trials - expected)
@@ -494,15 +501,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory for files")
 
+    def data_flags(p, data_help="ratings file or 'synthetic'"):
+        p.add_argument("--data", default=None, help=data_help)
+        p.add_argument("--format", choices=["movielens-tab", "csv-triples"],
+                       default=None)
+
     p_train = sub.add_parser("train", help="fit a model and write a checkpoint")
     common(p_train)
     p_train.add_argument("--arch", choices=["self-supervised", "ss", "fea"],
                          default=None)
-    p_train.add_argument("--data", default=None,
-                         help="ratings file, split directory, or 'synthetic'")
-    p_train.add_argument("--format",
-                         choices=["movielens-tab", "csv-triples"],
-                         default=None)
+    data_flags(p_train, "ratings file, split directory, or 'synthetic'")
     p_train.add_argument("--split", default=None,
                          help="random, or a file-pair prefix such as u1")
     p_train.add_argument("--epochs", type=int, default=None)
@@ -519,10 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="RMSE of a checkpoint on held-out cells")
     common(p_eval)
     p_eval.add_argument("checkpoint")
-    p_eval.add_argument("--data", default=None)
-    p_eval.add_argument("--format",
-                        choices=["movielens-tab", "csv-triples"],
-                        default=None)
+    data_flags(p_eval)
     p_eval.add_argument("--mode", choices=["interpolate", "extrapolate"],
                         default=None)
     p_eval.add_argument("--observed-fraction", dest="observed_fraction",
@@ -535,10 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write row/column factors of an fea model")
     common(p_fact)
     p_fact.add_argument("checkpoint")
-    p_fact.add_argument("--data", default=None)
-    p_fact.add_argument("--format",
-                        choices=["movielens-tab", "csv-triples"],
-                        default=None)
+    data_flags(p_fact)
     p_fact.add_argument("--observed-fraction", dest="observed_fraction",
                         default=None)
 
@@ -552,10 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample-check",
                               help="empirical sampler frequency report")
     common(p_sample)
-    p_sample.add_argument("--data", default=None)
-    p_sample.add_argument("--format",
-                          choices=["movielens-tab", "csv-triples"],
-                          default=None)
+    data_flags(p_sample)
     p_sample.add_argument("--sampler", choices=["uniform", "conditional"],
                           default=None)
     p_sample.add_argument("--budget", type=int, default=None)
@@ -579,10 +578,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

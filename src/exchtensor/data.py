@@ -164,7 +164,10 @@ class RatingsTable:
 
 
 def _read_triples(path, fmt: str, delimiter: str = ","):
-    """Raw (user, item, rating, timestamp) columns with 1-based line errors."""
+    """Raw (user, item, rating, timestamp) columns with 1-based line errors.
+
+    An empty timestamp field reads as 0.
+    """
     users, items, ratings, stamps = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -195,10 +198,16 @@ def _read_triples(path, fmt: str, delimiter: str = ","):
                 if lineno == 1 and fmt == "csv-triples":
                     continue  # header row
                 raise ValueError(f"{path}:{lineno}: bad rating field {r!r}")
+            try:
+                stamp = int(ts) if ts.strip() else 0
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: bad timestamp field {ts!r}"
+                ) from None
             users.append(u.strip())
             items.append(i.strip())
             ratings.append(rating)
-            stamps.append(ts.strip())
+            stamps.append(stamp)
     if not users:
         raise ValueError(f"{path}: no ratings found")
     return users, items, ratings, stamps
@@ -234,7 +243,7 @@ def parse_ratings(
     iorder: list = []
     u_idx = _first_appearance_remap(users, umap, uorder)
     i_idx = _first_appearance_remap(items, imap, iorder)
-    ts = np.array([int(s) if s else 0 for s in stamps], dtype=np.int64)
+    ts = np.array(stamps, dtype=np.int64)
     return RatingsTable(
         u_idx, i_idx, np.asarray(ratings), scale, tuple(uorder), tuple(iorder), ts
     )
@@ -299,11 +308,11 @@ def canonical_split(
             )
         train = RatingsTable(
             ub_idx, ib_idx, np.asarray(rb), scale, users, items,
-            np.array([int(s) if s else 0 for s in tb]),
+            np.array(tb, dtype=np.int64),
         )
         test = RatingsTable(
             ut_idx, it_idx, np.asarray(rt), scale, users, items,
-            np.array([int(s) if s else 0 for s in tt]),
+            np.array(tt, dtype=np.int64),
         )
         return train, test
     raise ValueError(f"unknown split mode {mode!r}")
@@ -332,14 +341,6 @@ def encode_onehot(
     )
 
 
-def _linear_map(value, src: RatingScale, dst: RatingScale):
-    span_src = src.hi - src.lo
-    span_dst = dst.hi - dst.lo
-    if span_src == 0:
-        return np.full_like(np.asarray(value, dtype=np.float64), dst.lo)
-    return (np.asarray(value, dtype=np.float64) - src.lo) / span_src * span_dst + dst.lo
-
-
 def rebin_scale(rating, src: RatingScale, dst: RatingScale):
     """Map ratings between scales, landing exactly on a destination level.
 
@@ -349,7 +350,9 @@ def rebin_scale(rating, src: RatingScale, dst: RatingScale):
     arr = np.asarray(rating, dtype=np.float64)
     if (arr < src.lo - 1e-9).any() or (arr > src.hi + 1e-9).any():
         raise ValueError(f"rating outside source scale [{src.lo}, {src.hi}]")
-    mapped = _linear_map(arr, src, dst)
+    span = src.hi - src.lo
+    mapped = ((arr - src.lo) / span * (dst.hi - dst.lo) + dst.lo if span
+              else np.full_like(arr, dst.lo))
     rounded = np.sign(mapped) * np.floor(np.abs(mapped) + 0.5)
     rounded = np.clip(rounded, dst.lo, dst.hi)
     levels = np.asarray(dst.levels)

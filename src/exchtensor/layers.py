@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .autodiff import NONLINEARITIES, Graph, forward
-from .sparse import AxisGroups, SparseExchangeableTensor, axis_groups
+from .sparse import AxisGroups, SparseExchangeableTensor
 
 __all__ = [
     "ExchLayerParams",
@@ -203,13 +203,12 @@ def pooling_groups(
 ) -> dict[frozenset[int], AxisGroups]:
     """Axis groups for every pooled term of a layer over t's index set.
 
-    They depend on the index set alone, not on the layer, so a stack
-    computes them once and every layer pools with them (``apply_stack``
-    and the training graphs).  The full subset needs no groups: its term
-    is the identity.
+    They depend on the index set alone, so they come from ``t.groups``:
+    computed once per index set, shared by every layer and pass.  The
+    full subset needs no groups: its term is the identity.
     """
     return {
-        S: axis_groups(t, sorted(S))
+        S: t.groups(S)
         for S in all_subsets(t.ndim)
         if len(S) < t.ndim
     }
@@ -277,14 +276,9 @@ def add_stack_nodes(
 
 
 def exchangeable_tensor_layer(
-    t: SparseExchangeableTensor,
-    params: ExchLayerParams,
-    groups: Mapping[frozenset[int], AxisGroups] | None = None,
+    t: SparseExchangeableTensor, params: ExchLayerParams
 ) -> SparseExchangeableTensor:
-    """Apply one equivariant layer; output lives on the same index set.
-
-    ``groups`` must be ``pooling_groups(t)``; it is computed when omitted.
-    """
+    """Apply one equivariant layer; output lives on the same index set."""
     if params.ndim != t.ndim:
         raise ValueError(
             f"params cover {params.ndim} axes, tensor has {t.ndim}"
@@ -294,10 +288,10 @@ def exchangeable_tensor_layer(
             f"params expect {params.channels_in} channels, tensor has "
             f"{t.channels}"
         )
-    if groups is None:
-        groups = pooling_groups(t)
     g = Graph()
-    out = add_stack_nodes(g, g.input("x"), groups, (params,), "layer")
+    out = add_stack_nodes(
+        g, g.input("x"), pooling_groups(t), (params,), "layer"
+    )
     bindings = {"x": t.values, **params.bindings("layer1")}
     return t.with_values(forward(g, bindings)[out])
 
@@ -307,13 +301,13 @@ def apply_stack(
 ) -> SparseExchangeableTensor:
     """Eval-mode forward of a layer stack over t's index set.
 
-    The pooling groups are computed once for the whole stack.  Each layer
-    runs as its own one-layer graph: ``forward`` keeps every node's value,
-    so a whole-stack graph would hold all layers' intermediates at once.
+    Every layer's output shares t's index set and so its cached pooling
+    groups.  Each layer runs as its own one-layer graph: ``forward`` keeps
+    every node's value, so a whole-stack graph would hold all layers'
+    intermediates at once.
     """
-    groups = pooling_groups(t)
     for lp in stack:
-        t = exchangeable_tensor_layer(t, lp, groups)
+        t = exchangeable_tensor_layer(t, lp)
     return t
 
 
@@ -424,7 +418,7 @@ def pool_to_factors(t: SparseExchangeableTensor) -> FactorPair:
     out = []
     flags = []
     for axis in (0, 1):
-        g = axis_groups(t, [axis])
+        g = t.groups([axis])
         means = g.group_means(t.values)
         table = np.zeros((t.dims[axis], t.channels), dtype=t.values.dtype)
         seen = np.zeros(t.dims[axis], dtype=bool)

@@ -139,16 +139,13 @@ class ModelConfig:
 def union_with_zeros(
     t: SparseExchangeableTensor, extra_indices: np.ndarray
 ) -> SparseExchangeableTensor:
-    """Extend the index set with extra cells carrying zero channels."""
+    """Extend the index set with extra cells carrying zero channels;
+    t itself, cached groupings and all, when it holds every extra cell."""
     extra = np.asarray(extra_indices, dtype=np.int64)
     if extra.ndim != 2 or extra.shape[1] != t.ndim:
         raise ValueError(f"extra indices must be (n, {t.ndim})")
-    keys = np.ravel_multi_index(tuple(t.indices.T), t.dims)
-    new_keys = np.ravel_multi_index(tuple(extra.T), t.dims)
-    fresh = ~np.isin(new_keys, keys)
-    # drop duplicates inside the extras themselves
-    _, first = np.unique(new_keys[fresh], return_index=True)
-    extra = extra[fresh][first]
+    # drop the cells t already holds and duplicates among the extras
+    extra = np.unique(extra[t.find(extra) < 0], axis=0)
     if extra.shape[0] == 0:
         return t
     indices = np.concatenate([t.indices, extra])

@@ -53,10 +53,6 @@ class SampleBatch:
         return self.indices.shape[0]
 
 
-def _flat_keys(indices: np.ndarray, dims) -> np.ndarray:
-    return np.ravel_multi_index(tuple(indices.T), dims)
-
-
 def uniform_subsample(
     t: SparseExchangeableTensor, batch_size: int, seed: int = 0
 ) -> SampleBatch:
@@ -153,9 +149,7 @@ def subset_tensor(
     t: SparseExchangeableTensor, batch: SampleBatch
 ) -> SparseExchangeableTensor:
     """Restrict a tensor to a batch's cells; dims are kept whole."""
-    keys = _flat_keys(t.indices, t.dims)
-    want = _flat_keys(batch.indices, t.dims)
-    pos = np.searchsorted(keys, want)
-    if (pos >= keys.size).any() or (keys[np.minimum(pos, keys.size - 1)] != want).any():
+    pos = t.find(batch.indices)
+    if (pos < 0).any():
         raise ValueError("batch contains an unobserved index")
     return SparseExchangeableTensor(t.dims, t.indices[pos], t.values[pos])

@@ -36,11 +36,6 @@ __all__ = [
 DENSE_CELL_CAP = 10**6
 
 
-def _lex_order(indices: np.ndarray) -> np.ndarray:
-    """Row order that sorts index tuples lexicographically."""
-    return np.lexsort(indices.T[::-1])
-
-
 @dataclass(frozen=True)
 class SparseExchangeableTensor:
     """A D-dimensional sparse array of observed cells with K channels.
@@ -48,12 +43,15 @@ class SparseExchangeableTensor:
     ``indices`` is an (n_obs, D) int array of 0-based coordinates, kept in
     lexicographic order so that two tensors with the same content compare
     equal.  ``values`` is (n_obs, K): every observed cell is either fully
-    observed across channels or absent entirely.
+    observed across channels or absent entirely.  ``groups`` and ``find``
+    cache their work on the index set, which ``with_values`` shares.
     """
 
     dims: tuple[int, ...]
     indices: np.ndarray
     values: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -73,7 +71,7 @@ class SparseExchangeableTensor:
         if idx.min() < 0 or (idx >= np.asarray(dims)).any():
             bad = idx[((idx < 0) | (idx >= np.asarray(dims))).any(axis=1)][0]
             raise ValueError(f"index {tuple(bad)} out of bounds for dims {dims}")
-        order = _lex_order(idx)
+        order = np.lexsort(idx.T[::-1])
         idx = idx[order]
         vals = vals[order]
         dup = (np.diff(idx, axis=0) == 0).all(axis=1)
@@ -98,7 +96,7 @@ class SparseExchangeableTensor:
         return self.values.shape[1]
 
     def with_values(self, values: np.ndarray) -> "SparseExchangeableTensor":
-        """Same index set, new channel values (no re-sorting needed)."""
+        """Same index set and cached groupings, new channel values."""
         values = np.asarray(values)
         if values.ndim != 2 or values.shape[0] != self.n_observed:
             raise ValueError(
@@ -110,7 +108,31 @@ class SparseExchangeableTensor:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(t, "values", values)
+        object.__setattr__(t, "_cache", self._cache)
         return t
+
+    def groups(self, fixed_axes: Iterable[int]) -> "AxisGroups":
+        """``axis_groups(self, fixed_axes)``, computed once per index set."""
+        fixed = tuple(sorted(set(int(a) for a in fixed_axes)))
+        key = ("groups", fixed)
+        if key not in self._cache:
+            self._cache[key] = axis_groups(self, fixed)
+        return self._cache[key]
+
+    def find(self, cells: np.ndarray) -> np.ndarray:
+        """Row position in ``indices`` of each (m, D) cell, -1 if absent."""
+        cells = np.asarray(cells, dtype=np.int64)
+        if cells.ndim != 2 or cells.shape[1] != self.ndim:
+            raise ValueError(f"cells must be (m, {self.ndim}), got {cells.shape}")
+        if "keys" not in self._cache:
+            # lexicographic index order makes the row-major keys ascending
+            self._cache["keys"] = np.ravel_multi_index(
+                tuple(self.indices.T), self.dims
+            )
+        keys = self._cache["keys"]
+        want = np.ravel_multi_index(tuple(cells.T), self.dims)
+        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        return np.where(keys[pos] == want, pos, -1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseExchangeableTensor):

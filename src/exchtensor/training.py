@@ -4,10 +4,12 @@ Training builds one computation graph per epoch (cheap next to the
 forward pass) so channel-dropout masks and minibatch index sets can
 change freely, then runs one optimizer step on the flat parameter
 bindings.  The graph is the models' own layer stack (``add_stack_nodes``
-over pooling groups computed once for the batch) ending in logits and a
-fused cross-entropy; dropout exists only here, as masks drawn per epoch.
+over the batch's pooling groups) ending in logits and a fused
+cross-entropy; dropout exists only here, as masks drawn per epoch.
 Validation runs the models' eval-mode forward on the full training
-matrix.
+matrix.  Groupings are cached on their index set, so a full-batch fit
+groups the training matrix once, and the self-supervised validation set
+(training cells plus zero-filled validation cells) is built once.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ class TrainConfig:
     epsilon: float = 1e-8
     cell_budget: int = DEFAULT_CELL_BUDGET
     sampler: str = "uniform"
-    mask_prob: float | None = None
     seed: int = 0
     patience: int = 20
     precision: str = "float32"
@@ -87,8 +88,6 @@ class TrainConfig:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.cell_budget < 1:
             raise ValueError("cell budget must be at least 1")
-        if self.mask_prob is not None and not 0.0 <= self.mask_prob < 1.0:
-            raise ValueError("mask probability must be in [0, 1)")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
         if self.precision not in ("float32", "float64"):
@@ -298,39 +297,29 @@ def _cast_params(params, dtype):
     )
 
 
-def _extract_at(out: SparseExchangeableTensor, query: np.ndarray) -> np.ndarray:
-    """Rows of out.values at the query cells, in query order."""
-    keys = np.ravel_multi_index(tuple(out.indices.T), out.dims)
-    want = np.ravel_multi_index(tuple(query.T), out.dims)
-    pos = np.searchsorted(keys, want)
-    if (keys[np.minimum(pos, keys.size - 1)] != want).any():
-        raise ValueError("query cell missing from the model output")
-    return out.values[pos]
-
-
 def _predict_at(
     config: ModelConfig,
     params,
     x_obs: SparseExchangeableTensor,
     query: np.ndarray,
     scale: RatingScale,
-    mode: str = "expectation",
-    imputation: bool = True,
 ) -> np.ndarray:
-    """Eval-mode ratings at query cells, given the observed x_obs."""
+    """Expected ratings at query cells, given the observed x_obs.
+
+    The autoencoder imputes cold rows and columns.  The self-supervised
+    x_obs may already hold the query cells with zero channels; the union
+    is then x_obs itself, with its cached groupings.
+    """
     if config.architecture == "self-supervised":
         x_eval = union_with_zeros(x_obs, query)
         out = self_supervised_forward(x_eval, config, params)
-        dist = _extract_at(out, query)
     else:
         factors = fea_encode(x_obs, config, params)
-        out = fea_decode(
-            factors, query, config, params, imputation=imputation
-        )
-        dist = _extract_at(out, query)
+        out = fea_decode(factors, query, config, params, imputation=True)
+    dist = out.values[out.find(query)]
     # renormalize away float32 rounding before the strict decode check
     dist = dist / dist.sum(axis=1, keepdims=True)
-    return predict_ratings(dist, scale, mode=mode)
+    return predict_ratings(dist, scale)
 
 
 def _epoch_dropout_masks(config: ModelConfig, depth_widths, rng) -> dict:
@@ -372,15 +361,12 @@ def train(
     )
     params = _cast_params(params, dtype)
     is_ss = model_config.architecture == "self-supervised"
-    mask_prob = (
-        train_config.mask_prob
-        if train_config.mask_prob is not None
-        else model_config.mask_prob
-    )
-    if is_ss and mask_prob <= 0.0:
+    if is_ss and model_config.mask_prob <= 0.0:
         raise ValueError(
             "self-supervised training needs a positive mask probability"
         )
+    # the validation context never changes, so build and group it once
+    x_val = union_with_zeros(x_full, val_query) if is_ss else x_full
 
     full_batch = x_full.indices.shape[0] <= train_config.cell_budget
     rng = np.random.default_rng(train_config.seed)
@@ -410,20 +396,16 @@ def train(
             x_batch = subset_tensor(x_full, batch)
 
         if is_ss:
-            x_in, masked = x_batch, np.zeros((0, 2), dtype=np.int64)
             for attempt in range(10):
                 x_in, masked = mask_inputs(
-                    x_batch, mask_prob, seed=epoch_seed + attempt
+                    x_batch, model_config.mask_prob, seed=epoch_seed + attempt
                 )
                 if masked.shape[0] > 0:
                     break
             if masked.shape[0] == 0:
                 raise RuntimeError("masking produced no prediction targets")
-            keys = np.ravel_multi_index(tuple(x_batch.indices.T), x_batch.dims)
-            hit = np.isin(
-                keys, np.ravel_multi_index(tuple(masked.T), x_batch.dims)
-            )
-            weights = hit.astype(np.float64)
+            weights = np.zeros(x_batch.n_observed)
+            weights[x_batch.find(masked)] = 1.0
             masks = _epoch_dropout_masks(
                 model_config, model_config.widths, epoch_rng
             )
@@ -470,7 +452,7 @@ def train(
             )
 
         val = rmse(
-            _predict_at(model_config, params, x_full, val_query, scale),
+            _predict_at(model_config, params, x_val, val_query, scale),
             val_truth,
         )
         losses.append(loss)
@@ -503,11 +485,9 @@ def evaluate(
     params,
     observed_table: RatingsTable,
     query_table: RatingsTable,
-    mode: str = "expectation",
-    imputation: bool = True,
     cell_budget: int | None = None,
 ) -> EvalReport:
-    """Eval-mode RMSE and predictions at the query cells.
+    """Eval-mode RMSE and expected-rating predictions at the query cells.
 
     Works on the training matrix (interpolation) or on an entirely fresh
     matrix with its own id space (extrapolation), since no parameter
@@ -521,9 +501,7 @@ def evaluate(
     """
     x_obs = encode_onehot(observed_table)
     query = query_table.indices()
-    obs_keys = np.ravel_multi_index(tuple(x_obs.indices.T), x_obs.dims)
-    q_keys = np.ravel_multi_index(tuple(query.T), x_obs.dims)
-    both = np.isin(q_keys, obs_keys)
+    both = x_obs.find(query) >= 0
     if both.any():
         raise ValueError(
             f"{int(both.sum())} query cells are already observed"
@@ -538,8 +516,7 @@ def evaluate(
     preds = np.empty(query.shape[0], dtype=np.float64)
     for chunk in chunks:
         preds[chunk] = _predict_at(
-            model_config, params, x_obs, query[chunk],
-            observed_table.scale, mode=mode, imputation=imputation,
+            model_config, params, x_obs, query[chunk], observed_table.scale
         )
     return EvalReport(
         rmse=rmse(preds, query_table.ratings),

@@ -237,6 +237,33 @@ class TestFailureModes:
         with pytest.raises(ValueError, match=f"no '{key}' entry"):
             load_checkpoint(bad)
 
+    def test_header_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "list.exchk"
+        path.write_bytes(MAGIC + (2).to_bytes(8, "little") + b"[]")
+        with pytest.raises(ValueError, match="header is not a JSON object"):
+            load_checkpoint(path)
+
+    def test_byte_count_disagreeing_with_shape_rejected(self, tmp_path):
+        config, params = small_ss()
+        path = tmp_path / "model.exchk"
+        save_checkpoint(path, config, params, FIVE_STAR)
+
+        def shrink(header):
+            # one row fewer: the read would stop short of the declared bytes
+            entry = next(e for e in header["arrays"]
+                         if e["name"] == "layer1.w0")
+            entry["shape"][0] -= 1
+
+        bad = rewrite_header(path, tmp_path / "bad.exchk", shrink)
+        with pytest.raises(ValueError, match="'layer1.w0' declares"):
+            load_checkpoint(bad)
+
+    def test_nonfinite_metadata_refused(self, tmp_path):
+        config, params = small_ss()
+        with pytest.raises(ValueError):
+            save_checkpoint(tmp_path / "x.exchk", config, params, FIVE_STAR,
+                            metadata={"best_val_rmse": float("inf")})
+
     def test_unknown_params_type_rejected(self, tmp_path):
         config, _ = small_ss()
         with pytest.raises(TypeError, match="cannot checkpoint"):

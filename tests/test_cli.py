@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exchtensor.checkpoint import load_checkpoint, save_checkpoint
+from exchtensor.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from exchtensor.cli import main
 from exchtensor.data import FIVE_STAR, RatingScale
 from exchtensor.models import ModelConfig, init_params
@@ -199,11 +199,53 @@ class TestEvaluate:
         assert code == 2
         assert "slope must be a number in [0, 1], got 1.5" in err
 
+    def test_header_that_is_not_an_object_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "list.exchk"
+        bad.write_bytes(MAGIC + (2).to_bytes(8, "little") + b"[]")
+        code, _, err = run(capsys, "evaluate", str(bad), "--data",
+                           "synthetic")
+        assert code == 2
+        assert "header is not a JSON object" in err
+
+    def test_bad_timestamp_names_file_and_line(self, checkpoint, capsys,
+                                                tmp_path):
+        data = tmp_path / "stamps.data"
+        data.write_text("1\t1\t4\t881250949\n2\t1\t3\tabc\n1\t2\t5\t\n")
+        code, _, err = run(capsys, "evaluate", checkpoint, "--data", str(data))
+        assert code == 2
+        assert f"{data}:2: bad timestamp field 'abc'" in err
+
     def test_fraction_outside_unit_interval_exits_2(self, checkpoint,
                                                     capsys):
         code, _, err = run(capsys, "evaluate", checkpoint, "--data", "synthetic",
                       "--observed-fraction", "1.5")
         assert code == 2
+
+
+class TestStrictJson:
+    def test_diverged_run_writes_only_strict_json(self, tmp_path, capsys):
+        """NaN and Infinity are not JSON; a diverged run writes null."""
+        def strict(text):
+            def refuse(token):
+                raise ValueError(f"non-standard JSON token {token}")
+            return json.loads(text, parse_constant=refuse)
+
+        cfg = write_config(tmp_path, "widths = 8,5\nlearning_rate = 1e30\n")
+        out = tmp_path / "run"
+        code = main(["train", "--arch", "ss", "--data", "synthetic",
+                     "--epochs", "3", "--seed", "0", "--out", str(out),
+                     "--config", cfg])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        records = [strict(line) for line in lines]
+        assert records[-1]["diverged"] is True
+        assert None in records[-1].values()
+        report = (out / "report.jsonl").read_text().splitlines()
+        assert [strict(line) for line in report] == records
+        raw = (out / "model.exchk").read_bytes()
+        header_len = int.from_bytes(raw[8:16], "little")
+        header = strict(raw[16:16 + header_len].decode())
+        assert header["metadata"]["best_val_rmse"] is None
 
 
 class TestFactorize:

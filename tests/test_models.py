@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from exchtensor import layers
+from exchtensor import sparse
 from exchtensor.data import FIVE_STAR, RatingScale
 from exchtensor.layers import ExchLayerParams, FactorPair
 from exchtensor.models import (
@@ -194,20 +194,20 @@ class TestSelfSupervisedForward:
 
     def test_pooling_groups_computed_once_per_forward(self, monkeypatch):
         """Every layer pools over the same index set, so a 3-layer stack
-        groups it once, not once per layer."""
+        computes each of its three groupings once, not once per layer."""
         calls = []
-        real = layers.pooling_groups
+        real = sparse.axis_groups
 
-        def counted(t):
-            calls.append(t.n_observed)
-            return real(t)
+        def counted(t, fixed_axes):
+            calls.append((t.n_observed, tuple(fixed_axes)))
+            return real(t, fixed_axes)
 
-        monkeypatch.setattr(layers, "pooling_groups", counted)
+        monkeypatch.setattr(sparse, "axis_groups", counted)
         cfg = small_ss_config(widths=(6, 6, 5))
         params = init_params(cfg, seed=3)
         x = random_sparse((6, 4), 5, 10, np.random.default_rng(9))
         self_supervised_forward(x, cfg, params)
-        assert calls == [10]
+        assert sorted(calls) == [(10, ()), (10, (0,)), (10, (1,))]
 
     def test_permuting_the_input_permutes_the_output(self):
         """Row/column relabeling commutes with the model in eval mode."""

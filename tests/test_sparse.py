@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from exchtensor.layers import pooling_groups
+from exchtensor.sampling import SampleBatch, subset_tensor
 from exchtensor.sparse import (
     SparseExchangeableTensor,
     PermutationSpec,
@@ -140,6 +142,61 @@ class TestAxisGroups:
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):
             axis_groups(small_matrix(), [2])
+
+
+class TestIndexSetCache:
+    def test_groups_equal_axis_groups_and_are_computed_once(self):
+        t = small_matrix()
+        for fixed in [(), (0,), (1,), (0, 1)]:
+            g = t.groups(fixed)
+            assert t.groups(list(reversed(fixed))) is g
+            ref = axis_groups(t, fixed)
+            assert g.fixed_axes == ref.fixed_axes
+            assert_array_equal(g.group_of, ref.group_of)
+            assert_array_equal(g.keys, ref.keys)
+
+    def test_with_values_shares_the_very_same_groups(self):
+        t = small_matrix()
+        before = pooling_groups(t)
+        u = t.with_values(t.values * 2.0).with_values(np.ones((5, 3)))
+        after = pooling_groups(u)
+        assert before.keys() == after.keys()
+        assert all(after[S] is before[S] for S in before)
+
+    def test_new_index_sets_group_afresh(self):
+        t = small_matrix()
+        g = t.groups([0])
+        same_cells = apply_permutation(t, PermutationSpec.identity(t.dims))
+        assert same_cells == t
+        assert same_cells.groups([0]) is not g
+        sub = subset_tensor(t, SampleBatch(t.indices, "uniform"))
+        assert_array_equal(sub.indices, t.indices)
+        assert sub.groups([0]) is not g
+
+    def test_find_on_a_matrix(self):
+        t = small_matrix()
+        assert_array_equal(t.find(t.indices[::-1]), np.arange(5)[::-1])
+        assert_array_equal(
+            t.find(np.array([[0, 2], [0, 1], [2, 3], [2, 2], [0, 0]])),
+            [1, -1, 4, -1, 0],
+        )
+        assert t.find(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+    def test_find_on_a_three_axis_tensor(self):
+        rng = np.random.default_rng(5)
+        dims = (4, 3, 5)
+        dense = rng.normal(size=dims + (1,))
+        mask = rng.random(dims) < 0.4
+        t = from_dense(dense, mask)
+        every = np.argwhere(np.ones(dims, dtype=bool))
+        pos = t.find(every)
+        assert_array_equal(pos >= 0, mask.ravel())
+        assert_array_equal(t.indices[pos[pos >= 0]], every[mask.ravel()])
+        assert_array_equal(t.values[pos[pos >= 0], 0], dense[mask][:, 0])
+
+    def test_find_rejects_cells_of_another_rank(self):
+        with pytest.raises(ValueError, match=r"\(m, 2\)"):
+            small_matrix().find(np.zeros((3, 3), dtype=np.int64))
 
 
 class TestPermutation:

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from exchtensor import training
+from exchtensor import sparse, training
 from exchtensor.autodiff import apply_nonlinearity, forward
 from exchtensor.data import (
     FIVE_STAR,
     RatingScale,
     RatingsTable,
     canonical_split,
+    encode_onehot,
     synthetic_lowrank_table,
 )
 from exchtensor.models import (
@@ -24,6 +25,7 @@ from exchtensor.models import (
     fea_encode,
     init_params,
     self_supervised_forward,
+    union_with_zeros,
 )
 from exchtensor.training import (
     EvalReport,
@@ -110,7 +112,6 @@ class TestTrainConfig:
             dict(optimizer="rmsprop"),
             dict(sampler="importance"),
             dict(cell_budget=0),
-            dict(mask_prob=1.0),
             dict(epochs=0),
             dict(precision="float16"),
             dict(learning_rate=-1.0),
@@ -444,10 +445,38 @@ class TestTrain:
 
     def test_self_supervised_requires_masking(self):
         tr, val = split_synthetic()
-        mc = tiny_ss_config()
-        tc = TrainConfig(epochs=1, mask_prob=0.0)
+        mc = replace(tiny_ss_config(), mask_prob=0.0)
+        tc = TrainConfig(epochs=1)
         with pytest.raises(ValueError, match="mask probability"):
             train(mc, tc, tr, val)
+
+    @pytest.mark.parametrize("arch", ["self-supervised", "fea"])
+    def test_full_batch_fit_groups_each_fixed_index_set_once(
+            self, arch, monkeypatch):
+        """The training matrix, and the self-supervised validation set,
+        stay fixed over the epochs; each of their groupings is computed
+        once per fit, not once per epoch."""
+        tr, val = split_synthetic()
+        mc = tiny_ss_config() if arch == "self-supervised" \
+            else tiny_fea_config()
+        x = encode_onehot(tr)
+        fixed_sets = {x.indices.tobytes()}
+        if arch == "self-supervised":
+            fixed_sets.add(union_with_zeros(x, val.indices()).indices.tobytes())
+        calls = []
+        real = sparse.axis_groups
+
+        def counted(t, fixed_axes):
+            calls.append((t.indices.tobytes(), tuple(fixed_axes)))
+            return real(t, fixed_axes)
+
+        monkeypatch.setattr(sparse, "axis_groups", counted)
+        train(mc, TrainConfig(epochs=3, patience=5), tr, val)
+        on_fixed = [c for c in calls if c[0] in fixed_sets]
+        assert sorted(on_fixed) == sorted(
+            (cells, axes) for cells in fixed_sets
+            for axes in [(), (0,), (1,)]
+        )
 
     def test_float32_default_still_learns(self):
         tr, val = split_synthetic(seed=4)
