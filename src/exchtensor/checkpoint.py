@@ -13,14 +13,15 @@ bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import RatingScale
-from .layers import ExchLayerParams, block_key
-from .models import FeaParams, ModelConfig, SelfSupervisedParams
+from .layers import ExchLayerParams, block_key, block_name
+from .models import FeaParams, ModelConfig, SelfSupervisedParams, named_arrays
 
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint"]
 
@@ -54,50 +55,20 @@ def _layer_descriptor(layer: ExchLayerParams) -> dict:
     }
 
 
-def _collect_arrays(prefix: str, layers) -> tuple[list[dict], dict[str, np.ndarray]]:
-    descriptors = []
-    arrays: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(layers, start=1):
-        descriptors.append(_layer_descriptor(layer))
-        seen: set[int] = set()
-        for S in sorted(layer.blocks, key=sorted):
-            arr = layer.blocks[S]
-            if id(arr) in seen:
-                continue  # tied blocks share one array; store it once
-            seen.add(id(arr))
-            arrays[f"{prefix}{i}.{block_key(S)}"] = arr
-        arrays[f"{prefix}{i}.bias"] = layer.bias
-    return descriptors, arrays
-
-
 def _config_to_json(config: ModelConfig) -> dict:
-    return {
-        "architecture": config.architecture,
-        "levels": config.levels,
-        "widths": list(config.widths),
-        "encoder_widths": list(config.encoder_widths),
-        "decoder_widths": list(config.decoder_widths),
-        "nonlinearity": config.nonlinearity,
-        "dropout_rate": config.dropout_rate,
-        "dropout_placement": sorted(config.dropout_placement),
-        "mask_prob": config.mask_prob,
-        "factor_size": config.factor_size,
-    }
+    """Each ModelConfig field; tuples become lists, sets sorted lists."""
+    blob = {}
+    for f in fields(ModelConfig):
+        value = getattr(config, f.name)
+        if isinstance(value, frozenset):
+            value = sorted(value)
+        blob[f.name] = list(value) if isinstance(value, tuple) else value
+    return blob
 
 
 def _config_from_json(blob: dict) -> ModelConfig:
-    return ModelConfig(
-        architecture=blob["architecture"],
-        levels=blob["levels"],
-        widths=tuple(blob["widths"]),
-        encoder_widths=tuple(blob["encoder_widths"]),
-        decoder_widths=tuple(blob["decoder_widths"]),
-        nonlinearity=blob["nonlinearity"],
-        dropout_rate=blob["dropout_rate"],
-        dropout_placement=frozenset(blob["dropout_placement"]),
-        mask_prob=blob["mask_prob"],
-        factor_size=blob["factor_size"],
-    )
+    # ModelConfig turns the lists back into tuples and a frozenset
+    return ModelConfig(**{f.name: blob[f.name] for f in fields(ModelConfig)})
 
 
 def save_checkpoint(
@@ -112,21 +83,13 @@ def save_checkpoint(
     The header is strict JSON: a non-finite number in ``metadata`` raises
     ValueError rather than writing a NaN or Infinity token.
     """
-    if isinstance(params, SelfSupervisedParams):
-        stacks = {"layers": _collect_arrays("layer", params.layers)}
-    elif isinstance(params, FeaParams):
-        stacks = {
-            "encoder": _collect_arrays("enc", params.encoder),
-            "decoder": _collect_arrays("dec", params.decoder),
-        }
-    else:
+    if not isinstance(params, (SelfSupervisedParams, FeaParams)):
         raise TypeError(f"cannot checkpoint parameters of type {type(params)!r}")
-
-    arrays: dict[str, np.ndarray] = {}
-    stack_blob: dict[str, list] = {}
-    for name, (descriptors, stack_arrays) in stacks.items():
-        stack_blob[name] = descriptors
-        arrays.update(stack_arrays)
+    stack_blob = {
+        field: [_layer_descriptor(lp) for lp in getattr(params, field)]
+        for field in params.STACKS
+    }
+    arrays = named_arrays(params)
 
     table = []
     payload = bytearray()
@@ -177,15 +140,11 @@ def _rebuild_stack(
             )
         blocks: dict[frozenset[int], np.ndarray] = {}
         for key in desc["block_keys"]:
-            name = f"{prefix}{i}.{key}"
+            S = _subset_from_key(key)
+            name = block_name(f"{prefix}{i}", S, desc["tied"])
             if name not in arrays:
-                # tied layers store the shared row/column block once
-                if desc["tied"] and key in ("w0", "w1"):
-                    other = "w1" if key == "w0" else "w0"
-                    name = f"{prefix}{i}.{other}"
-                else:
-                    raise ValueError(f"checkpoint is missing array {name!r}")
-            blocks[_subset_from_key(key)] = arrays[name]
+                raise ValueError(f"checkpoint is missing array {name!r}")
+            blocks[S] = arrays[name]
         layers.append(
             ExchLayerParams(
                 blocks=blocks,
@@ -198,12 +157,21 @@ def _rebuild_stack(
     return tuple(layers)
 
 
+@contextmanager
+def _entry(path, what: str):
+    """Report header data of the wrong type as a ValueError naming it."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed {what}: {exc}") from exc
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read an EXCHK001 container back into config, params, and scale.
 
     A malformed container raises ValueError: a header that is not a JSON
-    object or lacks a required key, or an array entry whose byte count
-    does not match its shape and dtype.
+    object, lacks a required key or holds an entry of the wrong type, or
+    an array entry whose byte count does not match its shape and dtype.
     """
     try:
         return _load(path)
@@ -231,36 +199,43 @@ def _load(path: str | Path) -> Checkpoint:
     payload = raw[body_start + header_len :]
 
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        end = entry["offset"] + entry["nbytes"]
-        if end > len(payload):
-            raise ValueError(f"{path}: truncated payload at {entry['name']!r}")
-        count = int(np.prod(entry["shape"], dtype=np.int64))
-        dtype = np.dtype(entry["dtype"])
-        if entry["nbytes"] != count * dtype.itemsize:
-            raise ValueError(
-                f"{path}: array {entry['name']!r} declares {entry['nbytes']} "
-                f"bytes, but shape {entry['shape']} of {dtype.str} takes "
-                f"{count * dtype.itemsize}"
-            )
-        arr = np.frombuffer(payload, dtype=dtype, count=count,
-                            offset=entry["offset"])
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+    with _entry(path, "'arrays' entry"):
+        entries = list(header["arrays"])
+    for entry in entries:
+        with _entry(path, f"array entry {entry!r}"):
+            end = entry["offset"] + entry["nbytes"]
+            if end > len(payload):
+                raise ValueError(
+                    f"{path}: truncated payload at {entry['name']!r}"
+                )
+            count = int(np.prod(entry["shape"], dtype=np.int64))
+            dtype = np.dtype(entry["dtype"])
+            if entry["nbytes"] != count * dtype.itemsize:
+                raise ValueError(
+                    f"{path}: array {entry['name']!r} declares "
+                    f"{entry['nbytes']} bytes, but shape {entry['shape']} of "
+                    f"{dtype.str} takes {count * dtype.itemsize}"
+                )
+            arr = np.frombuffer(payload, dtype=dtype, count=count,
+                                offset=entry["offset"])
+            arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
 
-    config = _config_from_json(header["model_config"])
-    if config.architecture == "self-supervised":
-        params = SelfSupervisedParams(
-            layers=_rebuild_stack("layer", header["stacks"]["layers"], arrays)
-        )
-    else:
-        params = FeaParams(
-            encoder=_rebuild_stack("enc", header["stacks"]["encoder"], arrays),
-            decoder=_rebuild_stack("dec", header["stacks"]["decoder"], arrays),
-        )
+    with _entry(path, "'model_config' entry"):
+        config = _config_from_json(header["model_config"])
+    cls = SelfSupervisedParams if config.architecture == "self-supervised" \
+        else FeaParams
+    with _entry(path, "'stacks' entry"):
+        params = cls(**{
+            field: _rebuild_stack(prefix, header["stacks"][field], arrays)
+            for field, prefix in cls.STACKS.items()
+        })
+    with _entry(path, "'scale' entry"):
+        scale = RatingScale(tuple(header["scale"]["levels"]))
     return Checkpoint(
         config=config,
         params=params,
-        scale=RatingScale(tuple(header["scale"]["levels"])),
+        scale=scale,
         metadata=header["metadata"],
         format_version=header["format_version"],
     )
+

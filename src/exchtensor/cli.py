@@ -71,6 +71,13 @@ def _parse_widths(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _trials(settings: Settings, default: int) -> int:
+    trials = settings.get("trials", default, int)
+    if trials < 0:
+        raise UsageError(f"--trials must be nonnegative, got {trials}")
+    return trials
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' comments; keys use - or _ freely."""
     out: dict[str, str] = {}
@@ -401,7 +408,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     settings = Settings(args)
     dims = tuple(int(x) for x in args.dims.split(","))
     seed = settings.get("seed", 0, int)
-    trials = settings.get("trials", 50, int)
+    trials = _trials(settings, 50)
     report = run_verifier_suite(dims, trials=trials, seed=seed)
     out = _out_dir(settings)
     report_file = open(out / "verify.jsonl", "w") if out else None
@@ -419,7 +426,7 @@ def cmd_sample_check(args: argparse.Namespace) -> int:
     t = encode_onehot(table)
     sampler = settings.get("sampler", "uniform")
     budget = settings.get("budget", 20_000, int)
-    trials = settings.get("trials", 100, int)
+    trials = _trials(settings, 100)
     seed = settings.get("seed", 0, int)
     out = _out_dir(settings)
     report_file = open(out / "sample_check.jsonl", "w") if out else None

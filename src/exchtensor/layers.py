@@ -24,7 +24,7 @@ over observed cells only, so the same code serves dense and sparse inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -38,6 +38,7 @@ __all__ = [
     "FactorPair",
     "all_subsets",
     "block_key",
+    "block_name",
     "random_layer_params",
     "pooling_groups",
     "add_layer_nodes",
@@ -62,6 +63,18 @@ def all_subsets(ndim: int) -> tuple[frozenset[int], ...]:
 def block_key(S: frozenset[int]) -> str:
     """Stable name for a weight block: 'w01' fixes axes 0 and 1, 'wg' none."""
     return "w" + ("".join(str(a) for a in sorted(S)) or "g")
+
+
+def block_name(prefix: str, S: frozenset[int], tied: bool) -> str:
+    """Array name of block S in the layer named prefix, e.g. 'layer1.w01'.
+
+    This is the one naming rule for a layer's arrays: graph parameter
+    nodes, optimizer state and checkpoints all use it.  A tied layer's
+    column-pool block is its row-pool block, so it takes the name 'w0'.
+    """
+    if tied and S == frozenset({1}):
+        S = frozenset({0})
+    return f"{prefix}.{block_key(S)}"
 
 
 @dataclass
@@ -122,52 +135,28 @@ class ExchLayerParams:
     def channels_out(self) -> int:
         return self.bias.shape[0]
 
-    def block_node_names(self, prefix: str) -> dict[frozenset[int], str]:
-        """Subset -> graph node name; shared arrays collapse to one node."""
-        names: dict[frozenset[int], str] = {}
-        seen: dict[int, str] = {}
-        for S in all_subsets(self.ndim):
-            arr = self.blocks[S]
-            if id(arr) not in seen:
-                seen[id(arr)] = f"{prefix}.{block_key(S)}"
-            names[S] = seen[id(arr)]
-        return names
-
     def bindings(self, prefix: str) -> dict[str, np.ndarray]:
-        """Value bindings for the parameter nodes of add_layer_nodes."""
-        names = self.block_node_names(prefix)
-        out = {names[S]: self.blocks[S] for S in all_subsets(self.ndim)}
+        """Array name -> array, names per ``block_name``; a tied layer's
+        shared block appears once."""
+        out = {block_name(prefix, S, self.tied): w
+               for S, w in self.blocks.items()}
         out[f"{prefix}.bias"] = self.bias
         return out
 
     def from_bindings(self, prefix: str, bindings: Mapping[str, np.ndarray]
                       ) -> "ExchLayerParams":
-        """Rebuild with updated arrays (same structure and sharing)."""
-        names = self.block_node_names(prefix)
-        shared: dict[str, np.ndarray] = {}
-        blocks = {}
-        for S in all_subsets(self.ndim):
-            nm = names[S]
-            if nm not in shared:
-                shared[nm] = np.asarray(bindings[nm])
-            blocks[S] = shared[nm]
-        return ExchLayerParams(
-            blocks=blocks,
-            bias=np.asarray(bindings[f"{prefix}.bias"]),
-            nonlinearity=self.nonlinearity,
-            slope=self.slope,
-            tied=self.tied,
+        """The same layer with its arrays looked up by name in bindings."""
+        return replace(
+            self,
+            blocks={S: bindings[block_name(prefix, S, self.tied)]
+                    for S in self.blocks},
+            bias=bindings[f"{prefix}.bias"],
         )
 
     @property
     def n_params(self) -> int:
-        seen = set()
-        total = self.bias.size
-        for w in self.blocks.values():
-            if id(w) not in seen:
-                seen.add(id(w))
-                total += w.size
-        return total
+        """Scalars over the named arrays, so a tied block counts once."""
+        return sum(w.size for w in self.bindings("").values())
 
 
 def random_layer_params(
@@ -226,17 +215,16 @@ def add_layer_nodes(
 
     Each pooled term is pool -> mix -> broadcast (see the module
     docstring); the cell term carries the bias.  Parameter nodes are named
-    per ``params.bindings(prefix)``.  A tied layer contributes a single
-    parameter node for its shared block, so the backward pass accumulates
-    both terms' gradients into it.
+    per ``block_name``, as in ``params.bindings(prefix)``.  A tied layer
+    contributes a single parameter node for its shared block, so the
+    backward pass accumulates both terms' gradients into it.
     """
     ndim = params.ndim
-    names = params.block_node_names(prefix)
     added: dict[str, str] = {}
     bias_node = g.parameter(f"{prefix}.bias")
     terms = []
     for S in all_subsets(ndim):
-        nm = names[S]
+        nm = block_name(prefix, S, params.tied)
         if nm not in added:
             added[nm] = g.parameter(nm)
         w_node = added[nm]

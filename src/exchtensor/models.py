@@ -11,7 +11,8 @@ transfers to matrices of any size over unseen ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,6 +32,8 @@ __all__ = [
     "ModelConfig",
     "SelfSupervisedParams",
     "FeaParams",
+    "named_arrays",
+    "with_named_arrays",
     "union_with_zeros",
     "init_params",
     "count_parameters",
@@ -159,11 +162,39 @@ def union_with_zeros(
 class SelfSupervisedParams:
     layers: tuple[ExchLayerParams, ...]
 
+    # stack field -> array name prefix; layer k of a stack is prefix + k
+    STACKS: ClassVar[dict[str, str]] = {"layers": "layer"}
+
 
 @dataclass(frozen=True)
 class FeaParams:
     encoder: tuple[ExchLayerParams, ...]
     decoder: tuple[ExchLayerParams, ...]
+
+    STACKS: ClassVar[dict[str, str]] = {"encoder": "enc", "decoder": "dec"}
+
+
+def named_arrays(params) -> dict[str, np.ndarray]:
+    """Every array of a model by name, e.g. 'layer1.w01' or 'enc2.bias'.
+
+    Names follow ``STACKS`` and ``layers.block_name``, so a tied layer's
+    shared block appears once.  The trainer, the optimizer and the
+    checkpoint all address a model's arrays through these names.
+    """
+    out: dict[str, np.ndarray] = {}
+    for field, prefix in params.STACKS.items():
+        for k, lp in enumerate(getattr(params, field), start=1):
+            out.update(lp.bindings(f"{prefix}{k}"))
+    return out
+
+
+def with_named_arrays(params, arrays):
+    """The same model with each array replaced by ``arrays[name]``."""
+    return replace(params, **{
+        field: tuple(lp.from_bindings(f"{prefix}{k}", arrays)
+                     for k, lp in enumerate(getattr(params, field), start=1))
+        for field, prefix in params.STACKS.items()
+    })
 
 
 def _stack_params(widths, in_channels, hidden_nl, final_nl, rng,
@@ -205,9 +236,7 @@ def init_params(config: ModelConfig, seed: int = 0):
 
 
 def count_parameters(params) -> int:
-    if isinstance(params, SelfSupervisedParams):
-        return sum(lp.n_params for lp in params.layers)
-    return sum(lp.n_params for lp in params.encoder + params.decoder)
+    return sum(a.size for a in named_arrays(params).values())
 
 
 def self_supervised_forward(

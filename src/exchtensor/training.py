@@ -29,9 +29,11 @@ from .models import (
     fea_decode,
     fea_encode,
     init_params,
+    named_arrays,
     predict_ratings,
     self_supervised_forward,
     union_with_zeros,
+    with_named_arrays,
 )
 from .sampling import (
     DEFAULT_CELL_BUDGET,
@@ -57,6 +59,12 @@ __all__ = [
 ]
 
 
+# Adam's moment decay rates and denominator guard (Kingma and Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Loop hyperparameters; model shape lives in ModelConfig.
@@ -72,9 +80,6 @@ class TrainConfig:
     epochs: int = 100
     optimizer: str = "adam"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     cell_budget: int = DEFAULT_CELL_BUDGET
     sampler: str = "uniform"
     seed: int = 0
@@ -184,7 +189,7 @@ def optimizer_step(
         return new_params, state
     t = state.step + 1
     m, v = {}, {}
-    b1, b2, eps = config.beta1, config.beta2, config.epsilon
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -195,20 +200,6 @@ def optimizer_step(
         v_hat = v[name] / (1 - b2**t)
         new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
     return new_params, OptimizerState(t, m, v)
-
-
-def _stack_bindings(stack, prefix: str) -> dict:
-    out = {}
-    for k, lp in enumerate(stack, start=1):
-        out.update(lp.bindings(f"{prefix}{k}"))
-    return out
-
-
-def _rebuild_stack(stack, prefix: str, bindings: dict):
-    return tuple(
-        lp.from_bindings(f"{prefix}{k}", bindings)
-        for k, lp in enumerate(stack, start=1)
-    )
 
 
 def _logits_stack(stack):
@@ -231,19 +222,20 @@ def build_ss_loss_graph(
 ):
     """Cross-entropy training graph for the plain exchangeable stack.
 
-    Returns (graph, loss node, bindings); parameter bindings use the
-    prefixes layer1..layerN so gradients map back onto the stack.
+    Returns (graph, loss node, bindings); parameters are named as in
+    ``named_arrays(SelfSupervisedParams(layer_stack))``, so gradients map
+    back onto the model.
     """
+    model = SelfSupervisedParams(tuple(layer_stack))
     g = Graph()
     logits = add_stack_nodes(
         g, g.input("x"), pooling_groups(x), _logits_stack(layer_stack),
-        "layer", dropout_masks,
+        model.STACKS["layers"], dropout_masks,
     )
     loss = g.softmax_cross_entropy(
         logits, g.input("targets"), row_weights=target_weights
     )
-    bindings = {"x": x.values, "targets": targets,
-                **_stack_bindings(layer_stack, "layer")}
+    bindings = {"x": x.values, "targets": targets, **named_arrays(model)}
     return g, loss, bindings
 
 
@@ -255,10 +247,13 @@ def build_fea_loss_graph(
     dropout_masks: dict | None = None,
 ):
     """Reconstruction graph: encode, pool to factors, broadcast back over
-    the same cells, decode, cross-entropy against the input's one-hots."""
+    the same cells, decode, cross-entropy against the input's one-hots.
+    Parameters are named as in ``named_arrays(FeaParams(...))``."""
+    model = FeaParams(tuple(encoder_stack), tuple(decoder_stack))
     g = Graph()
     groups = pooling_groups(x)
-    hidden = add_stack_nodes(g, g.input("x"), groups, encoder_stack, "enc")
+    hidden = add_stack_nodes(g, g.input("x"), groups, encoder_stack,
+                             model.STACKS["encoder"])
     by_row = groups[frozenset({0})]
     by_col = groups[frozenset({1})]
     factors = g.concat_channels(
@@ -266,35 +261,12 @@ def build_fea_loss_graph(
         g.gather_broadcast(g.segment_pool(hidden, by_col), by_col),
     )
     logits = add_stack_nodes(
-        g, factors, groups, _logits_stack(decoder_stack), "dec", dropout_masks
+        g, factors, groups, _logits_stack(decoder_stack),
+        model.STACKS["decoder"], dropout_masks,
     )
     loss = g.softmax_cross_entropy(logits, g.input("targets"))
-    bindings = {"x": x.values, "targets": targets,
-                **_stack_bindings(encoder_stack, "enc"),
-                **_stack_bindings(decoder_stack, "dec")}
+    bindings = {"x": x.values, "targets": targets, **named_arrays(model)}
     return g, loss, bindings
-
-
-def _cast_stack(stack, dtype):
-    out = []
-    for lp in stack:
-        # cast each distinct array once so tied blocks stay shared
-        cast: dict[int, np.ndarray] = {}
-        blocks = {}
-        for S, B in lp.blocks.items():
-            if id(B) not in cast:
-                cast[id(B)] = B.astype(dtype)
-            blocks[S] = cast[id(B)]
-        out.append(replace(lp, blocks=blocks, bias=lp.bias.astype(dtype)))
-    return tuple(out)
-
-
-def _cast_params(params, dtype):
-    if isinstance(params, SelfSupervisedParams):
-        return SelfSupervisedParams(_cast_stack(params.layers, dtype))
-    return FeaParams(
-        _cast_stack(params.encoder, dtype), _cast_stack(params.decoder, dtype)
-    )
 
 
 def _predict_at(
@@ -359,7 +331,10 @@ def train(
     params = initial_params if initial_params is not None else init_params(
         model_config, seed=train_config.seed
     )
-    params = _cast_params(params, dtype)
+    # one cast per named array, so a tied block stays one shared array
+    params = with_named_arrays(params, {
+        name: a.astype(dtype) for name, a in named_arrays(params).items()
+    })
     is_ss = model_config.architecture == "self-supervised"
     if is_ss and model_config.mask_prob <= 0.0:
         raise ValueError(
@@ -412,7 +387,6 @@ def train(
             g, loss_node, bindings = build_ss_loss_graph(
                 x_in, params.layers, x_batch.values, weights, masks
             )
-            stacks = {"layer": params.layers}
         else:
             masks = _epoch_dropout_masks(
                 model_config, model_config.decoder_widths, epoch_rng
@@ -420,20 +394,16 @@ def train(
             g, loss_node, bindings = build_fea_loss_graph(
                 x_batch, params.encoder, params.decoder, x_batch.values, masks
             )
-            stacks = {"enc": params.encoder, "dec": params.decoder}
 
         values = forward(g, bindings)
         loss = float(np.asarray(values[loss_node]).reshape(()))
         diverged = not np.isfinite(loss)
         if not diverged:
             grads = backward(g, values, loss_node)
-            flat = {
-                name: bindings[name]
-                for prefix, stack in stacks.items()
-                for name in _stack_bindings(stack, prefix)
-            }
             try:
-                flat, state = optimizer_step(flat, grads, state, train_config)
+                flat, state = optimizer_step(
+                    named_arrays(params), grads, state, train_config
+                )
             except FloatingPointError:
                 # a non-finite gradient ends the run like a non-finite loss
                 diverged = True
@@ -441,15 +411,7 @@ def train(
             losses.append(loss)
             val_curve.append(float("nan"))
             break
-        if is_ss:
-            params = SelfSupervisedParams(
-                _rebuild_stack(params.layers, "layer", flat)
-            )
-        else:
-            params = FeaParams(
-                _rebuild_stack(params.encoder, "enc", flat),
-                _rebuild_stack(params.decoder, "dec", flat),
-            )
+        params = with_named_arrays(params, flat)
 
         val = rmse(
             _predict_at(model_config, params, x_val, val_query, scale),

@@ -1,6 +1,7 @@
 """Checkpoint container: layout, round trips, failure modes."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +19,29 @@ from exchtensor.models import (
     FeaParams,
     ModelConfig,
     SelfSupervisedParams,
+    count_parameters,
     fea_decode,
     fea_encode,
     init_params,
+    named_arrays,
     self_supervised_forward,
 )
+from exchtensor.training import build_fea_loss_graph, build_ss_loss_graph
 
 from helpers import rewrite_header
+
+
+def header_of(path):
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[8:16], "little")
+    return json.loads(raw[16:16 + header_len])
+
+
+def tie(layer):
+    """The layer with its column-pool block replaced by its row-pool one."""
+    row = layer.blocks[frozenset({0})]
+    return replace(layer, blocks={**layer.blocks, frozenset({1}): row},
+                   tied=True)
 
 
 def small_ss():
@@ -135,12 +152,51 @@ class TestTiedLayers:
         path = tmp_path / "tied.exchk"
         save_checkpoint(path, config, SelfSupervisedParams(layers=(layer,)),
                         RatingScale.integer(1, 4))
-        raw = path.read_bytes()
-        header_len = int.from_bytes(raw[8:16], "little")
-        header = json.loads(raw[16:16 + header_len])
-        names = {e["name"] for e in header["arrays"]}
+        names = {e["name"] for e in header_of(path)["arrays"]}
         # w01, one shared pool block, wg, bias
         assert len(names) == 4
+
+
+class TestArrayNames:
+    @pytest.mark.parametrize("arch", ["self-supervised", "fea"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_graph_parameters_are_the_checkpoint_arrays(self, tmp_path,
+                                                        arch, tied):
+        config, params = small_ss() if arch == "self-supervised" \
+            else small_fea()
+        if tied:
+            params = type(params)(**{
+                field: tuple(tie(lp) for lp in getattr(params, field))
+                for field in params.STACKS
+            })
+        x = encode_onehot(synthetic_lowrank_table(6, 7, observed_fraction=0.5,
+                                                  seed=3))
+        if arch == "self-supervised":
+            g, _, _ = build_ss_loss_graph(x, params.layers, x.values,
+                                          np.ones(x.n_observed))
+        else:
+            g, _, _ = build_fea_loss_graph(x, params.encoder, params.decoder,
+                                           x.values)
+        path = tmp_path / "model.exchk"
+        save_checkpoint(path, config, params, FIVE_STAR)
+        stored = {e["name"] for e in header_of(path)["arrays"]}
+        assert set(g.parameters) == stored == set(named_arrays(params))
+
+    def test_untied_layer_with_one_array_twice_round_trips(self, tmp_path):
+        """Sharing is read from ``tied`` alone: an untied layer stores
+        both blocks, even when they are the same array object."""
+        config, params = small_ss()
+        first = params.layers[0]
+        row = first.blocks[frozenset({0})]
+        aliased = replace(first, blocks={**first.blocks, frozenset({1}): row})
+        params = SelfSupervisedParams((aliased, *params.layers[1:]))
+        path = tmp_path / "model.exchk"
+        save_checkpoint(path, config, params, FIVE_STAR)
+        loaded = load_checkpoint(path).params
+        for a, b in zip(params.layers, loaded.layers):
+            for S in a.blocks:
+                assert_array_equal(a.blocks[S], b.blocks[S])
+        assert count_parameters(loaded) == count_parameters(params)
 
 
 class TestHeader:
@@ -235,6 +291,16 @@ class TestFailureModes:
         bad = rewrite_header(path, tmp_path / "bad.exchk",
                              lambda header: header.pop(key))
         with pytest.raises(ValueError, match=f"no '{key}' entry"):
+            load_checkpoint(bad)
+
+    def test_missing_model_config_field_names_it(self, tmp_path):
+        config, params = small_ss()
+        path = tmp_path / "model.exchk"
+        save_checkpoint(path, config, params, FIVE_STAR)
+        bad = rewrite_header(path, tmp_path / "bad.exchk",
+                             lambda header: header["model_config"].pop(
+                                 "factor_size"))
+        with pytest.raises(ValueError, match="no 'factor_size' entry"):
             load_checkpoint(bad)
 
     def test_header_that_is_not_an_object_rejected(self, tmp_path):

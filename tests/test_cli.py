@@ -199,6 +199,26 @@ class TestEvaluate:
         assert code == 2
         assert "slope must be a number in [0, 1], got 1.5" in err
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda h: h["arrays"][0].update(dtype="foo"), "array entry"),
+        (lambda h: h["arrays"][0].update(offset="x"), "array entry"),
+        (lambda h: h["arrays"][0].update(nbytes=None), "array entry"),
+        (lambda h: h.update(arrays=5), "'arrays' entry"),
+        (lambda h: h["scale"].update(levels=3), "'scale' entry"),
+    ], ids=["dtype", "offset", "nbytes", "arrays", "scale-levels"])
+    def test_malformed_header_entry_exits_2(self, capsys, tmp_path, edit,
+                                            named):
+        config = ModelConfig(architecture="self-supervised", widths=(6, 5))
+        path = tmp_path / "model.exchk"
+        save_checkpoint(path, config, init_params(config), FIVE_STAR)
+        bad = rewrite_header(path, tmp_path / "bad.exchk", edit)
+        with pytest.raises(ValueError, match=f"malformed {named}"):
+            load_checkpoint(bad)
+        code, _, err = run(capsys, "evaluate", str(bad), "--data",
+                           "synthetic")
+        assert code == 2
+        assert f"malformed {named}" in err
+
     def test_header_that_is_not_an_object_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "list.exchk"
         bad.write_bytes(MAGIC + (2).to_bytes(8, "little") + b"[]")
@@ -296,6 +316,12 @@ class TestVerify:
         assert code == 2
         assert "cap" in err
 
+    def test_negative_trials_exits_2(self, capsys):
+        code, records, err = run(capsys, "verify", "--dims", "3,3",
+                                 "--trials", "-2")
+        assert code == 2 and records == []
+        assert "--trials must be nonnegative, got -2" in err
+
 
 class TestSampleCheck:
     def test_uniform_report_passes(self, capsys):
@@ -320,6 +346,14 @@ class TestSampleCheck:
                       "--sampler", "uniform", "--budget", "901",
                       "--trials", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("sampler", ["uniform", "conditional"])
+    def test_negative_trials_exits_2(self, capsys, sampler):
+        code, records, err = run(capsys, "sample-check", "--data", "synthetic",
+                                 "--sampler", sampler, "--budget", "50",
+                                 "--trials", "-3")
+        assert code == 2 and records == []
+        assert "--trials must be nonnegative, got -3" in err
 
     def test_zero_trials_empty_report_exit_0(self, capsys):
         code, records, _ = run(capsys, "sample-check", "--data", "synthetic",

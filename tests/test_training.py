@@ -17,6 +17,7 @@ from exchtensor.data import (
     encode_onehot,
     synthetic_lowrank_table,
 )
+from exchtensor.layers import random_layer_params
 from exchtensor.models import (
     FeaParams,
     ModelConfig,
@@ -511,6 +512,24 @@ class TestPrecision:
             reports[precision] = report
         assert_allclose(reports["float32"].val_rmse,
                         reports["float64"].val_rmse, rtol=0, atol=1e-5)
+
+    def test_tied_model_keeps_one_shared_float32_array(self):
+        """The cast and every optimizer step go through the array names,
+        under which a tied layer's row and column blocks are one array."""
+        tr, val = split_synthetic(seed=5)
+        rng = np.random.default_rng(3)
+        tied = SelfSupervisedParams(tuple(
+            random_layer_params(2, k, o, rng, nonlinearity=nl, tied=True)
+            for k, o, nl in ((3, 4, "leaky_relu"), (4, 3, "softmax"))
+        ))
+        report, params = train(tiny_ss_config(), TrainConfig(epochs=2, seed=1),
+                               tr, val, initial_params=tied)
+        assert report.epochs_run == 2 and report.best_epoch >= 1
+        for before, after in zip(tied.layers, params.layers):
+            row, col = after.blocks[frozenset({0})], after.blocks[frozenset({1})]
+            assert after.tied and row is col
+            assert row.dtype == np.float32
+            assert not np.array_equal(row, before.blocks[frozenset({0})])
 
 
 class TestEvaluate:
