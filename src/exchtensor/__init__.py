@@ -4,16 +4,12 @@ from .sparse import (
     SparseExchangeableTensor,
     AxisGroups,
     PermutationSpec,
-    build_sparse,
     axis_groups,
     apply_permutation,
-    to_dense,
-    from_dense,
 )
 
 __all__ = [
     "SparseExchangeableTensor", "AxisGroups", "PermutationSpec",
-    "build_sparse", "axis_groups", "apply_permutation", "to_dense",
-    "from_dense",
+    "axis_groups", "apply_permutation",
 ]
 __version__ = "0.1.0"

@@ -51,9 +51,6 @@ class Graph:
         self.nodes: list[Node] = []
         self._index: dict[str, Node] = {}
 
-    def node(self, name: str) -> Node:
-        return self._index[name]
-
     @property
     def parameters(self) -> list[str]:
         return [n.name for n in self.nodes if n.op == "parameter"]

@@ -157,6 +157,30 @@ def _rebuild_stack(
     return tuple(layers)
 
 
+def _check_widths(path, config: ModelConfig, params) -> None:
+    """Each layer's (K, O) must be the one the config's widths give it."""
+    if config.architecture == "self-supervised":
+        stacks = {"layers": (config.levels, config.widths)}
+    else:
+        stacks = {"encoder": (config.levels, config.encoder_widths),
+                  "decoder": (2 * config.factor_size, config.decoder_widths)}
+    for field, (k, widths) in stacks.items():
+        layers = getattr(params, field)
+        prefix = params.STACKS[field]
+        if len(layers) != len(widths):
+            raise ValueError(
+                f"{path}: {len(layers)} '{prefix}' layers, but model_config "
+                f"gives {len(widths)} widths"
+            )
+        for i, (lp, o) in enumerate(zip(layers, widths), start=1):
+            if (lp.channels_in, lp.channels_out) != (k, o):
+                raise ValueError(
+                    f"{path}: {prefix}{i} is {lp.channels_in} -> "
+                    f"{lp.channels_out}, but model_config says {k} -> {o}"
+                )
+            k = o
+
+
 @contextmanager
 def _entry(path, what: str):
     """Report header data of the wrong type as a ValueError naming it."""
@@ -170,8 +194,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read an EXCHK001 container back into config, params, and scale.
 
     A malformed container raises ValueError: a header that is not a JSON
-    object, lacks a required key or holds an entry of the wrong type, or
-    an array entry whose byte count does not match its shape and dtype.
+    object, lacks a required key or holds an entry of the wrong type, an
+    array entry whose byte count does not match its shape and dtype, or
+    a layer whose shape disagrees with the widths in ``model_config``.
     """
     try:
         return _load(path)
@@ -229,6 +254,7 @@ def _load(path: str | Path) -> Checkpoint:
             field: _rebuild_stack(prefix, header["stacks"][field], arrays)
             for field, prefix in cls.STACKS.items()
         })
+    _check_widths(path, config, params)
     with _entry(path, "'scale' entry"):
         scale = RatingScale(tuple(header["scale"]["levels"]))
     return Checkpoint(

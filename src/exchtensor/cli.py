@@ -140,6 +140,40 @@ def _out_dir(settings: Settings) -> Path | None:
     return path
 
 
+def _read_rebinned(settings: Settings, scale: RatingScale, read):
+    """The tables ``read(file_scale)`` parses, on the model scale.
+
+    With --rebin-from/--rebin-to the files are parsed on the source scale
+    and their ratings rebinned onto the destination, which must be the
+    model scale; otherwise they are parsed on the model scale itself.
+    """
+    rebin_from = settings.get("rebin_from")
+    rebin_to = settings.get("rebin_to")
+    if (rebin_from is None) != (rebin_to is None):
+        raise UsageError("--rebin-from and --rebin-to must be given together")
+    if rebin_from is None:
+        try:
+            return read(scale)
+        except ScaleError as exc:
+            raise UsageError(
+                f"{exc}; the model scale is {scale.levels} -- if the data "
+                f"lives on a different scale pass --rebin-from/--rebin-to"
+            ) from exc
+    src = _parse_scale(rebin_from)
+    dst = _parse_scale(rebin_to)
+    if dst.levels != scale.levels:
+        raise UsageError(
+            f"--rebin-to {dst.levels} must match the model scale "
+            f"{scale.levels}"
+        )
+    return [
+        dataclasses.replace(
+            table, ratings=rebin_scale(table.ratings, src, dst), scale=dst
+        )
+        for table in read(src)
+    ]
+
+
 def _load_data_table(
     settings: Settings, scale: RatingScale, density: float | None = None
 ) -> RatingsTable:
@@ -160,29 +194,10 @@ def _load_data_table(
     if not path.exists():
         raise UsageError(f"data path {data} does not exist")
     fmt = settings.get("format", "movielens-tab")
-    rebin_from = settings.get("rebin_from")
-    rebin_to = settings.get("rebin_to")
-    if (rebin_from is None) != (rebin_to is None):
-        raise UsageError("--rebin-from and --rebin-to must be given together")
-    if rebin_from is not None:
-        src = _parse_scale(rebin_from)
-        dst = _parse_scale(rebin_to)
-        if dst.levels != scale.levels:
-            raise UsageError(
-                f"--rebin-to {dst.levels} must match the model scale "
-                f"{scale.levels}"
-            )
-        table = parse_ratings(path, fmt, scale=src)
-        return dataclasses.replace(
-            table, ratings=rebin_scale(table.ratings, src, dst), scale=dst
-        )
-    try:
-        return parse_ratings(path, fmt, scale=scale)
-    except ScaleError as exc:
-        raise UsageError(
-            f"{exc}; the model scale is {scale.levels} -- if the data "
-            f"lives on a different scale pass --rebin-from/--rebin-to"
-        ) from exc
+    (table,) = _read_rebinned(
+        settings, scale, lambda s: [parse_ratings(path, fmt, scale=s)]
+    )
+    return table
 
 
 def _split_for_training(settings: Settings, scale: RatingScale):
@@ -201,9 +216,11 @@ def _split_for_training(settings: Settings, scale: RatingScale):
             if not p.exists():
                 raise UsageError(f"split file {p} does not exist")
         fmt = settings.get("format", "movielens-tab")
-        base_table, test = canonical_split(
-            None, "file-pair", base_path=base, test_path=test_file,
-            fmt=fmt, scale=scale,
+        base_table, test = _read_rebinned(
+            settings, scale, lambda s: canonical_split(
+                None, "file-pair", base_path=base, test_path=test_file,
+                fmt=fmt, scale=s,
+            ),
         )
         train_table, val = canonical_split(
             base_table, "random", fraction=val_fraction, seed=seed
@@ -258,7 +275,6 @@ def _model_config(settings: Settings, scale: RatingScale) -> ModelConfig:
 def _train_config(settings: Settings) -> TrainConfig:
     return TrainConfig(
         epochs=settings.get("epochs", 100, int),
-        optimizer=settings.get("optimizer", "adam"),
         learning_rate=settings.get("learning_rate", 1e-3, float),
         cell_budget=settings.get("budget", 20_000, int),
         sampler=settings.get("sampler", "uniform"),
@@ -327,9 +343,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ck = load_checkpoint(args.checkpoint)
     table = _load_data_table(settings, ck.scale, density=0.3)
     seed = settings.get("seed", 0, int)
-    mode = settings.get("mode", "interpolate")
-    if mode not in ("interpolate", "extrapolate"):
-        raise UsageError(f"unknown mode {mode!r}")
     fractions_text = settings.get("observed_fraction", "0.8")
     fractions = [float(x) for x in str(fractions_text).split(",")]
     out = _out_dir(settings)
@@ -351,7 +364,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             _emit(
                 {
                     "command": "evaluate",
-                    "mode": mode,
                     "observed_fraction": p,
                     "n_context": context.n_ratings,
                     "n_query": query.n_ratings,
@@ -535,8 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_eval)
     p_eval.add_argument("checkpoint")
     data_flags(p_eval)
-    p_eval.add_argument("--mode", choices=["interpolate", "extrapolate"],
-                        default=None)
     p_eval.add_argument("--observed-fraction", dest="observed_fraction",
                         default=None,
                         help="fraction treated as observed; comma list sweeps")

@@ -62,18 +62,6 @@ class RatingScale:
     def integer(cls, lo: int, hi: int) -> "RatingScale":
         return cls(tuple(range(lo, hi + 1)))
 
-    @classmethod
-    def half_steps(cls, lo: float, hi: float) -> "RatingScale":
-        return cls(tuple(np.arange(lo, hi + 0.25, 0.5)))
-
-    def level_index(self, rating: float) -> int:
-        """Position of a rating among the levels; exact membership required."""
-        arr = np.asarray(self.levels)
-        hits = np.flatnonzero(np.abs(arr - rating) < 1e-9)
-        if hits.size != 1:
-            raise ValueError(f"rating {rating} is not a level of {self.levels}")
-        return int(hits[0])
-
     def contains(self, rating: float) -> bool:
         return self.lo - 1e-9 <= rating <= self.hi + 1e-9
 
@@ -139,18 +127,6 @@ class RatingsTable:
     def n_ratings(self) -> int:
         return self.ratings.shape[0]
 
-    @property
-    def sparsity(self) -> float:
-        return self.n_ratings / (self.n_users * self.n_items)
-
-    def summary(self) -> dict:
-        return {
-            "users": self.n_users,
-            "items": self.n_items,
-            "ratings": self.n_ratings,
-            "sparsity": self.sparsity,
-        }
-
     def subset(self, rows: np.ndarray) -> "RatingsTable":
         """Rows selected by index array; remap tables are kept whole."""
         ts = None if self.timestamps is None else self.timestamps[rows]
@@ -163,7 +139,7 @@ class RatingsTable:
         return np.column_stack([self.u_index, self.i_index])
 
 
-def _read_triples(path, fmt: str, delimiter: str = ","):
+def _read_triples(path, fmt: str):
     """Raw (user, item, rating, timestamp) columns with 1-based line errors.
 
     An empty timestamp field reads as 0.
@@ -183,7 +159,7 @@ def _read_triples(path, fmt: str, delimiter: str = ","):
                     )
                 u, i, r, ts = parts
             elif fmt == "csv-triples":
-                parts = next(csv.reader([line], delimiter=delimiter))
+                parts = next(csv.reader([line]))
                 if len(parts) not in (3, 4):
                     raise ValueError(
                         f"{path}:{lineno}: expected 3 or 4 fields, got {len(parts)}"
@@ -223,30 +199,45 @@ def _first_appearance_remap(ids, table: dict, order: list):
     return out
 
 
-def parse_ratings(
-    path,
-    fmt: str = "movielens-tab",
-    scale: RatingScale = FIVE_STAR,
-    delimiter: str = ",",
-) -> RatingsTable:
-    """Load a ratings file; ids become dense indices in first-appearance
-    order and every rating is checked against the scale bounds."""
-    users, items, ratings, stamps = _read_triples(path, fmt, delimiter)
-    for k, r in enumerate(ratings):
-        if not scale.contains(r):
-            raise ScaleError(
-                f"{path}: rating {r} outside scale [{scale.lo}, {scale.hi}]"
-            )
+def _parse_files(paths, fmt: str, scale: RatingScale) -> list[RatingsTable]:
+    """One table per ratings file, all over one id space.
+
+    Ids become dense indices in order of first appearance across the
+    files in turn, and every rating is checked against the scale bounds.
+    """
     umap: dict = {}
     imap: dict = {}
     uorder: list = []
     iorder: list = []
-    u_idx = _first_appearance_remap(users, umap, uorder)
-    i_idx = _first_appearance_remap(items, imap, iorder)
-    ts = np.array(stamps, dtype=np.int64)
-    return RatingsTable(
-        u_idx, i_idx, np.asarray(ratings), scale, tuple(uorder), tuple(iorder), ts
-    )
+    parts = []
+    for path in paths:
+        users, items, ratings, stamps = _read_triples(path, fmt)
+        for r in ratings:
+            if not scale.contains(r):
+                raise ScaleError(
+                    f"{path}: rating {r} outside scale [{scale.lo}, {scale.hi}]"
+                )
+        parts.append((
+            _first_appearance_remap(users, umap, uorder),
+            _first_appearance_remap(items, imap, iorder),
+            np.asarray(ratings),
+            np.array(stamps, dtype=np.int64),
+        ))
+    return [
+        RatingsTable(u, i, r, scale, tuple(uorder), tuple(iorder), ts)
+        for u, i, r, ts in parts
+    ]
+
+
+def parse_ratings(
+    path,
+    fmt: str = "movielens-tab",
+    scale: RatingScale = FIVE_STAR,
+) -> RatingsTable:
+    """Load a ratings file; ids become dense indices in first-appearance
+    order and every rating is checked against the scale bounds."""
+    (table,) = _parse_files([path], fmt, scale)
+    return table
 
 
 def canonical_split(
@@ -259,7 +250,6 @@ def canonical_split(
     test_path=None,
     fmt: str = "movielens-tab",
     scale: RatingScale = FIVE_STAR,
-    delimiter: str = ",",
 ):
     """Split ratings into train/test (and optionally validation).
 
@@ -284,36 +274,16 @@ def canonical_split(
         train = table.subset(np.sort(order[n_test + n_val :]))
         return (train, test, val) if val_fraction > 0 else (train, test)
     if mode == "file-pair":
-        ub, ib, rb, tb = _read_triples(base_path, fmt, delimiter)
-        ut, it, rt, tt = _read_triples(test_path, fmt, delimiter)
-        for r in rb + rt:
-            if not scale.contains(r):
-                raise ScaleError(f"rating {r} outside scale "
-                                 f"[{scale.lo}, {scale.hi}]")
-        umap: dict = {}
-        imap: dict = {}
-        uorder: list = []
-        iorder: list = []
-        ub_idx = _first_appearance_remap(ub, umap, uorder)
-        ib_idx = _first_appearance_remap(ib, imap, iorder)
-        ut_idx = _first_appearance_remap(ut, umap, uorder)
-        it_idx = _first_appearance_remap(it, imap, iorder)
-        users, items = tuple(uorder), tuple(iorder)
-        base_cells = set(zip(ub_idx.tolist(), ib_idx.tolist()))
-        overlap = base_cells & set(zip(ut_idx.tolist(), it_idx.tolist()))
+        train, test = _parse_files([base_path, test_path], fmt, scale)
+        base_cells = set(zip(train.u_index.tolist(), train.i_index.tolist()))
+        overlap = base_cells & set(zip(test.u_index.tolist(),
+                                       test.i_index.tolist()))
         if overlap:
             u, i = next(iter(overlap))
             raise ValueError(
-                f"user {users[u]!r} / item {items[i]!r} appears in both files"
+                f"user {train.users[u]!r} / item {train.items[i]!r} "
+                f"appears in both files"
             )
-        train = RatingsTable(
-            ub_idx, ib_idx, np.asarray(rb), scale, users, items,
-            np.array(tb, dtype=np.int64),
-        )
-        test = RatingsTable(
-            ut_idx, it_idx, np.asarray(rt), scale, users, items,
-            np.array(tt, dtype=np.int64),
-        )
         return train, test
     raise ValueError(f"unknown split mode {mode!r}")
 
@@ -366,36 +336,33 @@ def rebin_scale(rating, src: RatingScale, dst: RatingScale):
 def synthetic_lowrank_table(
     n_rows: int = 50,
     n_cols: int = 60,
-    rank: int = 2,
     observed_fraction: float = 0.3,
     seed: int = 0,
     scale: RatingScale = FIVE_STAR,
-    mean_shift: float = 1.2,
-    level_gain: float = 1.0,
 ) -> RatingsTable:
-    """Quantized low-rank ratings for benchmarks.
+    """Quantized rank-2 ratings for benchmarks.
 
-    Scores are U V^T / sqrt(rank) with standard normal factors whose
-    first coordinate is shifted by ``mean_shift``.  The shift gives rows
-    and columns realistic popularity biases (first-order structure) on
-    top of the rank-``rank`` interaction, which plain zero-mean factors
-    would lack.  Scores are standardized, then mapped onto the scale by
-    ``index = clip(offset_round(center + level_gain * score))`` where
-    center is the middle of the level index range; one level per
-    standard deviation at the default gain.  A uniform cell subset of
-    the requested size is kept.  Fully reproducible from the seed.
+    Scores are U V^T / sqrt(2) with standard normal rank-2 factors whose
+    first coordinate is shifted by 1.2.  The shift gives rows and columns
+    realistic popularity biases (first-order structure) on top of the
+    rank-2 interaction, which plain zero-mean factors would lack.  Scores
+    are standardized, then mapped onto the scale by
+    ``index = clip(offset_round(center + score))`` where center is the
+    middle of the level index range: one level per standard deviation.
+    A uniform cell subset of the requested size is kept.  Fully
+    reproducible from the seed.
     """
     if not 0.0 < observed_fraction <= 1.0:
         raise ValueError("observed fraction must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    u = rng.normal(size=(n_rows, rank))
-    v = rng.normal(size=(n_cols, rank))
-    u[:, 0] += mean_shift
-    v[:, 0] += mean_shift
-    scores = u @ v.T / np.sqrt(rank)
+    u = rng.normal(size=(n_rows, 2))
+    v = rng.normal(size=(n_cols, 2))
+    u[:, 0] += 1.2
+    v[:, 0] += 1.2
+    scores = u @ v.T / np.sqrt(2)
     scores = (scores - scores.mean()) / scores.std()
     center = (scale.n_levels - 1) / 2.0
-    idx = np.floor(center + level_gain * scores + 0.5).astype(int)
+    idx = np.floor(center + scores + 0.5).astype(int)
     idx = np.clip(idx, 0, scale.n_levels - 1)
     ratings_full = np.asarray(scale.levels)[idx]
     n_obs = int(round(observed_fraction * n_rows * n_cols))

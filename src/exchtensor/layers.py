@@ -45,7 +45,6 @@ __all__ = [
     "add_stack_nodes",
     "apply_stack",
     "exchangeable_tensor_layer",
-    "broadcast_side_features",
     "dropout_channel_mask",
     "pool_to_factors",
     "broadcast_factors",
@@ -153,11 +152,6 @@ class ExchLayerParams:
             bias=bindings[f"{prefix}.bias"],
         )
 
-    @property
-    def n_params(self) -> int:
-        """Scalars over the named arrays, so a tied block counts once."""
-        return sum(w.size for w in self.bindings("").values())
-
 
 def random_layer_params(
     ndim: int,
@@ -165,13 +159,10 @@ def random_layer_params(
     channels_out: int,
     rng: np.random.Generator,
     nonlinearity: str = "identity",
-    slope: float = 0.01,
     tied: bool = False,
-    scale: float | None = None,
 ) -> ExchLayerParams:
     """Glorot-style initialization; the 2^D summed terms count as fan-in."""
-    if scale is None:
-        scale = np.sqrt(2.0 / (2**ndim * channels_in + channels_out))
+    scale = np.sqrt(2.0 / (2**ndim * channels_in + channels_out))
     blocks = {
         S: rng.normal(0.0, scale, size=(channels_in, channels_out))
         for S in all_subsets(ndim)
@@ -182,7 +173,6 @@ def random_layer_params(
         blocks=blocks,
         bias=np.zeros(channels_out),
         nonlinearity=nonlinearity,
-        slope=slope,
         tied=tied,
     )
 
@@ -297,41 +287,6 @@ def apply_stack(
     for lp in stack:
         t = exchangeable_tensor_layer(t, lp)
     return t
-
-
-def broadcast_side_features(
-    t: SparseExchangeableTensor,
-    row_features: np.ndarray | None = None,
-    col_features: np.ndarray | None = None,
-) -> SparseExchangeableTensor:
-    """Attach per-row/per-column feature vectors as extra channels.
-
-    Cell (n, m) gains row n's features then column m's; the index set is
-    unchanged, so equivariance is preserved when features are permuted
-    together with the tensor.
-    """
-    if t.ndim != 2:
-        raise ValueError("side features apply to matrices only")
-    parts = [t.values]
-    if row_features is not None:
-        row_features = np.atleast_2d(np.asarray(row_features))
-        if row_features.shape[0] != t.dims[0]:
-            raise ValueError(
-                f"row features have {row_features.shape[0]} rows, axis has "
-                f"{t.dims[0]}"
-            )
-        parts.append(row_features[t.indices[:, 0]])
-    if col_features is not None:
-        col_features = np.atleast_2d(np.asarray(col_features))
-        if col_features.shape[0] != t.dims[1]:
-            raise ValueError(
-                f"column features have {col_features.shape[0]} rows, axis "
-                f"has {t.dims[1]}"
-            )
-        parts.append(col_features[t.indices[:, 1]])
-    if len(parts) == 1:
-        return t
-    return t.with_values(np.concatenate(parts, axis=1))
 
 
 def dropout_channel_mask(

@@ -302,10 +302,8 @@ def fea_decode(
     return apply_stack(base, params.decoder)
 
 
-def predict_ratings(
-    distributions, scale: RatingScale, mode: str = "expectation"
-) -> np.ndarray:
-    """Collapse per-cell level distributions to real-valued ratings."""
+def predict_ratings(distributions, scale: RatingScale) -> np.ndarray:
+    """Collapse per-cell level distributions to their expected ratings."""
     if isinstance(distributions, SparseExchangeableTensor):
         p = distributions.values
     else:
@@ -319,9 +317,4 @@ def predict_ratings(
         raise ValueError(
             f"distributions are not normalized (max deviation {worst:.2e})"
         )
-    levels = np.asarray(scale.levels)
-    if mode == "expectation":
-        return p @ levels
-    if mode == "argmax":
-        return levels[p.argmax(axis=1)]
-    raise ValueError(f"unknown prediction mode {mode!r}")
+    return p @ np.asarray(scale.levels)

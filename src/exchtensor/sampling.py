@@ -34,8 +34,6 @@ class SampleBatch:
     """A duplicate-free subset of an observed index set."""
 
     indices: np.ndarray
-    provenance: str
-    seed: int | None = None
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -62,22 +60,22 @@ def uniform_subsample(
         raise ValueError(f"batch size {batch_size} not in [1, {n}]")
     rng = np.random.default_rng(seed)
     rows = rng.choice(n, size=batch_size, replace=False)
-    return SampleBatch(t.indices[rows], "uniform", seed)
+    return SampleBatch(t.indices[rows])
 
 
-def row_marginal(t: SparseExchangeableTensor, axis: int = 0) -> np.ndarray:
-    """Observation share per index value along one axis."""
-    counts = np.bincount(t.indices[:, axis], minlength=t.dims[axis])
+def row_marginal(t: SparseExchangeableTensor) -> np.ndarray:
+    """Observation share of each row."""
+    counts = np.bincount(t.indices[:, 0], minlength=t.dims[0])
     return counts / t.indices.shape[0]
 
 
 def restricted_col_marginal(
-    t: SparseExchangeableTensor, rows: np.ndarray, axis: int = 1
+    t: SparseExchangeableTensor, rows: np.ndarray
 ) -> np.ndarray:
     """Column marginal over only the cells whose row was selected."""
     keep = np.isin(t.indices[:, 0], rows)
     counts = np.bincount(
-        t.indices[keep, axis], minlength=t.dims[axis]
+        t.indices[keep, 1], minlength=t.dims[1]
     ).astype(np.float64)
     total = counts.sum()
     if total == 0:
@@ -127,7 +125,7 @@ def conditional_subsample(
     keep = np.isin(t.indices[:, 0], picked_rows) & np.isin(
         t.indices[:, 1], picked_cols
     )
-    return SampleBatch(t.indices[keep], "conditional", seed)
+    return SampleBatch(t.indices[keep])
 
 
 def budget_targets(

@@ -8,8 +8,8 @@ verification) is phrased in terms of the observed index set rather than a
 dense grid.
 
 This module provides the array type itself, grouping of observed cells by
-coordinates (the substrate for pooling), application of per-axis
-permutations, and dense conversion for the verifier.
+coordinates (the substrate for pooling), and application of per-axis
+permutations.
 """
 
 from __future__ import annotations
@@ -24,16 +24,9 @@ __all__ = [
     "SparseExchangeableTensor",
     "AxisGroups",
     "PermutationSpec",
-    "build_sparse",
     "axis_groups",
     "apply_permutation",
-    "to_dense",
-    "from_dense",
-    "DENSE_CELL_CAP",
 ]
-
-# to_dense is a verifier-only path; refuse to materialize anything larger.
-DENSE_CELL_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -159,29 +152,6 @@ class SparseExchangeableTensor:
         )
 
 
-def build_sparse(
-    dims: Sequence[int],
-    entries: Iterable[tuple[Sequence[int], Sequence[float]]],
-    dtype=np.float64,
-) -> SparseExchangeableTensor:
-    """Construct a tensor from (index-tuple, channel-vector) entries.
-
-    Rejects duplicate indices, out-of-range indices, and ragged channel
-    vectors.  The result is in canonical (lexicographic) index order.
-    """
-    entries = list(entries)
-    if not entries:
-        raise ValueError("entries must be non-empty")
-    widths = {len(v) for _, v in entries}
-    if len(widths) != 1:
-        raise ValueError(f"ragged channel vectors: lengths {sorted(widths)}")
-    indices = np.array([tuple(i) for i, _ in entries], dtype=np.int64)
-    values = np.array([list(v) for _, v in entries], dtype=dtype)
-    if values.shape[1] == 0:
-        raise ValueError("channel vectors must be non-empty")
-    return SparseExchangeableTensor(tuple(dims), indices, values)
-
-
 @dataclass(frozen=True)
 class AxisGroups:
     """Observed cells grouped by their coordinates on a set of fixed axes.
@@ -296,21 +266,8 @@ class PermutationSpec:
         return tuple(m.shape[0] for m in self.maps)
 
     @classmethod
-    def identity(cls, dims: Sequence[int]) -> "PermutationSpec":
-        return cls(tuple(np.arange(d) for d in dims))
-
-    @classmethod
     def random(cls, dims: Sequence[int], rng: np.random.Generator) -> "PermutationSpec":
         return cls(tuple(rng.permutation(d) for d in dims))
-
-    def inverse(self) -> "PermutationSpec":
-        return PermutationSpec(tuple(np.argsort(m) for m in self.maps))
-
-    def compose(self, other: "PermutationSpec") -> "PermutationSpec":
-        """Per-axis composition self after other: (self∘other)(v) = self(other(v))."""
-        if self.dims != other.dims:
-            raise ValueError(f"axis sizes differ: {self.dims} vs {other.dims}")
-        return PermutationSpec(tuple(s[o] for s, o in zip(self.maps, other.maps)))
 
     def flatten(self) -> np.ndarray:
         """The induced permutation of flat cell ids (row-major convention)."""
@@ -332,41 +289,3 @@ def apply_permutation(
         raise ValueError(f"permutation dims {p.dims} do not match tensor {t.dims}")
     new_idx = np.column_stack([p.maps[a][t.indices[:, a]] for a in range(t.ndim)])
     return SparseExchangeableTensor(t.dims, new_idx, t.values)
-
-
-def to_dense(
-    t: SparseExchangeableTensor, cell_cap: int = DENSE_CELL_CAP
-) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize as a dense (dims..., K) array plus observation mask.
-
-    Small instances only: refuses when the cell count exceeds ``cell_cap``.
-    """
-    total = int(np.prod(t.dims))
-    if total > cell_cap:
-        raise ValueError(
-            f"{total} cells exceed the dense conversion cap of {cell_cap}"
-        )
-    dense = np.zeros(t.dims + (t.channels,), dtype=t.values.dtype)
-    mask = np.zeros(t.dims, dtype=bool)
-    slot = tuple(t.indices.T)
-    dense[slot] = t.values
-    mask[slot] = True
-    return dense, mask
-
-
-def from_dense(arr: np.ndarray, mask: np.ndarray | None = None) -> SparseExchangeableTensor:
-    """Inverse of :func:`to_dense`; ``mask`` defaults to fully observed."""
-    arr = np.asarray(arr)
-    if arr.ndim < 2:
-        raise ValueError("dense array must have at least one axis plus channels")
-    dims = arr.shape[:-1]
-    if mask is None:
-        mask = np.ones(dims, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != dims:
-        raise ValueError(f"mask shape {mask.shape} does not match dims {dims}")
-    idx = np.argwhere(mask)
-    if idx.shape[0] == 0:
-        raise ValueError("mask selects no observed cells")
-    values = arr[tuple(idx.T)]
-    return SparseExchangeableTensor(dims, idx, values)

@@ -1,4 +1,4 @@
-"""Optimizers, the training loop, and evaluation.
+"""The Adam optimizer, the training loop, and evaluation.
 
 Training builds one computation graph per epoch (cheap next to the
 forward pass) so channel-dropout masks and minibatch index sets can
@@ -74,11 +74,14 @@ class TrainConfig:
     too), the one-hot inputs and targets, every value and gradient of the
     training graph, the Adam moments, and the validation forward.  Only
     the group sums of pooling accumulate in float64 before they are cast
-    back.
+    back.  The two precisions agree on short runs: over 3 epochs of the
+    50x60 benchmark the per-epoch ``val_rmse`` differs by about 2e-8, and
+    the tests assert 1e-5.  Fits run to their early-stopping point can
+    stop at different epochs, because last-digit differences decide
+    which validation RMSE is best, so their final RMSEs need not agree.
     """
 
     epochs: int = 100
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
     cell_budget: int = DEFAULT_CELL_BUDGET
     sampler: str = "uniform"
@@ -87,8 +90,6 @@ class TrainConfig:
     precision: str = "float32"
 
     def __post_init__(self):
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.sampler not in ("uniform", "conditional"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.cell_budget < 1:
@@ -174,7 +175,7 @@ def optimizer_step(
     state: OptimizerState,
     config: TrainConfig,
 ) -> tuple[dict, OptimizerState]:
-    """One Adam or SGD update over a flat name -> array dict."""
+    """One Adam update over a flat name -> array dict."""
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise FloatingPointError(
@@ -183,10 +184,6 @@ def optimizer_step(
             )
     lr = config.learning_rate
     new_params = {}
-    if config.optimizer == "sgd":
-        for name, p in params.items():
-            new_params[name] = p - lr * grads.get(name, 0.0)
-        return new_params, state
     t = state.step + 1
     m, v = {}, {}
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON

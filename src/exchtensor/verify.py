@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +33,16 @@ from .sparse import (
     PermutationSpec,
     SparseExchangeableTensor,
     apply_permutation,
-    from_dense,
 )
 
 __all__ = [
     "FLAT_SIZE_CAP",
-    "FlatPermutation",
     "IllegalWitness",
     "EquivarianceReport",
     "agreement_masks",
     "build_full_weight_matrix",
     "dense_oracle_layer",
     "dense_to_pooled_blocks",
-    "pooled_to_dense_blocks",
     "is_legal_permutation",
     "apply_flat_permutation",
     "generic_scalar_blocks",
@@ -65,26 +62,6 @@ def _check_cap(dims) -> int:
             f"{total} cells exceed the verifier cap of {FLAT_SIZE_CAP}"
         )
     return total
-
-
-@dataclass
-class FlatPermutation:
-    """A permutation of flat cell ids, tagged once its legality is known.
-
-    Legal means it factors into independent per-axis relabelings; the flat
-    group is vastly larger than that product subgroup.
-    """
-
-    dims: tuple[int, ...]
-    perm: np.ndarray
-    legal: bool | None = None
-
-    def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.perm = np.asarray(self.perm, dtype=np.int64)
-        total = int(np.prod(self.dims))
-        if not np.array_equal(np.sort(self.perm), np.arange(total)):
-            raise ValueError("perm is not a bijection on the cell ids")
 
 
 def agreement_masks(dims) -> np.ndarray:
@@ -168,22 +145,8 @@ def dense_to_pooled_blocks(blocks: dict, dims) -> dict:
     return out
 
 
-def pooled_to_dense_blocks(blocks: dict, dims) -> dict:
-    """Inverse of dense_to_pooled_blocks (zeta transform over subsets)."""
-    ndim = len(dims)
-    out = {}
-    for T in all_subsets(ndim):
-        acc = None
-        for S in all_subsets(ndim):
-            if S <= T:
-                term = np.asarray(blocks[S]) / _pool_size(S, dims)
-                acc = term if acc is None else acc + term
-        out[T] = acc
-    return out
-
-
 def is_legal_permutation(
-    p: FlatPermutation | np.ndarray, dims
+    perm: np.ndarray, dims
 ) -> tuple[bool, PermutationSpec | None]:
     """Decide membership in the per-axis product subgroup.
 
@@ -192,7 +155,7 @@ def is_legal_permutation(
     value per source value).  When it does, the per-axis maps are returned.
     """
     total = _check_cap(dims)
-    perm = p.perm if isinstance(p, FlatPermutation) else np.asarray(p)
+    perm = np.asarray(perm)
     coords = np.stack(np.unravel_index(np.arange(total), dims), axis=1)
     images = np.stack(np.unravel_index(perm, dims), axis=1)
     maps = []
@@ -213,8 +176,6 @@ def is_legal_permutation(
         spec = PermutationSpec(tuple(maps))
         # the factored form must reproduce the flat permutation exactly
         assert np.array_equal(spec.flatten(), perm)
-    if isinstance(p, FlatPermutation):
-        p.legal = legal
     return legal, spec
 
 
@@ -272,6 +233,9 @@ class IllegalWitness:
 
 @dataclass
 class EquivarianceReport:
+    """Outcome of ``check_equivariance``; it passes only when at least one
+    legal trial ran, so zero trials certify nothing."""
+
     dims: tuple[int, ...]
     tolerance: float
     legal_trials: int
@@ -283,7 +247,8 @@ class EquivarianceReport:
     @property
     def passed(self) -> bool:
         return (
-            self.legal_max_deviation <= self.tolerance
+            self.legal_trials > 0
+            and self.legal_max_deviation <= self.tolerance
             and all(w.found for w in self.illegal)
             and self.orbit_count == self.orbit_expected
         )

@@ -8,6 +8,31 @@ from exchtensor.checkpoint import MAGIC
 from exchtensor.sparse import SparseExchangeableTensor
 
 
+def build_sparse(dims, entries):
+    """Tensor from (index-tuple, channel-vector) entries in any order."""
+    indices, values = zip(*entries)
+    return SparseExchangeableTensor(
+        dims, np.array(indices), np.array(values, dtype=np.float64)
+    )
+
+
+def to_dense(t):
+    """(dims..., K) array with zeros at unobserved cells, and the mask."""
+    dense = np.zeros(t.dims + (t.channels,), dtype=t.values.dtype)
+    mask = np.zeros(t.dims, dtype=bool)
+    dense[tuple(t.indices.T)] = t.values
+    mask[tuple(t.indices.T)] = True
+    return dense, mask
+
+
+def from_dense(arr, mask=None):
+    """Inverse of ``to_dense``; ``mask`` defaults to fully observed."""
+    if mask is None:
+        mask = np.ones(arr.shape[:-1], dtype=bool)
+    idx = np.argwhere(mask)
+    return SparseExchangeableTensor(arr.shape[:-1], idx, arr[tuple(idx.T)])
+
+
 def random_sparse(dims, channels, n_obs, rng):
     """Random tensor with n_obs distinct observed cells."""
     total = int(np.prod(dims))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import build_sparse
+
 from exchtensor.autodiff import Graph, backward, forward
-from exchtensor.sparse import SparseExchangeableTensor, axis_groups, build_sparse
+from exchtensor.sparse import SparseExchangeableTensor, axis_groups
 
 
 def numeric_grads(graph, bindings, loss, params, eps=1e-5):

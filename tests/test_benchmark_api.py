@@ -1,12 +1,14 @@
-"""Every exchtensor name the benchmark harness reaches still resolves.
+"""Every exchtensor name the benchmark harness reaches still resolves,
+and every call it makes to one still binds.
 
 ``perfbench/`` lies outside the test paths, so without this check an API
-deletion that breaks its imports or its traced targets would only show
-up when the benchmark runs.
+deletion that breaks its imports, its traced targets or the arguments
+it passes would only show up when the benchmark runs.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -40,3 +42,50 @@ def test_every_benchmark_name_resolves():
     missing = [f"{module}.{name}" for module, name in sorted(names)
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"names the benchmark uses are gone: {missing}"
+
+
+def forwarders(tree):
+    """Names of functions shaped ``f(fn, *args, **kwargs)``, which call
+    ``fn`` with the rest of their arguments."""
+    return {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and len(node.args.args) == 1
+        and node.args.vararg and node.args.kwarg
+    }
+
+
+def calls_to_imported(path):
+    """(module, name, positional count, keywords) for each call of a name
+    bound by ``from exchtensor... import name``, made directly or through
+    a forwarder such as ``timed(evaluate, ...)``."""
+    imported = {name: (module, name) for module, name in imported_names(path)}
+    tree = ast.parse(path.read_text())
+    forward = forwarders(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+            continue
+        args = node.args
+        callee = node.func.id
+        if callee in forward and args and isinstance(args[0], ast.Name):
+            callee, args = args[0].id, args[1:]
+        if callee in imported:
+            assert not any(isinstance(a, ast.Starred) for a in args)
+            assert all(k.arg is not None for k in node.keywords)
+            yield (*imported[callee], len(args),
+                   tuple(k.arg for k in node.keywords))
+
+
+def test_every_benchmark_call_binds():
+    calls = {call for path in sorted(PERFBENCH.glob("*.py"))
+             for call in calls_to_imported(path)}
+    assert ("exchtensor.models", "fea_decode", 4, ("imputation",)) in calls
+    assert ("exchtensor.training", "evaluate", 4, ("cell_budget",)) in calls
+    unbound = []
+    for module, name, n_args, keywords in sorted(calls):
+        target = getattr(importlib.import_module(module), name)
+        try:
+            inspect.signature(target).bind_partial(
+                *[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{module}.{name}: {exc}")
+    assert not unbound, f"benchmark calls that no longer bind: {unbound}"

@@ -120,7 +120,7 @@ class TestRoundTrip:
         assert_array_equal(before.values, after.values)
 
     def test_non_integer_scale_round_trips(self, tmp_path):
-        scale = RatingScale.half_steps(0.5, 2.5)
+        scale = RatingScale((0.5, 1.0, 1.5, 2.0, 2.5))
         config = ModelConfig(architecture="self-supervised",
                              levels=scale.n_levels,
                              widths=(6, scale.n_levels), mask_prob=0.2)
@@ -133,7 +133,7 @@ class TestRoundTrip:
 class TestTiedLayers:
     def test_tied_blocks_stay_one_shared_array(self, tmp_path):
         """The square-matrix variant keeps row/col pools as one array."""
-        layer = random_layer_params(2, 3, 4, np.random.default_rng(0),
+        layer = random_layer_params(2, 4, 4, np.random.default_rng(0),
                                     nonlinearity="softmax", tied=True)
         config = ModelConfig(architecture="self-supervised", levels=4,
                              widths=(4,), mask_prob=0.2)

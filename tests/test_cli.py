@@ -95,6 +95,28 @@ class TestTrain:
                       "--data", "/no/such/file.csv", "--epochs", "1")
         assert code == 2
 
+    def test_rebin_flags_apply_to_split_directory(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        cells = rng.choice(100, size=60, replace=False)
+        stars = rng.integers(1, 11, size=60) / 2
+        lines = [f"{c // 10 + 1}\t{c % 10 + 1}\t{r}\t0"
+                 for c, r in zip(cells, stars)]
+        split = tmp_path / "split"
+        split.mkdir()
+        (split / "u1.base").write_text("\n".join(lines[:48]) + "\n")
+        (split / "u1.test").write_text("\n".join(lines[48:]) + "\n")
+        assert any(r % 1 for r in stars[:48]) and any(r % 1 for r in stars[48:])
+        cfg = write_config(tmp_path, "widths = 6,5\n")
+        code, records, err = run(
+            capsys, "train", "--arch", "ss", "--data", str(split),
+            "--split", "u1", "--rebin-from", "0.5-5:0.5", "--rebin-to", "1-5",
+            "--epochs", "1", "--out", str(tmp_path / "run"), "--config", cfg,
+        )
+        assert code == 0, err
+        assert isinstance(records[-1]["test_rmse"], float)
+        ck = load_checkpoint(tmp_path / "run" / "model.exchk")
+        assert ck.scale.levels == (1.0, 2.0, 3.0, 4.0, 5.0)
+
     def test_fea_arch_with_width_overrides(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "encoder_widths = 8,4\ndecoder_widths = 8,5\n")
@@ -124,7 +146,6 @@ class TestEvaluate:
                             "--observed-fraction", "0.8", "--seed", "1")
         assert code == 0
         assert len(records) == 1
-        assert records[0]["mode"] == "interpolate"
         assert records[0]["n_context"] == 720
         assert isinstance(records[0]["rmse"], float)
 
@@ -132,7 +153,7 @@ class TestEvaluate:
                                                    capsys, tmp_path):
         code, records, _ = run(
             capsys, "evaluate", checkpoint, "--data", "synthetic",
-            "--observed-fraction", "0.2,0.5,0.8", "--mode", "extrapolate",
+            "--observed-fraction", "0.2,0.5,0.8",
             "--out", str(tmp_path / "ev"),
         )
         assert code == 0
@@ -218,6 +239,19 @@ class TestEvaluate:
                            "synthetic")
         assert code == 2
         assert f"malformed {named}" in err
+
+    def test_widths_disagreeing_with_arrays_exit_2(self, checkpoint, capsys,
+                                                   tmp_path):
+        def widen(header):
+            header["model_config"]["widths"] = [13, 5]
+
+        bad = rewrite_header(Path(checkpoint), tmp_path / "bad.exchk", widen)
+        with pytest.raises(ValueError, match="layer1 is 5 -> 12"):
+            load_checkpoint(bad)
+        code, _, err = run(capsys, "evaluate", str(bad), "--data",
+                           "synthetic")
+        assert code == 2
+        assert "layer1" in err and "13" in err
 
     def test_header_that_is_not_an_object_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "list.exchk"
@@ -315,6 +349,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--dims", "99,99")
         assert code == 2
         assert "cap" in err
+
+    def test_zero_trials_fail_exit_1(self, capsys):
+        code, records, _ = run(capsys, "verify", "--dims", "3,3",
+                               "--trials", "0")
+        assert code == 1
+        assert records[0]["legal_trials"] == 0
+        assert records[0]["passed"] is False
 
     def test_negative_trials_exits_2(self, capsys):
         code, records, err = run(capsys, "verify", "--dims", "3,3",

@@ -45,16 +45,6 @@ class TestRatingScale:
         assert s.levels == (1.0, 2.0, 3.0, 4.0, 5.0)
         assert s.lo == 1.0 and s.hi == 5.0 and s.n_levels == 5
 
-    def test_half_step_constructor(self):
-        s = RatingScale.half_steps(0.5, 5.0)
-        assert s.n_levels == 10
-        assert s.levels[0] == 0.5 and s.levels[-1] == 5.0
-
-    def test_level_index(self):
-        assert FIVE_STAR.level_index(3.0) == 2
-        with pytest.raises(ValueError, match="not a level"):
-            FIVE_STAR.level_index(2.5)
-
     def test_contains_checks_bounds_only(self):
         """A mid-gap value is in range even though it is not a level."""
         assert FIVE_STAR.contains(2.5)
@@ -74,12 +64,6 @@ class TestRatingsTable:
     def test_index_must_fit_remap_tables(self):
         with pytest.raises(ValueError, match="remap table"):
             RatingsTable([3], [0], [3.0], FIVE_STAR, ("a",), ("x",))
-
-    def test_summary_counts(self):
-        t = small_table()
-        assert t.summary() == {
-            "users": 3, "items": 2, "ratings": 4, "sparsity": 4 / 6,
-        }
 
     def test_subset_keeps_id_space(self):
         t = small_table()
@@ -137,11 +121,6 @@ class TestParseRatings:
         t = parse_ratings(f, fmt="csv-triples")
         assert t.n_ratings == 2
         assert t.users == ("u1", "u2")
-
-    def test_csv_custom_delimiter(self, tmp_path):
-        f = write_lines(tmp_path / "r.csv", ["u1;i1;4", "u1;i2;2"])
-        t = parse_ratings(f, fmt="csv-triples", delimiter=";")
-        assert t.n_ratings == 2
 
     def test_blank_lines_skipped(self, tmp_path):
         f = write_lines(tmp_path / "u.data", [

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import random_dense, random_sparse, transpose_matrix
+from helpers import (
+    build_sparse, random_dense, random_sparse, to_dense, transpose_matrix,
+)
 
 from exchtensor.autodiff import Graph, backward, forward
 from exchtensor.layers import (
@@ -14,14 +16,13 @@ from exchtensor.layers import (
     all_subsets,
     apply_stack,
     broadcast_factors,
-    broadcast_side_features,
     dropout_channel_mask,
     exchangeable_tensor_layer,
     pool_to_factors,
     pooling_groups,
     random_layer_params,
 )
-from exchtensor.sparse import PermutationSpec, apply_permutation, build_sparse, to_dense
+from exchtensor.sparse import PermutationSpec, apply_permutation
 
 
 def unit_params(ndim, nonlinearity="identity"):
@@ -150,8 +151,8 @@ class TestTensorLayer:
         rng = np.random.default_rng(sum(dims) + n_obs)
         t = random_sparse(dims, 3, n_obs, rng)
         p = random_layer_params(len(dims), 3, 4, rng,
-                                nonlinearity="leaky_relu", slope=0.2,
-                                tied=tied)
+                                nonlinearity="leaky_relu", tied=tied)
+        p.slope = 0.2
         p.bias = rng.normal(size=4)
         pre = np.tile(p.bias, (n_obs, 1))
         for S, w in p.blocks.items():
@@ -186,7 +187,8 @@ class TestTensorLayer:
         rng = np.random.default_rng(4)
         for ndim, K, O in [(1, 3, 2), (2, 4, 4), (3, 2, 5)]:
             p = random_layer_params(ndim, K, O, rng)
-            assert p.n_params == 2**ndim * K * O + O
+            sizes = [a.size for a in p.bindings("layer1").values()]
+            assert sum(sizes) == 2**ndim * K * O + O
 
 
 class TestEquivariance:
@@ -277,45 +279,6 @@ class TestLayerGradients:
         add_layer_nodes(g, x, pooling_groups(t), params, "L0")
         # 3 distinct blocks + bias for the tied matrix layer
         assert len(g.parameters) == 4
-
-
-class TestSideFeatures:
-    def test_no_features_is_identity(self):
-        rng = np.random.default_rng(10)
-        t = random_sparse((3, 4), 2, 7, rng)
-        assert broadcast_side_features(t) == t
-
-    def test_constant_row_feature_fills_channel(self):
-        t = build_sparse((2, 2), [((0, 0), (1.0,)), ((1, 1), (2.0,))])
-        out = broadcast_side_features(t, row_features=np.full((2, 1), 9.0))
-        assert out.channels == 2
-        assert_allclose(out.values[:, 1], [9.0, 9.0])
-
-    def test_rows_and_cols_appended_in_order(self):
-        t = build_sparse((2, 3), [((0, 1), (0.0,)), ((1, 2), (0.0,))])
-        rf = np.array([[1.0], [2.0]])
-        cf = np.array([[10.0], [20.0], [30.0]])
-        out = broadcast_side_features(t, rf, cf)
-        assert_allclose(out.values, [[0.0, 1.0, 20.0], [0.0, 2.0, 30.0]])
-
-    def test_commutes_with_joint_permutation(self):
-        rng = np.random.default_rng(11)
-        t = random_sparse((4, 5), 2, 11, rng)
-        rf = rng.normal(size=(4, 2))
-        cf = rng.normal(size=(5, 1))
-        perm = PermutationSpec.random(t.dims, rng)
-        inv_r = np.argsort(perm.maps[0])
-        inv_c = np.argsort(perm.maps[1])
-        left = broadcast_side_features(
-            apply_permutation(t, perm), rf[inv_r], cf[inv_c]
-        )
-        right = apply_permutation(broadcast_side_features(t, rf, cf), perm)
-        assert left.allclose(right, tol=0)
-
-    def test_size_mismatch_rejected(self):
-        t = build_sparse((2, 2), [((0, 0), (1.0,))])
-        with pytest.raises(ValueError, match="row features"):
-            broadcast_side_features(t, row_features=np.zeros((3, 1)))
 
 
 class TestChannelDropout:

@@ -346,13 +346,10 @@ class TestPredictRatings:
         p = np.full((1, 5), 0.2)
         assert_allclose(predict_ratings(p, FIVE_STAR), [3.0])
 
-    def test_split_mass_expectation_vs_argmax(self):
-        """Half the mass on 1 and half on 5 averages to 3 but peaks at 1."""
+    def test_split_mass_averages(self):
+        """Half the mass on 1 and half on 5 averages to 3."""
         p = np.array([[0.5, 0.0, 0.0, 0.0, 0.5]])
         assert_allclose(predict_ratings(p, FIVE_STAR), [3.0])
-        assert_allclose(
-            predict_ratings(p, FIVE_STAR, mode="argmax"), [1.0]
-        )
 
     def test_non_normalized_rejected(self):
         p = np.array([[0.5, 0.0, 0.0, 0.0, 0.3]])
@@ -372,11 +369,6 @@ class TestPredictRatings:
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="distributions must be"):
             predict_ratings(np.ones((2, 3)) / 3, FIVE_STAR)
-
-    def test_unknown_mode_rejected(self):
-        p = np.full((1, 5), 0.2)
-        with pytest.raises(ValueError, match="mode"):
-            predict_ratings(p, FIVE_STAR, mode="median")
 
 
 class TestInductivity:

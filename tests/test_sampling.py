@@ -32,14 +32,14 @@ def three_cell_matrix():
 class TestSampleBatch:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            SampleBatch(np.array([[0, 1], [0, 1]]), "uniform")
+            SampleBatch(np.array([[0, 1], [0, 1]]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            SampleBatch(np.zeros((0, 2), dtype=np.int64), "uniform")
+            SampleBatch(np.zeros((0, 2), dtype=np.int64))
 
     def test_indices_are_canonically_ordered(self):
-        b = SampleBatch(np.array([[1, 0], [0, 1], [0, 0]]), "uniform")
+        b = SampleBatch(np.array([[1, 0], [0, 1], [0, 0]]))
         assert_array_equal(b.indices, [[0, 0], [0, 1], [1, 0]])
 
 
@@ -209,7 +209,7 @@ class TestSubsetTensor:
 
     def test_unobserved_index_rejected(self):
         t = three_cell_matrix()
-        b = SampleBatch(np.array([[1, 1]]), "uniform")
+        b = SampleBatch(np.array([[1, 1]]))
         with pytest.raises(ValueError, match="unobserved"):
             subset_tensor(t, b)
 
