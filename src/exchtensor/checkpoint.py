@@ -13,6 +13,7 @@ bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -37,7 +38,6 @@ class Checkpoint:
     params: SelfSupervisedParams | FeaParams
     scale: RatingScale
     metadata: dict
-    format_version: int = FORMAT_VERSION
 
 
 def _subset_from_key(key: str) -> frozenset[int]:
@@ -133,6 +133,8 @@ def _rebuild_stack(
 ) -> tuple[ExchLayerParams, ...]:
     layers = []
     for i, desc in enumerate(descriptors, start=1):
+        if not isinstance(desc, dict):
+            raise TypeError(f"{prefix}{i} descriptor is not an object")
         # headers written before pooling became mean-only carry the mode
         if desc.get("pool_mode", "mean") != "mean":
             raise ValueError(
@@ -233,7 +235,9 @@ def _load(path: str | Path) -> Checkpoint:
                 raise ValueError(
                     f"{path}: truncated payload at {entry['name']!r}"
                 )
-            count = int(np.prod(entry["shape"], dtype=np.int64))
+            if not all(type(d) is int and 0 <= d < 2**63 for d in entry["shape"]):
+                raise TypeError("shape entries must be int64 values >= 0")
+            count = math.prod(entry["shape"])
             dtype = np.dtype(entry["dtype"])
             if entry["nbytes"] != count * dtype.itemsize:
                 raise ValueError(
@@ -262,6 +266,5 @@ def _load(path: str | Path) -> Checkpoint:
         params=params,
         scale=scale,
         metadata=header["metadata"],
-        format_version=header["format_version"],
     )
 

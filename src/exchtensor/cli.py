@@ -78,6 +78,14 @@ def _trials(settings: Settings, default: int) -> int:
     return trials
 
 
+# every key the commands read; a config file may set only these
+SETTINGS = frozenset("""
+    arch budget data decoder_widths dropout_rate encoder_widths epochs format
+    fraction learning_rate mask_prob observed_fraction out patience precision
+    rebin_from rebin_to sampler seed split trials val_fraction widths
+""".split())
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' comments; keys use - or _ freely."""
     out: dict[str, str] = {}
@@ -91,7 +99,10 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = stripped.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        name = key.strip().replace("-", "_")
+        if name not in SETTINGS:
+            raise UsageError(f"{path}:{lineno}: unknown setting {key.strip()!r}")
+        out[name] = value.strip()
     return out
 
 
@@ -100,21 +111,17 @@ class Settings:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.file = (
-            _load_config_file(args.config) if getattr(args, "config", None)
-            else {}
-        )
+        self.file = _load_config_file(args.config) if args.config else {}
 
     def get(self, key: str, default=None, cast=str):
+        if key not in SETTINGS:
+            raise KeyError(f"{key!r} is not listed in SETTINGS")
         flag = getattr(self.args, key, None)
         if flag is not None:
             return cast(flag) if isinstance(flag, str) and cast is not str \
                 else flag
         if key in self.file:
-            raw = self.file[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            return cast(self.file[key])
         return default
 
 
@@ -203,13 +210,11 @@ def _load_data_table(
 def _split_for_training(settings: Settings, scale: RatingScale):
     """(train, val, test) tables for cmd_train from --data/--split."""
     data = settings.get("data")
-    if data is None:
-        raise UsageError("--data is required")
     seed = settings.get("seed", 0, int)
     split = settings.get("split", "random")
     fraction = settings.get("fraction", 0.2, float)
     val_fraction = settings.get("val_fraction", 0.1, float)
-    if data != "synthetic" and Path(data).is_dir():
+    if data not in (None, "synthetic") and Path(data).is_dir():
         base = Path(data) / f"{split}.base"
         test_file = Path(data) / f"{split}.test"
         for p in (base, test_file):
@@ -226,6 +231,8 @@ def _split_for_training(settings: Settings, scale: RatingScale):
             base_table, "random", fraction=val_fraction, seed=seed
         )
         return train_table, val, test
+    if split != "random":
+        raise UsageError(f"--split {split} needs a split directory as --data")
     table = _load_data_table(settings, scale)
     train_table, test, val = canonical_split(
         table, "random", fraction=fraction, seed=seed,
@@ -453,53 +460,35 @@ def cmd_sample_check(args: argparse.Namespace) -> int:
                 raise UsageError(
                     f"budget {budget} exceeds the {n} observed cells"
                 )
+            expected = np.full(n, budget / n)
             counts = np.zeros(n)
             for k in range(trials):
                 batch = uniform_subsample(t, budget, seed=seed + k)
                 counts[t.find(batch.indices)] += 1
-            expected = budget / n
-            sigma = np.sqrt(expected * (1 - expected) / trials)
-            dev = np.abs(counts / trials - expected)
-            max_sigma = float(dev.max() / sigma) if sigma > 0 else 0.0
-            # family-wise bound: max of n near-binomial z-scores
-            threshold = float(norm.ppf(1 - 0.005 / n))
-            record = {
-                "command": "sample-check",
-                "sampler": "uniform",
-                "trials": trials,
-                "budget": budget,
-                "cells": int(n),
-                "expected_frequency": expected,
-                "max_deviation_sigma": max_sigma,
-                "sigma_threshold": threshold,
-                "passed": bool(max_sigma <= threshold),
-            }
+            record = {"budget": budget, "cells": int(n),
+                      "expected_frequency": budget / n}
         elif sampler == "conditional":
             if t.ndim != 2:
                 raise UsageError("conditional sampler works on matrices")
-            marginal = row_marginal(t)
-            n_rows = t.dims[0]
-            counts = np.zeros(n_rows)
+            expected = row_marginal(t)
+            counts = np.zeros(t.dims[0])
             for k in range(trials):
                 batch = conditional_subsample(t, 1, 1, seed=seed + k)
                 counts[np.unique(batch.indices[:, 0])] += 1
-            freq = counts / trials
-            sigma = np.sqrt(marginal * (1 - marginal) / trials)
-            dev = np.abs(freq - marginal)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sigmas = np.where(sigma > 0, dev / sigma, 0.0)
-            threshold = float(norm.ppf(1 - 0.005 / n_rows))
-            record = {
-                "command": "sample-check",
-                "sampler": "conditional",
-                "trials": trials,
-                "rows": int(n_rows),
-                "max_deviation_sigma": float(sigmas.max()),
-                "sigma_threshold": threshold,
-                "passed": bool(sigmas.max() <= threshold),
-            }
+            record = {"rows": int(t.dims[0])}
         else:
             raise UsageError(f"unknown sampler {sampler!r}")
+        sigma = np.sqrt(expected * (1 - expected) / trials)
+        dev = np.abs(counts / trials - expected)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            max_sigma = float(np.where(sigma > 0, dev / sigma, 0.0).max())
+        # family-wise bound: max of near-binomial z-scores, one per entry
+        threshold = float(norm.ppf(1 - 0.005 / expected.size))
+        record.update(
+            command="sample-check", sampler=sampler, trials=trials,
+            max_deviation_sigma=max_sigma, sigma_threshold=threshold,
+            passed=bool(max_sigma <= threshold),
+        )
         _emit(record, report_file)
         return 0 if record["passed"] else 1
     finally:

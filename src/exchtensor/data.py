@@ -9,8 +9,7 @@ share one id space.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,9 +61,6 @@ class RatingScale:
     def integer(cls, lo: int, hi: int) -> "RatingScale":
         return cls(tuple(range(lo, hi + 1)))
 
-    def contains(self, rating: float) -> bool:
-        return self.lo - 1e-9 <= rating <= self.hi + 1e-9
-
 
 FIVE_STAR = RatingScale.integer(1, 5)
 
@@ -83,7 +79,6 @@ class RatingsTable:
     scale: RatingScale
     users: tuple
     items: tuple
-    timestamps: np.ndarray | None = None
 
     def __post_init__(self):
         u = np.asarray(self.u_index, dtype=np.int64)
@@ -95,6 +90,10 @@ class RatingsTable:
             raise ValueError("user index outside the remap table")
         if i.size and (i.min() < 0 or i.max() >= len(self.items)):
             raise ValueError("item index outside the remap table")
+        inside = (r >= self.scale.lo - 1e-9) & (r <= self.scale.hi + 1e-9)
+        if not inside.all():
+            raise ScaleError(f"rating {r[~inside][0]} outside scale "
+                             f"[{self.scale.lo}, {self.scale.hi}]")
         if u.size:
             flat = u * len(self.items) + i
             if np.unique(flat).size != flat.size:
@@ -105,10 +104,6 @@ class RatingsTable:
                     f"duplicate rating for user/item pair "
                     f"({self.users[uu]}, {self.items[ii]})"
                 )
-            if (r < self.scale.lo - 1e-9).any() or (r > self.scale.hi + 1e-9).any():
-                bad = r[(r < self.scale.lo - 1e-9) | (r > self.scale.hi + 1e-9)][0]
-                raise ScaleError(f"rating {bad} outside scale "
-                                 f"[{self.scale.lo}, {self.scale.hi}]")
         object.__setattr__(self, "u_index", u)
         object.__setattr__(self, "i_index", i)
         object.__setattr__(self, "ratings", r)
@@ -129,10 +124,9 @@ class RatingsTable:
 
     def subset(self, rows: np.ndarray) -> "RatingsTable":
         """Rows selected by index array; remap tables are kept whole."""
-        ts = None if self.timestamps is None else self.timestamps[rows]
         return RatingsTable(
             self.u_index[rows], self.i_index[rows], self.ratings[rows],
-            self.scale, self.users, self.items, ts,
+            self.scale, self.users, self.items,
         )
 
     def indices(self) -> np.ndarray:
@@ -140,11 +134,11 @@ class RatingsTable:
 
 
 def _read_triples(path, fmt: str):
-    """Raw (user, item, rating, timestamp) columns with 1-based line errors.
+    """Raw (user, item, rating) columns with 1-based line errors.
 
-    An empty timestamp field reads as 0.
+    The timestamp field must be an integer or empty; its value is unused.
     """
-    users, items, ratings, stamps = [], [], [], []
+    users, items, ratings = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -175,7 +169,7 @@ def _read_triples(path, fmt: str):
                     continue  # header row
                 raise ValueError(f"{path}:{lineno}: bad rating field {r!r}")
             try:
-                stamp = int(ts) if ts.strip() else 0
+                int(ts.strip() or 0)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: bad timestamp field {ts!r}"
@@ -183,10 +177,9 @@ def _read_triples(path, fmt: str):
             users.append(u.strip())
             items.append(i.strip())
             ratings.append(rating)
-            stamps.append(stamp)
     if not users:
         raise ValueError(f"{path}: no ratings found")
-    return users, items, ratings, stamps
+    return users, items, ratings
 
 
 def _first_appearance_remap(ids, table: dict, order: list):
@@ -211,22 +204,16 @@ def _parse_files(paths, fmt: str, scale: RatingScale) -> list[RatingsTable]:
     iorder: list = []
     parts = []
     for path in paths:
-        users, items, ratings, stamps = _read_triples(path, fmt)
-        for r in ratings:
-            if not scale.contains(r):
-                raise ScaleError(
-                    f"{path}: rating {r} outside scale [{scale.lo}, {scale.hi}]"
-                )
-        parts.append((
-            _first_appearance_remap(users, umap, uorder),
-            _first_appearance_remap(items, imap, iorder),
-            np.asarray(ratings),
-            np.array(stamps, dtype=np.int64),
-        ))
-    return [
-        RatingsTable(u, i, r, scale, tuple(uorder), tuple(iorder), ts)
-        for u, i, r, ts in parts
-    ]
+        users, items, ratings = _read_triples(path, fmt)
+        parts.append((path, _first_appearance_remap(users, umap, uorder),
+                      _first_appearance_remap(items, imap, iorder), ratings))
+    tables = []
+    for path, u, i, r in parts:
+        try:
+            tables.append(RatingsTable(u, i, r, scale, uorder, iorder))
+        except ScaleError as exc:
+            raise ScaleError(f"{path}: {exc}") from None
+    return tables
 
 
 def parse_ratings(
@@ -288,11 +275,9 @@ def canonical_split(
     raise ValueError(f"unknown split mode {mode!r}")
 
 
-def encode_onehot(
-    table: RatingsTable, scale: RatingScale | None = None
-) -> SparseExchangeableTensor:
+def encode_onehot(table: RatingsTable) -> SparseExchangeableTensor:
     """Users x items matrix whose channel vector is the rating's one-hot."""
-    scale = scale or table.scale
+    scale = table.scale
     levels = np.asarray(scale.levels)
     pos = np.searchsorted(levels, table.ratings)
     pos = np.clip(pos, 0, len(levels) - 1)

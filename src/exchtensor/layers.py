@@ -291,8 +291,8 @@ def apply_stack(
 
 def dropout_channel_mask(
     channels: int, rate: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """(1, K) multiplicative mask and (K,) keep flags for channel dropout.
+) -> np.ndarray:
+    """(1, K) multiplicative mask for channel dropout.
 
     Survivors are scaled by 1/(1-rate) so expected activations match eval
     mode.
@@ -300,8 +300,7 @@ def dropout_channel_mask(
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     kept = rng.random(channels) >= rate
-    mask = kept[None, :] / (1.0 - rate)
-    return mask, kept
+    return kept[None, :] / (1.0 - rate)
 
 
 @dataclass(frozen=True)
@@ -335,10 +334,6 @@ class FactorPair:
     @property
     def dims(self) -> tuple[int, int]:
         return (self.z_rows.shape[0], self.z_cols.shape[0])
-
-    @property
-    def channels(self) -> tuple[int, int]:
-        return (self.z_rows.shape[1], self.z_cols.shape[1])
 
     def imputed(self) -> "FactorPair":
         """Replace cold factor rows with the mean of the warm ones."""
@@ -375,26 +370,21 @@ def pool_to_factors(t: SparseExchangeableTensor) -> FactorPair:
 def broadcast_factors(
     f: FactorPair,
     indices: np.ndarray | Sequence[Sequence[int]],
-    allow_cold: bool = False,
 ) -> SparseExchangeableTensor:
     """Build a matrix over ``indices`` whose cell (n, m) carries
-    [row factor n ; column factor m]."""
+    [row factor n ; column factor m]; a cold row or column raises."""
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] != 2:
         raise ValueError(f"indices must be (n, 2), got {idx.shape}")
     N, M = f.dims
     if idx.min() < 0 or idx[:, 0].max() >= N or idx[:, 1].max() >= M:
         raise ValueError(f"index outside the {N}x{M} factor tables")
-    if not allow_cold:
-        cold_r = ~f.row_observed[idx[:, 0]]
-        cold_c = ~f.col_observed[idx[:, 1]]
-        if cold_r.any() or cold_c.any():
-            which = ("row", int(idx[cold_r.argmax(), 0])) if cold_r.any() \
-                else ("column", int(idx[cold_c.argmax(), 1]))
-            raise ValueError(
-                f"cold {which[0]} {which[1]} has no factor; impute first or "
-                f"pass allow_cold=True"
-            )
+    cold_r = ~f.row_observed[idx[:, 0]]
+    cold_c = ~f.col_observed[idx[:, 1]]
+    if cold_r.any() or cold_c.any():
+        which = ("row", int(idx[cold_r.argmax(), 0])) if cold_r.any() \
+            else ("column", int(idx[cold_c.argmax(), 1]))
+        raise ValueError(f"cold {which[0]} {which[1]} has no factor; impute first")
     values = np.concatenate(
         [f.z_rows[idx[:, 0]], f.z_cols[idx[:, 1]]], axis=1
     )

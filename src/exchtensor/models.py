@@ -197,17 +197,11 @@ def with_named_arrays(params, arrays):
     })
 
 
-def _stack_params(widths, in_channels, hidden_nl, final_nl, rng,
-                  identity_at=frozenset()):
+def _stack_params(widths, in_channels, hidden_nl, final_nl, rng):
     layers = []
     k = in_channels
     for j, width in enumerate(widths, start=1):
-        if j == len(widths):
-            nl = final_nl
-        elif j in identity_at:
-            nl = "identity"
-        else:
-            nl = hidden_nl
+        nl = final_nl if j == len(widths) else hidden_nl
         layers.append(random_layer_params(2, k, width, rng, nonlinearity=nl))
         k = width
     return tuple(layers)
@@ -226,7 +220,6 @@ def init_params(config: ModelConfig, seed: int = 0):
     encoder = _stack_params(
         config.encoder_widths, config.levels, config.nonlinearity,
         "identity", rng,
-        identity_at=frozenset({len(config.encoder_widths)}),
     )
     decoder = _stack_params(
         config.decoder_widths, 2 * config.factor_size, config.nonlinearity,
@@ -298,16 +291,13 @@ def fea_decode(
         raise ValueError("decoder params do not match the config")
     if imputation:
         factors = factors.imputed()
-    base = broadcast_factors(factors, target_indices, allow_cold=imputation)
+    base = broadcast_factors(factors, target_indices)
     return apply_stack(base, params.decoder)
 
 
 def predict_ratings(distributions, scale: RatingScale) -> np.ndarray:
     """Collapse per-cell level distributions to their expected ratings."""
-    if isinstance(distributions, SparseExchangeableTensor):
-        p = distributions.values
-    else:
-        p = np.asarray(distributions, dtype=np.float64)
+    p = np.asarray(distributions, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != scale.n_levels:
         raise ValueError(
             f"distributions must be (n, {scale.n_levels}), got {p.shape}"

@@ -46,10 +46,6 @@ class SampleBatch:
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
-    @property
-    def size(self) -> int:
-        return self.indices.shape[0]
-
 
 def uniform_subsample(
     t: SparseExchangeableTensor, batch_size: int, seed: int = 0

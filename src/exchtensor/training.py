@@ -138,7 +138,6 @@ class TrainReport:
 class EvalReport:
     rmse: float
     predictions: np.ndarray
-    indices: np.ndarray
 
 
 def mask_inputs(
@@ -296,10 +295,9 @@ def _epoch_dropout_masks(config: ModelConfig, depth_widths, rng) -> dict:
     if config.dropout_rate <= 0.0:
         return masks
     for k in sorted(config.dropout_placement):
-        mask, _ = dropout_channel_mask(
+        masks[k] = dropout_channel_mask(
             depth_widths[k - 1], config.dropout_rate, rng
         )
-        masks[k] = mask
     return masks
 
 
@@ -480,5 +478,4 @@ def evaluate(
     return EvalReport(
         rmse=rmse(preds, query_table.ratings),
         predictions=preds,
-        indices=query,
     )

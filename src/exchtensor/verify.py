@@ -269,7 +269,7 @@ class EquivarianceReport:
 
 def _random_input(dims, channels, rng, dense):
     total = int(np.prod(dims))
-    n_obs = total if dense else max(2, total // 2)
+    n_obs = total if dense else min(total, max(2, total // 2))
     picks = (np.arange(total) if dense
              else rng.choice(total, size=n_obs, replace=False))
     idx = np.stack(np.unravel_index(picks, dims), axis=1)

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, config merging, exit codes."""
 
+import argparse
+import ast
 import json
 from pathlib import Path
 
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 
 from exchtensor.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from exchtensor.cli import main
+from exchtensor import cli
+from exchtensor.cli import SETTINGS, Settings, main
 from exchtensor.data import FIVE_STAR, RatingScale
 from exchtensor.models import ModelConfig, init_params
 
@@ -116,6 +119,16 @@ class TestTrain:
         assert isinstance(records[-1]["test_rmse"], float)
         ck = load_checkpoint(tmp_path / "run" / "model.exchk")
         assert ck.scale.levels == (1.0, 2.0, 3.0, 4.0, 5.0)
+
+    def test_split_prefix_without_split_directory_exits_2(self, tmp_path,
+                                                          capsys):
+        cfg = write_config(tmp_path, "widths = 6,5\n")
+        code, records, err = run(
+            capsys, "train", "--arch", "ss", "--data", "synthetic",
+            "--split", "u9", "--epochs", "1", "--config", cfg,
+        )
+        assert code == 2 and records == []
+        assert "--split u9" in err
 
     def test_fea_arch_with_width_overrides(self, tmp_path, capsys):
         cfg = write_config(
@@ -419,6 +432,35 @@ class TestConfigFile:
         code, _, err = run(capsys, "train", "--arch", "ss", "--data", "synthetic",
                       "--epochs", "1", "--config", cfg)
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["optimizer = sgd", "learning-rat = 5"])
+    def test_unknown_key_exits_2_naming_key_and_file(self, tmp_path, capsys,
+                                                     line):
+        cfg = write_config(tmp_path, f"widths = 6,5\n{line}\n")
+        code, records, err = run(capsys, "train", "--arch", "ss",
+                                 "--data", "synthetic", "--epochs", "1",
+                                 "--config", cfg)
+        assert code == 2 and records == []
+        assert cfg in err and repr(line.split(" =")[0]) in err
+
+    def test_reading_an_unlisted_setting_is_refused(self):
+        settings = Settings(argparse.Namespace(config=None))
+        assert settings.get("epochs", 3, int) == 3
+        with pytest.raises(KeyError, match="optimizer"):
+            settings.get("optimizer")
+
+    def test_settings_lists_exactly_the_keys_read(self):
+        """No listed key goes unread, so none is accepted and ignored."""
+        tree = ast.parse(Path(cli.__file__).read_text())
+        read = {
+            node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "settings"
+        }
+        assert read == SETTINGS
 
     def test_missing_config_file_exits_2(self, capsys):
         code, _, err = run(capsys, "train", "--arch", "ss", "--data", "synthetic",

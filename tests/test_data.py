@@ -8,6 +8,7 @@ from exchtensor.data import (
     FIVE_STAR,
     RatingScale,
     RatingsTable,
+    ScaleError,
     canonical_split,
     encode_onehot,
     parse_ratings,
@@ -47,8 +48,9 @@ class TestRatingScale:
 
     def test_contains_checks_bounds_only(self):
         """A mid-gap value is in range even though it is not a level."""
-        assert FIVE_STAR.contains(2.5)
-        assert not FIVE_STAR.contains(5.5)
+        RatingsTable([0], [0], [2.5], FIVE_STAR, ("a",), ("x",))
+        with pytest.raises(ScaleError, match="rating 5.5 outside scale"):
+            RatingsTable([0], [0], [5.5], FIVE_STAR, ("a",), ("x",))
 
 
 class TestRatingsTable:

@@ -356,16 +356,6 @@ class TestPredictRatings:
         with pytest.raises(ValueError, match="not normalized"):
             predict_ratings(p, FIVE_STAR)
 
-    def test_tensor_input_accepted(self):
-        rng = np.random.default_rng(22)
-        cfg = small_ss_config()
-        params = init_params(cfg, seed=7)
-        x = random_sparse((4, 4), 5, 6, rng)
-        out = self_supervised_forward(x, cfg, params)
-        ratings = predict_ratings(out, FIVE_STAR)
-        assert ratings.shape == (6,)
-        assert (ratings >= 1.0).all() and (ratings <= 5.0).all()
-
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="distributions must be"):
             predict_ratings(np.ones((2, 3)) / 3, FIVE_STAR)

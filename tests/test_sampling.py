@@ -52,7 +52,7 @@ class TestUniformSubsample:
     def test_batch_is_a_subset_without_duplicates(self):
         t = random_sparse((9, 7), 2, 30, np.random.default_rng(0))
         b = uniform_subsample(t, 11, seed=1)
-        assert b.size == 11
+        assert b.indices.shape[0] == 11
         obs = {tuple(ix) for ix in t.indices.tolist()}
         assert {tuple(ix) for ix in b.indices.tolist()} <= obs
 
@@ -187,7 +187,7 @@ class TestBudgetTargets:
         t = random_sparse((60, 60), 1, 1800, rng)
         rows, cols = budget_targets(t, cell_budget=450)
         sizes = [
-            conditional_subsample(t, rows, cols, seed=s).size
+            conditional_subsample(t, rows, cols, seed=s).indices.shape[0]
             for s in range(20)
         ]
         # row-weighted selection overshoots a little; same order suffices

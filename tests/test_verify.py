@@ -277,6 +277,12 @@ class TestReports:
         assert not report.passed
         assert not run_verifier_suite((2, 2), trials=0, oracle_draws=2)["passed"]
 
+    @pytest.mark.parametrize("dims", [(1, 1), (1,)])
+    def test_suite_passes_on_one_cell_shapes(self, dims):
+        out = run_verifier_suite(dims, trials=5, seed=0, oracle_draws=5)
+        assert out["passed"]
+        assert out["census"] == {"legal": 1, "expected": 1}
+
     def test_suite_passes_and_serializes(self):
         out = run_verifier_suite((2, 2), trials=10, seed=0, oracle_draws=10)
         assert out["passed"]
