@@ -1,9 +1,10 @@
 """A minimal reverse-mode differentiation engine over static graphs.
 
 The graph vocabulary is deliberately small: exactly the primitives the
-exchangeable layers and their losses need (segment pooling over observed
-cells, broadcasting group values back, per-row channel mixing, a few
-element-wise nonlinearities, and two fused losses).  There is no control
+exchangeable layers and their losses need (one fused op for a layer's
+pooled sum, segment pooling over observed cells, broadcasting group
+values back, per-row channel mixing, a few element-wise nonlinearities,
+and two fused losses).  There is no control
 flow, no general broadcasting, and no in-graph randomness: dropout enters
 as a precomputed mask attribute so that forward passes are deterministic
 functions of the bindings.
@@ -27,6 +28,7 @@ __all__ = [
     "Graph",
     "NONLINEARITIES",
     "apply_nonlinearity",
+    "equivariant_layer",
     "forward",
     "backward",
 ]
@@ -79,6 +81,13 @@ class Graph:
         return self._add("parameter", name=name)
 
     # structure ops
+
+    def equivariant_layer(self, x: str, bias: str, blocks, groups,
+                          name=None) -> str:
+        """One layer's pre-activation, as the module-level
+        ``equivariant_layer``; a tied layer names its shared block twice."""
+        return self._add("equivariant_layer", (x, bias, *blocks), name,
+                         groups=tuple(groups))
 
     def segment_pool(self, x: str, groups: AxisGroups, mode: str = "mean",
                      name=None) -> str:
@@ -190,6 +199,54 @@ def apply_nonlinearity(x: np.ndarray, kind: str, slope: float = 0.01) -> np.ndar
     raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}, got {kind!r}")
 
 
+def _add_into(total, term, g: AxisGroups | None = None):
+    """total + term, with term's rows gathered to g's cells when g is
+    given (a single group's row broadcasts); in place when total, a
+    temporary or None, keeps the sum's shape and dtype."""
+    if g is not None and g.n_groups > 1:
+        term = np.take(term, g.group_of, axis=0)
+    if total is None:
+        return term
+    if total.shape[0] < term.shape[0] or np.result_type(total, term) != total.dtype:
+        return total + term
+    total += term
+    return total
+
+
+def equivariant_layer(x, bias, blocks, groups):
+    """Pre-activation of one layer, and each pooled term's group means.
+
+    ``blocks`` are the 2^D (K, O) weights in ``all_subsets`` order, the
+    cell block first, and ``groups`` the grouping of each later subset.
+    ``x @ blocks[0] + bias`` adds each term's mixed group means, gathered
+    to the cells, in that order.  x is upcast to float64 once for all the
+    pools; the means take x's floating dtype, as ``group_means`` returns.
+    """
+    x64 = np.asarray(x, dtype=np.float64)
+    out = _add_into(x @ blocks[0], bias)
+    means = [g.group_means(x64).astype(np.result_type(x, np.float32), copy=False)
+             for g in groups]
+    for g, m, w in zip(groups, means, blocks[1:]):
+        out = _add_into(out, m @ w, g)
+    return out, means
+
+
+def _equivariant_layer_grads(dY, x, blocks, groups, means):
+    """(dx, dbias, dblocks) of ``equivariant_layer``.  dx adds the pooled
+    terms in reverse subset order and the cell term last, the order in
+    which separate pool, mix and broadcast nodes accumulated them."""
+    dtype = np.result_type(dY, np.float32)
+    dY64 = np.asarray(dY, dtype=np.float64)
+    dx = None
+    dblocks = [x.T @ dY]
+    for g, m, w in zip(groups[::-1], means[::-1], blocks[:0:-1]):
+        d_mixed = g.group_sums(dY64).astype(dtype, copy=False)
+        dblocks.insert(1, m.T @ d_mixed)
+        d_means = d_mixed @ w.T
+        dx = _add_into(dx, (d_means / g.sizes[:, None]).astype(d_means.dtype), g)
+    return _add_into(dx, dY @ blocks[0].T), dY.sum(axis=0), dblocks
+
+
 def _check_2d(name: str, label: str, v: np.ndarray):
     if v.ndim != 2:
         raise ValueError(f"node '{name}': {label} must be 2-d, got shape {v.shape}")
@@ -199,7 +256,8 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
     """Evaluate every node in topological order; returns name -> value.
 
     All input and parameter nodes must be bound; shape errors name the
-    offending node.
+    offending node.  A layer node also keeps its pooled group means under
+    (name, "means") for the backward pass.
     """
     values: dict[str, np.ndarray] = {}
     for node in graph.nodes:
@@ -211,7 +269,20 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
             values[name] = np.asarray(bindings[name])
             continue
         args = [values[o] for o in node.operands]
-        if op == "segment_pool":
+        if op == "equivariant_layer":
+            x, b, blocks, groups = args[0], args[1], args[2:], node.attrs["groups"]
+            _check_2d(name, "values", x)
+            if {w.shape for w in blocks} != {(x.shape[1], *b.shape)} \
+                    or len(blocks) != len(groups) + 1 \
+                    or any(g.n_members != x.shape[0] for g in groups):
+                raise ValueError(
+                    f"node '{name}': values {x.shape}, bias {b.shape}, "
+                    f"blocks {[w.shape for w in blocks]} and groups of "
+                    f"{[g.n_members for g in groups]} cells do not fit"
+                )
+            values[name], values[name, "means"] = equivariant_layer(
+                x, b, blocks, groups)
+        elif op == "segment_pool":
             (x,) = args
             g: AxisGroups = node.attrs["groups"]
             _check_2d(name, "values", x)
@@ -339,7 +410,16 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
         dY = grads[node.name]
         args = [values[o] for o in node.operands]
         op = node.op
-        if op == "segment_pool":
+        if op == "equivariant_layer":
+            dx, dbias, dblocks = _equivariant_layer_grads(
+                dY, args[0], args[2:], node.attrs["groups"],
+                values[node.name, "means"])
+            accumulate(node.operands[0], dx)
+            accumulate(node.operands[1], dbias)
+            # a tied block takes the later subset's gradient first
+            for o, d in reversed(list(zip(node.operands[2:], dblocks))):
+                accumulate(o, d)
+        elif op == "segment_pool":
             g = node.attrs["groups"]
             dg = (dY / g.sizes[:, None]).astype(dY.dtype)
             accumulate(node.operands[0], dg[g.group_of])

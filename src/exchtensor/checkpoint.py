@@ -197,8 +197,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     A malformed container raises ValueError: a header that is not a JSON
     object, lacks a required key or holds an entry of the wrong type, an
-    array entry whose byte count does not match its shape and dtype, or
-    a layer whose shape disagrees with the widths in ``model_config``.
+    array entry whose byte count does not match its shape and dtype,
+    array byte ranges that do not tile the payload in order, or a layer
+    whose shape disagrees with the widths in ``model_config``.
     """
     try:
         return _load(path)
@@ -228,9 +229,15 @@ def _load(path: str | Path) -> Checkpoint:
     arrays: dict[str, np.ndarray] = {}
     with _entry(path, "'arrays' entry"):
         entries = list(header["arrays"])
+    end = 0
     for entry in entries:
         with _entry(path, f"array entry {entry!r}"):
-            end = entry["offset"] + entry["nbytes"]
+            if not all(type(entry[k]) is int for k in ("offset", "nbytes")):
+                raise TypeError("offset and nbytes must be ints")
+            if entry["offset"] != end:  # as save_checkpoint tiles them
+                raise ValueError(f"{path}: array {entry['name']!r} starts at "
+                                 f"byte {entry['offset']}, not at {end}")
+            end += entry["nbytes"]
             if end > len(payload):
                 raise ValueError(
                     f"{path}: truncated payload at {entry['name']!r}"
@@ -248,6 +255,9 @@ def _load(path: str | Path) -> Checkpoint:
             arr = np.frombuffer(payload, dtype=dtype, count=count,
                                 offset=entry["offset"])
             arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+    if end != len(payload):
+        raise ValueError(f"{path}: {len(payload) - end} payload bytes after "
+                         f"the last array entry")
 
     with _entry(path, "'model_config' entry"):
         config = _config_from_json(header["model_config"])

@@ -196,7 +196,8 @@ def _load_data_table(
     if data == "synthetic":
         p = density if density is not None \
             else settings.get("observed_fraction", 0.3, float)
-        return synthetic_lowrank_table(observed_fraction=p, seed=seed)
+        return synthetic_lowrank_table(observed_fraction=p, seed=seed,
+                                       scale=scale)
     path = Path(data)
     if not path.exists():
         raise UsageError(f"data path {data} does not exist")

@@ -41,8 +41,10 @@ class RatingScale:
 
     def __post_init__(self):
         levels = tuple(float(v) for v in self.levels)
-        if len(levels) < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError(f"levels must be strictly increasing, got {levels}")
+        if len(levels) < 1 or not np.isfinite(levels).all() \
+                or any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ValueError(
+                f"levels must be finite and strictly increasing, got {levels}")
         object.__setattr__(self, "levels", levels)
 
     @property

@@ -14,7 +14,9 @@ broadcasting and channel mixing are all linear, and broadcasting copies
 whole rows, so broadcast(pool(x)) @ W equals broadcast(pool(x) @ W): the
 order is free and the layer mixes the few group rows instead of all n
 cells.  Pool -> mix -> broadcast leaves one (n, K) @ (K, O) product per
-layer, for the cell term, instead of 2^D.
+layer, for the cell term, instead of 2^D.  The whole sum is one op,
+``autodiff.equivariant_layer``: training graphs hold it as one node per
+layer, and inference calls it directly, with no graph.
 
 For matrices (D=2) the four subsets are: both axes (the cell itself), the
 column axis (mean over the cell's column), the row axis (mean over the
@@ -30,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import NONLINEARITIES, Graph, forward
+from .autodiff import NONLINEARITIES, Graph, apply_nonlinearity, equivariant_layer
 from .sparse import AxisGroups, SparseExchangeableTensor
 
 __all__ = [
@@ -203,28 +205,19 @@ def add_layer_nodes(
 ) -> str:
     """Append one equivariant layer to a graph; returns the output node.
 
-    Each pooled term is pool -> mix -> broadcast (see the module
-    docstring); the cell term carries the bias.  Parameter nodes are named
-    per ``block_name``, as in ``params.bindings(prefix)``.  A tied layer
+    The layer is one ``equivariant_layer`` node, then its nonlinearity
+    and, when given, its dropout mask.  Parameter nodes are named per
+    ``block_name``, as in ``params.bindings(prefix)``.  A tied layer
     contributes a single parameter node for its shared block, so the
     backward pass accumulates both terms' gradients into it.
     """
-    ndim = params.ndim
-    added: dict[str, str] = {}
-    bias_node = g.parameter(f"{prefix}.bias")
-    terms = []
-    for S in all_subsets(ndim):
-        nm = block_name(prefix, S, params.tied)
-        if nm not in added:
-            added[nm] = g.parameter(nm)
-        w_node = added[nm]
-        if len(S) == ndim:
-            terms.append(g.channel_mix(x, w_node, bias_node))
-        else:
-            gr = groups[S]
-            mixed = g.channel_mix(g.segment_pool(x, gr), w_node)
-            terms.append(g.gather_broadcast(mixed, gr))
-    summed = g.add(*terms) if len(terms) > 1 else terms[0]
+    subsets = all_subsets(params.ndim)
+    bias = g.parameter(f"{prefix}.bias")
+    blocks = [block_name(prefix, S, params.tied) for S in subsets]
+    for nm in dict.fromkeys(blocks):
+        g.parameter(nm)
+    summed = g.equivariant_layer(x, bias, blocks,
+                                 [groups[S] for S in subsets[1:]])
     out = g.nonlinearity(summed, params.nonlinearity, params.slope)
     if dropout_mask is not None:
         out = g.dropout_mask(out, dropout_mask)
@@ -266,12 +259,15 @@ def exchangeable_tensor_layer(
             f"params expect {params.channels_in} channels, tensor has "
             f"{t.channels}"
         )
-    g = Graph()
-    out = add_stack_nodes(
-        g, g.input("x"), pooling_groups(t), (params,), "layer"
+    groups = pooling_groups(t)
+    subsets = all_subsets(t.ndim)
+    summed, _ = equivariant_layer(
+        t.values, params.bias, [params.blocks[S] for S in subsets],
+        [groups[S] for S in subsets[1:]],
     )
-    bindings = {"x": t.values, **params.bindings("layer1")}
-    return t.with_values(forward(g, bindings)[out])
+    return t.with_values(
+        apply_nonlinearity(summed, params.nonlinearity, params.slope)
+    )
 
 
 def apply_stack(
@@ -280,9 +276,9 @@ def apply_stack(
     """Eval-mode forward of a layer stack over t's index set.
 
     Every layer's output shares t's index set and so its cached pooling
-    groups.  Each layer runs as its own one-layer graph: ``forward`` keeps
-    every node's value, so a whole-stack graph would hold all layers'
-    intermediates at once.
+    groups.  No graph is built: each layer calls ``equivariant_layer`` and
+    its nonlinearity directly, so only the current layer's values are
+    held.
     """
     for lp in stack:
         t = exchangeable_tensor_layer(t, lp)

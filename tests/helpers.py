@@ -5,6 +5,7 @@ import json
 import numpy as np
 
 from exchtensor.checkpoint import MAGIC
+from exchtensor.layers import all_subsets, block_name
 from exchtensor.sparse import SparseExchangeableTensor
 
 
@@ -65,3 +66,31 @@ def rewrite_header(src, dst, edit):
     dst.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob
                     + raw[16 + header_len:])
     return dst
+
+
+def composed_layer_nodes(g, x, groups, params, prefix):
+    """One layer as separate nodes: per pooled subset pool -> mix ->
+    broadcast, the cell term's mix with the bias, one add and the
+    nonlinearity.  The fused ``equivariant_layer`` node must match this
+    composition bit for bit, values and gradients alike."""
+    ndim = params.ndim
+    bias = g.parameter(f"{prefix}.bias")
+    added, terms = {}, []
+    for S in all_subsets(ndim):
+        nm = block_name(prefix, S, params.tied)
+        if nm not in added:
+            added[nm] = g.parameter(nm)
+        if len(S) == ndim:
+            terms.append(g.channel_mix(x, added[nm], bias))
+        else:
+            mixed = g.channel_mix(g.segment_pool(x, groups[S]), added[nm])
+            terms.append(g.gather_broadcast(mixed, groups[S]))
+    return g.nonlinearity(g.add(*terms), params.nonlinearity, params.slope)
+
+
+def assert_bitwise_equal(got, want):
+    """Same dtype, shape and bytes: stricter than equality of values,
+    which lets -0.0 pass for 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import build_sparse
+from helpers import (
+    assert_bitwise_equal, build_sparse, composed_layer_nodes, random_sparse,
+)
 
 from exchtensor.autodiff import Graph, backward, forward
+from exchtensor.layers import (
+    add_layer_nodes, all_subsets, block_name, pooling_groups,
+    random_layer_params,
+)
 from exchtensor.sparse import SparseExchangeableTensor, axis_groups
 
 
@@ -447,3 +453,97 @@ class TestBackward:
         y = g.add(w, w)
         vals = forward(g, {"w": np.full((1, 1), 3.0)})
         assert_allclose(backward(g, vals, y)["w"], [[2.0]])
+
+
+def cast_layer(lp, prefix, dtype):
+    """lp with every array cast to dtype; a tied block stays shared."""
+    return lp.from_bindings(prefix, {
+        k: v.astype(dtype) for k, v in lp.bindings(prefix).items()})
+
+
+class TestEquivariantLayerOp:
+    """The fused layer op against the separate pool, mix, broadcast and
+    add nodes it replaces: equal bit for bit, forward and backward."""
+
+    CASES = [
+        ((6, 7), 25, False),
+        ((5, 5), 14, True),   # tied: one block serves the row and column pools
+        ((1, 8), 6, False),   # one row: a non-empty subset with a single group
+        ((3, 4, 2), 15, False),
+    ]
+
+    @pytest.mark.parametrize("dims, n_obs, tied", CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_composition_bit_for_bit(self, dims, n_obs, tied,
+                                                 dtype):
+        rng = np.random.default_rng(sum(dims) + n_obs)
+        t = random_sparse(dims, 3, n_obs, rng)
+        groups = pooling_groups(t)
+        ndim = len(dims)
+        stack = [cast_layer(random_layer_params(ndim, 3, 4, rng, "leaky_relu",
+                                                tied=tied), "a1", dtype),
+                 cast_layer(random_layer_params(ndim, 4, 2, rng, tied=tied),
+                            "a2", dtype)]
+        for lp in stack:
+            lp.bias[...] = rng.normal(size=lp.bias.shape)
+        bindings = {"x": t.values.astype(dtype),
+                    "target": rng.normal(size=(n_obs, 2)).astype(dtype),
+                    **stack[0].bindings("a1"), **stack[1].bindings("a2")}
+        results = []
+        for emit in (add_layer_nodes, composed_layer_nodes):
+            g = Graph()
+            h = g.parameter("x")  # a parameter, so its gradient is reported
+            outs = []
+            for k, lp in enumerate(stack, start=1):
+                h = emit(g, h, groups, lp, f"a{k}")
+                outs.append(h)
+            loss = g.mean_square_error(h, g.input("target"))
+            values = forward(g, bindings)
+            grads = backward(g, values, loss)
+            results.append(([values[o] for o in outs], grads))
+        (fused_outs, fused_grads), (ref_outs, ref_grads) = results
+        for got, want in zip(fused_outs, ref_outs):
+            assert_bitwise_equal(got, want)
+        assert list(fused_grads) == list(ref_grads)
+        for name in ref_grads:
+            assert_bitwise_equal(fused_grads[name], ref_grads[name])
+
+    @pytest.mark.parametrize("dims, n_obs, tied", CASES)
+    def test_gradients_match_finite_differences(self, dims, n_obs, tied):
+        rng = np.random.default_rng(n_obs)
+        t = random_sparse(dims, 2, n_obs, rng)
+        lp = random_layer_params(len(dims), 2, 3, rng, tied=tied)
+        subsets = all_subsets(len(dims))
+        groups = pooling_groups(t)
+        g = Graph()
+        blocks = [block_name("L", S, tied) for S in subsets]
+        for nm in dict.fromkeys(blocks):
+            g.parameter(nm)
+        y = g.equivariant_layer(g.parameter("x"), g.parameter("L.bias"),
+                                blocks, [groups[S] for S in subsets[1:]])
+        loss = g.mean_square_error(y, g.input("target"))
+        bindings = {"x": t.values, "target": rng.normal(size=(n_obs, 3)),
+                    **lp.bindings("L")}
+        bindings["L.bias"] = rng.normal(size=3)
+        grads = backward(g, forward(g, bindings), loss)
+        assert sorted(grads) == sorted(g.parameters)
+        assert_grads_close(grads, numeric_grads(g, bindings, loss, grads),
+                           rtol=1e-7)
+
+    def test_shape_mismatch_names_the_node(self):
+        t, *_ = three_cell_groups()
+        lp = random_layer_params(2, 1, 2, np.random.default_rng(0))
+        g = Graph()
+        subsets = all_subsets(2)
+        groups = pooling_groups(t)
+        y = g.equivariant_layer(
+            g.input("x"), g.parameter("b"), [g.parameter("w")] * 4,
+            [groups[S] for S in subsets[1:]], name="layer")
+        bindings = {"x": t.values, "b": lp.bias, "w": np.zeros((2, 2))}
+        with pytest.raises(ValueError, match="node 'layer'"):
+            forward(g, bindings)
+        bindings.update(w=np.zeros((1, 2)), x=np.zeros((4, 1)))
+        with pytest.raises(ValueError, match="node 'layer'"):
+            forward(g, bindings)
+        bindings.update(x=t.values)
+        assert forward(g, bindings)[y].shape == (3, 2)

@@ -324,6 +324,35 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="'layer1.w0' declares"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("edit, message", [
+        # a bool is an int to Python and JSON; true would read as byte 1
+        (lambda a: a[0].update(offset=True), "malformed array entry"),
+        (lambda a: a[0].update(nbytes=float(a[0]["nbytes"])),
+         "malformed array entry"),
+        (lambda a: a[1].update(offset=a[1]["offset"] - 4), "starts at byte"),
+        (lambda a: a[1].update(offset=a[1]["offset"] + 4), "starts at byte"),
+    ], ids=["bool-offset", "float-nbytes", "overlap", "gap"])
+    def test_array_ranges_must_tile_the_payload(self, tmp_path, edit,
+                                                message):
+        config, params = small_ss()
+        path = tmp_path / "model.exchk"
+        save_checkpoint(path, config, params, FIVE_STAR)
+        bad = rewrite_header(path, tmp_path / "bad.exchk",
+                             lambda header: edit(header["arrays"]))
+        with pytest.raises(ValueError, match=message) as caught:
+            load_checkpoint(bad)
+        assert header_of(path)["arrays"][message == "starts at byte"]["name"] \
+            in str(caught.value)
+
+    def test_trailing_payload_bytes_rejected(self, tmp_path):
+        config, params = small_fea()
+        path = tmp_path / "model.exchk"
+        save_checkpoint(path, config, params, FIVE_STAR)
+        padded = tmp_path / "padded.exchk"
+        padded.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="8 payload bytes after"):
+            load_checkpoint(padded)
+
     def test_nonfinite_metadata_refused(self, tmp_path):
         config, params = small_ss()
         with pytest.raises(ValueError):

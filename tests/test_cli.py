@@ -3,6 +3,7 @@
 import argparse
 import ast
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,28 @@ class TestEvaluate:
         _, a, _ = run(capsys, *argv)
         _, b, _ = run(capsys, *argv)
         assert a == b
+
+    def test_nan_scale_level_exits_2(self, checkpoint, capsys, tmp_path):
+        bad = rewrite_header(
+            Path(checkpoint), tmp_path / "bad.exchk",
+            lambda header: header["scale"].update(levels=[1, 2, 3, 4, math.nan]))
+        code, _, err = run(capsys, "evaluate", str(bad), "--data",
+                           "synthetic")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "finite" in err
+
+    def test_synthetic_data_takes_the_rebinned_scale(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "widths = 4,10\n")
+        code, _, _ = run(capsys, "train", "--data", "synthetic",
+                         "--rebin-to", "1-10", "--epochs", "0",
+                         "--config", cfg, "--out", str(tmp_path / "d"))
+        assert code == 0
+        ckpt = tmp_path / "d" / "model.exchk"
+        assert load_checkpoint(ckpt).scale == RatingScale.integer(1, 10)
+        code, records, err = run(capsys, "evaluate", str(ckpt), "--data",
+                                 "synthetic")
+        assert code == 0, err
+        assert len(records) == 1
 
     def test_foreign_scale_without_rebin_exits_2(self, checkpoint, capsys,
                                                  tmp_path):

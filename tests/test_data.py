@@ -41,6 +41,13 @@ class TestRatingScale:
         with pytest.raises(ValueError, match="strictly increasing"):
             RatingScale((3.0, 2.0))
 
+    @pytest.mark.parametrize("levels", [
+        (1, 2, 3, 4, float("nan")), (1, 2, float("inf")),
+        (float("-inf"), 1), (float("nan"),)])
+    def test_levels_must_be_finite(self, levels):
+        with pytest.raises(ValueError, match="finite"):
+            RatingScale(levels)
+
     def test_integer_constructor(self):
         s = RatingScale.integer(1, 5)
         assert s.levels == (1.0, 2.0, 3.0, 4.0, 5.0)

@@ -270,6 +270,20 @@ class TestLayerGradients:
                 1.0, np.abs(grads[pname]) + np.abs(num))
             assert rel.max() < 1e-4, pname
 
+    @pytest.mark.parametrize("ndim, n_params", [(2, 5), (3, 9)])
+    def test_a_layer_is_one_op_node_and_its_nonlinearity(self, ndim,
+                                                         n_params):
+        rng = np.random.default_rng(ndim)
+        t = random_sparse((3,) * ndim, 2, 9, rng)
+        params = random_layer_params(ndim, 2, 2, rng)
+        g = Graph()
+        x = g.input("x")
+        add_layer_nodes(g, x, pooling_groups(t), params, "L0",
+                        dropout_mask=np.ones((1, 2)))
+        assert len(g.parameters) == n_params
+        assert [n.op for n in g.nodes if n.op not in ("input", "parameter")] \
+            == ["equivariant_layer", "nonlinearity", "dropout_mask"]
+
     def test_tied_layer_shares_one_parameter_node(self):
         rng = np.random.default_rng(9)
         t = random_sparse((4, 4), 2, 9, rng)

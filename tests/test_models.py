@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from exchtensor import sparse
-from exchtensor.data import FIVE_STAR, RatingScale
-from exchtensor.layers import ExchLayerParams, FactorPair
+from exchtensor import autodiff, layers, sparse
+from exchtensor.autodiff import Graph, forward
+from exchtensor.data import (
+    FIVE_STAR, RatingScale, canonical_split, synthetic_lowrank_table,
+)
+from exchtensor.layers import ExchLayerParams, FactorPair, pooling_groups
 from exchtensor.models import (
     FeaParams,
     ModelConfig,
@@ -15,13 +18,18 @@ from exchtensor.models import (
     fea_decode,
     fea_encode,
     init_params,
+    named_arrays,
     predict_ratings,
     self_supervised_forward,
     union_with_zeros,
+    with_named_arrays,
 )
 from exchtensor.sparse import PermutationSpec, apply_permutation
+from exchtensor.training import evaluate
 
-from helpers import random_dense, random_sparse
+from helpers import (
+    assert_bitwise_equal, composed_layer_nodes, random_dense, random_sparse,
+)
 
 
 def small_ss_config(**overrides):
@@ -374,3 +382,55 @@ class TestInductivity:
         f = fea_encode(large, cfg, params)
         out = fea_decode(f, large.indices, cfg, params, imputation=True)
         assert out.values.shape == (100, 5)
+
+
+def graph_layer(t, params):
+    """A layer run as its own graph of separate pool, mix, broadcast and
+    add nodes, the way inference ran before the fused layer op."""
+    g = Graph()
+    out = composed_layer_nodes(g, g.input("x"), pooling_groups(t), params, "L")
+    return t.with_values(forward(g, {"x": t.values, **params.bindings("L")})[out])
+
+
+class TestInferenceBuildsNoGraph:
+    """The eval-mode forwards build no Graph, and give the values of
+    one-layer graphs of separate nodes bit for bit."""
+
+    @staticmethod
+    def outputs(dtype):
+        table = synthetic_lowrank_table(12, 10, 0.5, seed=4)
+        context, query = canonical_split(table, "random", fraction=0.3, seed=1)
+        x = union_with_zeros(
+            random_sparse((12, 10), 5, 40, np.random.default_rng(2)),
+            query.indices())
+        out = []
+        for cfg in (small_ss_config(widths=(6, 6, 5)), small_fea_config()):
+            params = init_params(cfg, seed=3)
+            params = with_named_arrays(params, {
+                k: v.astype(dtype) for k, v in named_arrays(params).items()})
+            if cfg.architecture == "self-supervised":
+                out.append(self_supervised_forward(x, cfg, params).values)
+            else:
+                factors = fea_encode(x, cfg, params)
+                out += [factors.z_rows, factors.z_cols,
+                        fea_decode(factors, query.indices(), cfg, params).values]
+            out.append(evaluate(cfg, params, context, query).predictions)
+            out.append(evaluate(cfg, params, context, query,
+                                cell_budget=7).predictions)
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_of_per_layer_graphs_without_a_graph(self, monkeypatch,
+                                                        dtype):
+        monkeypatch.setattr(layers, "exchangeable_tensor_layer", graph_layer)
+        want = self.outputs(dtype)
+        monkeypatch.undo()
+
+        def no_graph(self):
+            raise AssertionError("inference built a Graph")
+
+        monkeypatch.setattr(autodiff.Graph, "__init__", no_graph)
+        got = self.outputs(dtype)
+        assert len(got) == len(want) == 8
+        for a, b in zip(got, want):
+            assert_bitwise_equal(a, b)
