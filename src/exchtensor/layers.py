@@ -115,6 +115,8 @@ class ExchLayerParams:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
         if not isinstance(self.slope, Real) or not 0.0 <= self.slope <= 1.0:
             raise ValueError(f"slope must be a number in [0, 1], got {self.slope!r}")
+        # a Python float, as graph nodes hold it, keeps float32 values float32
+        self.slope = float(self.slope)
         if self.tied:
             if ndim != 2:
                 raise ValueError("tied (jointly exchangeable) requires 2 axes")
@@ -265,9 +267,12 @@ def exchangeable_tensor_layer(
         t.values, params.bias, [params.blocks[S] for S in subsets],
         [groups[S] for S in subsets[1:]],
     )
-    return t.with_values(
-        apply_nonlinearity(summed, params.nonlinearity, params.slope)
-    )
+    if params.nonlinearity == "leaky_relu":
+        # summed is this call's own buffer: activate it in place
+        out = np.maximum(summed, params.slope * summed, out=summed)
+    else:
+        out = apply_nonlinearity(summed, params.nonlinearity, params.slope)
+    return t.with_values(out, copy=False)
 
 
 def apply_stack(
@@ -365,14 +370,20 @@ def pool_to_factors(t: SparseExchangeableTensor) -> FactorPair:
 
 def broadcast_factors(
     f: FactorPair,
-    indices: np.ndarray | Sequence[Sequence[int]],
+    indices: np.ndarray | Sequence[Sequence[int]] | SparseExchangeableTensor,
 ) -> SparseExchangeableTensor:
     """Build a matrix over ``indices`` whose cell (n, m) carries
-    [row factor n ; column factor m]; a cold row or column raises."""
-    idx = np.asarray(indices, dtype=np.int64)
+    [row factor n ; column factor m]; a cold row or column raises.
+
+    Given a tensor, the matrix takes its index set and cached groupings,
+    so a decode set built once is grouped once."""
+    cells = indices if isinstance(indices, SparseExchangeableTensor) else None
+    idx = np.asarray(indices if cells is None else cells.indices, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] != 2:
         raise ValueError(f"indices must be (n, 2), got {idx.shape}")
     N, M = f.dims
+    if cells is not None and cells.dims != (N, M):
+        raise ValueError(f"index set dims {cells.dims} differ from factors {(N, M)}")
     if idx.min() < 0 or idx[:, 0].max() >= N or idx[:, 1].max() >= M:
         raise ValueError(f"index outside the {N}x{M} factor tables")
     cold_r = ~f.row_observed[idx[:, 0]]
@@ -384,4 +395,6 @@ def broadcast_factors(
     values = np.concatenate(
         [f.z_rows[idx[:, 0]], f.z_cols[idx[:, 1]]], axis=1
     )
+    if cells is not None:
+        return cells.with_values(values, copy=False)
     return SparseExchangeableTensor((N, M), idx, values)

@@ -275,14 +275,16 @@ def fea_encode(
 
 def fea_decode(
     factors: FactorPair,
-    target_indices: np.ndarray,
+    target_indices: np.ndarray | SparseExchangeableTensor,
     config: ModelConfig,
     params: FeaParams,
     imputation: bool = False,
 ) -> SparseExchangeableTensor:
     """Rebuild rating distributions at target cells from the factors.
 
-    Eval mode: no dropout.  Cold rows or columns (ids the encoder never saw) raise unless
+    ``target_indices`` is an (n, 2) array of cells, or a tensor whose
+    index set (with its cached groupings) is the decode set.  Eval mode:
+    no dropout.  Cold rows or columns (ids the encoder never saw) raise unless
     imputation fills them with the warm-factor mean first.
     """
     if config.architecture != "fea":

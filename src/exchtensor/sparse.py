@@ -14,6 +14,7 @@ permutations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -64,10 +65,13 @@ class SparseExchangeableTensor:
         if idx.min() < 0 or (idx >= np.asarray(dims)).any():
             bad = idx[((idx < 0) | (idx >= np.asarray(dims))).any(axis=1)][0]
             raise ValueError(f"index {tuple(bad)} out of bounds for dims {dims}")
-        order = np.lexsort(idx.T[::-1])
-        idx = idx[order]
-        vals = vals[order]
-        dup = (np.diff(idx, axis=0) == 0).all(axis=1)
+        if math.prod(dims) > np.iinfo(np.int64).max:
+            raise ValueError(f"dims {dims} hold more cells than int64 keys address")
+        # row-major keys sort cells lexicographically, and are unique here
+        keys = np.ravel_multi_index(tuple(idx.T), dims)
+        order = np.argsort(keys)
+        keys, idx, vals = keys[order], idx[order], vals[order]
+        dup = keys[1:] == keys[:-1]
         if dup.any():
             where = int(np.flatnonzero(dup)[0])
             raise ValueError(f"duplicate index {tuple(idx[where])}")
@@ -75,6 +79,7 @@ class SparseExchangeableTensor:
         vals.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
+        self._cache["keys"] = keys
 
     @property
     def ndim(self) -> int:
@@ -88,8 +93,11 @@ class SparseExchangeableTensor:
     def channels(self) -> int:
         return self.values.shape[1]
 
-    def with_values(self, values: np.ndarray) -> "SparseExchangeableTensor":
-        """Same index set and cached groupings, new channel values."""
+    def with_values(
+        self, values: np.ndarray, copy: bool = True
+    ) -> "SparseExchangeableTensor":
+        """Same index set and cached groupings, new channel values;
+        ``copy=False`` takes over an array nobody else holds, read-only."""
         values = np.asarray(values)
         if values.ndim != 2 or values.shape[0] != self.n_observed:
             raise ValueError(
@@ -98,7 +106,8 @@ class SparseExchangeableTensor:
         t = object.__new__(SparseExchangeableTensor)
         object.__setattr__(t, "dims", self.dims)
         object.__setattr__(t, "indices", self.indices)
-        values = values.copy()
+        if copy:
+            values = values.copy()
         values.setflags(write=False)
         object.__setattr__(t, "values", values)
         object.__setattr__(t, "_cache", self._cache)
@@ -117,11 +126,6 @@ class SparseExchangeableTensor:
         cells = np.asarray(cells, dtype=np.int64)
         if cells.ndim != 2 or cells.shape[1] != self.ndim:
             raise ValueError(f"cells must be (m, {self.ndim}), got {cells.shape}")
-        if "keys" not in self._cache:
-            # lexicographic index order makes the row-major keys ascending
-            self._cache["keys"] = np.ravel_multi_index(
-                tuple(self.indices.T), self.dims
-            )
         keys = self._cache["keys"]
         want = np.ravel_multi_index(tuple(cells.T), self.dims)
         pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)

@@ -8,14 +8,21 @@ over the batch's pooling groups) ending in logits and a fused
 cross-entropy; dropout exists only here, as masks drawn per epoch.
 Validation runs the models' eval-mode forward on the full training
 matrix.  Groupings are cached on their index set, so a full-batch fit
-groups the training matrix once, and the self-supervised validation set
-(training cells plus zero-filled validation cells) is built once.
+groups the training matrix once, and the validation sets (training
+cells plus zero-filled validation cells; the autoencoder's decode set)
+are built and grouped once per fit.  A minibatch fit validates each
+epoch on one worker thread while the next epoch's step runs, with
+results bit for bit those of the sequential loop; a multithreaded BLAS
+then serves two callers at once, so set its thread count with that in
+mind.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -271,19 +278,22 @@ def _predict_at(
     x_obs: SparseExchangeableTensor,
     query: np.ndarray,
     scale: RatingScale,
+    decode_set: SparseExchangeableTensor | None = None,
 ) -> np.ndarray:
     """Expected ratings at query cells, given the observed x_obs.
 
-    The autoencoder imputes cold rows and columns.  The self-supervised
-    x_obs may already hold the query cells with zero channels; the union
-    is then x_obs itself, with its cached groupings.
+    The autoencoder imputes cold rows and columns, and decodes over
+    ``decode_set`` (query's cells, built and grouped once) when given.
+    The self-supervised x_obs may already hold the query cells with zero
+    channels; the union is then x_obs itself, with its cached groupings.
     """
     if config.architecture == "self-supervised":
         x_eval = union_with_zeros(x_obs, query)
         out = self_supervised_forward(x_eval, config, params)
     else:
         factors = fea_encode(x_obs, config, params)
-        out = fea_decode(factors, query, config, params, imputation=True)
+        out = fea_decode(factors, query if decode_set is None else decode_set,
+                         config, params, imputation=True)
     dist = out.values[out.find(query)]
     # renormalize away float32 rounding before the strict decode check
     dist = dist / dist.sum(axis=1, keepdims=True)
@@ -335,10 +345,23 @@ def train(
         raise ValueError(
             "self-supervised training needs a positive mask probability"
         )
-    # the validation context never changes, so build and group it once
+    # the validation sets never change: build and group them once, before
+    # a worker thread reads them
     x_val = union_with_zeros(x_full, val_query) if is_ss else x_full
+    pooling_groups(x_val)
+    decode_set = None
+    if not is_ss:
+        decode_set = SparseExchangeableTensor(
+            x_full.dims, val_query, np.empty((val_query.shape[0], 0), dtype)
+        )
+        pooling_groups(decode_set)
 
-    full_batch = x_full.indices.shape[0] <= train_config.cell_budget
+    def validate(p) -> float:
+        preds = _predict_at(model_config, p, x_val, val_query, scale, decode_set)
+        return rmse(preds, val_truth)
+
+    budget = train_config.cell_budget
+    full_batch = x_full.indices.shape[0] <= budget
     rng = np.random.default_rng(train_config.seed)
     state = init_optimizer_state()
     losses: list[float] = []
@@ -349,81 +372,100 @@ def train(
     since_best = 0
     stopped_early = False
     diverged = False
+    pending = None  # (epoch, loss, params, call giving its validation RMSE)
 
-    for epoch in range(1, train_config.epochs + 1):
-        epoch_seed = int(rng.integers(2**62))
-        epoch_rng = np.random.default_rng(epoch_seed)
-        if full_batch:
-            x_batch = x_full
-        elif train_config.sampler == "uniform":
-            batch = uniform_subsample(
-                x_full, train_config.cell_budget, seed=epoch_seed
-            )
-            x_batch = subset_tensor(x_full, batch)
-        else:
-            rows, cols = budget_targets(x_full, train_config.cell_budget)
-            batch = conditional_subsample(x_full, rows, cols, seed=epoch_seed)
-            x_batch = subset_tensor(x_full, batch)
-
-        if is_ss:
-            for attempt in range(10):
-                x_in, masked = mask_inputs(
-                    x_batch, model_config.mask_prob, seed=epoch_seed + attempt
-                )
-                if masked.shape[0] > 0:
-                    break
-            if masked.shape[0] == 0:
-                raise RuntimeError("masking produced no prediction targets")
-            weights = np.zeros(x_batch.n_observed)
-            weights[x_batch.find(masked)] = 1.0
-            masks = _epoch_dropout_masks(
-                model_config, model_config.widths, epoch_rng
-            )
-            g, loss_node, bindings = build_ss_loss_graph(
-                x_in, params.layers, x_batch.values, weights, masks
-            )
-        else:
-            masks = _epoch_dropout_masks(
-                model_config, model_config.decoder_widths, epoch_rng
-            )
-            g, loss_node, bindings = build_fea_loss_graph(
-                x_batch, params.encoder, params.decoder, x_batch.values, masks
-            )
-
-        values = forward(g, bindings)
-        loss = float(np.asarray(values[loss_node]).reshape(()))
-        diverged = not np.isfinite(loss)
-        if not diverged:
-            grads = backward(g, values, loss_node)
-            try:
-                flat, state = optimizer_step(
-                    named_arrays(params), grads, state, train_config
-                )
-            except FloatingPointError:
-                # a non-finite gradient ends the run like a non-finite loss
-                diverged = True
-        if diverged:
-            losses.append(loss)
-            val_curve.append(float("nan"))
-            break
-        params = with_named_arrays(params, flat)
-
-        val = rmse(
-            _predict_at(model_config, params, x_val, val_query, scale),
-            val_truth,
-        )
+    def settle() -> bool:
+        # record the epoch awaiting validation; True when patience ends there
+        nonlocal pending, best_rmse, best_params, best_epoch, since_best, \
+            stopped_early
+        if pending is None:
+            return False
+        (epoch, loss, p, rmse_of), pending = pending, None
+        val = rmse_of()
         losses.append(loss)
         val_curve.append(val)
         if val < best_rmse:
-            best_rmse = val
-            best_params = params
-            best_epoch = epoch
-            since_best = 0
+            best_rmse, best_params, best_epoch, since_best = val, p, epoch, 0
         else:
             since_best += 1
-            if since_best >= train_config.patience:
-                stopped_early = True
+            stopped_early = since_best >= train_config.patience
+        return stopped_early
+
+    # Minibatch epoch e validates on the worker while e+1 steps from the
+    # same params; e is recorded first, and a stop at e discards e+1.  Full
+    # batches validate inline (steps too short to share), starting no thread.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for epoch in range(1, train_config.epochs + 1):
+            epoch_seed = int(rng.integers(2**62))
+            epoch_rng = np.random.default_rng(epoch_seed)
+            try:
+                if full_batch:
+                    x_batch = x_full
+                elif train_config.sampler == "uniform":
+                    batch = uniform_subsample(x_full, budget, seed=epoch_seed)
+                    x_batch = subset_tensor(x_full, batch)
+                else:
+                    rows, cols = budget_targets(x_full, budget)
+                    batch = conditional_subsample(x_full, rows, cols,
+                                                  seed=epoch_seed)
+                    x_batch = subset_tensor(x_full, batch)
+
+                if is_ss:
+                    for attempt in range(10):
+                        x_in, masked = mask_inputs(x_batch, model_config.mask_prob,
+                                                   seed=epoch_seed + attempt)
+                        if masked.shape[0] > 0:
+                            break
+                    if masked.shape[0] == 0:
+                        raise RuntimeError("masking produced no prediction targets")
+                    weights = np.zeros(x_batch.n_observed)
+                    weights[x_batch.find(masked)] = 1.0
+                    masks = _epoch_dropout_masks(
+                        model_config, model_config.widths, epoch_rng
+                    )
+                    g, loss_node, bindings = build_ss_loss_graph(
+                        x_in, params.layers, x_batch.values, weights, masks
+                    )
+                else:
+                    masks = _epoch_dropout_masks(
+                        model_config, model_config.decoder_widths, epoch_rng
+                    )
+                    g, loss_node, bindings = build_fea_loss_graph(
+                        x_batch, params.encoder, params.decoder,
+                        x_batch.values, masks,
+                    )
+
+                values = forward(g, bindings)
+                loss = float(np.asarray(values[loss_node]).reshape(()))
+                step_diverged = not np.isfinite(loss)
+                if not step_diverged:
+                    grads = backward(g, values, loss_node)
+                    try:
+                        flat, state = optimizer_step(
+                            named_arrays(params), grads, state, train_config
+                        )
+                    except FloatingPointError:
+                        # a non-finite gradient ends the run like a non-finite loss
+                        step_diverged = True
+            except Exception:
+                # the step counts only if the last validation goes on
+                if settle():
+                    break
+                raise
+            if settle():
                 break
+            if step_diverged:
+                diverged = True
+                losses.append(loss)
+                val_curve.append(float("nan"))
+                break
+            params = with_named_arrays(params, flat)
+            rmse_of = partial(validate, params) if full_batch \
+                else pool.submit(validate, params).result
+            pending = (epoch, loss, params, rmse_of)
+            if full_batch and settle():
+                break
+        settle()
 
     report = TrainReport(
         train_loss=tuple(losses),

@@ -56,7 +56,7 @@ FLAT_SIZE_CAP = 4096
 
 
 def _check_cap(dims) -> int:
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total > FLAT_SIZE_CAP:
         raise ValueError(
             f"{total} cells exceed the verifier cap of {FLAT_SIZE_CAP}"
@@ -122,8 +122,7 @@ def dense_oracle_layer(
 
 
 def _pool_size(S: frozenset[int], dims) -> int:
-    return int(np.prod([dims[i] for i in range(len(dims)) if i not in S],
-                       dtype=np.int64)) if len(S) < len(dims) else 1
+    return math.prod(dims[i] for i in range(len(dims)) if i not in S)
 
 
 def dense_to_pooled_blocks(blocks: dict, dims) -> dict:
@@ -183,7 +182,7 @@ def apply_flat_permutation(
     t: SparseExchangeableTensor, perm: np.ndarray
 ) -> SparseExchangeableTensor:
     """Relabel cells of a fully observed tensor by a flat permutation."""
-    total = int(np.prod(t.dims))
+    total = math.prod(t.dims)
     if t.n_observed != total:
         raise ValueError("flat permutations act on fully observed tensors")
     out = np.empty_like(t.values)
@@ -268,7 +267,7 @@ class EquivarianceReport:
 
 
 def _random_input(dims, channels, rng, dense):
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     n_obs = total if dense else min(total, max(2, total // 2))
     picks = (np.arange(total) if dense
              else rng.choice(total, size=n_obs, replace=False))
@@ -277,7 +276,7 @@ def _random_input(dims, channels, rng, dense):
 
 
 def _single_one_input(dims, cell, channels=1):
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     values = np.zeros((total, channels))
     values[cell] = 1.0
     idx = np.stack(np.unravel_index(np.arange(total), dims), axis=1)
@@ -287,7 +286,7 @@ def _single_one_input(dims, cell, channels=1):
 def sample_illegal_permutations(dims, count, rng, max_attempts=1000):
     """Random flat bijections outside the product subgroup, after a fixed
     first-cell/last-cell swap regression case (when that swap is illegal)."""
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     out = []
     if sum(d >= 2 for d in dims) >= 2:
         swap = np.arange(total)
@@ -307,7 +306,7 @@ def sample_illegal_permutations(dims, count, rng, max_attempts=1000):
 def find_witness(layer, dims, perm, tolerance=1e-10, channels=1):
     """Search single-1 inputs for one on which the layer fails to commute
     with the given flat permutation."""
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     for cell in range(total):
         x = _single_one_input(dims, cell, channels)
         left = layer(apply_flat_permutation(x, perm))
@@ -417,7 +416,7 @@ def count_orbits(dims, brute_cell_cap: int = 64) -> int:
 
 def enumerate_flat_permutations(dims):
     """All |cells|! flat permutations; only sensible for <= 8 cells."""
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total > 8:
         raise ValueError(f"{total}! permutations is too many to enumerate")
     for p in itertools.permutations(range(total)):
@@ -455,13 +454,13 @@ def run_verifier_suite(
         )
 
     census = None
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total <= 8:
         legal = sum(
             is_legal_permutation(p, dims)[0]
             for p in enumerate_flat_permutations(dims)
         )
-        expected_legal = int(np.prod([math.factorial(d) for d in dims]))
+        expected_legal = math.prod(math.factorial(d) for d in dims)
         census = {"legal": int(legal), "expected": expected_legal}
 
     out = report.to_dict()

@@ -94,3 +94,95 @@ def assert_bitwise_equal(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
+
+
+def sequential_train(model_config, train_config, train_table, val_table):
+    """The training loop as it ran before validation overlapped the next
+    step: one epoch at a time, each validated on the calling thread
+    before the next begins.  ``training.train`` must match it bit for
+    bit.  Returns (TrainReport fields as a dict, best parameters)."""
+    from exchtensor import training as tr
+    from exchtensor.autodiff import backward, forward
+    from exchtensor.data import encode_onehot, rmse
+    from exchtensor.models import (
+        init_params, named_arrays, union_with_zeros, with_named_arrays,
+    )
+    from exchtensor.sampling import (
+        budget_targets, conditional_subsample, subset_tensor,
+        uniform_subsample,
+    )
+
+    mc, tc = model_config, train_config
+    x_full = encode_onehot(train_table)
+    x_full = x_full.with_values(x_full.values.astype(tc.dtype))
+    val_query, val_truth = val_table.indices(), val_table.ratings
+    params = init_params(mc, seed=tc.seed)
+    params = with_named_arrays(params, {
+        name: a.astype(tc.dtype) for name, a in named_arrays(params).items()
+    })
+    is_ss = mc.architecture == "self-supervised"
+    x_val = union_with_zeros(x_full, val_query) if is_ss else x_full
+    full_batch = x_full.n_observed <= tc.cell_budget
+    rng = np.random.default_rng(tc.seed)
+    state = tr.init_optimizer_state()
+    losses, vals = [], []
+    best = dict(best_val_rmse=np.inf, best_epoch=0)
+    best_params, since_best = params, 0
+    stopped_early = diverged = False
+    for epoch in range(1, tc.epochs + 1):
+        epoch_seed = int(rng.integers(2**62))
+        epoch_rng = np.random.default_rng(epoch_seed)
+        if full_batch:
+            x_batch = x_full
+        elif tc.sampler == "uniform":
+            x_batch = subset_tensor(x_full, uniform_subsample(
+                x_full, tc.cell_budget, seed=epoch_seed))
+        else:
+            rows, cols = budget_targets(x_full, tc.cell_budget)
+            x_batch = subset_tensor(x_full, conditional_subsample(
+                x_full, rows, cols, seed=epoch_seed))
+        if is_ss:
+            for attempt in range(10):
+                x_in, masked = tr.mask_inputs(
+                    x_batch, mc.mask_prob, seed=epoch_seed + attempt)
+                if masked.shape[0] > 0:
+                    break
+            weights = np.zeros(x_batch.n_observed)
+            weights[x_batch.find(masked)] = 1.0
+            masks = tr._epoch_dropout_masks(mc, mc.widths, epoch_rng)
+            g, loss_node, bindings = tr.build_ss_loss_graph(
+                x_in, params.layers, x_batch.values, weights, masks)
+        else:
+            masks = tr._epoch_dropout_masks(mc, mc.decoder_widths, epoch_rng)
+            g, loss_node, bindings = tr.build_fea_loss_graph(
+                x_batch, params.encoder, params.decoder, x_batch.values,
+                masks)
+        values = forward(g, bindings)
+        loss = float(np.asarray(values[loss_node]).reshape(()))
+        diverged = not np.isfinite(loss)
+        if not diverged:
+            try:
+                flat, state = tr.optimizer_step(
+                    named_arrays(params), backward(g, values, loss_node),
+                    state, tc)
+            except FloatingPointError:
+                diverged = True
+        losses.append(loss)
+        if diverged:
+            vals.append(float("nan"))
+            break
+        params = with_named_arrays(params, flat)
+        val = rmse(tr._predict_at(mc, params, x_val, val_query,
+                                  train_table.scale), val_truth)
+        vals.append(val)
+        if val < best["best_val_rmse"]:
+            best = dict(best_val_rmse=val, best_epoch=epoch)
+            best_params, since_best = params, 0
+        else:
+            since_best += 1
+            if since_best >= tc.patience:
+                stopped_early = True
+                break
+    report = dict(train_loss=tuple(losses), val_rmse=tuple(vals),
+                  stopped_early=stopped_early, diverged=diverged, **best)
+    return report, best_params

@@ -386,6 +386,16 @@ class TestVerify:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("dims", ["10000000000,10000000000",
+                                      "4294967296,4294967296"])
+    def test_cell_count_beyond_int64_reports_the_true_count(self, capsys, dims):
+        """The cap check multiplies exactly: int64 products wrap, to a
+        wrong count or to 0 cells that pass the cap."""
+        code, records, err = run(capsys, "verify", "--dims", dims)
+        assert code == 2 and records == []
+        count = math.prod(int(d) for d in dims.split(","))
+        assert f"{count} cells exceed the verifier cap" in err
+
     def test_zero_trials_fail_exit_1(self, capsys):
         code, records, _ = run(capsys, "verify", "--dims", "3,3",
                                "--trials", "0")

@@ -8,7 +8,9 @@ from helpers import (
     build_sparse, random_dense, random_sparse, to_dense, transpose_matrix,
 )
 
-from exchtensor.autodiff import Graph, backward, forward
+from exchtensor.autodiff import (
+    Graph, apply_nonlinearity, backward, equivariant_layer, forward,
+)
 from exchtensor.layers import (
     ExchLayerParams,
     FactorPair,
@@ -123,6 +125,32 @@ class TestTensorLayer:
         a = exchangeable_tensor_layer(t, p)
         b = apply_stack(t, (p,))
         assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("nonlinearity",
+                             ["identity", "sigmoid", "leaky_relu", "softmax"])
+    def test_activates_its_own_buffer_bitwise(self, nonlinearity, dtype):
+        """The layer activates the pre-activation in place and hands it
+        over read-only; the values equal the op-by-op result bit for bit,
+        and the input is left as it was."""
+        rng = np.random.default_rng(5)
+        t = random_sparse((6, 7), 3, 25, rng)
+        t = t.with_values(t.values.astype(dtype))
+        before = t.values.copy()
+        p = random_layer_params(2, 3, 4, rng, nonlinearity=nonlinearity)
+        p = ExchLayerParams({S: w.astype(dtype) for S, w in p.blocks.items()},
+                            p.bias.astype(dtype), nonlinearity,
+                            slope=np.float64(0.2))
+        assert type(p.slope) is float
+        subsets = all_subsets(2)
+        pre, _ = equivariant_layer(
+            t.values, p.bias, [p.blocks[S] for S in subsets],
+            [pooling_groups(t)[S] for S in subsets[1:]])
+        want = apply_nonlinearity(pre, nonlinearity, p.slope)
+        got = exchangeable_tensor_layer(t, p).values
+        assert got.dtype == want.dtype == dtype and not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+        assert_array_equal(t.values, before)
 
     def test_three_axis_matches_dense_pooled_oracle(self):
         rng = np.random.default_rng(3)
@@ -401,3 +429,15 @@ class TestFactors:
         f = FactorPair(np.zeros((2, 1)), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="factor tables"):
             broadcast_factors(f, [(2, 0)])
+
+    def test_broadcast_onto_an_index_set_shares_its_groupings(self):
+        rng = np.random.default_rng(19)
+        f = FactorPair(rng.normal(size=(4, 2)), rng.normal(size=(5, 2)))
+        cells = random_sparse((4, 5), 1, 9, rng)
+        groups = pooling_groups(cells)
+        out = broadcast_factors(f, cells)
+        assert out == broadcast_factors(f, cells.indices[::-1])
+        assert pooling_groups(out) == groups
+        assert all(pooling_groups(out)[S] is g for S, g in groups.items())
+        with pytest.raises(ValueError, match="differ from factors"):
+            broadcast_factors(f, random_sparse((4, 6), 1, 9, rng))

@@ -78,6 +78,33 @@ class TestConstruction:
         assert_array_equal(u.indices, t.indices)
         assert_allclose(u.values, t.values * 2.0)
 
+    def test_with_values_copies_unless_handed_the_array(self):
+        t = small_matrix()
+        fresh = t.values * 2.0
+        copied, owned = t.with_values(fresh), t.with_values(fresh, copy=False)
+        assert copied.values is not fresh and fresh.flags.writeable is False
+        assert owned.values is fresh
+        assert copied == owned
+
+    def test_order_matches_lexsort_on_a_three_axis_tensor(self):
+        rng = np.random.default_rng(3)
+        dims = (4, 5, 6)
+        flat = rng.choice(np.prod(dims), 40, replace=False)
+        idx = np.stack(np.unravel_index(flat, dims), axis=1)
+        t = SparseExchangeableTensor(dims, idx, flat[:, None].astype(float))
+        order = np.lexsort(idx.T[::-1])
+        assert_array_equal(t.indices, idx[order])
+        assert_array_equal(t.values[:, 0], flat[order])
+
+    def test_dims_beyond_int64_keys_rejected(self):
+        dims = (2**32, 2**32)
+        with pytest.raises(ValueError, match=r"dims \(4294967296, 4294967296\)"):
+            SparseExchangeableTensor(dims, np.array([[0, 0]]), np.array([[1.0]]))
+        # the largest addressable product still builds
+        t = SparseExchangeableTensor((2**31, 2**32 - 1), np.array([[5, 7]]),
+                                     np.array([[1.0]]))
+        assert t.find(np.array([[5, 7], [7, 5]])).tolist() == [0, -1]
+
 
 class TestAxisGroups:
     def test_row_groups_match_bruteforce(self):

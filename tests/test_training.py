@@ -1,6 +1,8 @@
 """Losses, optimizers, the training loop, and evaluation."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +19,9 @@ from exchtensor.data import (
     encode_onehot,
     synthetic_lowrank_table,
 )
-from exchtensor.layers import random_layer_params
+from exchtensor.layers import (
+    broadcast_factors, pool_to_factors, random_layer_params,
+)
 from exchtensor.models import (
     FeaParams,
     ModelConfig,
@@ -25,6 +29,7 @@ from exchtensor.models import (
     fea_decode,
     fea_encode,
     init_params,
+    named_arrays,
     self_supervised_forward,
     union_with_zeros,
 )
@@ -41,7 +46,7 @@ from exchtensor.training import (
     train,
 )
 
-from helpers import random_sparse
+from helpers import assert_bitwise_equal, random_sparse, sequential_train
 
 
 def tiny_ss_config(levels=3, widths=(4, 3)):
@@ -446,9 +451,10 @@ class TestTrain:
     @pytest.mark.parametrize("arch", ["self-supervised", "fea"])
     def test_full_batch_fit_groups_each_fixed_index_set_once(
             self, arch, monkeypatch):
-        """The training matrix, and the self-supervised validation set,
-        stay fixed over the epochs; each of their groupings is computed
-        once per fit, not once per epoch."""
+        """The training matrix, and the validation set (the
+        self-supervised context plus validation cells, or the
+        autoencoder's decode set), stay fixed over the epochs; each of
+        their groupings is computed once per fit, not once per epoch."""
         tr, val = split_synthetic()
         mc = tiny_ss_config() if arch == "self-supervised" \
             else tiny_fea_config()
@@ -456,6 +462,9 @@ class TestTrain:
         fixed_sets = {x.indices.tobytes()}
         if arch == "self-supervised":
             fixed_sets.add(union_with_zeros(x, val.indices()).indices.tobytes())
+        else:
+            fixed_sets.add(broadcast_factors(
+                pool_to_factors(x), val.indices()).indices.tobytes())
         calls = []
         real = sparse.axis_groups
 
@@ -584,3 +593,146 @@ class TestEvaluate:
                                          seed=0)
         report = evaluate(mc, params, obs_b, query_b)
         assert np.isfinite(report.rmse)
+
+
+def dropout_config(config):
+    """The tiny config with channel dropout after layer 1, so each epoch
+    also draws a dropout mask from the loop's generator."""
+    return replace(config, dropout_rate=0.5, dropout_placement=frozenset({1}))
+
+
+class TestOverlappedValidation:
+    """A minibatch fit validates epoch e on a worker thread while epoch
+    e+1 steps; the fit must equal the sequential loop bit for bit."""
+
+    @staticmethod
+    def minibatch(**kw):
+        base = dict(epochs=8, learning_rate=0.1, seed=7, patience=50,
+                    cell_budget=25, precision="float64")
+        return TrainConfig(**{**base, **kw})
+
+    @pytest.mark.parametrize("early", [True, False],
+                             ids=["early-stopped", "full-length"])
+    @pytest.mark.parametrize("sampler", ["uniform", "conditional"])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("arch", ["self-supervised", "fea"])
+    def test_matches_the_sequential_loop_bit_for_bit(
+            self, arch, precision, sampler, early):
+        tr, val = split_synthetic(seed=3, n_rows=16, n_cols=14)
+        mc = dropout_config(tiny_ss_config() if arch == "self-supervised"
+                            else tiny_fea_config())
+        tc = self.minibatch(sampler=sampler, precision=precision,
+                            patience=2 if early else 50)
+        report, params = train(mc, tc, tr, val)
+        want, want_params = sequential_train(mc, tc, tr, val)
+        assert report.stopped_early == early == want["stopped_early"]
+        for name, value in want.items():
+            assert getattr(report, name) == value, name
+        got, ref = named_arrays(params), named_arrays(want_params)
+        assert got.keys() == ref.keys()
+        for name in ref:
+            assert_bitwise_equal(got[name], ref[name])
+        ev, ev_ref = evaluate(mc, params, tr, val), evaluate(mc, want_params, tr, val)
+        assert_bitwise_equal(ev.predictions, ev_ref.predictions)
+
+    @pytest.mark.parametrize("arch", ["self-supervised", "fea"])
+    def test_matches_the_sequential_loop_under_rapid_thread_switching(
+            self, arch):
+        """With the interpreter switching threads every microsecond, the
+        step and the validation interleave finely; a cache filled by both
+        threads, or parameters changed under the worker, would show."""
+        tr, val = split_synthetic(seed=3, n_rows=16, n_cols=14)
+        mc = tiny_ss_config() if arch == "self-supervised" \
+            else tiny_fea_config()
+        tc = self.minibatch(epochs=6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report, params = train(mc, tc, tr, val)
+        finally:
+            sys.setswitchinterval(interval)
+        want, want_params = sequential_train(mc, tc, tr, val)
+        assert (report.train_loss, report.val_rmse) == \
+            (want["train_loss"], want["val_rmse"])
+        for name, ref in named_arrays(want_params).items():
+            assert_bitwise_equal(named_arrays(params)[name], ref)
+
+    def stop_at_epoch_2(self, monkeypatch, spoil):
+        """A fit whose validation stops it at epoch 2 (zero learning rate,
+        patience 1), with ``spoil(call)`` applied to each forward pass."""
+        real_forward = training.forward
+        calls = []
+
+        def spoiled(g, bindings):
+            calls.append(None)
+            return spoil(len(calls), g, real_forward(g, bindings))
+
+        monkeypatch.setattr(training, "forward", spoiled)
+        tr, val = split_synthetic(seed=3, n_rows=16, n_cols=14)
+        tc = self.minibatch(learning_rate=0.0, patience=1)
+        return train(tiny_ss_config(), tc, tr, val)[0], len(calls)
+
+    def test_a_step_after_the_stopping_epoch_does_not_surface(
+            self, monkeypatch):
+        def raise_at_3(call, g, values):
+            if call == 3:
+                raise RuntimeError("step 3 failed")
+            return values
+
+        def diverge_at_3(call, g, values):
+            if call == 3:
+                values = {k: np.full_like(v, np.nan) for k, v in values.items()}
+            return values
+
+        for spoil in (raise_at_3, diverge_at_3):
+            report, steps = self.stop_at_epoch_2(monkeypatch, spoil)
+            assert steps == 3
+            assert report.epochs_run == 2
+            assert report.stopped_early and not report.diverged
+            assert all(np.isfinite(report.train_loss + report.val_rmse))
+
+    def test_a_step_before_the_stopping_epoch_surfaces(self, monkeypatch):
+        def raise_at_2(call, g, values):
+            if call == 2:
+                raise RuntimeError("step 2 failed")
+            return values
+
+        with pytest.raises(RuntimeError, match="step 2 failed"):
+            self.stop_at_epoch_2(monkeypatch, raise_at_2)
+
+    def test_a_failing_validation_surfaces(self, monkeypatch):
+        real = training._predict_at
+        calls = []
+
+        def fail_second(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("validation 2 failed")
+            return real(*args)
+
+        monkeypatch.setattr(training, "_predict_at", fail_second)
+        tr, val = split_synthetic(seed=3, n_rows=16, n_cols=14)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="validation 2 failed"):
+            train(tiny_fea_config(), self.minibatch(), tr, val)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("full_batch", [False, True])
+    def test_only_a_minibatch_fit_validates_off_the_main_thread(
+            self, full_batch, monkeypatch):
+        real = training._predict_at
+        threads = []
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(training, "_predict_at", recorded)
+        tr, val = split_synthetic(seed=3, n_rows=16, n_cols=14)
+        tc = self.minibatch(epochs=4, cell_budget=10**6 if full_batch else 25)
+        before = threading.active_count()
+        report, _ = train(tiny_ss_config(), tc, tr, val)
+        assert threading.active_count() == before
+        assert len(threads) == report.epochs_run == 4
+        main = threading.get_ident()
+        assert all((t == main) == full_batch for t in threads)
