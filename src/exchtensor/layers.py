@@ -272,7 +272,7 @@ def exchangeable_tensor_layer(
         out = np.maximum(summed, params.slope * summed, out=summed)
     else:
         out = apply_nonlinearity(summed, params.nonlinearity, params.slope)
-    return t.with_values(out, copy=False)
+    return t.with_values(out)
 
 
 def apply_stack(
@@ -396,5 +396,5 @@ def broadcast_factors(
         [f.z_rows[idx[:, 0]], f.z_cols[idx[:, 1]]], axis=1
     )
     if cells is not None:
-        return cells.with_values(values, copy=False)
+        return cells.with_values(values)
     return SparseExchangeableTensor((N, M), idx, values)

@@ -93,11 +93,11 @@ class SparseExchangeableTensor:
     def channels(self) -> int:
         return self.values.shape[1]
 
-    def with_values(
-        self, values: np.ndarray, copy: bool = True
-    ) -> "SparseExchangeableTensor":
-        """Same index set and cached groupings, new channel values;
-        ``copy=False`` takes over an array nobody else holds, read-only."""
+    def with_values(self, values: np.ndarray) -> "SparseExchangeableTensor":
+        """Same index set and cached groupings, new channel values.
+
+        The tensor takes over ``values`` without a copy and makes it
+        read-only; a caller that keeps writing its array passes a copy."""
         values = np.asarray(values)
         if values.ndim != 2 or values.shape[0] != self.n_observed:
             raise ValueError(
@@ -106,8 +106,6 @@ class SparseExchangeableTensor:
         t = object.__new__(SparseExchangeableTensor)
         object.__setattr__(t, "dims", self.dims)
         object.__setattr__(t, "indices", self.indices)
-        if copy:
-            values = values.copy()
         values.setflags(write=False)
         object.__setattr__(t, "values", values)
         object.__setattr__(t, "_cache", self._cache)

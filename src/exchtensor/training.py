@@ -372,100 +372,99 @@ def train(
     since_best = 0
     stopped_early = False
     diverged = False
-    pending = None  # (epoch, loss, params, call giving its validation RMSE)
+    pending = None  # (epoch, loss, params, call giving their validation RMSE)
 
-    def settle() -> bool:
-        # record the epoch awaiting validation; True when patience ends there
-        nonlocal pending, best_rmse, best_params, best_epoch, since_best, \
-            stopped_early
-        if pending is None:
-            return False
-        (epoch, loss, p, rmse_of), pending = pending, None
-        val = rmse_of()
-        losses.append(loss)
-        val_curve.append(val)
-        if val < best_rmse:
-            best_rmse, best_params, best_epoch, since_best = val, p, epoch, 0
-        else:
-            since_best += 1
-            stopped_early = since_best >= train_config.patience
-        return stopped_early
-
-    # Minibatch epoch e validates on the worker while e+1 steps from the
-    # same params; e is recorded first, and a stop at e discards e+1.  Full
-    # batches validate inline (steps too short to share), starting no thread.
+    # Epoch e validates while e+1 steps from the same params: on the worker
+    # for a minibatch, on this thread after the step for a full batch (a
+    # worker slowed those short steps).  e is recorded first, and a stop at
+    # e discards e+1 with its errors; the pass after the last epoch only
+    # records it.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        for epoch in range(1, train_config.epochs + 1):
-            epoch_seed = int(rng.integers(2**62))
-            epoch_rng = np.random.default_rng(epoch_seed)
-            try:
-                if full_batch:
-                    x_batch = x_full
-                elif train_config.sampler == "uniform":
-                    batch = uniform_subsample(x_full, budget, seed=epoch_seed)
-                    x_batch = subset_tensor(x_full, batch)
-                else:
-                    rows, cols = budget_targets(x_full, budget)
-                    batch = conditional_subsample(x_full, rows, cols,
-                                                  seed=epoch_seed)
-                    x_batch = subset_tensor(x_full, batch)
+        for epoch in range(1, train_config.epochs + 2):
+            err = None
+            if epoch <= train_config.epochs:
+                try:
+                    epoch_seed = int(rng.integers(2**62))
+                    epoch_rng = np.random.default_rng(epoch_seed)
+                    if full_batch:
+                        x_batch = x_full
+                    elif train_config.sampler == "uniform":
+                        batch = uniform_subsample(x_full, budget, seed=epoch_seed)
+                        x_batch = subset_tensor(x_full, batch)
+                    else:
+                        rows, cols = budget_targets(x_full, budget)
+                        batch = conditional_subsample(x_full, rows, cols,
+                                                      seed=epoch_seed)
+                        x_batch = subset_tensor(x_full, batch)
 
-                if is_ss:
-                    for attempt in range(10):
-                        x_in, masked = mask_inputs(x_batch, model_config.mask_prob,
-                                                   seed=epoch_seed + attempt)
-                        if masked.shape[0] > 0:
-                            break
-                    if masked.shape[0] == 0:
-                        raise RuntimeError("masking produced no prediction targets")
-                    weights = np.zeros(x_batch.n_observed)
-                    weights[x_batch.find(masked)] = 1.0
-                    masks = _epoch_dropout_masks(
-                        model_config, model_config.widths, epoch_rng
-                    )
-                    g, loss_node, bindings = build_ss_loss_graph(
-                        x_in, params.layers, x_batch.values, weights, masks
-                    )
-                else:
-                    masks = _epoch_dropout_masks(
-                        model_config, model_config.decoder_widths, epoch_rng
-                    )
-                    g, loss_node, bindings = build_fea_loss_graph(
-                        x_batch, params.encoder, params.decoder,
-                        x_batch.values, masks,
-                    )
-
-                values = forward(g, bindings)
-                loss = float(np.asarray(values[loss_node]).reshape(()))
-                step_diverged = not np.isfinite(loss)
-                if not step_diverged:
-                    grads = backward(g, values, loss_node)
-                    try:
-                        flat, state = optimizer_step(
-                            named_arrays(params), grads, state, train_config
+                    if is_ss:
+                        for attempt in range(10):
+                            x_in, masked = mask_inputs(x_batch, model_config.mask_prob,
+                                                       seed=epoch_seed + attempt)
+                            if masked.shape[0] > 0:
+                                break
+                        if masked.shape[0] == 0:
+                            raise RuntimeError(
+                                "masking produced no prediction targets"
+                            )
+                        weights = np.zeros(x_batch.n_observed)
+                        weights[x_batch.find(masked)] = 1.0
+                        masks = _epoch_dropout_masks(
+                            model_config, model_config.widths, epoch_rng
                         )
-                    except FloatingPointError:
-                        # a non-finite gradient ends the run like a non-finite loss
-                        step_diverged = True
-            except Exception:
-                # the step counts only if the last validation goes on
-                if settle():
-                    break
-                raise
-            if settle():
+                        g, loss_node, bindings = build_ss_loss_graph(
+                            x_in, params.layers, x_batch.values, weights, masks
+                        )
+                    else:
+                        masks = _epoch_dropout_masks(
+                            model_config, model_config.decoder_widths, epoch_rng
+                        )
+                        g, loss_node, bindings = build_fea_loss_graph(
+                            x_batch, params.encoder, params.decoder,
+                            x_batch.values, masks,
+                        )
+
+                    values = forward(g, bindings)
+                    loss = float(np.asarray(values[loss_node]).reshape(()))
+                    step_diverged = not np.isfinite(loss)
+                    if not step_diverged:
+                        grads = backward(g, values, loss_node)
+                        try:
+                            flat, state = optimizer_step(
+                                named_arrays(params), grads, state, train_config
+                            )
+                        except FloatingPointError:
+                            # a non-finite gradient ends the run, as a loss does
+                            step_diverged = True
+                except Exception as e:
+                    err = e  # surfaces only if the last validation goes on
+
+            if pending is not None:
+                done, done_loss, done_params, val_of = pending
+                val = val_of()
+                losses.append(done_loss)
+                val_curve.append(val)
+                if val < best_rmse:
+                    best_rmse, best_params, best_epoch = val, done_params, done
+                    since_best = 0
+                else:
+                    since_best += 1
+                    if since_best >= train_config.patience:
+                        stopped_early = True
+                        break
+            if epoch > train_config.epochs:
                 break
+            if err is not None:
+                raise err
             if step_diverged:
                 diverged = True
                 losses.append(loss)
                 val_curve.append(float("nan"))
                 break
             params = with_named_arrays(params, flat)
-            rmse_of = partial(validate, params) if full_batch \
-                else pool.submit(validate, params).result
-            pending = (epoch, loss, params, rmse_of)
-            if full_batch and settle():
-                break
-        settle()
+            val_of = (partial(validate, params) if full_batch
+                      else pool.submit(validate, params).result)
+            pending = (epoch, loss, params, val_of)
 
     report = TrainReport(
         train_loss=tuple(losses),

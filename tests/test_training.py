@@ -602,8 +602,8 @@ def dropout_config(config):
 
 
 class TestOverlappedValidation:
-    """A minibatch fit validates epoch e on a worker thread while epoch
-    e+1 steps; the fit must equal the sequential loop bit for bit."""
+    """A fit validates epoch e while epoch e+1 steps, on a worker thread
+    for a minibatch; the fit must equal the sequential loop bit for bit."""
 
     @staticmethod
     def minibatch(**kw):
@@ -613,7 +613,7 @@ class TestOverlappedValidation:
 
     @pytest.mark.parametrize("early", [True, False],
                              ids=["early-stopped", "full-length"])
-    @pytest.mark.parametrize("sampler", ["uniform", "conditional"])
+    @pytest.mark.parametrize("sampler", ["full-batch", "uniform", "conditional"])
     @pytest.mark.parametrize("precision", ["float32", "float64"])
     @pytest.mark.parametrize("arch", ["self-supervised", "fea"])
     def test_matches_the_sequential_loop_bit_for_bit(
@@ -621,8 +621,10 @@ class TestOverlappedValidation:
         tr, val = split_synthetic(seed=3, n_rows=16, n_cols=14)
         mc = dropout_config(tiny_ss_config() if arch == "self-supervised"
                             else tiny_fea_config())
-        tc = self.minibatch(sampler=sampler, precision=precision,
-                            patience=2 if early else 50)
+        full = sampler == "full-batch"
+        tc = self.minibatch(sampler="uniform" if full else sampler,
+                            cell_budget=10**6 if full else 25,
+                            precision=precision, patience=2 if early else 50)
         report, params = train(mc, tc, tr, val)
         want, want_params = sequential_train(mc, tc, tr, val)
         assert report.stopped_early == early == want["stopped_early"]
@@ -657,7 +659,7 @@ class TestOverlappedValidation:
         for name, ref in named_arrays(want_params).items():
             assert_bitwise_equal(named_arrays(params)[name], ref)
 
-    def stop_at_epoch_2(self, monkeypatch, spoil):
+    def stop_at_epoch_2(self, monkeypatch, spoil, full_batch=False):
         """A fit whose validation stops it at epoch 2 (zero learning rate,
         patience 1), with ``spoil(call)`` applied to each forward pass."""
         real_forward = training.forward
@@ -669,11 +671,13 @@ class TestOverlappedValidation:
 
         monkeypatch.setattr(training, "forward", spoiled)
         tr, val = split_synthetic(seed=3, n_rows=16, n_cols=14)
-        tc = self.minibatch(learning_rate=0.0, patience=1)
+        tc = self.minibatch(learning_rate=0.0, patience=1,
+                            cell_budget=10**6 if full_batch else 25)
         return train(tiny_ss_config(), tc, tr, val)[0], len(calls)
 
+    @pytest.mark.parametrize("full_batch", [False, True])
     def test_a_step_after_the_stopping_epoch_does_not_surface(
-            self, monkeypatch):
+            self, monkeypatch, full_batch):
         def raise_at_3(call, g, values):
             if call == 3:
                 raise RuntimeError("step 3 failed")
@@ -685,7 +689,8 @@ class TestOverlappedValidation:
             return values
 
         for spoil in (raise_at_3, diverge_at_3):
-            report, steps = self.stop_at_epoch_2(monkeypatch, spoil)
+            report, steps = self.stop_at_epoch_2(monkeypatch, spoil,
+                                                 full_batch)
             assert steps == 3
             assert report.epochs_run == 2
             assert report.stopped_early and not report.diverged
