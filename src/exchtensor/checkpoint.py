@@ -22,7 +22,14 @@ import numpy as np
 
 from .data import RatingScale
 from .layers import ExchLayerParams, block_key, block_name
-from .models import FeaParams, ModelConfig, SelfSupervisedParams, named_arrays
+from .models import (
+    PARAMS_CLASSES,
+    FeaParams,
+    ModelConfig,
+    SelfSupervisedParams,
+    check_params,
+    named_arrays,
+)
 
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint"]
 
@@ -80,11 +87,15 @@ def save_checkpoint(
 ) -> None:
     """Write a model to ``path`` in the EXCHK001 container format.
 
-    The header is strict JSON: a non-finite number in ``metadata`` raises
-    ValueError rather than writing a NaN or Infinity token.
+    Params that ``models.check_params`` refuses for ``config`` raise, so
+    every file written loads.  The header is strict JSON: a non-finite
+    number in ``metadata`` raises ValueError rather than writing a NaN or
+    Infinity token.
     """
-    if not isinstance(params, (SelfSupervisedParams, FeaParams)):
-        raise TypeError(f"cannot checkpoint parameters of type {type(params)!r}")
+    try:
+        check_params(config, params)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"cannot checkpoint to {path}: {exc}") from exc
     stack_blob = {
         field: [_layer_descriptor(lp) for lp in getattr(params, field)]
         for field in params.STACKS
@@ -157,30 +168,6 @@ def _rebuild_stack(
             )
         )
     return tuple(layers)
-
-
-def _check_widths(path, config: ModelConfig, params) -> None:
-    """Each layer's (K, O) must be the one the config's widths give it."""
-    if config.architecture == "self-supervised":
-        stacks = {"layers": (config.levels, config.widths)}
-    else:
-        stacks = {"encoder": (config.levels, config.encoder_widths),
-                  "decoder": (2 * config.factor_size, config.decoder_widths)}
-    for field, (k, widths) in stacks.items():
-        layers = getattr(params, field)
-        prefix = params.STACKS[field]
-        if len(layers) != len(widths):
-            raise ValueError(
-                f"{path}: {len(layers)} '{prefix}' layers, but model_config "
-                f"gives {len(widths)} widths"
-            )
-        for i, (lp, o) in enumerate(zip(layers, widths), start=1):
-            if (lp.channels_in, lp.channels_out) != (k, o):
-                raise ValueError(
-                    f"{path}: {prefix}{i} is {lp.channels_in} -> "
-                    f"{lp.channels_out}, but model_config says {k} -> {o}"
-                )
-            k = o
 
 
 @contextmanager
@@ -261,14 +248,16 @@ def _load(path: str | Path) -> Checkpoint:
 
     with _entry(path, "'model_config' entry"):
         config = _config_from_json(header["model_config"])
-    cls = SelfSupervisedParams if config.architecture == "self-supervised" \
-        else FeaParams
+    cls = PARAMS_CLASSES[config.architecture]
     with _entry(path, "'stacks' entry"):
         params = cls(**{
             field: _rebuild_stack(prefix, header["stacks"][field], arrays)
             for field, prefix in cls.STACKS.items()
         })
-    _check_widths(path, config, params)
+    try:
+        check_params(config, params)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     with _entry(path, "'scale' entry"):
         scale = RatingScale(tuple(header["scale"]["levels"]))
     return Checkpoint(

@@ -34,6 +34,7 @@ from .data import (
 )
 from .models import ModelConfig, init_params
 from .sampling import (
+    DEFAULT_CELL_BUDGET,
     conditional_subsample,
     row_marginal,
     uniform_subsample,
@@ -215,6 +216,8 @@ def _split_for_training(settings: Settings, scale: RatingScale):
     split = settings.get("split", "random")
     fraction = settings.get("fraction", 0.2, float)
     val_fraction = settings.get("val_fraction", 0.1, float)
+    if not val_fraction > 0:
+        raise UsageError(f"val_fraction must be positive, got {val_fraction}")
     if data not in (None, "synthetic") and Path(data).is_dir():
         base = Path(data) / f"{split}.base"
         test_file = Path(data) / f"{split}.test"
@@ -246,50 +249,42 @@ def _model_config(settings: Settings, scale: RatingScale) -> ModelConfig:
     arch = settings.get("arch", "self-supervised")
     if arch in ("ss", "self-supervised"):
         base = ModelConfig.self_supervised_default(levels=scale.n_levels)
-        widths = settings.get("widths", None, _parse_widths)
-        if widths is not None:
-            depth = len(widths)
-            base = dataclasses.replace(
-                base, widths=widths,
-                dropout_placement=frozenset(
-                    k for k in base.dropout_placement if k < depth
-                ),
-            )
+        given = {"widths": settings.get("widths", None, _parse_widths)}
     elif arch == "fea":
         base = ModelConfig.fea_default(levels=scale.n_levels)
         enc = settings.get("encoder_widths", None, _parse_widths)
-        dec = settings.get("decoder_widths", None, _parse_widths)
-        if enc is not None:
-            base = dataclasses.replace(base, encoder_widths=enc,
-                                       factor_size=enc[-1])
-        if dec is not None:
-            base = dataclasses.replace(
-                base, decoder_widths=dec,
-                dropout_placement=frozenset(
-                    k for k in base.dropout_placement if k < len(dec)
-                ),
-            )
+        given = {
+            "encoder_widths": enc,
+            "factor_size": enc[-1] if enc else None,
+            "decoder_widths": settings.get("decoder_widths", None,
+                                           _parse_widths),
+        }
     else:
         raise UsageError(f"unknown architecture {arch!r}")
-    rate = settings.get("dropout_rate", None, float)
-    if rate is not None:
-        base = dataclasses.replace(base, dropout_rate=rate)
-    mask = settings.get("mask_prob", None, float)
-    if mask is not None:
-        base = dataclasses.replace(base, mask_prob=mask)
-    return base
+    given.update(dropout_rate=settings.get("dropout_rate", None, float),
+                 mask_prob=settings.get("mask_prob", None, float))
+    config = dataclasses.replace(base, dropout_placement=frozenset(), **{
+        key: value for key, value in given.items() if value is not None
+    })
+    # keep the default dropout layers below the new last stack's output
+    depth = len(config.dropout_widths)
+    return dataclasses.replace(config, dropout_placement=frozenset(
+        k for k in base.dropout_placement if k < depth
+    ))
 
 
-def _train_config(settings: Settings) -> TrainConfig:
-    return TrainConfig(
-        epochs=settings.get("epochs", 100, int),
-        learning_rate=settings.get("learning_rate", 1e-3, float),
-        cell_budget=settings.get("budget", 20_000, int),
-        sampler=settings.get("sampler", "uniform"),
-        seed=settings.get("seed", 0, int),
-        patience=settings.get("patience", 20, int),
-        precision=settings.get("precision", "float32"),
-    )
+def _train_fields(settings: Settings) -> dict:
+    """The TrainConfig fields that flags or the config file set."""
+    given = {
+        "epochs": settings.get("epochs", None, int),
+        "learning_rate": settings.get("learning_rate", None, float),
+        "cell_budget": settings.get("budget", None, int),
+        "sampler": settings.get("sampler"),
+        "seed": settings.get("seed", None, int),
+        "patience": settings.get("patience", None, int),
+        "precision": settings.get("precision"),
+    }
+    return {field: value for field, value in given.items() if value is not None}
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -303,16 +298,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_config = _model_config(settings, scale)
     out = _out_dir(settings)
     report_file = open(out / "report.jsonl", "w") if out else None
-    epochs = settings.get("epochs", 100, int)
-    seed = settings.get("seed", 0, int)
+    given = _train_fields(settings)
+    seed = given.get("seed", TrainConfig.seed)
     try:
-        if epochs == 0:
+        if given.get("epochs") == 0:
             params = init_params(model_config, seed=seed)
             metadata = {"seed": seed, "epochs_run": 0, "best_epoch": 0,
                         "best_val_rmse": None}
             final = {"command": "train", "epochs_run": 0}
         else:
-            train_config = _train_config(settings)
+            train_config = TrainConfig(**given)
             report, params = train(model_config, train_config, train_table,
                                    val)
             for rec in report.records():
@@ -445,7 +440,7 @@ def cmd_sample_check(args: argparse.Namespace) -> int:
     table = _load_data_table(settings, FIVE_STAR)
     t = encode_onehot(table)
     sampler = settings.get("sampler", "uniform")
-    budget = settings.get("budget", 20_000, int)
+    budget = settings.get("budget", DEFAULT_CELL_BUDGET, int)
     trials = _trials(settings, 100)
     seed = settings.get("seed", 0, int)
     out = _out_dir(settings)

@@ -35,7 +35,9 @@ __all__ = [
     "named_arrays",
     "with_named_arrays",
     "union_with_zeros",
+    "PARAMS_CLASSES",
     "init_params",
+    "check_params",
     "count_parameters",
     "self_supervised_forward",
     "fea_encode",
@@ -48,9 +50,10 @@ __all__ = [
 class ModelConfig:
     """Architecture hyperparameters; widths are per-layer output channels.
 
-    ``dropout_placement`` holds 1-based layer indices: positions in the
-    main stack for the self-supervised model, positions in the decoder
-    for the autoencoder.
+    No parameter belongs to a row or column, so the config fixes every
+    array's shape; ``stacks`` describes it and ``check_params`` enforces
+    it.  ``dropout_placement`` holds 1-based layer indices into the last
+    stack: the self-supervised model's only stack, the fea decoder.
     """
 
     architecture: str
@@ -65,7 +68,7 @@ class ModelConfig:
     factor_size: int = 100
 
     def __post_init__(self):
-        if self.architecture not in ("self-supervised", "fea"):
+        if self.architecture not in PARAMS_CLASSES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
@@ -81,34 +84,43 @@ class ModelConfig:
         object.__setattr__(
             self, "dropout_placement", frozenset(self.dropout_placement)
         )
-        if self.architecture == "self-supervised":
-            if not self.widths:
-                raise ValueError("self-supervised model needs layer widths")
-            if self.widths[-1] != self.levels:
-                raise ValueError(
-                    f"final width {self.widths[-1]} must equal the "
-                    f"level count {self.levels}"
-                )
-            depth = len(self.widths)
-        else:
-            if not self.encoder_widths or not self.decoder_widths:
-                raise ValueError("autoencoder needs encoder and decoder widths")
-            if self.encoder_widths[-1] != self.factor_size:
-                raise ValueError(
-                    f"encoder must end at the factor size "
-                    f"({self.encoder_widths[-1]} vs {self.factor_size})"
-                )
-            if self.decoder_widths[-1] != self.levels:
-                raise ValueError(
-                    f"final decoder width {self.decoder_widths[-1]} must "
-                    f"equal the level count {self.levels}"
-                )
-            depth = len(self.decoder_widths)
+        for field, (_, outs, _) in self.stacks.items():
+            if not outs:
+                raise ValueError(f"the {field} stack needs widths")
+        if self.architecture == "fea" \
+                and self.encoder_widths[-1] != self.factor_size:
+            raise ValueError(
+                f"encoder must end at the factor size "
+                f"({self.encoder_widths[-1]} vs {self.factor_size})"
+            )
+        outs = self.dropout_widths
+        if outs[-1] != self.levels:
+            raise ValueError(
+                f"final width {outs[-1]} must equal the level count {self.levels}"
+            )
+        depth = len(outs)
         bad = [k for k in self.dropout_placement if not 1 <= k <= depth]
         if bad:
             raise ValueError(
                 f"dropout placement {sorted(bad)} outside layers 1..{depth}"
             )
+
+    @property
+    def stacks(self) -> dict[str, tuple[int, tuple[int, ...], str]]:
+        """(input channels, per-layer widths, last layer's nonlinearity)
+        of each layer stack, by params field in the params' STACKS order."""
+        if self.architecture == "self-supervised":
+            return {"layers": (self.levels, self.widths, "softmax")}
+        return {
+            "encoder": (self.levels, self.encoder_widths, "identity"),
+            "decoder": (2 * self.factor_size, self.decoder_widths, "softmax"),
+        }
+
+    @property
+    def dropout_widths(self) -> tuple[int, ...]:
+        """Widths of the last stack, which ``dropout_placement`` indexes."""
+        *_, (_, outs, _) = self.stacks.values()
+        return outs
 
     @classmethod
     def self_supervised_default(cls, levels: int = 5) -> "ModelConfig":
@@ -197,35 +209,46 @@ def with_named_arrays(params, arrays):
     })
 
 
-def _stack_params(widths, in_channels, hidden_nl, final_nl, rng):
-    layers = []
-    k = in_channels
-    for j, width in enumerate(widths, start=1):
-        nl = final_nl if j == len(widths) else hidden_nl
-        layers.append(random_layer_params(2, k, width, rng, nonlinearity=nl))
-        k = width
-    return tuple(layers)
+# architecture -> params class; its STACKS name the fields of config.stacks
+PARAMS_CLASSES = {"self-supervised": SelfSupervisedParams, "fea": FeaParams}
 
 
 def init_params(config: ModelConfig, seed: int = 0):
     """Fresh parameters for a config; data shape plays no part."""
     rng = np.random.default_rng(seed)
-    if config.architecture == "self-supervised":
-        return SelfSupervisedParams(
-            _stack_params(
-                config.widths, config.levels, config.nonlinearity,
-                "softmax", rng,
-            )
+    stacks = {}
+    for field, (k, outs, final_nl) in config.stacks.items():
+        nls = [config.nonlinearity] * (len(outs) - 1) + [final_nl]
+        stacks[field] = tuple(
+            random_layer_params(2, k_in, o, rng, nonlinearity=nl)
+            for k_in, o, nl in zip((k, *outs[:-1]), outs, nls)
         )
-    encoder = _stack_params(
-        config.encoder_widths, config.levels, config.nonlinearity,
-        "identity", rng,
-    )
-    decoder = _stack_params(
-        config.decoder_widths, 2 * config.factor_size, config.nonlinearity,
-        "softmax", rng,
-    )
-    return FeaParams(encoder, decoder)
+    return PARAMS_CLASSES[config.architecture](**stacks)
+
+
+def check_params(config: ModelConfig, params) -> None:
+    """Refuse params that are not the model ``config.stacks`` describes:
+    TypeError for another params class, ValueError for a stack of another
+    depth or a layer of another (channels in, channels out)."""
+    cls = PARAMS_CLASSES[config.architecture]
+    if not isinstance(params, cls):
+        raise TypeError(f"{config.architecture} model takes {cls.__name__}, "
+                        f"not {type(params).__name__}")
+    for field, (k, outs, _) in config.stacks.items():
+        layers = getattr(params, field)
+        prefix = cls.STACKS[field]
+        if len(layers) != len(outs):
+            raise ValueError(
+                f"{len(layers)} '{prefix}' layers, but model_config gives "
+                f"{len(outs)} widths"
+            )
+        for i, (lp, o) in enumerate(zip(layers, outs), start=1):
+            if (lp.channels_in, lp.channels_out) != (k, o):
+                raise ValueError(
+                    f"{prefix}{i} is {lp.channels_in} -> {lp.channels_out}, "
+                    f"but model_config says {k} -> {o}"
+                )
+            k = o
 
 
 def count_parameters(params) -> int:
@@ -242,16 +265,10 @@ def self_supervised_forward(
     Eval mode: no dropout.  Cells wanting predictions should be present
     with zeroed channels.
     """
-    if config.architecture != "self-supervised":
-        raise ValueError("config is not for the self-supervised model")
+    check_params(config, params)
     if x_in.channels != config.levels:
         raise ValueError(
             f"input has {x_in.channels} channels, expected {config.levels}"
-        )
-    if len(params.layers) != len(config.widths):
-        raise ValueError(
-            f"{len(params.layers)} layers of params for "
-            f"{len(config.widths)} configured layers"
         )
     return apply_stack(x_in, params.layers)
 
@@ -262,14 +279,11 @@ def fea_encode(
     params: FeaParams,
 ) -> FactorPair:
     """Pool an exchangeable stack into per-row and per-column factors."""
-    if config.architecture != "fea":
-        raise ValueError("config is not for the autoencoder")
+    check_params(config, params)
     if x.channels != config.levels:
         raise ValueError(
             f"input has {x.channels} channels, expected {config.levels}"
         )
-    if len(params.encoder) != len(config.encoder_widths):
-        raise ValueError("encoder params do not match the config")
     return pool_to_factors(apply_stack(x, params.encoder))
 
 
@@ -287,10 +301,7 @@ def fea_decode(
     no dropout.  Cold rows or columns (ids the encoder never saw) raise unless
     imputation fills them with the warm-factor mean first.
     """
-    if config.architecture != "fea":
-        raise ValueError("config is not for the autoencoder")
-    if len(params.decoder) != len(config.decoder_widths):
-        raise ValueError("decoder params do not match the config")
+    check_params(config, params)
     if imputation:
         factors = factors.imputed()
     base = broadcast_factors(factors, target_indices)

@@ -33,6 +33,7 @@ from .models import (
     FeaParams,
     ModelConfig,
     SelfSupervisedParams,
+    check_params,
     fea_decode,
     fea_encode,
     init_params,
@@ -105,8 +106,10 @@ class TrainConfig:
             raise ValueError("need at least one epoch")
         if self.precision not in ("float32", "float64"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning rate must be finite and nonnegative")
+        if self.patience < 1:
+            raise ValueError("patience must be at least 1")
 
     @property
     def dtype(self):
@@ -300,13 +303,13 @@ def _predict_at(
     return predict_ratings(dist, scale)
 
 
-def _epoch_dropout_masks(config: ModelConfig, depth_widths, rng) -> dict:
+def _epoch_dropout_masks(config: ModelConfig, rng) -> dict:
     masks = {}
     if config.dropout_rate <= 0.0:
         return masks
     for k in sorted(config.dropout_placement):
         masks[k] = dropout_channel_mask(
-            depth_widths[k - 1], config.dropout_rate, rng
+            config.dropout_widths[k - 1], config.dropout_rate, rng
         )
     return masks
 
@@ -325,6 +328,8 @@ def train(
     input every epoch and takes its loss only on the masked cells; the
     autoencoder reconstructs every observed cell.
     """
+    if val_table.n_ratings == 0:
+        raise ValueError("the validation table is empty")
     t0 = time.perf_counter()
     dtype = train_config.dtype
     scale = train_table.scale
@@ -336,6 +341,7 @@ def train(
     params = initial_params if initial_params is not None else init_params(
         model_config, seed=train_config.seed
     )
+    check_params(model_config, params)
     # one cast per named array, so a tied block stays one shared array
     params = with_named_arrays(params, {
         name: a.astype(dtype) for name, a in named_arrays(params).items()
@@ -397,6 +403,7 @@ def train(
                                                       seed=epoch_seed)
                         x_batch = subset_tensor(x_full, batch)
 
+                    masks = _epoch_dropout_masks(model_config, epoch_rng)
                     if is_ss:
                         for attempt in range(10):
                             x_in, masked = mask_inputs(x_batch, model_config.mask_prob,
@@ -409,16 +416,10 @@ def train(
                             )
                         weights = np.zeros(x_batch.n_observed)
                         weights[x_batch.find(masked)] = 1.0
-                        masks = _epoch_dropout_masks(
-                            model_config, model_config.widths, epoch_rng
-                        )
                         g, loss_node, bindings = build_ss_loss_graph(
                             x_in, params.layers, x_batch.values, weights, masks
                         )
                     else:
-                        masks = _epoch_dropout_masks(
-                            model_config, model_config.decoder_widths, epoch_rng
-                        )
                         g, loss_node, bindings = build_fea_loss_graph(
                             x_batch, params.encoder, params.decoder,
                             x_batch.values, masks,
@@ -497,6 +498,8 @@ def evaluate(
     decoder pools over the query set.  So ``cell_budget`` chunking changes
     the predictions and the RMSE.
     """
+    if query_table.n_ratings == 0:
+        raise ValueError("the query table is empty")
     x_obs = encode_onehot(observed_table)
     query = query_table.indices()
     both = x_obs.find(query) >= 0

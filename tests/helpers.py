@@ -141,6 +141,7 @@ def sequential_train(model_config, train_config, train_table, val_table):
             rows, cols = budget_targets(x_full, tc.cell_budget)
             x_batch = subset_tensor(x_full, conditional_subsample(
                 x_full, rows, cols, seed=epoch_seed))
+        masks = tr._epoch_dropout_masks(mc, epoch_rng)
         if is_ss:
             for attempt in range(10):
                 x_in, masked = tr.mask_inputs(
@@ -149,11 +150,9 @@ def sequential_train(model_config, train_config, train_table, val_table):
                     break
             weights = np.zeros(x_batch.n_observed)
             weights[x_batch.find(masked)] = 1.0
-            masks = tr._epoch_dropout_masks(mc, mc.widths, epoch_rng)
             g, loss_node, bindings = tr.build_ss_loss_graph(
                 x_in, params.layers, x_batch.values, weights, masks)
         else:
-            masks = tr._epoch_dropout_masks(mc, mc.decoder_widths, epoch_rng)
             g, loss_node, bindings = tr.build_fea_loss_graph(
                 x_batch, params.encoder, params.decoder, x_batch.values,
                 masks)

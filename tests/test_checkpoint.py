@@ -145,7 +145,7 @@ class TestTiedLayers:
         assert loaded.blocks[frozenset({0})] is loaded.blocks[frozenset({1})]
 
     def test_tied_array_stored_once(self, tmp_path):
-        layer = random_layer_params(2, 3, 4, np.random.default_rng(0),
+        layer = random_layer_params(2, 4, 4, np.random.default_rng(0),
                                     nonlinearity="softmax", tied=True)
         config = ModelConfig(architecture="self-supervised", levels=4,
                              widths=(4,), mask_prob=0.2)

@@ -131,6 +131,27 @@ class TestTrain:
         assert code == 2 and records == []
         assert "--split u9" in err
 
+    @pytest.mark.parametrize("line", ["val_fraction = 0",
+                                      "val_fraction = -0.1"])
+    def test_no_validation_set_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                      line):
+        cfg = write_config(tmp_path, f"widths = 6,5\n{line}\n")
+        code, records, err = run(capsys, "train", "--data", "synthetic",
+                                 "--epochs", "1", "--config", cfg)
+        assert code == 2 and records == []
+        assert "val_fraction" in err
+
+    @pytest.mark.parametrize("line, named", [
+        ("learning_rate = nan", "learning rate"),
+        ("patience = -3", "patience"),
+    ])
+    def test_bad_loop_setting_exits_2(self, tmp_path, capsys, line, named):
+        cfg = write_config(tmp_path, f"widths = 6,5\n{line}\n")
+        code, records, err = run(capsys, "train", "--data", "synthetic",
+                                 "--epochs", "1", "--config", cfg)
+        assert code == 2 and records == []
+        assert named in err
+
     def test_fea_arch_with_width_overrides(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "encoder_widths = 8,4\ndecoder_widths = 8,5\n")

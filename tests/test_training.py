@@ -120,6 +120,10 @@ class TestTrainConfig:
             dict(epochs=0),
             dict(precision="float16"),
             dict(learning_rate=-1.0),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
+            dict(patience=0),
+            dict(patience=-3),
         ):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
@@ -345,6 +349,13 @@ def split_synthetic(seed=0, n_rows=12, n_cols=10, frac=0.5):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("config", [tiny_ss_config(), tiny_fea_config()],
+                             ids=["ss", "fea"])
+    def test_empty_validation_table_rejected(self, config):
+        tr, val = split_synthetic()
+        with pytest.raises(ValueError, match="validation table is empty"):
+            train(config, TrainConfig(epochs=1), tr, val.subset([]))
+
     def test_zero_learning_rate_keeps_the_untrained_rmse(self):
         """One no-op epoch reports exactly the untrained model's score."""
         tr, val = split_synthetic()
@@ -534,6 +545,13 @@ class TestPrecision:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("config", [tiny_ss_config(), tiny_fea_config()],
+                             ids=["ss", "fea"])
+    def test_empty_query_table_rejected(self, config):
+        tr, val = split_synthetic()
+        with pytest.raises(ValueError, match="query table is empty"):
+            evaluate(config, init_params(config), tr, val.subset([]))
+
     def test_overlapping_query_rejected(self):
         tr, val = split_synthetic()
         mc = tiny_ss_config()
