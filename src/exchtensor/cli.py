@@ -32,7 +32,7 @@ from .data import (
     rebin_scale,
     synthetic_lowrank_table,
 )
-from .models import ModelConfig, init_params
+from .models import ModelConfig, fea_encode, init_params
 from .sampling import (
     DEFAULT_CELL_BUDGET,
     conditional_subsample,
@@ -299,15 +299,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = _out_dir(settings)
     report_file = open(out / "report.jsonl", "w") if out else None
     given = _train_fields(settings)
-    seed = given.get("seed", TrainConfig.seed)
+    zero_epochs = given.get("epochs") == 0
     try:
-        if given.get("epochs") == 0:
+        # zero epochs write the initial params; the other loop settings
+        # are checked all the same
+        train_config = TrainConfig(**dict(given, epochs=1) if zero_epochs
+                                   else given)
+        seed = train_config.seed
+        if zero_epochs:
             params = init_params(model_config, seed=seed)
             metadata = {"seed": seed, "epochs_run": 0, "best_epoch": 0,
                         "best_val_rmse": None}
             final = {"command": "train", "epochs_run": 0}
         else:
-            train_config = TrainConfig(**given)
             report, params = train(model_config, train_config, train_table,
                                    val)
             for rec in report.records():
@@ -383,15 +387,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_factorize(args: argparse.Namespace) -> int:
     settings = Settings(args)
     ck = load_checkpoint(args.checkpoint)
-    if ck.config.architecture != "fea":
-        raise UsageError(
-            "no factors defined for a self-supervised checkpoint; "
-            "factorize needs an autoencoder (fea) model"
-        )
-    from .models import fea_encode
-
     table = _load_data_table(settings, ck.scale)
-    factors = fea_encode(encode_onehot(table), ck.config, ck.params)
+    try:
+        factors = fea_encode(encode_onehot(table), ck.config, ck.params)
+    except TypeError as exc:
+        raise UsageError(f"no factors defined for this checkpoint ({exc}); "
+                         f"factorize needs an autoencoder (fea) model") from exc
     out = _out_dir(settings) or Path(".")
     rows_file = out / "factors_rows.tsv"
     cols_file = out / "factors_cols.tsv"

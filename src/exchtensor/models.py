@@ -16,14 +16,16 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autodiff import NONLINEARITIES
+from .autodiff import NONLINEARITIES, Graph
 from .data import RatingScale
 from .layers import (
     ExchLayerParams,
     FactorPair,
+    add_stack_nodes,
     apply_stack,
     broadcast_factors,
     pool_to_factors,
+    pooling_groups,
     random_layer_params,
 )
 from .sparse import SparseExchangeableTensor
@@ -39,6 +41,9 @@ __all__ = [
     "init_params",
     "check_params",
     "count_parameters",
+    "mask_inputs",
+    "build_ss_loss_graph",
+    "build_fea_loss_graph",
     "self_supervised_forward",
     "fea_encode",
     "fea_decode",
@@ -177,6 +182,33 @@ class SelfSupervisedParams:
     # stack field -> array name prefix; layer k of a stack is prefix + k
     STACKS: ClassVar[dict[str, str]] = {"layers": "layer"}
 
+    @staticmethod
+    def prepare(x_obs: SparseExchangeableTensor, query: np.ndarray):
+        """The context with the query cells added as zeros, grouped once."""
+        x = union_with_zeros(x_obs, query)
+        pooling_groups(x)
+        return x
+
+    def predict(self, config: ModelConfig, prepared) -> SparseExchangeableTensor:
+        return self_supervised_forward(prepared, config, self)
+
+    def loss_graph(self, config: ModelConfig, batch: SparseExchangeableTensor,
+                   masks: dict, seed: int):
+        """Cross-entropy on a random subset of the batch's cells, whose
+        inputs are zeroed; another seed is tried while none is masked."""
+        for attempt in range(10):
+            x_in, masked = mask_inputs(batch, config.mask_prob,
+                                       seed=seed + attempt)
+            if masked.shape[0] > 0:
+                break
+        else:
+            raise ValueError(f"mask probability {config.mask_prob} masked "
+                             f"no cell of the batch in 10 tries")
+        weights = np.zeros(batch.n_observed)
+        weights[batch.find(masked)] = 1.0
+        return build_ss_loss_graph(x_in, self.layers, batch.values, weights,
+                                   masks)
+
 
 @dataclass(frozen=True)
 class FeaParams:
@@ -184,6 +216,27 @@ class FeaParams:
     decoder: tuple[ExchLayerParams, ...]
 
     STACKS: ClassVar[dict[str, str]] = {"encoder": "enc", "decoder": "dec"}
+
+    @staticmethod
+    def prepare(x_obs: SparseExchangeableTensor, query: np.ndarray):
+        """(context, decode set over the query cells), each grouped once."""
+        decode_set = SparseExchangeableTensor(x_obs.dims, query,
+                                              np.empty((len(query), 0)))
+        pooling_groups(x_obs)
+        pooling_groups(decode_set)
+        return x_obs, decode_set
+
+    def predict(self, config: ModelConfig, prepared) -> SparseExchangeableTensor:
+        """Decode at the query cells; cold rows and columns are imputed."""
+        x_obs, decode_set = prepared
+        return fea_decode(fea_encode(x_obs, config, self), decode_set, config,
+                          self, imputation=True)
+
+    def loss_graph(self, config: ModelConfig, batch: SparseExchangeableTensor,
+                   masks: dict, seed: int):
+        """Reconstruct every cell of the batch; nothing is masked."""
+        return build_fea_loss_graph(batch, self.encoder, self.decoder,
+                                    batch.values, masks)
 
 
 def named_arrays(params) -> dict[str, np.ndarray]:
@@ -255,6 +308,96 @@ def count_parameters(params) -> int:
     return sum(a.size for a in named_arrays(params).values())
 
 
+def _check_forward(config: ModelConfig, params, cls: type, forward: str):
+    check_params(config, params)
+    if not isinstance(params, cls):  # the other model's matching pair
+        raise TypeError(f"{forward} takes {cls.__name__}, not {type(params).__name__}")
+
+
+def mask_inputs(
+    t: SparseExchangeableTensor, probability: float, seed: int = 0
+) -> tuple[SparseExchangeableTensor, np.ndarray]:
+    """Zero whole cells independently; returns (masked tensor, masked set).
+
+    Masked cells stay in the index set so the model still produces
+    outputs there; only their channel vectors become zero.
+    """
+    if not 0.0 <= probability < 1.0:
+        raise ValueError(f"mask probability must be in [0, 1), got {probability}")
+    rng = np.random.default_rng(seed)
+    hit = rng.random(t.indices.shape[0]) < probability
+    values = t.values.copy()
+    values[hit] = 0.0
+    return t.with_values(values), t.indices[hit]
+
+
+def _logits_stack(stack):
+    """The training graph ends at logits; softmax lives in the fused loss."""
+    last = stack[-1]
+    if last.nonlinearity != "softmax":
+        raise ValueError(
+            "training expects a softmax on the final layer, got "
+            f"{last.nonlinearity!r}"
+        )
+    return (*stack[:-1], replace(last, nonlinearity="identity"))
+
+
+def build_ss_loss_graph(
+    x: SparseExchangeableTensor,
+    layer_stack,
+    targets: np.ndarray,
+    target_weights: np.ndarray | None,
+    dropout_masks: dict | None = None,
+):
+    """Cross-entropy training graph for the plain exchangeable stack.
+
+    Returns (graph, loss node, bindings); parameters are named as in
+    ``named_arrays(SelfSupervisedParams(layer_stack))``, so gradients map
+    back onto the model.
+    """
+    model = SelfSupervisedParams(tuple(layer_stack))
+    g = Graph()
+    logits = add_stack_nodes(
+        g, g.input("x"), pooling_groups(x), _logits_stack(layer_stack),
+        model.STACKS["layers"], dropout_masks,
+    )
+    loss = g.softmax_cross_entropy(
+        logits, g.input("targets"), row_weights=target_weights
+    )
+    bindings = {"x": x.values, "targets": targets, **named_arrays(model)}
+    return g, loss, bindings
+
+
+def build_fea_loss_graph(
+    x: SparseExchangeableTensor,
+    encoder_stack,
+    decoder_stack,
+    targets: np.ndarray,
+    dropout_masks: dict | None = None,
+):
+    """Reconstruction graph: encode, pool to factors, broadcast back over
+    the same cells, decode, cross-entropy against the input's one-hots.
+    Parameters are named as in ``named_arrays(FeaParams(...))``."""
+    model = FeaParams(tuple(encoder_stack), tuple(decoder_stack))
+    g = Graph()
+    groups = pooling_groups(x)
+    hidden = add_stack_nodes(g, g.input("x"), groups, encoder_stack,
+                             model.STACKS["encoder"])
+    by_row = groups[frozenset({0})]
+    by_col = groups[frozenset({1})]
+    factors = g.concat_channels(
+        g.gather_broadcast(g.segment_pool(hidden, by_row), by_row),
+        g.gather_broadcast(g.segment_pool(hidden, by_col), by_col),
+    )
+    logits = add_stack_nodes(
+        g, factors, groups, _logits_stack(decoder_stack),
+        model.STACKS["decoder"], dropout_masks,
+    )
+    loss = g.softmax_cross_entropy(logits, g.input("targets"))
+    bindings = {"x": x.values, "targets": targets, **named_arrays(model)}
+    return g, loss, bindings
+
+
 def self_supervised_forward(
     x_in: SparseExchangeableTensor,
     config: ModelConfig,
@@ -265,7 +408,7 @@ def self_supervised_forward(
     Eval mode: no dropout.  Cells wanting predictions should be present
     with zeroed channels.
     """
-    check_params(config, params)
+    _check_forward(config, params, SelfSupervisedParams, "self_supervised_forward")
     if x_in.channels != config.levels:
         raise ValueError(
             f"input has {x_in.channels} channels, expected {config.levels}"
@@ -279,7 +422,7 @@ def fea_encode(
     params: FeaParams,
 ) -> FactorPair:
     """Pool an exchangeable stack into per-row and per-column factors."""
-    check_params(config, params)
+    _check_forward(config, params, FeaParams, "fea_encode")
     if x.channels != config.levels:
         raise ValueError(
             f"input has {x.channels} channels, expected {config.levels}"
@@ -301,7 +444,7 @@ def fea_decode(
     no dropout.  Cold rows or columns (ids the encoder never saw) raise unless
     imputation fills them with the warm-factor mean first.
     """
-    check_params(config, params)
+    _check_forward(config, params, FeaParams, "fea_decode")
     if imputation:
         factors = factors.imputed()
     base = broadcast_factors(factors, target_indices)

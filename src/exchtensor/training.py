@@ -1,46 +1,44 @@
 """The Adam optimizer, the training loop, and evaluation.
 
-Training builds one computation graph per epoch (cheap next to the
-forward pass) so channel-dropout masks and minibatch index sets can
-change freely, then runs one optimizer step on the flat parameter
-bindings.  The graph is the models' own layer stack (``add_stack_nodes``
-over the batch's pooling groups) ending in logits and a fused
-cross-entropy; dropout exists only here, as masks drawn per epoch.
-Validation runs the models' eval-mode forward on the full training
-matrix.  Groupings are cached on their index set, so a full-batch fit
-groups the training matrix once, and the validation sets (training
-cells plus zero-filled validation cells; the autoencoder's decode set)
-are built and grouped once per fit.  A minibatch fit validates each
+Nothing here depends on the architecture: each params class of
+``models`` reads a context (``prepare``), predicts (``predict``) and
+builds its training graph (``loss_graph``), and this module only calls
+those.  Training builds one computation graph per epoch (cheap next to
+the forward pass) so channel-dropout masks, input masks and minibatch
+index sets can change freely, then runs one optimizer step on the flat
+parameter bindings; dropout exists only here, as masks drawn per epoch.
+Validation runs the model's eval-mode prediction against the full
+training matrix.  Groupings are cached on their index set, so a
+full-batch fit groups the training matrix once, and the validation set
+is prepared and grouped once per fit.  A minibatch fit validates each
 epoch on one worker thread while the next epoch's step runs, with
 results bit for bit those of the sequential loop; a multithreaded BLAS
 then serves two callers at once, so set its thread count with that in
-mind.
+mind.  ``mask_inputs`` and the two loss-graph builders live in
+``models`` and are re-exported here.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .autodiff import Graph, backward, forward
+from .autodiff import backward, forward
 from .data import RatingScale, RatingsTable, encode_onehot, rmse
-from .layers import add_stack_nodes, dropout_channel_mask, pooling_groups
+from .layers import dropout_channel_mask
 from .models import (
-    FeaParams,
     ModelConfig,
-    SelfSupervisedParams,
+    build_fea_loss_graph,
+    build_ss_loss_graph,
     check_params,
-    fea_decode,
-    fea_encode,
     init_params,
+    mask_inputs,
     named_arrays,
     predict_ratings,
-    self_supervised_forward,
-    union_with_zeros,
     with_named_arrays,
 )
 from .sampling import (
@@ -50,7 +48,6 @@ from .sampling import (
     subset_tensor,
     uniform_subsample,
 )
-from .sparse import SparseExchangeableTensor
 
 __all__ = [
     "TrainConfig",
@@ -150,23 +147,6 @@ class EvalReport:
     predictions: np.ndarray
 
 
-def mask_inputs(
-    t: SparseExchangeableTensor, probability: float, seed: int = 0
-) -> tuple[SparseExchangeableTensor, np.ndarray]:
-    """Zero whole cells independently; returns (masked tensor, masked set).
-
-    Masked cells stay in the index set so the model still produces
-    outputs there; only their channel vectors become zero.
-    """
-    if not 0.0 <= probability < 1.0:
-        raise ValueError(f"mask probability must be in [0, 1), got {probability}")
-    rng = np.random.default_rng(seed)
-    hit = rng.random(t.indices.shape[0]) < probability
-    values = t.values.copy()
-    values[hit] = 0.0
-    return t.with_values(values), t.indices[hit]
-
-
 @dataclass(frozen=True)
 class OptimizerState:
     step: int
@@ -208,95 +188,16 @@ def optimizer_step(
     return new_params, OptimizerState(t, m, v)
 
 
-def _logits_stack(stack):
-    """The training graph ends at logits; softmax lives in the fused loss."""
-    last = stack[-1]
-    if last.nonlinearity != "softmax":
-        raise ValueError(
-            "training expects a softmax on the final layer, got "
-            f"{last.nonlinearity!r}"
-        )
-    return (*stack[:-1], replace(last, nonlinearity="identity"))
-
-
-def build_ss_loss_graph(
-    x: SparseExchangeableTensor,
-    layer_stack,
-    targets: np.ndarray,
-    target_weights: np.ndarray | None,
-    dropout_masks: dict | None = None,
-):
-    """Cross-entropy training graph for the plain exchangeable stack.
-
-    Returns (graph, loss node, bindings); parameters are named as in
-    ``named_arrays(SelfSupervisedParams(layer_stack))``, so gradients map
-    back onto the model.
-    """
-    model = SelfSupervisedParams(tuple(layer_stack))
-    g = Graph()
-    logits = add_stack_nodes(
-        g, g.input("x"), pooling_groups(x), _logits_stack(layer_stack),
-        model.STACKS["layers"], dropout_masks,
-    )
-    loss = g.softmax_cross_entropy(
-        logits, g.input("targets"), row_weights=target_weights
-    )
-    bindings = {"x": x.values, "targets": targets, **named_arrays(model)}
-    return g, loss, bindings
-
-
-def build_fea_loss_graph(
-    x: SparseExchangeableTensor,
-    encoder_stack,
-    decoder_stack,
-    targets: np.ndarray,
-    dropout_masks: dict | None = None,
-):
-    """Reconstruction graph: encode, pool to factors, broadcast back over
-    the same cells, decode, cross-entropy against the input's one-hots.
-    Parameters are named as in ``named_arrays(FeaParams(...))``."""
-    model = FeaParams(tuple(encoder_stack), tuple(decoder_stack))
-    g = Graph()
-    groups = pooling_groups(x)
-    hidden = add_stack_nodes(g, g.input("x"), groups, encoder_stack,
-                             model.STACKS["encoder"])
-    by_row = groups[frozenset({0})]
-    by_col = groups[frozenset({1})]
-    factors = g.concat_channels(
-        g.gather_broadcast(g.segment_pool(hidden, by_row), by_row),
-        g.gather_broadcast(g.segment_pool(hidden, by_col), by_col),
-    )
-    logits = add_stack_nodes(
-        g, factors, groups, _logits_stack(decoder_stack),
-        model.STACKS["decoder"], dropout_masks,
-    )
-    loss = g.softmax_cross_entropy(logits, g.input("targets"))
-    bindings = {"x": x.values, "targets": targets, **named_arrays(model)}
-    return g, loss, bindings
-
-
 def _predict_at(
     config: ModelConfig,
     params,
-    x_obs: SparseExchangeableTensor,
+    prepared,
     query: np.ndarray,
     scale: RatingScale,
-    decode_set: SparseExchangeableTensor | None = None,
 ) -> np.ndarray:
-    """Expected ratings at query cells, given the observed x_obs.
-
-    The autoencoder imputes cold rows and columns, and decodes over
-    ``decode_set`` (query's cells, built and grouped once) when given.
-    The self-supervised x_obs may already hold the query cells with zero
-    channels; the union is then x_obs itself, with its cached groupings.
-    """
-    if config.architecture == "self-supervised":
-        x_eval = union_with_zeros(x_obs, query)
-        out = self_supervised_forward(x_eval, config, params)
-    else:
-        factors = fea_encode(x_obs, config, params)
-        out = fea_decode(factors, query if decode_set is None else decode_set,
-                         config, params, imputation=True)
+    """Expected ratings at query cells, from ``params.prepare``'s reading
+    of the observed context and these query cells."""
+    out = params.predict(config, prepared)
     dist = out.values[out.find(query)]
     # renormalize away float32 rounding before the strict decode check
     dist = dist / dist.sum(axis=1, keepdims=True)
@@ -324,9 +225,10 @@ def train(
     """Fit either architecture; returns (TrainReport, best parameters).
 
     Full-batch when the training cells fit the budget, otherwise one
-    sampled minibatch per epoch.  The self-supervised model re-masks its
-    input every epoch and takes its loss only on the masked cells; the
-    autoencoder reconstructs every observed cell.
+    sampled minibatch per epoch.  ``params.loss_graph`` builds each
+    epoch's loss: the self-supervised model re-masks its input and takes
+    its loss only on the masked cells; the autoencoder reconstructs every
+    observed cell.
     """
     if val_table.n_ratings == 0:
         raise ValueError("the validation table is empty")
@@ -346,25 +248,13 @@ def train(
     params = with_named_arrays(params, {
         name: a.astype(dtype) for name, a in named_arrays(params).items()
     })
-    is_ss = model_config.architecture == "self-supervised"
-    if is_ss and model_config.mask_prob <= 0.0:
-        raise ValueError(
-            "self-supervised training needs a positive mask probability"
-        )
-    # the validation sets never change: build and group them once, before
-    # a worker thread reads them
-    x_val = union_with_zeros(x_full, val_query) if is_ss else x_full
-    pooling_groups(x_val)
-    decode_set = None
-    if not is_ss:
-        decode_set = SparseExchangeableTensor(
-            x_full.dims, val_query, np.empty((val_query.shape[0], 0), dtype)
-        )
-        pooling_groups(decode_set)
+    # the validation set never changes: prepare it once, before a worker
+    # thread reads it
+    prepared = params.prepare(x_full, val_query)
 
     def validate(p) -> float:
-        preds = _predict_at(model_config, p, x_val, val_query, scale, decode_set)
-        return rmse(preds, val_truth)
+        return rmse(_predict_at(model_config, p, prepared, val_query, scale),
+                    val_truth)
 
     budget = train_config.cell_budget
     full_batch = x_full.indices.shape[0] <= budget
@@ -404,26 +294,9 @@ def train(
                         x_batch = subset_tensor(x_full, batch)
 
                     masks = _epoch_dropout_masks(model_config, epoch_rng)
-                    if is_ss:
-                        for attempt in range(10):
-                            x_in, masked = mask_inputs(x_batch, model_config.mask_prob,
-                                                       seed=epoch_seed + attempt)
-                            if masked.shape[0] > 0:
-                                break
-                        if masked.shape[0] == 0:
-                            raise RuntimeError(
-                                "masking produced no prediction targets"
-                            )
-                        weights = np.zeros(x_batch.n_observed)
-                        weights[x_batch.find(masked)] = 1.0
-                        g, loss_node, bindings = build_ss_loss_graph(
-                            x_in, params.layers, x_batch.values, weights, masks
-                        )
-                    else:
-                        g, loss_node, bindings = build_fea_loss_graph(
-                            x_batch, params.encoder, params.decoder,
-                            x_batch.values, masks,
-                        )
+                    g, loss_node, bindings = params.loss_graph(
+                        model_config, x_batch, masks, epoch_seed
+                    )
 
                     values = forward(g, bindings)
                     loss = float(np.asarray(values[loss_node]).reshape(()))
@@ -492,12 +365,15 @@ def evaluate(
     matrix with its own id space (extrapolation), since no parameter
     depends on the matrix shape.  Never mutates the parameters.
 
-    A prediction currently depends on the other query cells of the same
-    request, not only on the observed table: the self-supervised model's
-    pools include the zero-filled query cells, and the autoencoder's
-    decoder pools over the query set.  So ``cell_budget`` chunking changes
-    the predictions and the RMSE.
+    The query is split into chunks of at most ``cell_budget`` cells, and
+    ``params.prepare`` reads the observed table with each chunk.  A
+    prediction currently depends on the other query cells of its chunk,
+    not only on the observed table: the self-supervised model's pools
+    include the zero-filled query cells, and the autoencoder's decoder
+    pools over the query set.  So chunking changes the predictions and
+    the RMSE.
     """
+    check_params(model_config, params)
     if query_table.n_ratings == 0:
         raise ValueError("the query table is empty")
     x_obs = encode_onehot(observed_table)
@@ -507,17 +383,13 @@ def evaluate(
         raise ValueError(
             f"{int(both.sum())} query cells are already observed"
         )
-    if cell_budget is not None and query.shape[0] > cell_budget:
-        chunks = np.array_split(
-            np.arange(query.shape[0]),
-            int(np.ceil(query.shape[0] / cell_budget)),
-        )
-    else:
-        chunks = [np.arange(query.shape[0])]
-    preds = np.empty(query.shape[0], dtype=np.float64)
-    for chunk in chunks:
+    n = query.shape[0]
+    n_chunks = 1 if cell_budget is None else int(np.ceil(n / cell_budget))
+    preds = np.empty(n, dtype=np.float64)
+    for chunk in np.array_split(np.arange(n), n_chunks):
         preds[chunk] = _predict_at(
-            model_config, params, x_obs, query[chunk], observed_table.scale
+            model_config, params, params.prepare(x_obs, query[chunk]),
+            query[chunk], observed_table.scale,
         )
     return EvalReport(
         rmse=rmse(preds, query_table.ratings),

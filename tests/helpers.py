@@ -104,9 +104,7 @@ def sequential_train(model_config, train_config, train_table, val_table):
     from exchtensor import training as tr
     from exchtensor.autodiff import backward, forward
     from exchtensor.data import encode_onehot, rmse
-    from exchtensor.models import (
-        init_params, named_arrays, union_with_zeros, with_named_arrays,
-    )
+    from exchtensor.models import init_params, named_arrays, with_named_arrays
     from exchtensor.sampling import (
         budget_targets, conditional_subsample, subset_tensor,
         uniform_subsample,
@@ -120,8 +118,7 @@ def sequential_train(model_config, train_config, train_table, val_table):
     params = with_named_arrays(params, {
         name: a.astype(tc.dtype) for name, a in named_arrays(params).items()
     })
-    is_ss = mc.architecture == "self-supervised"
-    x_val = union_with_zeros(x_full, val_query) if is_ss else x_full
+    prepared = params.prepare(x_full, val_query)
     full_batch = x_full.n_observed <= tc.cell_budget
     rng = np.random.default_rng(tc.seed)
     state = tr.init_optimizer_state()
@@ -142,20 +139,8 @@ def sequential_train(model_config, train_config, train_table, val_table):
             x_batch = subset_tensor(x_full, conditional_subsample(
                 x_full, rows, cols, seed=epoch_seed))
         masks = tr._epoch_dropout_masks(mc, epoch_rng)
-        if is_ss:
-            for attempt in range(10):
-                x_in, masked = tr.mask_inputs(
-                    x_batch, mc.mask_prob, seed=epoch_seed + attempt)
-                if masked.shape[0] > 0:
-                    break
-            weights = np.zeros(x_batch.n_observed)
-            weights[x_batch.find(masked)] = 1.0
-            g, loss_node, bindings = tr.build_ss_loss_graph(
-                x_in, params.layers, x_batch.values, weights, masks)
-        else:
-            g, loss_node, bindings = tr.build_fea_loss_graph(
-                x_batch, params.encoder, params.decoder, x_batch.values,
-                masks)
+        g, loss_node, bindings = params.loss_graph(mc, x_batch, masks,
+                                                   epoch_seed)
         values = forward(g, bindings)
         loss = float(np.asarray(values[loss_node]).reshape(()))
         diverged = not np.isfinite(loss)
@@ -171,7 +156,7 @@ def sequential_train(model_config, train_config, train_table, val_table):
             vals.append(float("nan"))
             break
         params = with_named_arrays(params, flat)
-        val = rmse(tr._predict_at(mc, params, x_val, val_query,
+        val = rmse(tr._predict_at(mc, params, prepared, val_query,
                                   train_table.scale), val_truth)
         vals.append(val)
         if val < best["best_val_rmse"]:

@@ -89,3 +89,22 @@ def test_every_benchmark_call_binds():
         except TypeError as exc:
             unbound.append(f"{module}.{name}: {exc}")
     assert not unbound, f"benchmark calls that no longer bind: {unbound}"
+
+
+def bare_names(path):
+    """Names a file reads by their bare name; import aliases and strings,
+    such as the entries of ``__all__``, are not ``ast.Name`` nodes."""
+    return {node.id for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_traced_target_is_called_by_name():
+    """The tracer rebinds module-level names, so a traced function that
+    is reached only as a method or through an alias records no span, and
+    the per-layer metric built from it silently reads zero."""
+    src = Path(__file__).resolve().parent.parent / "src" / "exchtensor"
+    names = set().union(*(bare_names(path) for path in
+                          (*src.glob("*.py"), *PERFBENCH.glob("*.py"))))
+    unreached = [f"{module}.{attr}" for module, attr in traced_targets()
+                 if attr not in names]
+    assert not unreached, f"traced targets no code calls by name: {unreached}"

@@ -133,13 +133,15 @@ def test_params_of_the_other_architecture_refused(name, other, tmp_path):
         train(config, TrainConfig(epochs=1), train_table, val_table,
               initial_params=params)
     x = encode_onehot(train_table)
-    forwards = [lambda: self_supervised_forward(x, config, params)] \
+    forwards = [lambda c, p: self_supervised_forward(x, c, p)] \
         if config.architecture == "self-supervised" else [
-            lambda: fea_encode(x, config, params),
-            lambda: fea_decode(None, x.indices, config, params)]
+            lambda c, p: fea_encode(x, c, p),
+            lambda c, p: fea_decode(None, x.indices, c, p)]
+    # the other model's params, with this config or with their own
     for call in forwards:
-        with pytest.raises(TypeError, match="takes"):
-            call()
+        for pair in ((config, params), (CONFIGS[other], params)):
+            with pytest.raises(TypeError, match="takes"):
+                call(*pair)
 
 
 def test_only_models_reads_the_width_fields():
@@ -153,3 +155,19 @@ def test_only_models_reads_the_width_fields():
         and node.attr in (*WIDTH_FIELDS, "factor_size")
     )
     assert not readers, f"width fields read outside models.py: {readers}"
+
+
+def test_only_models_branches_on_the_architecture():
+    """Which model runs is one decision, and models.py makes it: other
+    modules call the params' own methods.  A lookup keyed by the
+    architecture, as in checkpoint loading, is not a branch."""
+    src = Path(exchtensor.__file__).parent
+    branches = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in src.glob("*.py") if path.name != "models.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(e, ast.Attribute) and e.attr == "architecture"
+                for e in (node.left, *node.comparators))
+    )
+    assert not branches, f"architecture compared outside models.py: {branches}"

@@ -152,6 +152,30 @@ class TestTrain:
         assert code == 2 and records == []
         assert named in err
 
+    @pytest.mark.parametrize("lines", [
+        "patience = -3\nprecision = float16",
+        "patience = -3",
+        "learning_rate = nan",
+        "sampler = shuffled",
+        "budget = 0",
+    ], ids=["patience-and-precision", "patience", "learning-rate", "sampler",
+            "budget"])
+    def test_zero_epochs_check_the_loop_settings(self, tmp_path, capsys,
+                                                  lines):
+        cfg = write_config(tmp_path, f"widths = 6,5\n{lines}\n")
+        errors = []
+        for epochs in ("0", "1"):
+            out = tmp_path / f"run{epochs}"
+            code, records, err = run(capsys, "train", "--data", "synthetic",
+                                     "--epochs", epochs, "--config", cfg,
+                                     "--out", str(out))
+            assert code == 2 and records == []
+            assert not (out / "model.exchk").exists()
+            errors.append(err)
+        assert errors[0] == errors[1]
+        if "float16" in lines:
+            assert "unknown precision 'float16'" in errors[0]
+
     def test_fea_arch_with_width_overrides(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "encoder_widths = 8,4\ndecoder_widths = 8,5\n")
