@@ -475,7 +475,5 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
             accumulate(node.operands[0], d)
             accumulate(node.operands[1], -d)
 
-    out = {}
-    for p in graph.parameters:
-        out[p] = grads.get(p, np.zeros_like(np.asarray(values[p])))
-    return out
+    return {p: grads[p] if p in grads else np.zeros_like(values[p])
+            for p in graph.parameters}

@@ -26,7 +26,9 @@ over observed cells only, so the same code serves dense and sparse inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
+from functools import cache
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -53,8 +55,9 @@ __all__ = [
 ]
 
 
+@cache
 def all_subsets(ndim: int) -> tuple[frozenset[int], ...]:
-    """All subsets of {0..ndim-1}, full set first, empty set last."""
+    """All subsets of {0..ndim-1}, full set first, empty set last; cached."""
     out = []
     for mask in range(2**ndim - 1, -1, -1):
         out.append(frozenset(i for i in range(ndim) if mask >> i & 1))
@@ -66,12 +69,14 @@ def block_key(S: frozenset[int]) -> str:
     return "w" + ("".join(str(a) for a in sorted(S)) or "g")
 
 
+@cache
 def block_name(prefix: str, S: frozenset[int], tied: bool) -> str:
     """Array name of block S in the layer named prefix, e.g. 'layer1.w01'.
 
     This is the one naming rule for a layer's arrays: graph parameter
     nodes, optimizer state and checkpoints all use it.  A tied layer's
     column-pool block is its row-pool block, so it takes the name 'w0'.
+    Cached: every training epoch names each of a model's arrays.
     """
     if tied and S == frozenset({1}):
         S = frozenset({0})
@@ -148,13 +153,21 @@ class ExchLayerParams:
 
     def from_bindings(self, prefix: str, bindings: Mapping[str, np.ndarray]
                       ) -> "ExchLayerParams":
-        """The same layer with its arrays looked up by name in bindings."""
-        return replace(
-            self,
-            blocks={S: bindings[block_name(prefix, S, self.tied)]
-                    for S in self.blocks},
-            bias=bindings[f"{prefix}.bias"],
-        )
+        """The same layer with its arrays looked up by name in bindings.
+
+        Only the arrays change, each to one of the same shape, so the
+        layer is copied rather than checked again: a fit rebuilds its
+        layers this way every epoch."""
+        new = copy(self)
+        new.blocks = {S: np.asarray(bindings[block_name(prefix, S, self.tied)])
+                      for S in self.blocks}
+        new.bias = np.asarray(bindings[f"{prefix}.bias"])
+        if self.tied:  # one array, however the mapping hands it out
+            new.blocks[frozenset({1})] = new.blocks[frozenset({0})]
+        if [w.shape for w in (*new.blocks.values(), new.bias)] != \
+                [w.shape for w in (*self.blocks.values(), self.bias)]:
+            raise ValueError(f"{prefix}: arrays of other shapes than the layer's")
+        return new
 
 
 def random_layer_params(

@@ -11,6 +11,7 @@ transfers to matrices of any size over unseen ids.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -254,7 +255,8 @@ def named_arrays(params) -> dict[str, np.ndarray]:
 
 
 def with_named_arrays(params, arrays):
-    """The same model with each array replaced by ``arrays[name]``."""
+    """The same model with each array replaced by ``arrays[name]``, which
+    must have its shape; each layer is rebuilt by ``from_bindings``."""
     return replace(params, **{
         field: tuple(lp.from_bindings(f"{prefix}{k}", arrays)
                      for k, lp in enumerate(getattr(params, field), start=1))
@@ -339,7 +341,9 @@ def _logits_stack(stack):
             "training expects a softmax on the final layer, got "
             f"{last.nonlinearity!r}"
         )
-    return (*stack[:-1], replace(last, nonlinearity="identity"))
+    logits = copy(last)  # the same checked arrays; rerun no check per epoch
+    logits.nonlinearity = "identity"
+    return (*stack[:-1], logits)
 
 
 def build_ss_loss_graph(

@@ -5,25 +5,34 @@ Nothing here depends on the architecture: each params class of
 builds its training graph (``loss_graph``), and this module only calls
 those.  Training builds one computation graph per epoch (cheap next to
 the forward pass) so channel-dropout masks, input masks and minibatch
-index sets can change freely, then runs one optimizer step on the flat
-parameter bindings; dropout exists only here, as masks drawn per epoch.
-Validation runs the model's eval-mode prediction against the full
-training matrix.  Groupings are cached on their index set, so a
-full-batch fit groups the training matrix once, and the validation set
-is prepared and grouped once per fit.  A minibatch fit validates each
-epoch on one worker thread while the next epoch's step runs, with
-results bit for bit those of the sequential loop; a multithreaded BLAS
-then serves two callers at once, so set its thread count with that in
-mind.  ``mask_inputs`` and the two loss-graph builders live in
-``models`` and are re-exported here.
+index sets can change freely; dropout exists only here, as masks drawn
+per epoch.  A fit keeps its parameters in one flat buffer of the
+training dtype (``FlatArrays``), one slot per array in ``named_arrays``
+order; each epoch's model, and so its graph bindings, are views into it,
+rebuilt without rederiving a name or rerunning a layer's checks.  Each
+Adam step runs as a few vector ops over the whole buffer and builds a
+fresh one.  No buffer is updated in place: the previous epoch's
+parameters may still be validating on the worker thread, and the best
+epoch's are kept to be returned.  Validation runs the model's eval-mode
+prediction against the full training matrix.  Groupings are cached on
+their index set, so a full-batch fit groups the training matrix once,
+and the validation set is prepared and grouped once per fit.  A
+minibatch fit validates each epoch on one worker thread while the next
+epoch's step runs, with results bit for bit those of the sequential
+loop; a multithreaded BLAS then serves two callers at once, so set its
+thread count with that in mind.  ``mask_inputs`` and the two loss-graph
+builders live in ``models`` and are re-exported here.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -54,6 +63,7 @@ __all__ = [
     "TrainReport",
     "EvalReport",
     "mask_inputs",
+    "FlatArrays",
     "OptimizerState",
     "init_optimizer_state",
     "optimizer_step",
@@ -147,45 +157,90 @@ class EvalReport:
     predictions: np.ndarray
 
 
+class FlatArrays(dict):
+    """Named arrays held as views into one flat 1-D buffer, ``flat``.
+
+    Slot i holds the i-th name's array, in the order of the mapping that
+    ``of`` packed, so ``FlatArrays.of(named_arrays(params))`` follows
+    ``named_arrays`` and a tied block takes one slot.  ``layout`` fixes
+    each slot's (name, shape, start, stop) there, and
+    ``FlatArrays(layout, flat)`` puts another buffer of the same length
+    under it at the cost of one view per slot.
+    """
+
+    def __init__(self, layout: tuple, flat: np.ndarray):
+        super().__init__((name, flat[a:b].reshape(shape))
+                         for name, shape, a, b in layout)
+        self.layout, self.flat = layout, flat
+
+    @classmethod
+    def of(cls, arrays: Mapping[str, np.ndarray], dtype=None) -> "FlatArrays":
+        """``arrays`` packed into a new buffer of ``dtype``, by default
+        their common dtype; a FlatArrays already of it is returned as is."""
+        if isinstance(arrays, cls) and dtype in (None, arrays.flat.dtype):
+            return arrays
+        shapes = [np.shape(a) for a in arrays.values()]
+        bounds = [0, *accumulate(map(math.prod, shapes))]
+        return cls(tuple(zip(arrays, shapes, bounds, bounds[1:])),
+                   np.concatenate([np.ravel(a) for a in arrays.values()],
+                                  dtype=dtype))
+
+
 @dataclass(frozen=True)
 class OptimizerState:
+    """Adam's step count and moment estimates.
+
+    ``m`` and ``v`` are the first and second moments: flat arrays with
+    one entry per element of the parameter buffer, in its slot order
+    and dtype, or the scalar 0.0 before the first step.
+    """
+
     step: int
-    m: dict
-    v: dict
+    m: np.ndarray | float
+    v: np.ndarray | float
 
 
 def init_optimizer_state() -> OptimizerState:
-    return OptimizerState(0, {}, {})
+    return OptimizerState(0, 0.0, 0.0)
 
 
 def optimizer_step(
-    params: dict,
-    grads: dict,
+    params: Mapping[str, np.ndarray],
+    grads: Mapping[str, np.ndarray],
     state: OptimizerState,
     config: TrainConfig,
-) -> tuple[dict, OptimizerState]:
-    """One Adam update over a flat name -> array dict."""
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise FloatingPointError(
-                f"non-finite gradient in {name!r} "
-                f"(max |g| = {np.abs(g[np.isfinite(g)]).max() if np.isfinite(g).any() else 'n/a'})"
-            )
-    lr = config.learning_rate
-    new_params = {}
+) -> tuple[FlatArrays, OptimizerState]:
+    """One Adam update of every array in ``params`` (name -> array);
+    ``grads`` holds each name's gradient.
+
+    Adam runs as a few vector ops over one flat buffer: a fit's
+    ``FlatArrays`` as it is, any other mapping packed into one.  Each
+    element's arithmetic is that of a per-array update.  Returns a
+    FlatArrays over a new buffer; none is updated in place, since a
+    validation on another thread or a fit's best parameters may still
+    read the old one.  A non-finite gradient raises FloatingPointError
+    naming the first array, in slot order, that holds one.
+    """
+    params = FlatArrays.of(params)
+    g = np.concatenate([np.ravel(grads[name]) for name in params],
+                       dtype=params.flat.dtype)
+    finite = np.isfinite(g)
+    if not finite.all():
+        i = finite.argmin()
+        name, _, a, b = next(slot for slot in params.layout if slot[3] > i)
+        seen = g[a:b][finite[a:b]]
+        raise FloatingPointError(
+            f"non-finite gradient in {name!r} "
+            f"(max |g| = {np.abs(seen).max() if seen.size else 'n/a'})"
+        )
     t = state.step + 1
-    m, v = {}, {}
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        m[name] = b1 * state.m.get(name, 0.0) + (1 - b1) * g
-        v[name] = b2 * state.v.get(name, 0.0) + (1 - b2) * g * g
-        m_hat = m[name] / (1 - b1**t)
-        v_hat = v[name] / (1 - b2**t)
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_params, OptimizerState(t, m, v)
+    m = b1 * state.m + (1 - b1) * g
+    v = b2 * state.v + (1 - b2) * g * g
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    new = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return FlatArrays(params.layout, new), OptimizerState(t, m, v)
 
 
 def _predict_at(
@@ -244,10 +299,9 @@ def train(
         model_config, seed=train_config.seed
     )
     check_params(model_config, params)
-    # one cast per named array, so a tied block stays one shared array
-    params = with_named_arrays(params, {
-        name: a.astype(dtype) for name, a in named_arrays(params).items()
-    })
+    # one buffer per fit, cast once; a tied block is one slot, one array
+    arrays = FlatArrays.of(named_arrays(params), dtype)
+    params = with_named_arrays(params, arrays)
     # the validation set never changes: prepare it once, before a worker
     # thread reads it
     prepared = params.prepare(x_full, val_query)
@@ -304,8 +358,8 @@ def train(
                     if not step_diverged:
                         grads = backward(g, values, loss_node)
                         try:
-                            flat, state = optimizer_step(
-                                named_arrays(params), grads, state, train_config
+                            arrays, state = optimizer_step(
+                                arrays, grads, state, train_config
                             )
                         except FloatingPointError:
                             # a non-finite gradient ends the run, as a loss does
@@ -335,7 +389,7 @@ def train(
                 losses.append(loss)
                 val_curve.append(float("nan"))
                 break
-            params = with_named_arrays(params, flat)
+            params = with_named_arrays(params, arrays)
             val_of = (partial(validate, params) if full_batch
                       else pool.submit(validate, params).result)
             pending = (epoch, loss, params, val_of)
@@ -374,6 +428,8 @@ def evaluate(
     the RMSE.
     """
     check_params(model_config, params)
+    if cell_budget is not None and cell_budget < 1:
+        raise ValueError("cell budget must be at least 1")
     if query_table.n_ratings == 0:
         raise ValueError("the query table is empty")
     x_obs = encode_onehot(observed_table)

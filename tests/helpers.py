@@ -1,6 +1,7 @@
 """Shared fixtures-by-hand for the test suite."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -96,15 +97,56 @@ def assert_bitwise_equal(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def per_array_adam(params, grads, state, config):
+    """Adam one array at a time, as the optimizer ran before it moved to
+    one flat buffer; ``training.optimizer_step`` must match it bit for
+    bit.  ``state`` is (step, first moments, second moments), the
+    moments as name -> array dicts, ``(0, {}, {})`` at the start."""
+    from exchtensor.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient in {name!r}")
+    step, m_prev, v_prev = state
+    t = step + 1
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+    new, m, v = {}, {}, {}
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = b1 * m_prev.get(name, 0.0) + (1 - b1) * g
+        v[name] = b2 * v_prev.get(name, 0.0) + (1 - b2) * g * g
+        m_hat = m[name] / (1 - b1**t)
+        v_hat = v[name] / (1 - b2**t)
+        new[name] = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return new, (t, m, v)
+
+
+def rebuilt_model(params, arrays):
+    """The model with each array replaced by ``arrays[name]``, every
+    layer rebuilt through its full constructor check, as each epoch of
+    a fit rebuilt them before fits kept one parameter buffer."""
+    return replace(params, **{
+        field: tuple(
+            replace(lp,
+                    blocks={S: arrays[block_name(f"{prefix}{k}", S, lp.tied)]
+                            for S in lp.blocks},
+                    bias=arrays[f"{prefix}{k}.bias"])
+            for k, lp in enumerate(getattr(params, field), start=1))
+        for field, prefix in params.STACKS.items()
+    })
+
+
 def sequential_train(model_config, train_config, train_table, val_table):
     """The training loop as it ran before validation overlapped the next
-    step: one epoch at a time, each validated on the calling thread
-    before the next begins.  ``training.train`` must match it bit for
-    bit.  Returns (TrainReport fields as a dict, best parameters)."""
+    step and before fits kept one parameter buffer: one epoch at a time,
+    each validated on the calling thread before the next begins, with
+    ``per_array_adam`` and ``rebuilt_model`` in place of the flat update.
+    ``training.train`` must match it bit for bit.  Returns (TrainReport
+    fields as a dict, best parameters)."""
     from exchtensor import training as tr
     from exchtensor.autodiff import backward, forward
     from exchtensor.data import encode_onehot, rmse
-    from exchtensor.models import init_params, named_arrays, with_named_arrays
+    from exchtensor.models import init_params, named_arrays
     from exchtensor.sampling import (
         budget_targets, conditional_subsample, subset_tensor,
         uniform_subsample,
@@ -115,13 +157,13 @@ def sequential_train(model_config, train_config, train_table, val_table):
     x_full = x_full.with_values(x_full.values.astype(tc.dtype))
     val_query, val_truth = val_table.indices(), val_table.ratings
     params = init_params(mc, seed=tc.seed)
-    params = with_named_arrays(params, {
+    params = rebuilt_model(params, {
         name: a.astype(tc.dtype) for name, a in named_arrays(params).items()
     })
     prepared = params.prepare(x_full, val_query)
     full_batch = x_full.n_observed <= tc.cell_budget
     rng = np.random.default_rng(tc.seed)
-    state = tr.init_optimizer_state()
+    state = (0, {}, {})
     losses, vals = [], []
     best = dict(best_val_rmse=np.inf, best_epoch=0)
     best_params, since_best = params, 0
@@ -146,7 +188,7 @@ def sequential_train(model_config, train_config, train_table, val_table):
         diverged = not np.isfinite(loss)
         if not diverged:
             try:
-                flat, state = tr.optimizer_step(
+                arrays, state = per_array_adam(
                     named_arrays(params), backward(g, values, loss_node),
                     state, tc)
             except FloatingPointError:
@@ -155,7 +197,7 @@ def sequential_train(model_config, train_config, train_table, val_table):
         if diverged:
             vals.append(float("nan"))
             break
-        params = with_named_arrays(params, flat)
+        params = rebuilt_model(params, arrays)
         val = rmse(tr._predict_at(mc, params, prepared, val_query,
                                   train_table.scale), val_truth)
         vals.append(val)

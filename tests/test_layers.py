@@ -211,6 +211,18 @@ class TestTensorLayer:
         with pytest.raises(ValueError, match="subsets"):
             ExchLayerParams(blocks=blocks, bias=np.zeros(1))
 
+    def test_rebinding_keeps_the_tie_and_refuses_other_shapes(self):
+        p = random_layer_params(2, 2, 3, np.random.default_rng(4),
+                                nonlinearity="leaky_relu", tied=True)
+        arrays = {n: a + 1.0 for n, a in p.bindings("L").items()}
+        q = p.from_bindings("L", arrays)
+        assert q.tied and q.nonlinearity == "leaky_relu"
+        assert q.blocks[frozenset({0})] is q.blocks[frozenset({1})] \
+            is arrays["L.w0"]
+        assert p.blocks[frozenset({0})] is not arrays["L.w0"]
+        with pytest.raises(ValueError, match="other shapes"):
+            p.from_bindings("L", {**arrays, "L.bias": np.zeros(2)})
+
     def test_parameter_count(self):
         rng = np.random.default_rng(4)
         for ndim, K, O in [(1, 3, 2), (2, 4, 4), (3, 2, 5)]:

@@ -26,6 +26,7 @@ from exchtensor.models import (
     FeaParams,
     ModelConfig,
     SelfSupervisedParams,
+    count_parameters,
     fea_decode,
     fea_encode,
     init_params,
@@ -35,6 +36,7 @@ from exchtensor.models import (
 )
 from exchtensor.training import (
     EvalReport,
+    FlatArrays,
     TrainConfig,
     TrainReport,
     build_fea_loss_graph,
@@ -46,7 +48,9 @@ from exchtensor.training import (
     train,
 )
 
-from helpers import assert_bitwise_equal, random_sparse, sequential_train
+from helpers import (
+    assert_bitwise_equal, per_array_adam, random_sparse, sequential_train,
+)
 
 
 def tiny_ss_config(levels=3, widths=(4, 3)):
@@ -228,6 +232,78 @@ class TestOptimizerStep:
                 init_optimizer_state(),
                 cfg,
             )
+
+    def test_non_finite_gradient_names_the_first_bad_array_in_slot_order(self):
+        params = {"a": np.zeros(2), "b": np.zeros((2, 2)), "c": np.zeros(3)}
+        grads = {"a": np.ones(2), "b": np.array([[1.0, np.nan], [2.0, -5.0]]),
+                 "c": np.full(3, np.inf)}
+        with pytest.raises(FloatingPointError,
+                           match=r"in 'b' \(max \|g\| = 5\.0\)"):
+            optimizer_step(params, grads, init_optimizer_state(), TrainConfig())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_update_matches_the_per_array_reference_bit_for_bit(
+            self, dtype):
+        """20 steps over arrays of mixed shapes, the first from a plain
+        dict, the rest from the flat buffer the previous step returned."""
+        rng = np.random.default_rng(11)
+        shapes = {"enc1.w01": (3, 4), "enc1.bias": (4,), "dec1.wg": (1, 1),
+                  "scalar": (), "cube": (2, 3, 2)}
+        params = {n: rng.normal(size=s).astype(dtype)
+                  for n, s in shapes.items()}
+        cfg = TrainConfig(learning_rate=0.05)
+        flat, state = params, init_optimizer_state()
+        ref, ref_state = params, (0, {}, {})
+        for _ in range(20):
+            grads = {n: (rng.normal(size=s) * 10.0 ** rng.integers(-4, 3))
+                     .astype(dtype) for n, s in shapes.items()}
+            flat, state = optimizer_step(flat, grads, state, cfg)
+            ref, ref_state = per_array_adam(ref, grads, ref_state, cfg)
+            assert list(flat) == list(ref)
+            for name in ref:
+                assert_bitwise_equal(flat[name], ref[name])
+        assert state.step == 20
+        assert state.m.dtype == state.v.dtype == flat.flat.dtype == dtype
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["dict", "flat"])
+    def test_the_update_shares_no_memory_with_its_input(self, packed):
+        params = {"w": np.ones((2, 3)), "b": np.zeros(3)}
+        if packed:
+            params = FlatArrays.of(params)
+        before = {n: a.copy() for n, a in params.items()}
+        grads = {"w": np.full((2, 3), 0.5), "b": np.ones(3)}
+        new, _ = optimizer_step(params, grads, init_optimizer_state(),
+                                TrainConfig())
+        for name, a in params.items():
+            assert not np.shares_memory(new[name], a)
+            assert_array_equal(a, before[name])
+        assert not np.shares_memory(new.flat, grads["w"])
+
+    def test_a_tied_layer_stays_one_array_in_one_slot_after_a_fit(self):
+        tr, val = split_synthetic(seed=5)
+        mc = tiny_ss_config()
+        rng = np.random.default_rng(3)
+        init = init_params(mc, seed=0)
+        init = SelfSupervisedParams((
+            random_layer_params(2, 3, 4, rng, nonlinearity="leaky_relu",
+                                tied=True),
+            init.layers[1],
+        ))
+        report, params = train(mc, TrainConfig(epochs=3, seed=1), tr, val,
+                               initial_params=init)
+        assert report.best_epoch >= 1
+        tied = params.layers[0]
+        assert tied.tied
+        assert tied.blocks[frozenset({0})] is tied.blocks[frozenset({1})]
+        arrays = named_arrays(params)
+        assert [n for n in arrays if n.startswith("layer1.")] == \
+            ["layer1.w01", "layer1.w0", "layer1.wg", "layer1.bias"]
+        # every array is a view of one buffer, the tied block one slot of it
+        buffer = arrays["layer1.w01"].base
+        assert buffer.ndim == 1 and buffer.size == count_parameters(params)
+        assert all(a.base is buffer for a in arrays.values())
+        assert not np.array_equal(tied.blocks[frozenset({0})],
+                                  init.layers[0].blocks[frozenset({0})])
 
 
 class TestGradientCheck:
@@ -588,6 +664,13 @@ class TestEvaluate:
             for S, B in lp.blocks.items():
                 assert_array_equal(before[f"{i}.{sorted(S)}"], B)
 
+    @pytest.mark.parametrize("budget", [0, -2])
+    def test_cell_budget_below_one_rejected(self, budget):
+        tr, val = split_synthetic()
+        mc = tiny_ss_config()
+        with pytest.raises(ValueError, match="cell budget must be at least 1"):
+            evaluate(mc, init_params(mc), tr, val, cell_budget=budget)
+
     def test_chunked_evaluation_covers_every_query_cell(self):
         tr, val = split_synthetic(seed=5)
         mc = tiny_fea_config()
@@ -621,7 +704,8 @@ def dropout_config(config):
 
 class TestOverlappedValidation:
     """A fit validates epoch e while epoch e+1 steps, on a worker thread
-    for a minibatch; the fit must equal the sequential loop bit for bit."""
+    for a minibatch, and keeps its parameters in one flat buffer; the fit
+    must equal the sequential per-array loop of ``helpers`` bit for bit."""
 
     @staticmethod
     def minibatch(**kw):
