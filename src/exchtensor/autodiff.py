@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 NONLINEARITIES = ("identity", "sigmoid", "leaky_relu", "softmax")
+# Bytes of output per row block of ``equivariant_layer``'s pass over its
+# output.  A block, its gathered term and its activation temporary fit in
+# a 2 MiB L2 cache; 256 KiB to 1 MiB blocks timed within 10% of each other.
+BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -213,21 +217,51 @@ def _add_into(total, term, g: AxisGroups | None = None):
     return total
 
 
-def equivariant_layer(x, bias, blocks, groups):
-    """Pre-activation of one layer, and each pooled term's group means.
+def equivariant_layer(x, bias, blocks, groups, nonlinearity="identity",
+                      slope=0.01):
+    """One layer's output, and each pooled term's group means.
 
     ``blocks`` are the 2^D (K, O) weights in ``all_subsets`` order, the
     cell block first, and ``groups`` the grouping of each later subset.
     ``x @ blocks[0] + bias`` adds each term's mixed group means, gathered
     to the cells, in that order.  x is upcast to float64 once for all the
     pools; the means take x's floating dtype, as ``group_means`` returns.
+
+    The cell term is one whole product, written once into the output.
+    The bias, the pooled terms and then ``nonlinearity`` (an activation
+    applied in place; the graph op asks for none, since its backward
+    reads the pre-activation) go over that buffer in row blocks of about
+    ``BLOCK_BYTES``, so each block stays in cache.  Each addition keeps
+    the whole-array order and dtype promotion, so the values are those
+    of summing whole arrays, bit for bit.
     """
     x64 = np.asarray(x, dtype=np.float64)
-    out = _add_into(x @ blocks[0], bias)
     means = [g.group_means(x64).astype(np.result_type(x, np.float32), copy=False)
              for g in groups]
-    for g, m, w in zip(groups, means, blocks[1:]):
-        out = _add_into(out, m @ w, g)
+    # (term, its row per cell or None to broadcast), bias first
+    terms = [(bias, None)] + [(m @ w, g.group_of if g.n_groups > 1 else None)
+                              for g, m, w in zip(groups, means, blocks[1:])]
+    cell = x @ blocks[0]
+    dtype = np.result_type(cell, *(term for term, _ in terms))
+    # a term of a wider dtype promotes each block on the way: sum in
+    # the cell buffer, then copy into an output of the final dtype
+    out = cell if dtype == cell.dtype else np.empty(cell.shape, dtype)
+    rows = max(1, BLOCK_BYTES // (dtype.itemsize * max(1, cell.shape[1])))
+    for a in range(0, cell.shape[0], rows):
+        y = cell[a : a + rows]
+        for term, group_of in terms:
+            if group_of is not None:
+                term = np.take(term, group_of[a : a + rows], axis=0)
+            if np.result_type(y, term) == y.dtype:
+                y += term
+            else:
+                y = y + term
+        if nonlinearity == "leaky_relu":
+            np.maximum(y, slope * y, out=y)
+        elif nonlinearity != "identity":
+            y[...] = apply_nonlinearity(y, nonlinearity, slope)
+        if out is not cell:
+            out[a : a + rows] = y
     return out, means
 
 

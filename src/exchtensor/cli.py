@@ -442,6 +442,8 @@ def cmd_sample_check(args: argparse.Namespace) -> int:
     t = encode_onehot(table)
     sampler = settings.get("sampler", "uniform")
     budget = settings.get("budget", DEFAULT_CELL_BUDGET, int)
+    if budget < 1:
+        raise UsageError("cell budget must be at least 1")
     trials = _trials(settings, 100)
     seed = settings.get("seed", 0, int)
     out = _out_dir(settings)
@@ -560,7 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     data_flags(p_sample)
     p_sample.add_argument("--sampler", choices=["uniform", "conditional"],
                           default=None)
-    p_sample.add_argument("--budget", type=int, default=None)
+    p_sample.add_argument("--budget", type=int, default=None,
+                          help="cells per draw; only the uniform check "
+                               "reads it")
     p_sample.add_argument("--trials", type=int, default=None)
     p_sample.add_argument("--observed-fraction", dest="observed_fraction",
                           default=None)

@@ -16,7 +16,11 @@ order is free and the layer mixes the few group rows instead of all n
 cells.  Pool -> mix -> broadcast leaves one (n, K) @ (K, O) product per
 layer, for the cell term, instead of 2^D.  The whole sum is one op,
 ``autodiff.equivariant_layer``: training graphs hold it as one node per
-layer, and inference calls it directly, with no graph.
+layer, and inference calls it directly, with no graph.  The cell term's
+product writes a layer's output once; the bias, the pooled terms and, at
+inference, the activation are then added or applied in place, one
+cache-sized row block at a time.  The graph op keeps the pre-activation,
+which its nonlinearity node's backward reads.
 
 For matrices (D=2) the four subsets are: both axes (the cell itself), the
 column axis (mean over the cell's column), the row axis (mean over the
@@ -34,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import NONLINEARITIES, Graph, apply_nonlinearity, equivariant_layer
+from .autodiff import NONLINEARITIES, Graph, equivariant_layer
 from .sparse import AxisGroups, SparseExchangeableTensor
 
 __all__ = [
@@ -264,7 +268,11 @@ def add_stack_nodes(
 def exchangeable_tensor_layer(
     t: SparseExchangeableTensor, params: ExchLayerParams
 ) -> SparseExchangeableTensor:
-    """Apply one equivariant layer; output lives on the same index set."""
+    """Apply one equivariant layer; output lives on the same index set.
+
+    The output is written once by the cell term's product; the bias, the
+    pooled terms and the activation are then added or applied in place,
+    one row block at a time (``equivariant_layer``)."""
     if params.ndim != t.ndim:
         raise ValueError(
             f"params cover {params.ndim} axes, tensor has {t.ndim}"
@@ -276,15 +284,10 @@ def exchangeable_tensor_layer(
         )
     groups = pooling_groups(t)
     subsets = all_subsets(t.ndim)
-    summed, _ = equivariant_layer(
+    out, _ = equivariant_layer(
         t.values, params.bias, [params.blocks[S] for S in subsets],
-        [groups[S] for S in subsets[1:]],
+        [groups[S] for S in subsets[1:]], params.nonlinearity, params.slope,
     )
-    if params.nonlinearity == "leaky_relu":
-        # summed is this call's own buffer: activate it in place
-        out = np.maximum(summed, params.slope * summed, out=summed)
-    else:
-        out = apply_nonlinearity(summed, params.nonlinearity, params.slope)
     return t.with_values(out)
 
 

@@ -8,6 +8,7 @@ from helpers import (
     assert_bitwise_equal, build_sparse, composed_layer_nodes, random_sparse,
 )
 
+from exchtensor import autodiff
 from exchtensor.autodiff import Graph, backward, forward
 from exchtensor.layers import (
     add_layer_nodes, all_subsets, block_name, pooling_groups,
@@ -471,24 +472,37 @@ class TestEquivariantLayerOp:
         ((1, 8), 6, False),   # one row: a non-empty subset with a single group
         ((3, 4, 2), 15, False),
     ]
+    # With BLOCK_BYTES at 256, a layer of 2 or 4 output channels passes
+    # over these index sets in 4 to 13 row blocks, the last one short.
+    MULTI_BLOCK_CASES = [
+        ((12, 15), 101, False),
+        ((11, 11), 97, True),
+        ((1, 150), 101, False),
+        ((6, 5, 7), 103, False),
+    ]
 
-    @pytest.mark.parametrize("dims, n_obs, tied", CASES)
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_the_composition_bit_for_bit(self, dims, n_obs, tied,
-                                                 dtype):
+    @staticmethod
+    def fused_and_composed(dims, n_obs, tied, dtype):
+        """Outputs of a two-layer stack and the gradients of a loss on
+        it, as (outputs, gradients) for the fused op and the composition.
+        dtype "mixed" keeps every array float32 but the first layer's
+        global block, so that layer's sum turns float64 at its last term."""
         rng = np.random.default_rng(sum(dims) + n_obs)
         t = random_sparse(dims, 3, n_obs, rng)
         groups = pooling_groups(t)
         ndim = len(dims)
+        arrays = np.float32 if dtype == "mixed" else dtype
         stack = [cast_layer(random_layer_params(ndim, 3, 4, rng, "leaky_relu",
-                                                tied=tied), "a1", dtype),
+                                                tied=tied), "a1", arrays),
                  cast_layer(random_layer_params(ndim, 4, 2, rng, tied=tied),
-                            "a2", dtype)]
+                            "a2", arrays)]
         for lp in stack:
             lp.bias[...] = rng.normal(size=lp.bias.shape)
-        bindings = {"x": t.values.astype(dtype),
-                    "target": rng.normal(size=(n_obs, 2)).astype(dtype),
+        bindings = {"x": t.values.astype(arrays),
+                    "target": rng.normal(size=(n_obs, 2)).astype(arrays),
                     **stack[0].bindings("a1"), **stack[1].bindings("a2")}
+        if dtype == "mixed":
+            bindings["a1.wg"] = bindings["a1.wg"].astype(np.float64)
         results = []
         for emit in (add_layer_nodes, composed_layer_nodes):
             g = Graph()
@@ -501,12 +515,34 @@ class TestEquivariantLayerOp:
             values = forward(g, bindings)
             grads = backward(g, values, loss)
             results.append(([values[o] for o in outs], grads))
+        return results
+
+    @staticmethod
+    def assert_bitwise_same(results):
         (fused_outs, fused_grads), (ref_outs, ref_grads) = results
         for got, want in zip(fused_outs, ref_outs):
             assert_bitwise_equal(got, want)
         assert list(fused_grads) == list(ref_grads)
         for name in ref_grads:
             assert_bitwise_equal(fused_grads[name], ref_grads[name])
+
+    @pytest.mark.parametrize("dims, n_obs, tied", CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_composition_bit_for_bit(self, dims, n_obs, tied,
+                                                 dtype):
+        self.assert_bitwise_same(
+            self.fused_and_composed(dims, n_obs, tied, dtype))
+
+    @pytest.mark.parametrize("dims, n_obs, tied", MULTI_BLOCK_CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, "mixed"])
+    def test_matches_the_composition_across_row_blocks(
+            self, monkeypatch, dims, n_obs, tied, dtype):
+        monkeypatch.setattr(autodiff, "BLOCK_BYTES", 256)
+        results = self.fused_and_composed(dims, n_obs, tied, dtype)
+        for out in results[0][0]:
+            rows = autodiff.BLOCK_BYTES // (out.itemsize * out.shape[1])
+            assert out.shape[0] > 2 * rows and out.shape[0] % rows
+        self.assert_bitwise_same(results)
 
     @pytest.mark.parametrize("dims, n_obs, tied", CASES)
     def test_gradients_match_finite_differences(self, dims, n_obs, tied):

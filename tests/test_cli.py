@@ -487,6 +487,15 @@ class TestSampleCheck:
         assert code == 2 and records == []
         assert "--trials must be nonnegative, got -3" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize("sampler", ["uniform", "conditional"])
+    def test_budget_below_one_exits_2(self, capsys, sampler, budget):
+        code, records, err = run(capsys, "sample-check", "--data", "synthetic",
+                                 "--sampler", sampler, "--budget", budget,
+                                 "--trials", "5")
+        assert code == 2 and records == []
+        assert "cell budget must be at least 1" in err
+
     def test_zero_trials_empty_report_exit_0(self, capsys):
         code, records, _ = run(capsys, "sample-check", "--data", "synthetic",
                             "--sampler", "uniform", "--trials", "0")

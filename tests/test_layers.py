@@ -1,5 +1,7 @@
 """Equivariant layer semantics: worked values, symmetry, factor pooling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -8,6 +10,7 @@ from helpers import (
     build_sparse, random_dense, random_sparse, to_dense, transpose_matrix,
 )
 
+from exchtensor import autodiff
 from exchtensor.autodiff import (
     Graph, apply_nonlinearity, backward, equivariant_layer, forward,
 )
@@ -126,23 +129,25 @@ class TestTensorLayer:
         b = apply_stack(t, (p,))
         assert_array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("nonlinearity",
-                             ["identity", "sigmoid", "leaky_relu", "softmax"])
-    def test_activates_its_own_buffer_bitwise(self, nonlinearity, dtype):
-        """The layer activates the pre-activation in place and hands it
-        over read-only; the values equal the op-by-op result bit for bit,
-        and the input is left as it was."""
+    @staticmethod
+    def assert_activates_its_own_buffer(dims, n_obs, tied, nonlinearity,
+                                        dtype):
+        """The layer activates its output in place and hands it over
+        read-only; the values equal the whole pre-activation's
+        activation bit for bit, and the input is left as it was."""
         rng = np.random.default_rng(5)
-        t = random_sparse((6, 7), 3, 25, rng)
+        t = random_sparse(dims, 3, n_obs, rng)
         t = t.with_values(t.values.astype(dtype))
         before = t.values.copy()
-        p = random_layer_params(2, 3, 4, rng, nonlinearity=nonlinearity)
-        p = ExchLayerParams({S: w.astype(dtype) for S, w in p.blocks.items()},
-                            p.bias.astype(dtype), nonlinearity,
-                            slope=np.float64(0.2))
+        p = random_layer_params(len(dims), 3, 4, rng,
+                                nonlinearity=nonlinearity, tied=tied)
+        blocks = {S: w.astype(dtype) for S, w in p.blocks.items()}
+        if tied:
+            blocks[frozenset({1})] = blocks[frozenset({0})]
+        p = ExchLayerParams(blocks, rng.normal(size=4).astype(dtype),
+                            nonlinearity, slope=np.float64(0.2), tied=tied)
         assert type(p.slope) is float
-        subsets = all_subsets(2)
+        subsets = all_subsets(len(dims))
         pre, _ = equivariant_layer(
             t.values, p.bias, [p.blocks[S] for S in subsets],
             [pooling_groups(t)[S] for S in subsets[1:]])
@@ -151,6 +156,49 @@ class TestTensorLayer:
         assert got.dtype == want.dtype == dtype and not got.flags.writeable
         assert got.tobytes() == want.tobytes()
         assert_array_equal(t.values, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("nonlinearity",
+                             ["identity", "sigmoid", "leaky_relu", "softmax"])
+    def test_activates_its_own_buffer_bitwise(self, nonlinearity, dtype):
+        self.assert_activates_its_own_buffer((6, 7), 25, False, nonlinearity,
+                                             dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("nonlinearity",
+                             ["identity", "sigmoid", "leaky_relu", "softmax"])
+    @pytest.mark.parametrize("dims, n_obs, tied", [
+        ((12, 15), 101, False),
+        ((11, 11), 97, True),
+        ((1, 150), 101, False),  # one row: the row pool is one group
+        ((6, 5, 7), 103, False),
+    ])
+    def test_activates_across_row_blocks_bitwise(self, monkeypatch, dims,
+                                                 n_obs, tied, nonlinearity,
+                                                 dtype):
+        """As above, with 256-byte blocks: 4 output channels span 7 to 13
+        row blocks, the last one short."""
+        monkeypatch.setattr(autodiff, "BLOCK_BYTES", 256)
+        self.assert_activates_its_own_buffer(dims, n_obs, tied, nonlinearity,
+                                             dtype)
+
+    @pytest.mark.parametrize("nonlinearity", ["identity", "leaky_relu"])
+    def test_holds_little_beyond_its_output(self, nonlinearity):
+        """A float64 64->64 layer over 40k cells: the cell term's product
+        is the output, and the bias, pooled terms and activation go over
+        it a row block at a time, so the traced peak stays within 2 MiB
+        of the output's 19.5 MiB."""
+        rng = np.random.default_rng(0)
+        t = random_sparse((200, 400), 64, 40_000, rng)
+        p = random_layer_params(2, 64, 64, rng, nonlinearity)
+        pooling_groups(t)  # computed once per index set, not per layer
+        tracemalloc.start()
+        try:
+            out = exchangeable_tensor_layer(t, p).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * 2**20
 
     def test_three_axis_matches_dense_pooled_oracle(self):
         rng = np.random.default_rng(3)
