@@ -38,6 +38,12 @@ NONLINEARITIES = ("identity", "sigmoid", "leaky_relu", "softmax")
 # output.  A block, its gathered term and its activation temporary fit in
 # a 2 MiB L2 cache; 256 KiB to 1 MiB blocks timed within 10% of each other.
 BLOCK_BYTES = 1 << 19
+# Widest row that softmax and the fused loss reduce on a contiguous
+# (K, n) copy.  NumPy adds a row of fewer than 8 values in channel order,
+# and a longer one pairwise, so only up to 7 channels does summing the
+# copy down its first axis equal the row-wise sum bit for bit.  The copy
+# turns n tiny row loops into K contiguous vector passes.
+CHANNEL_MAJOR_MAX = 7
 
 
 @dataclass(frozen=True)
@@ -183,10 +189,22 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _by_channel(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(n, K) x as (its contiguous (K, n) copy, 0) when K is at most
+    ``CHANNEL_MAJOR_MAX``, else (x, 1): reducing the first over the
+    second gives the row-wise reduction of x bit for bit."""
+    if x.shape[1] <= CHANNEL_MAJOR_MAX:
+        return np.ascontiguousarray(x.T), 0
+    return x, 1
+
+
 def _softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the channels of (n, K) x, reduced channel-major up to
+    ``CHANNEL_MAJOR_MAX`` channels; C-contiguous like x."""
+    xc, axis = _by_channel(x)
+    e = np.exp(xc - xc.max(axis=axis, keepdims=True))
+    e /= e.sum(axis=axis, keepdims=True)
+    return np.ascontiguousarray(e.T) if axis == 0 else e
 
 
 def apply_nonlinearity(x: np.ndarray, kind: str, slope: float = 0.01) -> np.ndarray:
@@ -400,9 +418,10 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
                     f"node '{name}': row_weights shape {w.shape}, expected "
                     f"({logits.shape[0]},)"
                 )
-            m = logits.max(axis=1, keepdims=True)
-            lse = (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))[:, 0]
-            ce = lse - (targets * logits).sum(axis=1)
+            lc, axis = _by_channel(logits)
+            m = lc.max(axis=axis, keepdims=True)
+            lse = (m + np.log(np.exp(lc - m).sum(axis=axis, keepdims=True))).ravel()
+            ce = lse - (_by_channel(targets)[0] * lc).sum(axis=axis)
             loss = ce.mean() if w is None else (w * ce).sum() / w.sum()
             values[name] = np.asarray(loss, np.result_type(logits, np.float32))
         elif op == "mean_square_error":

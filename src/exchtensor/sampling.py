@@ -146,4 +146,6 @@ def subset_tensor(
     pos = t.find(batch.indices)
     if (pos < 0).any():
         raise ValueError("batch contains an unobserved index")
-    return SparseExchangeableTensor(t.dims, t.indices[pos], t.values[pos])
+    return SparseExchangeableTensor(
+        t.dims, np.take(t.indices, pos, axis=0), np.take(t.values, pos, axis=0)
+    )

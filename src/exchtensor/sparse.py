@@ -30,6 +30,19 @@ __all__ = [
 ]
 
 
+def _flat_keys(idx: np.ndarray, dims: tuple[int, ...], what: str) -> np.ndarray:
+    """Row-major flat keys of (n, D) ``idx``; the first row outside
+    ``dims`` raises ``ValueError`` naming it and the dims."""
+    try:
+        return np.ravel_multi_index(tuple(idx.T), dims)
+    except ValueError:
+        out = ((idx < 0) | (idx >= np.asarray(dims))).any(axis=1)
+        if not out.any():
+            raise
+        bad = tuple(int(v) for v in idx[out][0])
+        raise ValueError(f"{what} {bad} out of bounds for dims {dims}") from None
+
+
 @dataclass(frozen=True)
 class SparseExchangeableTensor:
     """A D-dimensional sparse array of observed cells with K channels.
@@ -62,15 +75,14 @@ class SparseExchangeableTensor:
             raise ValueError(
                 f"values must be (n, K) aligned with indices, got {vals.shape}"
             )
-        if idx.min() < 0 or (idx >= np.asarray(dims)).any():
-            bad = idx[((idx < 0) | (idx >= np.asarray(dims))).any(axis=1)][0]
-            raise ValueError(f"index {tuple(bad)} out of bounds for dims {dims}")
         if math.prod(dims) > np.iinfo(np.int64).max:
             raise ValueError(f"dims {dims} hold more cells than int64 keys address")
         # row-major keys sort cells lexicographically, and are unique here
-        keys = np.ravel_multi_index(tuple(idx.T), dims)
+        keys = _flat_keys(idx, dims, "index")
         order = np.argsort(keys)
-        keys, idx, vals = keys[order], idx[order], vals[order]
+        # np.take copies whole rows, several times faster than idx[order]
+        keys = keys[order]
+        idx, vals = np.take(idx, order, axis=0), np.take(vals, order, axis=0)
         dup = keys[1:] == keys[:-1]
         if dup.any():
             where = int(np.flatnonzero(dup)[0])
@@ -120,12 +132,15 @@ class SparseExchangeableTensor:
         return self._cache[key]
 
     def find(self, cells: np.ndarray) -> np.ndarray:
-        """Row position in ``indices`` of each (m, D) cell, -1 if absent."""
+        """Row position in ``indices`` of each (m, D) cell, -1 if absent.
+
+        A cell outside ``dims`` raises ``ValueError`` naming the first
+        such cell and the dims, as the constructor does."""
         cells = np.asarray(cells, dtype=np.int64)
         if cells.ndim != 2 or cells.shape[1] != self.ndim:
             raise ValueError(f"cells must be (m, {self.ndim}), got {cells.shape}")
         keys = self._cache["keys"]
-        want = np.ravel_multi_index(tuple(cells.T), self.dims)
+        want = _flat_keys(cells, self.dims, "cell")
         pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
         return np.where(keys[pos] == want, pos, -1)
 
@@ -215,34 +230,45 @@ def axis_groups(
     """Group observed cells by their coordinates on ``fixed_axes``.
 
     ``fixed_axes`` empty yields a single group of all observed cells;
-    fixing every axis yields singleton groups.
+    fixing every axis yields singleton groups.  The keys, ``group_of``,
+    sizes and CSR member order all come from one stable argsort of the
+    cells' flat keys, cast to the smallest unsigned dtype that holds the
+    key space.
     """
     fixed = tuple(sorted(set(int(a) for a in fixed_axes)))
     if any(a < 0 or a >= t.ndim for a in fixed):
         raise ValueError(f"fixed_axes {fixed} out of range for ndim {t.ndim}")
     n = t.n_observed
     if fixed:
-        sub = t.indices[:, fixed]
         sub_dims = tuple(t.dims[a] for a in fixed)
-        flat = np.ravel_multi_index(tuple(sub.T), sub_dims)
-        uniq, group_of = np.unique(flat, return_inverse=True)
-        keys = np.stack(np.unravel_index(uniq, sub_dims), axis=1)
+        flat = np.ravel_multi_index(tuple(t.indices[:, a] for a in fixed), sub_dims)
+        # one stable sort orders the groups by key and each group's
+        # members by position; NumPy radix-sorts keys of 16 bits or fewer
+        flat = flat.astype(np.min_scalar_type(math.prod(sub_dims) - 1))
+        order = np.argsort(flat, kind="stable")
+        ranked = flat[order]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        group_of = np.empty(n, dtype=np.int64)
+        group_of[order] = np.cumsum(first) - 1
+        # a group's key is its first member's coordinates on the fixed axes
+        keys = np.take(t.indices, order[starts], axis=0)[:, list(fixed)]
+        indptr = np.append(starts, n)
     else:
-        group_of = np.zeros(n, dtype=np.int64)
         keys = np.zeros((1, 0), dtype=np.int64)
-    group_of = group_of.astype(np.int64)
-    sizes = np.bincount(group_of, minlength=keys.shape[0]).astype(np.int64)
-    # members of each group in ascending cell position: a CSR row layout
-    order = np.argsort(group_of, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
+        order = np.arange(n)
+        indptr = np.array([0, n])
+        group_of = np.zeros(n, dtype=np.int64)
     sum_matrix = sp.csr_array(
         (np.ones(n), order, indptr), shape=(keys.shape[0], n)
     )
     return AxisGroups(
         fixed_axes=fixed,
-        keys=keys.astype(np.int64),
+        keys=keys,
         group_of=group_of,
-        sizes=sizes,
+        sizes=np.diff(indptr),
         sum_matrix=sum_matrix,
     )
 

@@ -417,7 +417,9 @@ def evaluate(
 
     Works on the training matrix (interpolation) or on an entirely fresh
     matrix with its own id space (extrapolation), since no parameter
-    depends on the matrix shape.  Never mutates the parameters.
+    depends on the matrix shape.  The query table must share the observed
+    table's ``users`` and ``items``, as two splits of one table do.  Never
+    mutates the parameters.
 
     The query is split into chunks of at most ``cell_budget`` cells, and
     ``params.prepare`` reads the observed table with each chunk.  A
@@ -432,6 +434,13 @@ def evaluate(
         raise ValueError("cell budget must be at least 1")
     if query_table.n_ratings == 0:
         raise ValueError("the query table is empty")
+    if (query_table.users, query_table.items) != (observed_table.users,
+                                                  observed_table.items):
+        raise ValueError(
+            f"the query table ({query_table.n_users}x{query_table.n_items}) "
+            f"is not over the observed table's users and items "
+            f"({observed_table.n_users}x{observed_table.n_items})"
+        )
     x_obs = encode_onehot(observed_table)
     query = query_table.indices()
     both = x_obs.find(query) >= 0

@@ -116,9 +116,16 @@ def dense_oracle_layer(
         pattern = (masks == sum(1 << a for a in S)).astype(np.float64)
         y += pattern @ (t.values @ w)
     y += params.bias
-    return t.with_values(
-        apply_nonlinearity(y, params.nonlinearity, params.slope)
-    )
+    return t.with_values(_activation(y, params.nonlinearity, params.slope))
+
+
+def _activation(y: np.ndarray, kind: str, slope: float) -> np.ndarray:
+    """The layer's activation; softmax is written out row-wise here, so
+    the oracle does not share the production path's channel-major one."""
+    if kind == "softmax":
+        e = np.exp(y - y.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+    return apply_nonlinearity(y, kind, slope)
 
 
 def _pool_size(S: frozenset[int], dims) -> int:

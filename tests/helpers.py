@@ -97,6 +97,51 @@ def assert_bitwise_equal(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def unique_then_argsort_groups(t, fixed_axes):
+    """(keys, group_of, sizes, order, indptr) of grouping ``t``'s cells on
+    ``fixed_axes`` by ``np.unique`` and a second stable int64 argsort, as
+    ``axis_groups`` did before it took them all from one sort; ``order``
+    and ``indptr`` are the CSR member layout of its ``sum_matrix``."""
+    fixed = tuple(fixed_axes)
+    n = t.n_observed
+    if fixed:
+        sub_dims = tuple(t.dims[a] for a in fixed)
+        flat = np.ravel_multi_index(tuple(t.indices[:, fixed].T), sub_dims)
+        uniq, group_of = np.unique(flat, return_inverse=True)
+        keys = np.stack(np.unravel_index(uniq, sub_dims), axis=1)
+    else:
+        group_of = np.zeros(n, dtype=np.int64)
+        keys = np.zeros((1, 0), dtype=np.int64)
+    group_of = group_of.astype(np.int64)
+    sizes = np.bincount(group_of, minlength=keys.shape[0]).astype(np.int64)
+    order = np.argsort(group_of, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    return keys.astype(np.int64), group_of, sizes, order, indptr
+
+
+def row_wise_softmax(x):
+    """Softmax over the channels with row-wise reductions, the formula
+    ``autodiff`` used before it reduced short rows channel-major."""
+    z = x - x.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def row_wise_cross_entropy(logits, targets):
+    """(loss, dlogits, dtargets) of the unweighted fused softmax cross
+    entropy by its row-wise formulas, for an upstream gradient of one."""
+    m = logits.max(axis=1, keepdims=True)
+    lse = (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))[:, 0]
+    ce = lse - (targets * logits).sum(axis=1)
+    dtype = np.result_type(logits, np.float32)
+    loss = np.asarray(ce.mean(), dtype)
+    dY = np.ones_like(loss)
+    coef = np.full(logits.shape[0], 1.0 / logits.shape[0], dtype)
+    dlogits = dY * coef[:, None] * (row_wise_softmax(logits) - targets)
+    dtargets = -dY * coef[:, None] * logits
+    return loss, dlogits, dtargets
+
+
 def per_array_adam(params, grads, state, config):
     """Adam one array at a time, as the optimizer ran before it moved to
     one flat buffer; ``training.optimizer_step`` must match it bit for

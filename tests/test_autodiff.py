@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from helpers import (
     assert_bitwise_equal, build_sparse, composed_layer_nodes, random_sparse,
+    row_wise_cross_entropy, row_wise_softmax,
 )
 
 from exchtensor import autodiff
@@ -338,6 +339,44 @@ class TestLosses:
         loss = g.mean_square_error(p, t)
         vals = forward(g, {"p": [[1.0, 3.0]], "t": [[2.0, 2.0]]})
         assert_allclose(vals[loss], 1.0)
+
+
+def spread_logits(n, k, dtype, seed=0):
+    """(n, k) logits spread over [-80, 80] and random soft targets: the
+    targets' products with the logits make the target dot a real sum."""
+    rng = np.random.default_rng(seed)
+    logits = rng.uniform(-80.0, 80.0, size=(n, k)).astype(dtype)
+    return logits, rng.random((n, k)).astype(dtype)
+
+
+SOFTMAX_CASES = [(n, k, dtype) for n in (1, 7, 630, 20_000)
+                 for k in range(2, 13) for dtype in (np.float32, np.float64)]
+
+
+class TestChannelMajorSoftmax:
+    """Softmax and the fused loss reduce rows of up to
+    ``CHANNEL_MAJOR_MAX`` channels on a (K, n) copy, and give the row-wise
+    formulas' results bit for bit at every width."""
+
+    @pytest.mark.parametrize("n, k, dtype", SOFTMAX_CASES)
+    def test_softmax_equals_row_wise_formula(self, n, k, dtype):
+        logits, _ = spread_logits(n, k, dtype)
+        got = autodiff.apply_nonlinearity(logits, "softmax")
+        assert got.flags.c_contiguous
+        assert_bitwise_equal(got, row_wise_softmax(logits))
+
+    @pytest.mark.parametrize("n, k, dtype", SOFTMAX_CASES)
+    def test_cross_entropy_equals_row_wise_formula(self, n, k, dtype):
+        logits, targets = spread_logits(n, k, dtype, seed=1)
+        g = Graph()
+        z, t = g.parameter("z"), g.parameter("t")
+        loss = g.softmax_cross_entropy(z, t)
+        values = forward(g, {"z": logits, "t": targets})
+        grads = backward(g, values, loss)
+        want, dlogits, dtargets = row_wise_cross_entropy(logits, targets)
+        assert_bitwise_equal(values[loss], want)
+        assert_bitwise_equal(grads["z"], dlogits)
+        assert_bitwise_equal(grads["t"], dtargets)
 
 
 class TestBackward:

@@ -1,10 +1,15 @@
 """Tensor construction, grouping, permutation, and dense round-trips."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import build_sparse, from_dense, to_dense
+from helpers import (
+    assert_bitwise_equal, build_sparse, from_dense, to_dense,
+    unique_then_argsort_groups,
+)
 
 from exchtensor.layers import pooling_groups
 from exchtensor.sampling import SampleBatch, subset_tensor
@@ -222,6 +227,63 @@ class TestIndexSetCache:
     def test_find_rejects_cells_of_another_rank(self):
         with pytest.raises(ValueError, match=r"\(m, 2\)"):
             small_matrix().find(np.zeros((3, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("cell", [(3, 0), (0, 4), (-1, 2)])
+    def test_find_rejects_cells_outside_the_dims(self, cell):
+        cells = np.array([[0, 0], cell, [5, 5]])
+        with pytest.raises(ValueError, match=rf"cell \({cell[0]}, {cell[1]}\) "
+                           r"out of bounds for dims \(3, 4\)"):
+            small_matrix().find(cells)
+
+
+def grouping_cases():
+    """(name, tensor) pairs whose groupings exercise the one-sort path."""
+    rng = np.random.default_rng(11)
+
+    def cells(dims, n):
+        flat = rng.choice(int(np.prod(dims)), size=n, replace=False)
+        return np.stack(np.unravel_index(flat, dims), axis=1)
+
+    def tensor(dims, idx):
+        return SparseExchangeableTensor(dims, idx, np.ones((len(idx), 1)))
+
+    rows = np.stack([np.zeros(9, dtype=np.int64), rng.permutation(9)], axis=1)
+    return [
+        ("2d", tensor((40, 50), cells((40, 50), 600))),
+        ("3d", tensor((6, 7, 5), cells((6, 7, 5), 120))),
+        # axes (0, 1) hold 90,000 keys: a 32-bit sort, not a radix sort
+        ("wide", tensor((300, 300, 4), cells((300, 300, 4), 20_000))),
+        ("one cell", tensor((4, 5), np.array([[2, 3]]))),
+        ("one group", tensor((3, 9), rows)),
+        ("all singletons", tensor((5, 6), cells((5, 6), 30))),
+    ]
+
+
+class TestOneSortGrouping:
+    """``axis_groups`` equals the ``np.unique`` plus stable-argsort
+    grouping it replaced, array for array."""
+
+    @pytest.mark.parametrize(
+        "t", [pytest.param(t, id=name) for name, t in grouping_cases()])
+    def test_matches_unique_then_argsort(self, t):
+        subsets = [fixed for r in range(t.ndim + 1)
+                   for fixed in itertools.combinations(range(t.ndim), r)]
+        for fixed in subsets:
+            g = axis_groups(t, fixed)
+            keys, group_of, sizes, order, indptr = unique_then_argsort_groups(
+                t, fixed)
+            assert_bitwise_equal(g.keys, keys)
+            assert_bitwise_equal(g.group_of, group_of)
+            assert_bitwise_equal(g.sizes, sizes)
+            m = g.sum_matrix
+            assert_array_equal(m.indices, order)
+            assert_array_equal(m.indptr, indptr)
+            assert_bitwise_equal(m.data, np.ones(t.n_observed))
+
+    def test_wide_case_crosses_sixteen_bit_keys(self):
+        t = dict(grouping_cases())["wide"]
+        keys = axis_groups(t, (0, 1)).keys
+        assert np.ravel_multi_index(tuple(keys.T), (300, 300)).max() >= 2**16
 
 
 class TestPermutation:

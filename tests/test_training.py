@@ -635,6 +635,25 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="already observed"):
             evaluate(mc, params, tr, tr)
 
+    @pytest.mark.parametrize("obs_dims, query_dims",
+                             [((50, 60), (20, 30)), ((20, 30), (50, 60))])
+    def test_query_table_of_another_matrix_rejected(self, obs_dims,
+                                                    query_dims):
+        obs, _ = split_synthetic(n_rows=obs_dims[0], n_cols=obs_dims[1])
+        _, query = split_synthetic(n_rows=query_dims[0], n_cols=query_dims[1])
+        mc = tiny_ss_config()
+        with pytest.raises(ValueError, match=(
+                rf"query table \({query_dims[0]}x{query_dims[1]}\) .* "
+                rf"\({obs_dims[0]}x{obs_dims[1]}\)")):
+            evaluate(mc, init_params(mc, seed=0), obs, query)
+
+    def test_query_table_with_other_item_ids_rejected(self):
+        tr, val = split_synthetic()
+        relabeled = replace(val, items=tuple(f"other-{i}" for i in val.items))
+        mc = tiny_ss_config()
+        with pytest.raises(ValueError, match=r"\(12x10\) is not over"):
+            evaluate(mc, init_params(mc, seed=0), tr, relabeled)
+
     def test_leave_one_out_toy_is_deterministic(self):
         scale = RatingScale.integer(1, 3)
         table = RatingsTable(

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import random_dense
+from helpers import assert_bitwise_equal, random_dense
 
+from exchtensor import verify
+from exchtensor.autodiff import apply_nonlinearity
 from exchtensor.layers import (
     ExchLayerParams,
     all_subsets,
@@ -32,6 +34,18 @@ from exchtensor.verify import (
 
 def scalar_blocks(ndim, rng):
     return {S: rng.normal(size=(1, 1)) for S in all_subsets(ndim)}
+
+
+class TestOwnSoftmax:
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_row_wise_softmax_equals_the_production_one(self, k):
+        """The oracle's own softmax must not drift from the one it checks:
+        equal bit for bit on both sides of the channel-major width."""
+        rng = np.random.default_rng(k)
+        for dtype in (np.float32, np.float64):
+            y = rng.uniform(-80.0, 80.0, size=(630, k)).astype(dtype)
+            assert_bitwise_equal(verify._activation(y, "softmax", 0.01),
+                                 apply_nonlinearity(y, "softmax"))
 
 
 class TestFullWeightMatrix:
