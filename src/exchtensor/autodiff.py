@@ -29,6 +29,7 @@ __all__ = [
     "NONLINEARITIES",
     "apply_nonlinearity",
     "equivariant_layer",
+    "pooled_means",
     "forward",
     "backward",
 ]
@@ -104,11 +105,11 @@ class Graph:
         """(n, K) cell values -> (n_groups, K) per-group means.
 
         The forward pass is ``groups.group_means``, a product with the
-        group-sum operator that accumulates in float64 and returns the
-        operand's dtype; the backward pass hands each cell its group's
-        gradient over the group size.  Pooling is always a mean.  ``mode``
-        admits only "mean"; it stays so that callers which pass it keep
-        working.
+        pool operator that accumulates in float64 and returns the
+        operand's dtype; the backward pass hands each context cell its
+        group's gradient over the group's context count.  Pooling is
+        always a mean.  ``mode`` admits only "mean"; it stays so that
+        callers which pass it keep working.
         """
         if mode != "mean":
             raise ValueError(f"pool mode must be 'mean', got {mode!r}")
@@ -222,17 +223,26 @@ def apply_nonlinearity(x: np.ndarray, kind: str, slope: float = 0.01) -> np.ndar
 
 
 def _add_into(total, term, g: AxisGroups | None = None):
-    """total + term, with term's rows gathered to g's cells when g is
-    given (a single group's row broadcasts); in place when total, a
-    temporary or None, keeps the sum's shape and dtype."""
-    if g is not None and g.n_groups > 1:
-        term = np.take(term, g.group_of, axis=0)
+    """total + term, with term's rows spread to g's cells when g is
+    given (a single group's row broadcasts when every cell is context);
+    in place when total, a temporary or None, keeps the sum's shape and
+    dtype."""
+    if g is not None and (g.context is not None or g.n_groups > 1):
+        term = g.spread(term)
     if total is None:
         return term
     if total.shape[0] < term.shape[0] or np.result_type(total, term) != total.dtype:
         return total + term
     total += term
     return total
+
+
+def pooled_means(x, groups) -> list[np.ndarray]:
+    """Each grouping's group means of x, which is upcast to float64 once
+    for all of them; the means take x's floating dtype."""
+    x64 = np.asarray(x, dtype=np.float64)
+    return [g.group_means(x64).astype(np.result_type(x, np.float32), copy=False)
+            for g in groups]
 
 
 def equivariant_layer(x, bias, blocks, groups, nonlinearity="identity",
@@ -242,8 +252,9 @@ def equivariant_layer(x, bias, blocks, groups, nonlinearity="identity",
     ``blocks`` are the 2^D (K, O) weights in ``all_subsets`` order, the
     cell block first, and ``groups`` the grouping of each later subset.
     ``x @ blocks[0] + bias`` adds each term's mixed group means, gathered
-    to the cells, in that order.  x is upcast to float64 once for all the
-    pools; the means take x's floating dtype, as ``group_means`` returns.
+    to the cells, in that order.  Each pool reads only its grouping's
+    context cells, and its term reaches every cell.  The means are
+    ``pooled_means``.
 
     The cell term is one whole product, written once into the output.
     The bias, the pooled terms and then ``nonlinearity`` (an activation
@@ -253,9 +264,7 @@ def equivariant_layer(x, bias, blocks, groups, nonlinearity="identity",
     the whole-array order and dtype promotion, so the values are those
     of summing whole arrays, bit for bit.
     """
-    x64 = np.asarray(x, dtype=np.float64)
-    means = [g.group_means(x64).astype(np.result_type(x, np.float32), copy=False)
-             for g in groups]
+    means = pooled_means(x, groups)
     # (term, its row per cell or None to broadcast), bias first
     terms = [(bias, None)] + [(m @ w, g.group_of if g.n_groups > 1 else None)
                               for g, m, w in zip(groups, means, blocks[1:])]
@@ -295,7 +304,7 @@ def _equivariant_layer_grads(dY, x, blocks, groups, means):
         d_mixed = g.group_sums(dY64).astype(dtype, copy=False)
         dblocks.insert(1, m.T @ d_mixed)
         d_means = d_mixed @ w.T
-        dx = _add_into(dx, (d_means / g.sizes[:, None]).astype(d_means.dtype), g)
+        dx = _add_into(dx, (d_means / g.divisor[:, None]).astype(d_means.dtype), g)
     return _add_into(dx, dY @ blocks[0].T), dY.sum(axis=0), dblocks
 
 
@@ -474,8 +483,8 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
                 accumulate(o, d)
         elif op == "segment_pool":
             g = node.attrs["groups"]
-            dg = (dY / g.sizes[:, None]).astype(dY.dtype)
-            accumulate(node.operands[0], dg[g.group_of])
+            dg = (dY / g.divisor[:, None]).astype(dY.dtype)
+            accumulate(node.operands[0], g.spread(dg))
         elif op == "gather_broadcast":
             g = node.attrs["groups"]
             accumulate(node.operands[0], g.group_sums(dY))

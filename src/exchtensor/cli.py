@@ -296,15 +296,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_table, val, test = _split_for_training(settings, scale)
     scale = train_table.scale
     model_config = _model_config(settings, scale)
-    out = _out_dir(settings)
-    report_file = open(out / "report.jsonl", "w") if out else None
     given = _train_fields(settings)
     zero_epochs = given.get("epochs") == 0
+    # zero epochs write the initial params; the other loop settings are
+    # checked all the same, and all before the output is opened
+    train_config = TrainConfig(**dict(given, epochs=1) if zero_epochs
+                               else given)
+    out = _out_dir(settings)
+    report_file = open(out / "report.jsonl", "w") if out else None
     try:
-        # zero epochs write the initial params; the other loop settings
-        # are checked all the same
-        train_config = TrainConfig(**dict(given, epochs=1) if zero_epochs
-                                   else given)
         seed = train_config.seed
         if zero_epochs:
             params = init_params(model_config, seed=seed)

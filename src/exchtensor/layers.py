@@ -26,6 +26,9 @@ For matrices (D=2) the four subsets are: both axes (the cell itself), the
 column axis (mean over the cell's column), the row axis (mean over the
 cell's row), and neither (mean over everything observed).  All pooling is
 over observed cells only, so the same code serves dense and sparse inputs.
+A pool may read only a context of those cells (``pooling_groups(t,
+context)``) while its term still reaches every cell: the self-supervised
+model leaves masked and query cells out of its pools.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import NONLINEARITIES, Graph, equivariant_layer
+from .autodiff import NONLINEARITIES, Graph, equivariant_layer, pooled_means
 from .sparse import AxisGroups, SparseExchangeableTensor
 
 __all__ = [
@@ -52,6 +55,7 @@ __all__ = [
     "add_layer_nodes",
     "add_stack_nodes",
     "apply_stack",
+    "stack_pools",
     "exchangeable_tensor_layer",
     "dropout_channel_mask",
     "pool_to_factors",
@@ -200,15 +204,18 @@ def random_layer_params(
 
 def pooling_groups(
     t: SparseExchangeableTensor,
+    context: np.ndarray | None = None,
 ) -> dict[frozenset[int], AxisGroups]:
     """Axis groups for every pooled term of a layer over t's index set.
 
     They depend on the index set alone, so they come from ``t.groups``:
     computed once per index set, shared by every layer and pass.  The
-    full subset needs no groups: its term is the identity.
+    full subset needs no groups: its term is the identity.  ``context``,
+    a boolean mask over t's cells, restricts every pool to the cells it
+    marks (``AxisGroups.with_context``); the terms still reach every cell.
     """
     return {
-        S: t.groups(S)
+        S: t.groups(S).with_context(context)
         for S in all_subsets(t.ndim)
         if len(S) < t.ndim
     }
@@ -304,6 +311,32 @@ def apply_stack(
     for lp in stack:
         t = exchangeable_tensor_layer(t, lp)
     return t
+
+
+def stack_pools(t: SparseExchangeableTensor,
+                stack: Sequence[ExchLayerParams], read) -> list:
+    """What ``read(layer, group means)`` returns for each layer of an
+    eval-mode pass of the stack over t, as ``apply_stack`` runs it.
+
+    The group means are those the layer's pooled terms read, in
+    ``all_subsets`` order after the full subset, so a caller keeps what
+    the pools of t hold without pooling again.  The last layer's output,
+    which no pool reads, is not computed.  Only the current layer's input
+    and output are held; t is not.
+    """
+    groups = pooling_groups(t)
+    subsets = all_subsets(t.ndim)
+    pooled = [groups[S] for S in subsets[1:]]
+    x, kept = t.values, []
+    del t  # so t's values go once the first layer has read them
+    for lp in stack[:-1]:
+        x, means = equivariant_layer(
+            x, lp.bias, [lp.blocks[S] for S in subsets], pooled,
+            lp.nonlinearity, lp.slope,
+        )
+        kept.append(read(lp, means))
+    kept.append(read(stack[-1], pooled_means(x, pooled)))
+    return kept
 
 
 def dropout_channel_mask(

@@ -7,6 +7,15 @@ into per-row/per-column factors, and an exchangeable decoder that
 rebuilds distributions from broadcast factors at any target cells.
 Parameters never depend on the matrix shape, so a fitted model
 transfers to matrices of any size over unseen ids.
+
+A prediction depends only on the parameters, the observed context and
+its own cell.  The self-supervised model's pools read only context
+cells: in training the masked cells are not context, and at evaluation
+the query cells are not.  The autoencoder's decoder pools each query
+cell over the context plus itself, as training pools every target cell
+with itself.  So every context-side value at every layer is fixed by
+the parameters and the context: ``prepare`` computes them once, and
+``predict`` runs a tail pass over the query cells alone.
 """
 
 from __future__ import annotations
@@ -17,22 +26,25 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autodiff import NONLINEARITIES, Graph
+from .autodiff import NONLINEARITIES, Graph, apply_nonlinearity
 from .data import RatingScale
 from .layers import (
     ExchLayerParams,
     FactorPair,
     add_stack_nodes,
+    all_subsets,
     apply_stack,
     broadcast_factors,
     pool_to_factors,
     pooling_groups,
     random_layer_params,
+    stack_pools,
 )
-from .sparse import SparseExchangeableTensor
+from .sparse import SparseExchangeableTensor, lookup
 
 __all__ = [
     "ModelConfig",
+    "PreparedContext",
     "SelfSupervisedParams",
     "FeaParams",
     "named_arrays",
@@ -176,6 +188,72 @@ def union_with_zeros(
     return SparseExchangeableTensor(t.dims, indices, values)
 
 
+def _sub_keys(cells: np.ndarray, dims, axes) -> np.ndarray:
+    """Row-major flat keys of (m, D) cells' coordinates on ``axes``
+    over ``dims``; 0 for every cell when there are no axes."""
+    if not axes:
+        return np.zeros(cells.shape[0], dtype=np.int64)
+    return np.ravel_multi_index(tuple(cells[:, a] for a in axes),
+                                tuple(dims[a] for a in axes))
+
+
+def _with_zero_row(table: np.ndarray) -> np.ndarray:
+    """table with a zero row appended, which group id -1 selects."""
+    return np.concatenate([table, np.zeros((1, *table.shape[1:]), table.dtype)])
+
+
+@dataclass(frozen=True)
+class PreparedContext:
+    """What every request against one observed context reads, computed
+    once per (parameters, context) by ``params.prepare``.
+
+    ``keys`` are the context cells' ascending flat keys over ``dims``,
+    and ``dtype`` their values' dtype.  ``groups`` holds, for each pooled
+    subset in ``all_subsets`` order after the full subset, the subset,
+    the ascending flat keys of the context's groups on its axes and the
+    cells in each.  ``layers`` holds each layer's context-side tables,
+    one per pooled subset.  Each table, and each count array, has a zero
+    last entry for a cell whose group the context lacks.  ``factors``
+    are the autoencoder's imputed factors.  Nothing here is as large as
+    the context's values.
+    """
+
+    dims: tuple[int, ...]
+    keys: np.ndarray
+    dtype: np.dtype
+    groups: tuple[tuple[frozenset[int], np.ndarray, np.ndarray], ...]
+    layers: tuple[tuple, ...]
+    factors: FactorPair | None = None
+
+    @classmethod
+    def of(cls, x: SparseExchangeableTensor, layers,
+           factors: FactorPair | None = None) -> "PreparedContext":
+        groups = pooling_groups(x)
+        return cls(x.dims, x.keys, x.values.dtype, tuple(
+            (S, groups[S].flat_keys, _with_zero_row(groups[S].counts))
+            for S in all_subsets(x.ndim)[1:]
+        ), tuple(layers), factors)
+
+    def find(self, cells: np.ndarray) -> np.ndarray:
+        """Row of each (m, D) cell among the context cells, -1 if absent."""
+        return lookup(self.keys, np.ravel_multi_index(tuple(cells.T), self.dims))
+
+    def group_at(self, cells: np.ndarray) -> list[np.ndarray]:
+        """Per pooled subset, each cell's context group, -1 if none."""
+        return [lookup(keys, _sub_keys(cells, self.dims, sorted(S)))
+                for S, keys, _ in self.groups]
+
+
+def _tail_layer(h: np.ndarray, lp: ExchLayerParams, terms) -> np.ndarray:
+    """One layer at the query cells alone: the cell term over their own
+    values, then the bias and each pooled term's rows, added in the
+    order ``equivariant_layer`` adds them, then the activation."""
+    y = h @ lp.blocks[all_subsets(lp.ndim)[0]]
+    for term in (lp.bias, *terms):
+        y = y + term
+    return apply_nonlinearity(y, lp.nonlinearity, lp.slope)
+
+
 @dataclass(frozen=True)
 class SelfSupervisedParams:
     layers: tuple[ExchLayerParams, ...]
@@ -183,20 +261,36 @@ class SelfSupervisedParams:
     # stack field -> array name prefix; layer k of a stack is prefix + k
     STACKS: ClassVar[dict[str, str]] = {"layers": "layer"}
 
-    @staticmethod
-    def prepare(x_obs: SparseExchangeableTensor, query: np.ndarray):
-        """The context with the query cells added as zeros, grouped once."""
-        x = union_with_zeros(x_obs, query)
-        pooling_groups(x)
-        return x
+    def prepare(self, config: ModelConfig, x_obs: SparseExchangeableTensor
+                ) -> PreparedContext:
+        """Each layer's pooled terms over the context, mixed: the query
+        cells are not context, so these tables are all a request reads
+        of it."""
+        _check_forward(config, self, SelfSupervisedParams, "prepare", x_obs)
+        subsets = all_subsets(x_obs.ndim)[1:]
 
-    def predict(self, config: ModelConfig, prepared) -> SparseExchangeableTensor:
-        return self_supervised_forward(prepared, config, self)
+        def mixed(lp, means):
+            return tuple(_with_zero_row(m @ lp.blocks[S])
+                         for S, m in zip(subsets, means))
+
+        return PreparedContext.of(x_obs, stack_pools(x_obs, self.layers, mixed))
+
+    def predict(self, config: ModelConfig, prepared: PreparedContext,
+                query: np.ndarray) -> np.ndarray:
+        """(m, levels) distributions at the query cells, whose inputs are
+        zero: per layer, their cell term plus the context's tables."""
+        at = prepared.group_at(query)
+        h = np.zeros((query.shape[0], config.levels), prepared.dtype)
+        for lp, tables in zip(self.layers, prepared.layers):
+            h = _tail_layer(h, lp, [np.take(t, g, axis=0)
+                                    for t, g in zip(tables, at)])
+        return h
 
     def loss_graph(self, config: ModelConfig, batch: SparseExchangeableTensor,
                    masks: dict, seed: int):
         """Cross-entropy on a random subset of the batch's cells, whose
-        inputs are zeroed; another seed is tried while none is masked."""
+        inputs are zeroed and which the pools do not read; another seed
+        is tried while none is masked."""
         for attempt in range(10):
             x_in, masked = mask_inputs(batch, config.mask_prob,
                                        seed=seed + attempt)
@@ -208,7 +302,7 @@ class SelfSupervisedParams:
         weights = np.zeros(batch.n_observed)
         weights[batch.find(masked)] = 1.0
         return build_ss_loss_graph(x_in, self.layers, batch.values, weights,
-                                   masks)
+                                   masks, context=weights == 0)
 
 
 @dataclass(frozen=True)
@@ -218,20 +312,42 @@ class FeaParams:
 
     STACKS: ClassVar[dict[str, str]] = {"encoder": "enc", "decoder": "dec"}
 
-    @staticmethod
-    def prepare(x_obs: SparseExchangeableTensor, query: np.ndarray):
-        """(context, decode set over the query cells), each grouped once."""
-        decode_set = SparseExchangeableTensor(x_obs.dims, query,
-                                              np.empty((len(query), 0)))
-        pooling_groups(x_obs)
-        pooling_groups(decode_set)
-        return x_obs, decode_set
+    def prepare(self, config: ModelConfig, x_obs: SparseExchangeableTensor
+                ) -> PreparedContext:
+        """The context's imputed factors, and each decoder layer's input
+        sums per context group, in float64: its group means times the
+        group's cell count."""
+        factors = fea_encode(x_obs, config, self).imputed()
+        groups = pooling_groups(x_obs)
+        subsets = all_subsets(x_obs.ndim)[1:]
 
-    def predict(self, config: ModelConfig, prepared) -> SparseExchangeableTensor:
-        """Decode at the query cells; cold rows and columns are imputed."""
-        x_obs, decode_set = prepared
-        return fea_decode(fea_encode(x_obs, config, self), decode_set, config,
-                          self, imputation=True)
+        def sums(lp, means):
+            return tuple(_with_zero_row(m * groups[S].counts[:, None])
+                         for S, m in zip(subsets, means))
+
+        return PreparedContext.of(x_obs, stack_pools(
+            broadcast_factors(factors, x_obs), self.decoder, sums), factors)
+
+    def predict(self, config: ModelConfig, prepared: PreparedContext,
+                query: np.ndarray) -> np.ndarray:
+        """(m, levels) distributions at the query cells.  Each decodes
+        from its row's and column's factors (cold ones were imputed), and
+        each pool reads the context's cells plus the query cell itself."""
+        at = prepared.group_at(query)
+        # each query cell joins its groups' context cells
+        joined = [(counts[g] + 1.0)[:, None] for (_, _, counts), g
+                  in zip(prepared.groups, at)]
+        f = prepared.factors
+        h = np.concatenate([f.z_rows[query[:, 0]], f.z_cols[query[:, 1]]], axis=1)
+        for lp, sums in zip(self.decoder, prepared.layers):
+            h64 = np.asarray(h, np.float64)
+            dtype = np.result_type(h, np.float32)
+            h = _tail_layer(h, lp, [
+                ((np.take(s, g, axis=0) + h64) / n).astype(dtype, copy=False)
+                @ lp.blocks[S]
+                for (S, _, _), s, g, n in zip(prepared.groups, sums, at, joined)
+            ])
+        return h
 
     def loss_graph(self, config: ModelConfig, batch: SparseExchangeableTensor,
                    masks: dict, seed: int):
@@ -310,10 +426,15 @@ def count_parameters(params) -> int:
     return sum(a.size for a in named_arrays(params).values())
 
 
-def _check_forward(config: ModelConfig, params, cls: type, forward: str):
+def _check_forward(config: ModelConfig, params, cls: type, forward: str,
+                   x: SparseExchangeableTensor | None = None):
     check_params(config, params)
     if not isinstance(params, cls):  # the other model's matching pair
         raise TypeError(f"{forward} takes {cls.__name__}, not {type(params).__name__}")
+    if x is not None and x.channels != config.levels:
+        raise ValueError(
+            f"input has {x.channels} channels, expected {config.levels}"
+        )
 
 
 def mask_inputs(
@@ -352,9 +473,11 @@ def build_ss_loss_graph(
     targets: np.ndarray,
     target_weights: np.ndarray | None,
     dropout_masks: dict | None = None,
+    context: np.ndarray | None = None,
 ):
     """Cross-entropy training graph for the plain exchangeable stack.
 
+    ``context`` masks the cells every pool reads; None reads them all.
     Returns (graph, loss node, bindings); parameters are named as in
     ``named_arrays(SelfSupervisedParams(layer_stack))``, so gradients map
     back onto the model.
@@ -362,7 +485,7 @@ def build_ss_loss_graph(
     model = SelfSupervisedParams(tuple(layer_stack))
     g = Graph()
     logits = add_stack_nodes(
-        g, g.input("x"), pooling_groups(x), _logits_stack(layer_stack),
+        g, g.input("x"), pooling_groups(x, context), _logits_stack(layer_stack),
         model.STACKS["layers"], dropout_masks,
     )
     loss = g.softmax_cross_entropy(
@@ -409,14 +532,13 @@ def self_supervised_forward(
 ) -> SparseExchangeableTensor:
     """Distribution over rating levels at every cell of x_in's index set.
 
-    Eval mode: no dropout.  Cells wanting predictions should be present
-    with zeroed channels.
+    Eval mode: no dropout.  Every cell is context, so every pool reads
+    every cell, as in training a batch with nothing masked.  Predictions
+    at unobserved cells leave them out of the pools:
+    ``SelfSupervisedParams.prepare`` and ``predict``.
     """
-    _check_forward(config, params, SelfSupervisedParams, "self_supervised_forward")
-    if x_in.channels != config.levels:
-        raise ValueError(
-            f"input has {x_in.channels} channels, expected {config.levels}"
-        )
+    _check_forward(config, params, SelfSupervisedParams, "self_supervised_forward",
+                   x_in)
     return apply_stack(x_in, params.layers)
 
 
@@ -426,11 +548,7 @@ def fea_encode(
     params: FeaParams,
 ) -> FactorPair:
     """Pool an exchangeable stack into per-row and per-column factors."""
-    _check_forward(config, params, FeaParams, "fea_encode")
-    if x.channels != config.levels:
-        raise ValueError(
-            f"input has {x.channels} channels, expected {config.levels}"
-        )
+    _check_forward(config, params, FeaParams, "fea_encode", x)
     return pool_to_factors(apply_stack(x, params.encoder))
 
 
@@ -446,7 +564,10 @@ def fea_decode(
     ``target_indices`` is an (n, 2) array of cells, or a tensor whose
     index set (with its cached groupings) is the decode set.  Eval mode:
     no dropout.  Cold rows or columns (ids the encoder never saw) raise unless
-    imputation fills them with the warm-factor mean first.
+    imputation fills them with the warm-factor mean first.  The decoder's
+    pools read the whole decode set, as in training; predictions against
+    an observed context pool each query cell over the context plus
+    itself: ``FeaParams.prepare`` and ``predict``.
     """
     _check_forward(config, params, FeaParams, "fea_decode")
     if imputation:

@@ -26,6 +26,7 @@ __all__ = [
     "AxisGroups",
     "PermutationSpec",
     "axis_groups",
+    "lookup",
     "apply_permutation",
 ]
 
@@ -79,14 +80,18 @@ class SparseExchangeableTensor:
             raise ValueError(f"dims {dims} hold more cells than int64 keys address")
         # row-major keys sort cells lexicographically, and are unique here
         keys = _flat_keys(idx, dims, "index")
-        order = np.argsort(keys)
-        # np.take copies whole rows, several times faster than idx[order]
-        keys = keys[order]
-        idx, vals = np.take(idx, order, axis=0), np.take(vals, order, axis=0)
-        dup = keys[1:] == keys[:-1]
-        if dup.any():
-            where = int(np.flatnonzero(dup)[0])
-            raise ValueError(f"duplicate index {tuple(idx[where])}")
+        if (keys[1:] > keys[:-1]).all():
+            # already in order, without duplicates: copy, never alias
+            idx, vals = idx.copy(), vals.copy()
+        else:
+            order = np.argsort(keys)
+            # np.take copies whole rows, several times faster than idx[order]
+            keys = keys[order]
+            idx, vals = np.take(idx, order, axis=0), np.take(vals, order, axis=0)
+            dup = keys[1:] == keys[:-1]
+            if dup.any():
+                where = int(np.flatnonzero(dup)[0])
+                raise ValueError(f"duplicate index {tuple(idx[where])}")
         idx.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "indices", idx)
@@ -139,10 +144,12 @@ class SparseExchangeableTensor:
         cells = np.asarray(cells, dtype=np.int64)
         if cells.ndim != 2 or cells.shape[1] != self.ndim:
             raise ValueError(f"cells must be (m, {self.ndim}), got {cells.shape}")
-        keys = self._cache["keys"]
-        want = _flat_keys(cells, self.dims, "cell")
-        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        return np.where(keys[pos] == want, pos, -1)
+        return lookup(self.keys, _flat_keys(cells, self.dims, "cell"))
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Each cell's row-major flat key over ``dims``, ascending."""
+        return self._cache["keys"]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseExchangeableTensor):
@@ -181,9 +188,19 @@ class AxisGroups:
     ``indices``) to its group id; ``sizes`` are group cardinalities.
     ``sum_matrix`` is the (n_groups, n_obs) 0/1 CSR operator whose row g
     selects group g's members, so ``sum_matrix @ x`` gives every group's
-    sum at once.  It serves both pooling (the group sums of the cell
-    values) and the gradient of broadcasting (the group sums of the cell
-    gradients).  Its rows list each group's members in ascending order.
+    sum at once.  It serves both pooling (as ``pool_matrix`` when every
+    cell is context) and the gradient of broadcasting (the group sums of
+    the cell gradients).  Its rows list each group's members in
+    ascending order.
+
+    ``context`` marks the cells the pools read; None marks every cell.
+    ``pool_matrix`` is ``sum_matrix`` over the context cells only,
+    ``counts`` the context cells per group and ``pool_of`` each context
+    cell's group id (``n_groups`` for any other cell), so ``group_means``
+    sums a group's context cells and divides by their count, and
+    ``spread`` of a gradient over the counts is its transpose.  A group
+    with no context cell pools to 0.  With every cell in the context they
+    are ``sum_matrix``, ``sizes`` and ``group_of`` themselves.
 
     ``group_sums`` and ``group_means`` accumulate in float64 whatever the
     operand's dtype and return the operand's floating dtype (float64 for
@@ -196,6 +213,35 @@ class AxisGroups:
     group_of: np.ndarray   # (n_obs,) group id per cell position
     sizes: np.ndarray      # (n_groups,)
     sum_matrix: sp.csr_array  # (n_groups, n_obs) float64 0/1 group-sum operator
+    # (n_groups,) each group's row-major key over the fixed axes, ascending
+    flat_keys: np.ndarray
+    context: np.ndarray | None = None  # (n_obs,) bool, None for every cell
+    pool_matrix: sp.csr_array = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    pool_of: np.ndarray = field(init=False, repr=False, compare=False)
+    # counts, with 1 for an empty group, whose sum is 0
+    divisor: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = self.sum_matrix
+        if self.context is None:
+            pool, counts, pool_of = m, self.sizes, self.group_of
+        else:
+            ctx = np.asarray(self.context, dtype=bool)
+            if ctx.shape != (self.n_members,):
+                raise ValueError(f"context mask must be ({self.n_members},), "
+                                 f"got {ctx.shape}")
+            keep = ctx[m.indices]
+            kept = np.concatenate([[0], np.cumsum(keep)])[m.indptr]
+            pool = sp.csr_array((m.data[keep], m.indices[keep], kept),
+                                shape=m.shape)
+            counts = kept[1:] - kept[:-1]
+            pool_of = np.where(ctx, self.group_of, self.n_groups)
+            object.__setattr__(self, "context", ctx)
+        object.__setattr__(self, "pool_matrix", pool)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "pool_of", pool_of)
+        object.__setattr__(self, "divisor", np.maximum(counts, 1))
 
     @property
     def n_groups(self) -> int:
@@ -205,15 +251,37 @@ class AxisGroups:
     def n_members(self) -> int:
         return self.group_of.shape[0]
 
+    def with_context(self, context: np.ndarray | None) -> "AxisGroups":
+        """The same groups, pooling only the cells ``context`` marks;
+        these groups themselves when it marks every cell or is None."""
+        if context is not None:
+            context = np.asarray(context, dtype=bool)
+            if context.all():
+                context = None
+        if context is None and self.context is None:
+            return self
+        return AxisGroups(self.fixed_axes, self.keys, self.group_of, self.sizes,
+                          self.sum_matrix, self.flat_keys, context)
+
     def group_sums(self, x: np.ndarray) -> np.ndarray:
-        """(n_obs, K) -> (n_groups, K) per-group sums, float64-accumulated."""
+        """(n_obs, K) -> (n_groups, K) per-group sums over every member,
+        float64-accumulated."""
         sums = self.sum_matrix @ x
         return sums.astype(np.result_type(x, np.float32), copy=False)
 
     def group_means(self, x: np.ndarray) -> np.ndarray:
-        """(n_obs, K) -> (n_groups, K) per-group means, float64-accumulated."""
-        means = self.sum_matrix @ x / self.sizes[:, None]
+        """(n_obs, K) -> (n_groups, K) per-group means over the context
+        members, float64-accumulated; 0 for a group with none."""
+        means = self.pool_matrix @ x / self.divisor[:, None]
         return means.astype(np.result_type(x, np.float32), copy=False)
+
+    def spread(self, rows: np.ndarray) -> np.ndarray:
+        """(n_groups, K) -> (n_obs, K): each context cell takes its
+        group's row, every other cell 0.  Spreading a group's gradient
+        over its count is the transpose of ``group_means``."""
+        if self.context is not None:
+            rows = np.concatenate([rows, np.zeros((1, rows.shape[1]), rows.dtype)])
+        return np.take(rows, self.pool_of, axis=0)
 
     def members(self) -> dict[tuple[int, ...], np.ndarray]:
         """Group key -> array of member cell positions (canonical order)."""
@@ -222,6 +290,13 @@ class AxisGroups:
             tuple(self.keys[g]): m.indices[m.indptr[g] : m.indptr[g + 1]].copy()
             for g in range(self.n_groups)
         }
+
+
+def lookup(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Position of each of ``want`` in the ascending, distinct ``keys``;
+    -1 where it is absent."""
+    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    return np.where(keys[pos] == want, pos, -1)
 
 
 def axis_groups(
@@ -255,9 +330,11 @@ def axis_groups(
         group_of[order] = np.cumsum(first) - 1
         # a group's key is its first member's coordinates on the fixed axes
         keys = np.take(t.indices, order[starts], axis=0)[:, list(fixed)]
+        flat_keys = ranked[starts].astype(np.int64)
         indptr = np.append(starts, n)
     else:
         keys = np.zeros((1, 0), dtype=np.int64)
+        flat_keys = np.zeros(1, dtype=np.int64)
         order = np.arange(n)
         indptr = np.array([0, n])
         group_of = np.zeros(n, dtype=np.int64)
@@ -270,6 +347,7 @@ def axis_groups(
         group_of=group_of,
         sizes=np.diff(indptr),
         sum_matrix=sum_matrix,
+        flat_keys=flat_keys,
     )
 
 

@@ -13,21 +13,29 @@ rebuilt without rederiving a name or rerunning a layer's checks.  Each
 Adam step runs as a few vector ops over the whole buffer and builds a
 fresh one.  No buffer is updated in place: the previous epoch's
 parameters may still be validating on the worker thread, and the best
-epoch's are kept to be returned.  Validation runs the model's eval-mode
-prediction against the full training matrix.  Groupings are cached on
-their index set, so a full-batch fit groups the training matrix once,
-and the validation set is prepared and grouped once per fit.  A
-minibatch fit validates each epoch on one worker thread while the next
-epoch's step runs, with results bit for bit those of the sequential
-loop; a multithreaded BLAS then serves two callers at once, so set its
-thread count with that in mind.  ``mask_inputs`` and the two loss-graph
+epoch's are kept to be returned.  Validation and ``evaluate`` take one
+path: ``params.prepare`` reads the observed context alone, and
+``params.predict`` runs a tail pass over the query cells, whose
+predictions depend on no other query cell.  Validation prepares the
+training matrix with each epoch's parameters; groupings are cached on
+their index set, so a fit groups the training matrix once and the
+validation cells not at all.  ``evaluate`` keeps its last few prepared
+contexts by a digest of their content, so repeated calls with an equal
+model and observed table run the context pass once.  A minibatch fit
+validates each epoch on one worker thread while the next epoch's step
+runs, with results bit for bit those of the sequential loop; a
+multithreaded BLAS then serves two callers at once, so set its thread
+count with that in mind.  ``mask_inputs`` and the two loss-graph
 builders live in ``models`` and are re-exported here.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import threading
 import time
+from collections import OrderedDict
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,9 +46,10 @@ import numpy as np
 
 from .autodiff import backward, forward
 from .data import RatingScale, RatingsTable, encode_onehot, rmse
-from .layers import dropout_channel_mask
+from .layers import dropout_channel_mask, pooling_groups
 from .models import (
     ModelConfig,
+    PreparedContext,
     build_fea_loss_graph,
     build_ss_loss_graph,
     check_params,
@@ -246,17 +255,45 @@ def optimizer_step(
 def _predict_at(
     config: ModelConfig,
     params,
-    prepared,
+    prepared: PreparedContext,
     query: np.ndarray,
     scale: RatingScale,
 ) -> np.ndarray:
-    """Expected ratings at query cells, from ``params.prepare``'s reading
-    of the observed context and these query cells."""
-    out = params.predict(config, prepared)
-    dist = out.values[out.find(query)]
+    """Expected ratings at query cells, against the observed context
+    that ``params.prepare`` read."""
+    dist = params.predict(config, prepared, query)
     # renormalize away float32 rounding before the strict decode check
     dist = dist / dist.sum(axis=1, keepdims=True)
     return predict_ratings(dist, scale)
+
+
+# prepared contexts ``evaluate`` keeps, least recently used first
+MEMO_ENTRIES = 4
+_memo: OrderedDict[bytes, PreparedContext] = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _context_digest(config: ModelConfig, params, table: RatingsTable) -> bytes:
+    """A digest of all a prepared context depends on: the model config,
+    each named array's name, dtype, shape and bytes, and the table's
+    dims, cells, ratings and scale."""
+    h = hashlib.blake2b(repr(config).encode(), digest_size=32)
+    arrays = dict(named_arrays(params))  # 'layer1.w01': no table field's name
+    arrays.update(dims=np.array([table.n_users, table.n_items]),
+                  u_index=table.u_index, i_index=table.i_index,
+                  ratings=table.ratings, levels=np.array(table.scale.levels))
+    for name, a in arrays.items():
+        a = np.ascontiguousarray(a)
+        h.update(f"\n{name} {a.dtype.str} {a.shape} ".encode())
+        h.update(a)
+    return h.digest()
+
+
+def _prepare_context(config: ModelConfig, params, table: RatingsTable
+                     ) -> PreparedContext:
+    """The context pass over an observed table, which ``evaluate`` runs
+    once per (model, table) content that its memo holds."""
+    return params.prepare(config, encode_onehot(table))
 
 
 def _epoch_dropout_masks(config: ModelConfig, rng) -> dict:
@@ -302,11 +339,12 @@ def train(
     # one buffer per fit, cast once; a tied block is one slot, one array
     arrays = FlatArrays.of(named_arrays(params), dtype)
     params = with_named_arrays(params, arrays)
-    # the validation set never changes: prepare it once, before a worker
-    # thread reads it
-    prepared = params.prepare(x_full, val_query)
+    # the context never changes: group it once, before a worker thread
+    # reads it
+    pooling_groups(x_full)
 
     def validate(p) -> float:
+        prepared = p.prepare(model_config, x_full)
         return rmse(_predict_at(model_config, p, prepared, val_query, scale),
                     val_truth)
 
@@ -421,13 +459,15 @@ def evaluate(
     table's ``users`` and ``items``, as two splits of one table do.  Never
     mutates the parameters.
 
-    The query is split into chunks of at most ``cell_budget`` cells, and
-    ``params.prepare`` reads the observed table with each chunk.  A
-    prediction currently depends on the other query cells of its chunk,
-    not only on the observed table: the self-supervised model's pools
-    include the zero-filled query cells, and the autoencoder's decoder
-    pools over the query set.  So chunking changes the predictions and
-    the RMSE.
+    A prediction depends only on the parameters, the observed table and
+    its own cell, so the query may be split into chunks of at most
+    ``cell_budget`` cells without changing one (beyond the last bits of
+    the chunk's matrix products).  ``params.prepare`` reads the observed
+    table once; each chunk then runs a tail pass over its own cells.
+    The prepared context is kept for the next call by a digest of the
+    config, the parameters and the observed table's content, the last
+    ``MEMO_ENTRIES`` of them, so repeated calls with an equal model and
+    context skip the context pass.
     """
     check_params(model_config, params)
     if cell_budget is not None and cell_budget < 1:
@@ -441,9 +481,19 @@ def evaluate(
             f"is not over the observed table's users and items "
             f"({observed_table.n_users}x{observed_table.n_items})"
         )
-    x_obs = encode_onehot(observed_table)
+    key = _context_digest(model_config, params, observed_table)
+    with _memo_lock:
+        prepared = _memo.get(key)
+        if prepared is not None:
+            _memo.move_to_end(key)
+    if prepared is None:
+        prepared = _prepare_context(model_config, params, observed_table)
+        with _memo_lock:
+            _memo[key] = prepared
+            while len(_memo) > MEMO_ENTRIES:
+                _memo.popitem(last=False)
     query = query_table.indices()
-    both = x_obs.find(query) >= 0
+    both = prepared.find(query) >= 0
     if both.any():
         raise ValueError(
             f"{int(both.sum())} query cells are already observed"
@@ -452,10 +502,8 @@ def evaluate(
     n_chunks = 1 if cell_budget is None else int(np.ceil(n / cell_budget))
     preds = np.empty(n, dtype=np.float64)
     for chunk in np.array_split(np.arange(n), n_chunks):
-        preds[chunk] = _predict_at(
-            model_config, params, params.prepare(x_obs, query[chunk]),
-            query[chunk], observed_table.scale,
-        )
+        preds[chunk] = _predict_at(model_config, params, prepared,
+                                   query[chunk], observed_table.scale)
     return EvalReport(
         rmse=rmse(preds, query_table.ratings),
         predictions=preds,

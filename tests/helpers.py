@@ -205,7 +205,6 @@ def sequential_train(model_config, train_config, train_table, val_table):
     params = rebuilt_model(params, {
         name: a.astype(tc.dtype) for name, a in named_arrays(params).items()
     })
-    prepared = params.prepare(x_full, val_query)
     full_batch = x_full.n_observed <= tc.cell_budget
     rng = np.random.default_rng(tc.seed)
     state = (0, {}, {})
@@ -243,8 +242,8 @@ def sequential_train(model_config, train_config, train_table, val_table):
             vals.append(float("nan"))
             break
         params = rebuilt_model(params, arrays)
-        val = rmse(tr._predict_at(mc, params, prepared, val_query,
-                                  train_table.scale), val_truth)
+        val = rmse(tr._predict_at(mc, params, params.prepare(mc, x_full),
+                                  val_query, train_table.scale), val_truth)
         vals.append(val)
         if val < best["best_val_rmse"]:
             best = dict(best_val_rmse=val, best_epoch=epoch)

@@ -495,6 +495,14 @@ class TestBackward:
         assert_allclose(backward(g, vals, y)["w"], [[2.0]])
 
 
+def out_of_context(t):
+    """A context mask over t's cells that leaves out every third cell and
+    every cell of t's first row, so that row's groups pool nothing."""
+    mask = np.arange(t.n_observed) % 3 > 0
+    mask[t.indices[:, 0] == t.indices[0, 0]] = False
+    return mask
+
+
 def cast_layer(lp, prefix, dtype):
     """lp with every array cast to dtype; a tied block stays shared."""
     return lp.from_bindings(prefix, {
@@ -521,14 +529,16 @@ class TestEquivariantLayerOp:
     ]
 
     @staticmethod
-    def fused_and_composed(dims, n_obs, tied, dtype):
+    def fused_and_composed(dims, n_obs, tied, dtype, context=False):
         """Outputs of a two-layer stack and the gradients of a loss on
         it, as (outputs, gradients) for the fused op and the composition.
         dtype "mixed" keeps every array float32 but the first layer's
-        global block, so that layer's sum turns float64 at its last term."""
+        global block, so that layer's sum turns float64 at its last term.
+        ``context`` leaves a third of the cells, and every cell of the
+        first row, out of the pools."""
         rng = np.random.default_rng(sum(dims) + n_obs)
         t = random_sparse(dims, 3, n_obs, rng)
-        groups = pooling_groups(t)
+        groups = pooling_groups(t, out_of_context(t) if context else None)
         ndim = len(dims)
         arrays = np.float32 if dtype == "mixed" else dtype
         stack = [cast_layer(random_layer_params(ndim, 3, 4, rng, "leaky_relu",
@@ -584,12 +594,28 @@ class TestEquivariantLayerOp:
         self.assert_bitwise_same(results)
 
     @pytest.mark.parametrize("dims, n_obs, tied", CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_composition_with_a_context_bit_for_bit(
+            self, dims, n_obs, tied, dtype):
+        self.assert_bitwise_same(
+            self.fused_and_composed(dims, n_obs, tied, dtype, context=True))
+
+    @pytest.mark.parametrize("dims, n_obs, tied", CASES)
     def test_gradients_match_finite_differences(self, dims, n_obs, tied):
+        self.check_finite_differences(dims, n_obs, tied, context=False)
+
+    @pytest.mark.parametrize("dims, n_obs, tied", CASES)
+    def test_gradients_with_a_context_match_finite_differences(
+            self, dims, n_obs, tied):
+        self.check_finite_differences(dims, n_obs, tied, context=True)
+
+    @staticmethod
+    def check_finite_differences(dims, n_obs, tied, context):
         rng = np.random.default_rng(n_obs)
         t = random_sparse(dims, 2, n_obs, rng)
         lp = random_layer_params(len(dims), 2, 3, rng, tied=tied)
         subsets = all_subsets(len(dims))
-        groups = pooling_groups(t)
+        groups = pooling_groups(t, out_of_context(t) if context else None)
         g = Graph()
         blocks = [block_name("L", S, tied) for S in subsets]
         for nm in dict.fromkeys(blocks):

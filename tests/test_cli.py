@@ -4,6 +4,9 @@ import argparse
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,8 @@ from exchtensor.data import FIVE_STAR, RatingScale
 from exchtensor.models import ModelConfig, init_params
 
 from helpers import rewrite_header
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -555,3 +560,22 @@ class TestConfigFile:
         code, _, err = run(capsys, "train", "--arch", "ss", "--data", "synthetic",
                       "--epochs", "1", "--config", "/no/such.cfg")
         assert code == 2
+
+
+class TestTrainOutputAfterSettings:
+    """A setting that fails to parse exits 2 before any output exists."""
+
+    def test_unparsable_budget_leaves_no_report(self, tmp_path):
+        cfg = write_config(tmp_path, "widths = 6,5\nbudget = abc\n")
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-m",
+             "exchtensor.cli", "train", "--data", "synthetic", "--epochs",
+             "1", "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "abc" in lines[0]
+        assert not (out / "report.jsonl").exists()

@@ -1,0 +1,326 @@
+"""A prediction depends only on the parameters, the observed context and
+its own cell: pools that read only the context, the tail pass over the
+query cells, and the memo that reuses a prepared context across calls."""
+
+import dataclasses
+import sys
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose, assert_array_equal
+
+from helpers import assert_bitwise_equal, random_sparse
+
+from exchtensor import training
+from exchtensor.autodiff import apply_nonlinearity, backward, forward
+from exchtensor.checkpoint import load_checkpoint, save_checkpoint
+from exchtensor.data import (
+    FIVE_STAR, RatingsTable, canonical_split, encode_onehot,
+    synthetic_lowrank_table,
+)
+from exchtensor.layers import (
+    broadcast_factors, exchangeable_tensor_layer, pooling_groups,
+)
+from exchtensor.models import (
+    ModelConfig, build_ss_loss_graph, fea_encode, init_params, named_arrays,
+    union_with_zeros, with_named_arrays,
+)
+from exchtensor.training import evaluate
+
+SS = ModelConfig(
+    architecture="self-supervised", levels=5, widths=(6, 6, 5),
+    nonlinearity="leaky_relu", dropout_rate=0.5,
+    dropout_placement=frozenset({1}), mask_prob=0.3,
+)
+FEA = ModelConfig(
+    architecture="fea", levels=5, encoder_widths=(6, 4),
+    decoder_widths=(6, 5), nonlinearity="leaky_relu", dropout_rate=0.5,
+    dropout_placement=frozenset({1}), mask_prob=0.0, factor_size=4,
+)
+CONFIGS = pytest.mark.parametrize("config", [SS, FEA], ids=["ss", "fea"])
+
+
+def split():
+    """(context, query, other unobserved cells) of one 12x10 table."""
+    table = synthetic_lowrank_table(12, 10, observed_fraction=0.6, seed=4)
+    return canonical_split(table, "random", fraction=0.3, seed=1,
+                           val_fraction=0.2)
+
+
+def concat(a: RatingsTable, b: RatingsTable) -> RatingsTable:
+    return dataclasses.replace(
+        a, u_index=np.concatenate([a.u_index, b.u_index]),
+        i_index=np.concatenate([a.i_index, b.i_index]),
+        ratings=np.concatenate([a.ratings, b.ratings]))
+
+
+def without_user(table: RatingsTable, user: int) -> RatingsTable:
+    return table.subset(np.flatnonzero(table.u_index != user))
+
+
+def only_user(table: RatingsTable, user: int) -> RatingsTable:
+    return table.subset(np.flatnonzero(table.u_index == user))
+
+
+class TestQueryIndependence:
+    """Permuting, chunking or padding the other query cells moves no
+    prediction; relabeling context and query together moves none."""
+
+    @CONFIGS
+    def test_other_query_cells_move_no_prediction(self, config):
+        context, query, pad = split()
+        params = init_params(config, seed=5)
+        whole = evaluate(config, params, context, query).predictions
+        chunked = evaluate(config, params, context, query,
+                           cell_budget=1).predictions
+        perm = np.random.default_rng(0).permutation(query.n_ratings)
+        permuted = np.empty_like(whole)
+        permuted[perm] = evaluate(config, params, context,
+                                  query.subset(perm)).predictions
+        padded = evaluate(config, params, context,
+                          concat(query, pad)).predictions[:query.n_ratings]
+        for other in (chunked, permuted, padded):
+            assert_allclose(other, whole, rtol=0, atol=1e-12)
+
+    @CONFIGS
+    def test_relabeling_context_and_query_together(self, config):
+        context, query, _ = split()
+        params = init_params(config, seed=5)
+        rng = np.random.default_rng(1)
+        pu, pi = rng.permutation(context.n_users), rng.permutation(context.n_items)
+
+        def relabel(t):
+            return dataclasses.replace(t, u_index=pu[t.u_index],
+                                       i_index=pi[t.i_index])
+
+        want = evaluate(config, params, context, query).predictions
+        got = evaluate(config, params, relabel(context),
+                       relabel(query)).predictions
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def softmax_at(g, loss_node, bindings, rows):
+    """The distributions of a training graph's logits at ``rows``."""
+    (loss,) = [n for n in g.nodes if n.name == loss_node]
+    return apply_nonlinearity(forward(g, bindings)[loss.operands[0]],
+                              "softmax")[rows]
+
+
+class TestTailPass:
+    def test_ss_tail_is_the_stack_whose_pools_skip_the_query(self):
+        """The self-supervised tail equals the training graph's stack over
+        context and zero-filled query cells, the query out of context."""
+        context, query, _ = split()
+        params = init_params(SS, seed=5)
+        x = encode_onehot(context)
+        q = query.indices()
+        union = union_with_zeros(x, q)
+        at = union.find(q)
+        in_context = np.ones(union.n_observed, dtype=bool)
+        in_context[at] = False
+        want = softmax_at(*build_ss_loss_graph(
+            union, params.layers, union.values, None, context=in_context), at)
+        got = params.predict(SS, params.prepare(SS, x), q)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_ss_training_pools_skip_the_masked_cells(self):
+        params = init_params(SS, seed=5)
+        batch = encode_onehot(split()[0])
+        g, loss_node, _ = params.loss_graph(SS, batch, {}, seed=3)
+        (loss,) = [n for n in g.nodes if n.name == loss_node]
+        masked = loss.attrs["row_weights"] > 0
+        assert masked.any() and not masked.all()
+        layers = [n for n in g.nodes if n.op == "equivariant_layer"]
+        assert len(layers) == len(SS.widths)
+        for node in layers:
+            for groups in node.attrs["groups"]:
+                assert_array_equal(groups.context, ~masked)
+
+    def test_fea_tail_pools_each_query_cell_with_the_context_and_itself(self):
+        context, query, _ = split()
+        params = init_params(FEA, seed=5)
+        x = encode_onehot(context)
+        q = query.indices()
+        got = params.predict(FEA, params.prepare(FEA, x), q)
+        factors = fea_encode(x, FEA, params).imputed()
+        h = broadcast_factors(factors, x)
+        inputs = []
+        for lp in params.decoder:
+            inputs.append(h.values)
+            h = exchangeable_tensor_layer(h, lp)
+        for k, (r, c) in enumerate(q):
+            y = np.concatenate([factors.z_rows[r], factors.z_cols[c]])
+            pools = {frozenset({0}): x.indices[:, 0] == r,
+                     frozenset({1}): x.indices[:, 1] == c,
+                     frozenset(): np.ones(x.n_observed, dtype=bool)}
+            for lp, h_ctx in zip(params.decoder, inputs):
+                out = y @ lp.blocks[frozenset({0, 1})] + lp.bias
+                for S, sel in pools.items():
+                    pooled = (h_ctx[sel].sum(axis=0) + y) / (sel.sum() + 1)
+                    out = out + pooled @ lp.blocks[S]
+                y = apply_nonlinearity(out[None], lp.nonlinearity, lp.slope)[0]
+            assert_allclose(got[k], y, rtol=0, atol=1e-12)
+
+
+class TestNoContextCell:
+    """A row or column with no context cell pools to 0; predictions stay
+    finite distributions, with no warning (tier-1 makes one an error)."""
+
+    @CONFIGS
+    def test_a_query_user_without_observed_ratings(self, config):
+        context, query, _ = split()
+        cold = 3
+        query = concat(only_user(context, cold), only_user(query, cold))
+        context = without_user(context, cold)
+        params = init_params(config, seed=5)
+        x = encode_onehot(context)
+        prepared = params.prepare(config, x)
+        q = query.indices()
+        assert (prepared.group_at(q)[1] == -1).all()  # the row groups
+        dist = params.predict(config, prepared, q)
+        assert np.isfinite(dist).all() and (dist >= 0).all()
+        assert_allclose(dist.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        preds = evaluate(config, params, context, query).predictions
+        assert np.isfinite(preds).all()
+
+    def test_a_training_batch_with_a_whole_row_masked(self):
+        params = init_params(SS, seed=5)
+        batch = encode_onehot(split()[0])
+        in_context = batch.indices[:, 0] != 2
+        x_in = batch.with_values(np.where(in_context[:, None], batch.values, 0.0))
+        g, loss, bindings = build_ss_loss_graph(
+            x_in, params.layers, batch.values, (~in_context).astype(float),
+            context=in_context)
+        values = forward(g, bindings)
+        grads = backward(g, values, loss)
+        assert np.isfinite(values[loss])
+        assert all(np.isfinite(d).all() for d in grads.values())
+        by_row = pooling_groups(batch)[frozenset({0})]
+        row = int(np.flatnonzero(by_row.keys[:, 0] == 2)[0])
+        for node in (n for n in g.nodes if n.op == "equivariant_layer"):
+            means = values[node.name, "means"][1]  # the row pool's
+            assert (means[row] == 0).all()
+
+
+class TestContextPools:
+    def test_the_whole_index_set_is_the_grouping_itself(self):
+        t = random_sparse((5, 6), 2, 17, np.random.default_rng(0))
+        g = t.groups([0])
+        assert g.with_context(None) is g
+        assert g.with_context(np.ones(17, dtype=bool)) is g
+        masked = g.with_context(np.arange(17) % 3 > 0)
+        assert masked.with_context(None).context is None
+
+    @pytest.mark.parametrize("axes", [(0,), (1,), ()])
+    def test_means_over_the_context_cells_zero_for_none(self, axes):
+        rng = np.random.default_rng(2)
+        t = random_sparse((5, 6), 3, 20, rng)
+        context = rng.random(20) < 0.5
+        context[t.indices[:, 0] == t.indices[0, 0]] = False  # an empty row
+        g = t.groups(axes).with_context(context)
+        for k, key in enumerate(g.keys):
+            same = (t.indices[:, list(axes)] == key).all(axis=1)
+            sel = same & context
+            want = t.values[sel].mean(axis=0) if sel.any() else 0.0
+            assert g.counts[k] == sel.sum()
+            assert_allclose(g.group_means(t.values)[k], want, rtol=0,
+                            atol=1e-15)
+        assert_array_equal(g.group_sums(t.values), t.groups(axes).group_sums(t.values))
+        # the pool's transpose: <group_means(x), d> == <x, spread(d / counts)>
+        d = rng.normal(size=(g.n_groups, 3))
+        assert_allclose((g.group_means(t.values) * d).sum(),
+                        (t.values * g.spread(d / g.divisor[:, None])).sum(),
+                        rtol=1e-13)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """An empty memo, and counts of context passes and one-hot encodings."""
+    monkeypatch.setattr(training, "_memo", OrderedDict())
+    calls = {"prepare": 0, "encode": 0}
+    real_prepare, real_encode = training._prepare_context, training.encode_onehot
+
+    def prepare(*args):
+        calls["prepare"] += 1
+        return real_prepare(*args)
+
+    def encode(*args):
+        calls["encode"] += 1
+        return real_encode(*args)
+
+    monkeypatch.setattr(training, "_prepare_context", prepare)
+    monkeypatch.setattr(training, "encode_onehot", encode)
+    return calls
+
+
+class TestMemo:
+    @CONFIGS
+    def test_an_equal_reload_reuses_the_context_pass(self, config, tmp_path,
+                                                      counted):
+        path = tmp_path / "model.exchk"
+        save_checkpoint(path, config, init_params(config, seed=5), FIVE_STAR)
+        runs = []
+        for _ in range(2):
+            context, query, _ = split()  # fresh tables, equal content
+            ck = load_checkpoint(path)
+            runs.append(evaluate(ck.config, ck.params, context, query).predictions)
+        assert_bitwise_equal(runs[1], runs[0])
+        assert counted == {"prepare": 1, "encode": 1}
+
+    def test_a_changed_parameter_byte_or_rating_recomputes(self, counted):
+        context, query, _ = split()
+        params = init_params(SS, seed=5)
+        evaluate(SS, params, context, query)
+        arrays = {k: v.copy() for k, v in named_arrays(params).items()}
+        arrays["layer2.w0"].view(np.uint8)[0] ^= 1
+        evaluate(SS, with_named_arrays(params, arrays), context, query)
+        ratings = context.ratings.copy()
+        ratings[0] = 1.0 if ratings[0] != 1.0 else 2.0
+        evaluate(SS, params, dataclasses.replace(context, ratings=ratings), query)
+        assert counted["prepare"] == 3
+        evaluate(SS, params, context, query)
+        assert counted["prepare"] == 3
+
+    def test_the_memo_keeps_its_last_entries_only(self, counted):
+        context, query, _ = split()
+        n = training.MEMO_ENTRIES + 2
+        for seed in range(n):
+            evaluate(SS, init_params(SS, seed=seed), context, query)
+            assert len(training._memo) <= training.MEMO_ENTRIES
+        assert counted["prepare"] == n
+        evaluate(SS, init_params(SS, seed=n - 1), context, query)
+        assert counted["prepare"] == n
+        evaluate(SS, init_params(SS, seed=0), context, query)
+        assert counted["prepare"] == n + 1
+        assert len(training._memo) == training.MEMO_ENTRIES
+
+    def test_a_hit_still_refuses_observed_query_cells(self, counted):
+        context, query, _ = split()
+        params = init_params(SS, seed=5)
+        evaluate(SS, params, context, query)
+        with pytest.raises(ValueError, match="query cells are already observed"):
+            evaluate(SS, params, context, concat(query, context.subset([0])))
+        assert counted["prepare"] == 1
+
+    def test_threads_share_the_memo(self, counted):
+        """More callers than cores and more models than memo entries,
+        with the interpreter switching threads every microsecond: every
+        prediction is the sequential one, and the memo keeps its bound."""
+        context, query, _ = split()
+        models = [(c, init_params(c, seed=s)) for c in (SS, FEA) for s in range(3)]
+        want = [evaluate(c, p, context, query).predictions for c, p in models]
+        training._memo.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(evaluate, c, p, context, query)
+                           for _ in range(3) for c, p in models]
+                got = [f.result(timeout=120).predictions for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, preds in enumerate(got):
+            assert_bitwise_equal(preds, want[k % len(models)])
+        assert len(training._memo) <= training.MEMO_ENTRIES

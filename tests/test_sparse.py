@@ -1,6 +1,7 @@
 """Tensor construction, grouping, permutation, and dense round-trips."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,51 @@ class TestConstruction:
         t = SparseExchangeableTensor((2**31, 2**32 - 1), np.array([[5, 7]]),
                                      np.array([[1.0]]))
         assert t.find(np.array([[5, 7], [7, 5]])).tolist() == [0, -1]
+
+
+class TestSortedInput:
+    """Rows that arrive in order skip the sort; the tensor is the same
+    either way, and never shares or freezes the caller's arrays."""
+
+    @staticmethod
+    def rows(seed=0):
+        rng = np.random.default_rng(seed)
+        keys = np.sort(rng.choice(6 * 7, size=20, replace=False))
+        idx = np.stack(np.unravel_index(keys, (6, 7)), axis=1)
+        return idx, rng.normal(size=(20, 3))
+
+    def test_sorted_and_shuffled_input_give_the_same_tensor(self):
+        idx, vals = self.rows()
+        perm = np.random.default_rng(1).permutation(len(idx))
+        a = SparseExchangeableTensor((6, 7), idx, vals)
+        b = SparseExchangeableTensor((6, 7), idx[perm], vals[perm])
+        for got, want in ((a.indices, b.indices), (a.values, b.values),
+                          (a.keys, b.keys)):
+            assert_bitwise_equal(got, want)
+        assert_array_equal(a.indices, idx)
+
+    def test_sorted_input_is_copied_not_frozen(self):
+        idx, vals = self.rows()
+        t = SparseExchangeableTensor((6, 7), idx, vals)
+        assert not np.shares_memory(t.indices, idx)
+        assert not np.shares_memory(t.values, vals)
+        assert idx.flags.writeable and vals.flags.writeable
+        idx[0] = (5, 6)
+        vals[0] = 99.0
+        assert tuple(t.indices[0]) != (5, 6) and (t.values[0] != 99.0).all()
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_a_duplicate_is_rejected_sorted_or_not(self, shuffle):
+        idx, vals = self.rows()
+        dup = tuple(idx[4])
+        idx = np.insert(idx, 4, idx[4], axis=0)
+        vals = np.insert(vals, 4, vals[4] + 1.0, axis=0)
+        if shuffle:
+            perm = np.random.default_rng(2).permutation(len(idx))
+            idx, vals = idx[perm], vals[perm]
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'duplicate index {dup}')}$"):
+            SparseExchangeableTensor((6, 7), idx, vals)
 
 
 class TestAxisGroups:
