@@ -34,7 +34,7 @@ __all__ = [
     "backward",
 ]
 
-NONLINEARITIES = ("identity", "sigmoid", "leaky_relu", "softmax")
+NONLINEARITIES = ("identity", "leaky_relu", "softmax")
 # Bytes of output per row block of ``equivariant_layer``'s pass over its
 # output.  A block, its gathered term and its activation temporary fit in
 # a 2 MiB L2 cache; 256 KiB to 1 MiB blocks timed within 10% of each other.
@@ -180,16 +180,6 @@ class Graph:
         return self._add("mean_square_error", (pred, target), name)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # two-branch form avoids overflow in exp for large |x|
-    out = np.empty_like(x, dtype=np.result_type(x, np.float32))
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _by_channel(x: np.ndarray) -> tuple[np.ndarray, int]:
     """(n, K) x as (its contiguous (K, n) copy, 0) when K is at most
     ``CHANNEL_MAJOR_MAX``, else (x, 1): reducing the first over the
@@ -212,8 +202,6 @@ def apply_nonlinearity(x: np.ndarray, kind: str, slope: float = 0.01) -> np.ndar
     """Element-wise activation; softmax normalizes over the channel axis."""
     if kind == "identity":
         return x
-    if kind == "sigmoid":
-        return _sigmoid(x)
     if kind == "leaky_relu":
         # equals where(x >= 0, x, slope * x) because 0 <= slope <= 1
         return np.maximum(x, slope * x)
@@ -500,8 +488,6 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
             y = values[node.name]
             if kind == "identity":
                 dx = dY
-            elif kind == "sigmoid":
-                dx = dY * y * (1.0 - y)
             elif kind == "leaky_relu":
                 # derivative 1 where x >= 0, else slope: max(x >= 0, slope)
                 # because 0 <= slope <= 1

@@ -2,10 +2,12 @@
 
 Configuration comes from an optional flat ``key = value`` file plus
 command-line flags; flags win.  Every command is deterministic given
-``--seed``.  Metrics are emitted as line-delimited strict JSON records
-(a non-finite number becomes null) to stdout and, when ``--out`` is set,
-to a file as well.  Exit codes:
-0 success, 1 check or metric failure, 2 usage or configuration error.
+``--seed``.  Each command checks the settings it reads, then yields its
+records; ``main`` alone prints them as line-delimited strict JSON (a
+non-finite number becomes null), writes them to the command's file in
+``--out`` (opened at the first record) and picks the exit code:
+0 success, 1 a record with ``"passed": false``, 2 usage or configuration
+error, raised before the first record.
 """
 
 from __future__ import annotations
@@ -130,13 +132,6 @@ def _finite(record: dict) -> dict:
     """Copy of a flat record with every non-finite float as None."""
     return {k: None if isinstance(v, float) and not math.isfinite(v) else v
             for k, v in record.items()}
-
-
-def _emit(record: dict, out_file) -> None:
-    line = json.dumps(_finite(record), sort_keys=True, allow_nan=False)
-    print(line)
-    if out_file is not None:
-        out_file.write(line + "\n")
 
 
 def _out_dir(settings: Settings) -> Path | None:
@@ -287,8 +282,7 @@ def _train_fields(settings: Settings) -> dict:
     return {field: value for field, value in given.items() if value is not None}
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    settings = Settings(args)
+def cmd_train(settings: Settings, args: argparse.Namespace):
     scale = FIVE_STAR
     rebin_to = settings.get("rebin_to")
     if rebin_to is not None:
@@ -299,93 +293,70 @@ def cmd_train(args: argparse.Namespace) -> int:
     given = _train_fields(settings)
     zero_epochs = given.get("epochs") == 0
     # zero epochs write the initial params; the other loop settings are
-    # checked all the same, and all before the output is opened
+    # checked all the same
     train_config = TrainConfig(**dict(given, epochs=1) if zero_epochs
                                else given)
     out = _out_dir(settings)
-    report_file = open(out / "report.jsonl", "w") if out else None
-    try:
-        seed = train_config.seed
-        if zero_epochs:
-            params = init_params(model_config, seed=seed)
-            metadata = {"seed": seed, "epochs_run": 0, "best_epoch": 0,
-                        "best_val_rmse": None}
-            final = {"command": "train", "epochs_run": 0}
-        else:
-            report, params = train(model_config, train_config, train_table,
-                                   val)
-            for rec in report.records():
-                _emit(dict(rec, command="train"), report_file)
-            metadata = {
-                "seed": seed,
-                "epochs_run": report.epochs_run,
-                "best_epoch": report.best_epoch,
-                "best_val_rmse": report.best_val_rmse,
-            }
-            final = {
-                "command": "train",
-                "epochs_run": report.epochs_run,
-                "best_epoch": report.best_epoch,
-                "val_rmse": report.best_val_rmse,
-                "wall_clock_seconds": round(report.wall_clock_seconds, 3),
-                "diverged": report.diverged,
-            }
-        if test is not None and test.n_ratings:
-            final["test_rmse"] = evaluate(model_config, params, train_table,
-                                          test).rmse
-        if out is not None:
-            ckpt = out / "model.exchk"
-            save_checkpoint(ckpt, model_config, params, scale,
-                            _finite(metadata))
-            final["checkpoint"] = str(ckpt)
-        _emit(final, report_file)
-    finally:
-        if report_file is not None:
-            report_file.close()
-    return 0
+    seed = train_config.seed
+    if zero_epochs:
+        params = init_params(model_config, seed=seed)
+        metadata = {"seed": seed, "epochs_run": 0, "best_epoch": 0,
+                    "best_val_rmse": None}
+        final = {"command": "train", "epochs_run": 0}
+    else:
+        report, params = train(model_config, train_config, train_table, val)
+        for rec in report.records():
+            yield dict(rec, command="train")
+        metadata = {
+            "seed": seed,
+            "epochs_run": report.epochs_run,
+            "best_epoch": report.best_epoch,
+            "best_val_rmse": report.best_val_rmse,
+        }
+        final = {
+            "command": "train",
+            "epochs_run": report.epochs_run,
+            "best_epoch": report.best_epoch,
+            "val_rmse": report.best_val_rmse,
+            "wall_clock_seconds": round(report.wall_clock_seconds, 3),
+            "diverged": report.diverged,
+        }
+    if test is not None and test.n_ratings:
+        final["test_rmse"] = evaluate(model_config, params, train_table,
+                                      test).rmse
+    if out is not None:
+        ckpt = out / "model.exchk"
+        save_checkpoint(ckpt, model_config, params, scale, _finite(metadata))
+        final["checkpoint"] = str(ckpt)
+    yield final
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    settings = Settings(args)
+def cmd_evaluate(settings: Settings, args: argparse.Namespace):
     ck = load_checkpoint(args.checkpoint)
     table = _load_data_table(settings, ck.scale, density=0.3)
-    seed = settings.get("seed", 0, int)
     fractions_text = settings.get("observed_fraction", "0.8")
     fractions = [float(x) for x in str(fractions_text).split(",")]
-    out = _out_dir(settings)
-    metrics_file = open(out / "metrics.jsonl", "w") if out else None
-    try:
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(table.n_ratings)
-        for p in fractions:
-            if not 0.0 < p < 1.0:
-                raise UsageError(f"observed fraction {p} not inside (0, 1)")
-            n_ctx = max(1, int(round(p * table.n_ratings)))
-            if n_ctx >= table.n_ratings:
-                raise UsageError(
-                    f"observed fraction {p} leaves no query cells"
-                )
-            context = table.subset(np.sort(order[:n_ctx]))
-            query = table.subset(np.sort(order[n_ctx:]))
-            report = evaluate(ck.config, ck.params, context, query)
-            _emit(
-                {
-                    "command": "evaluate",
-                    "observed_fraction": p,
-                    "n_context": context.n_ratings,
-                    "n_query": query.n_ratings,
-                    "rmse": report.rmse,
-                },
-                metrics_file,
-            )
-    finally:
-        if metrics_file is not None:
-            metrics_file.close()
-    return 0
+    n = table.n_ratings
+    for p in fractions:
+        if not 0.0 < p < 1.0:
+            raise UsageError(f"observed fraction {p} not inside (0, 1)")
+        if max(1, round(p * n)) >= n:
+            raise UsageError(f"observed fraction {p} leaves no query cells")
+    order = np.random.default_rng(settings.get("seed", 0, int)).permutation(n)
+    for p in fractions:
+        n_ctx = max(1, round(p * n))
+        context = table.subset(np.sort(order[:n_ctx]))
+        query = table.subset(np.sort(order[n_ctx:]))
+        yield {
+            "command": "evaluate",
+            "observed_fraction": p,
+            "n_context": context.n_ratings,
+            "n_query": query.n_ratings,
+            "rmse": evaluate(ck.config, ck.params, context, query).rmse,
+        }
 
 
-def cmd_factorize(args: argparse.Namespace) -> int:
-    settings = Settings(args)
+def cmd_factorize(settings: Settings, args: argparse.Namespace):
     ck = load_checkpoint(args.checkpoint)
     table = _load_data_table(settings, ck.scale)
     try:
@@ -406,93 +377,66 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             for ext_id, vec in zip(ids, np.asarray(z)):
                 fh.write(str(ext_id) + "\t"
                          + "\t".join(repr(float(x)) for x in vec) + "\n")
-    _emit(
-        {
-            "command": "factorize",
-            "rows": len(table.users),
-            "cols": len(table.items),
-            "factor_size": int(np.asarray(factors.z_rows).shape[1]),
-            "rows_file": str(rows_file),
-            "cols_file": str(cols_file),
-        },
-        None,
-    )
-    return 0
+    yield {
+        "command": "factorize",
+        "rows": len(table.users),
+        "cols": len(table.items),
+        "factor_size": int(np.asarray(factors.z_rows).shape[1]),
+        "rows_file": str(rows_file),
+        "cols_file": str(cols_file),
+    }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    settings = Settings(args)
+def cmd_verify(settings: Settings, args: argparse.Namespace):
     dims = tuple(int(x) for x in args.dims.split(","))
     seed = settings.get("seed", 0, int)
-    trials = _trials(settings, 50)
-    report = run_verifier_suite(dims, trials=trials, seed=seed)
-    out = _out_dir(settings)
-    report_file = open(out / "verify.jsonl", "w") if out else None
-    try:
-        _emit(dict(report, command="verify"), report_file)
-    finally:
-        if report_file is not None:
-            report_file.close()
-    return 0 if report["passed"] else 1
+    report = run_verifier_suite(dims, trials=_trials(settings, 50), seed=seed)
+    yield dict(report, command="verify")
 
 
-def cmd_sample_check(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    table = _load_data_table(settings, FIVE_STAR)
-    t = encode_onehot(table)
+def cmd_sample_check(settings: Settings, args: argparse.Namespace):
+    t = encode_onehot(_load_data_table(settings, FIVE_STAR))
+    n = t.indices.shape[0]
     sampler = settings.get("sampler", "uniform")
+    if sampler not in ("uniform", "conditional"):
+        raise UsageError(f"unknown sampler {sampler!r}")
     budget = settings.get("budget", DEFAULT_CELL_BUDGET, int)
     if budget < 1:
         raise UsageError("cell budget must be at least 1")
     trials = _trials(settings, 100)
     seed = settings.get("seed", 0, int)
-    out = _out_dir(settings)
-    report_file = open(out / "sample_check.jsonl", "w") if out else None
-    try:
-        n = t.indices.shape[0]
-        if trials == 0:
-            _emit({"command": "sample-check", "sampler": sampler,
-                   "trials": 0, "records": 0}, report_file)
-            return 0
-        if sampler == "uniform":
-            if budget > n:
-                raise UsageError(
-                    f"budget {budget} exceeds the {n} observed cells"
-                )
-            expected = np.full(n, budget / n)
-            counts = np.zeros(n)
-            for k in range(trials):
-                batch = uniform_subsample(t, budget, seed=seed + k)
-                counts[t.find(batch.indices)] += 1
-            record = {"budget": budget, "cells": int(n),
-                      "expected_frequency": budget / n}
-        elif sampler == "conditional":
-            if t.ndim != 2:
-                raise UsageError("conditional sampler works on matrices")
-            expected = row_marginal(t)
-            counts = np.zeros(t.dims[0])
-            for k in range(trials):
-                batch = conditional_subsample(t, 1, 1, seed=seed + k)
-                counts[np.unique(batch.indices[:, 0])] += 1
-            record = {"rows": int(t.dims[0])}
-        else:
-            raise UsageError(f"unknown sampler {sampler!r}")
-        sigma = np.sqrt(expected * (1 - expected) / trials)
-        dev = np.abs(counts / trials - expected)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            max_sigma = float(np.where(sigma > 0, dev / sigma, 0.0).max())
-        # family-wise bound: max of near-binomial z-scores, one per entry
-        threshold = float(norm.ppf(1 - 0.005 / expected.size))
-        record.update(
-            command="sample-check", sampler=sampler, trials=trials,
-            max_deviation_sigma=max_sigma, sigma_threshold=threshold,
-            passed=bool(max_sigma <= threshold),
-        )
-        _emit(record, report_file)
-        return 0 if record["passed"] else 1
-    finally:
-        if report_file is not None:
-            report_file.close()
+    if trials == 0:
+        yield {"command": "sample-check", "sampler": sampler, "trials": 0,
+               "records": 0}
+        return
+    if sampler == "uniform":
+        if budget > n:
+            raise UsageError(f"budget {budget} exceeds the {n} observed cells")
+        expected = np.full(n, budget / n)
+        counts = np.zeros(n)
+        for k in range(trials):
+            batch = uniform_subsample(t, budget, seed=seed + k)
+            counts[t.find(batch.indices)] += 1
+        record = {"budget": budget, "cells": int(n),
+                  "expected_frequency": budget / n}
+    else:
+        expected = row_marginal(t)
+        counts = np.zeros(t.dims[0])
+        for k in range(trials):
+            batch = conditional_subsample(t, 1, 1, seed=seed + k)
+            counts[np.unique(batch.indices[:, 0])] += 1
+        record = {"rows": int(t.dims[0])}
+    sigma = np.sqrt(expected * (1 - expected) / trials)
+    dev = np.abs(counts / trials - expected)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        max_sigma = float(np.where(sigma > 0, dev / sigma, 0.0).max())
+    # family-wise bound: max of near-binomial z-scores, one per entry
+    threshold = float(norm.ppf(1 - 0.005 / expected.size))
+    yield dict(
+        record, command="sample-check", sampler=sampler, trials=trials,
+        max_deviation_sigma=max_sigma, sigma_threshold=threshold,
+        passed=bool(max_sigma <= threshold),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -571,23 +515,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each command, and the file in --out that its records also go to
 COMMANDS = {
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "factorize": cmd_factorize,
-    "verify": cmd_verify,
-    "sample-check": cmd_sample_check,
+    "train": (cmd_train, "report.jsonl"),
+    "evaluate": (cmd_evaluate, "metrics.jsonl"),
+    "factorize": (cmd_factorize, None),
+    "verify": (cmd_verify, "verify.jsonl"),
+    "sample-check": (cmd_sample_check, "sample_check.jsonl"),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: print each record it yields as a strict JSON
+    line, append it to the command's file in --out (opened at the first
+    record), and exit 1 if a record holds ``"passed": false``."""
+    args = build_parser().parse_args(argv)
+    command, name = COMMANDS[args.command]
+    out_file = None
+    failed = False
     try:
-        return COMMANDS[args.command](args)
+        settings = Settings(args)
+        for record in command(settings, args):
+            line = json.dumps(_finite(record), sort_keys=True, allow_nan=False)
+            if out_file is None and name and settings.get("out") is not None:
+                out_file = open(_out_dir(settings) / name, "w")
+            if out_file is not None:
+                out_file.write(line + "\n")
+            print(line)
+            failed = failed or record.get("passed") is False
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if out_file is not None:
+            out_file.close()
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -267,6 +267,28 @@ def _predict_at(
     return predict_ratings(dist, scale)
 
 
+def _query_cells(observed: RatingsTable, query: RatingsTable, find,
+                 what: str = "query") -> np.ndarray:
+    """The (m, 2) cells of ``query``, after checking that it is a
+    nonempty table over the observed table's users and items and holds
+    none of its cells; ``find`` gives a cell's observed row, -1 if none.
+    ``train`` checks its validation table and ``evaluate`` its query
+    table here."""
+    if query.n_ratings == 0:
+        raise ValueError(f"the {what} table is empty")
+    if (query.users, query.items) != (observed.users, observed.items):
+        raise ValueError(
+            f"the {what} table ({query.n_users}x{query.n_items}) is not "
+            f"over the observed table's users and items "
+            f"({observed.n_users}x{observed.n_items})"
+        )
+    cells = query.indices()
+    both = find(cells) >= 0
+    if both.any():
+        raise ValueError(f"{int(both.sum())} {what} cells are already observed")
+    return cells
+
+
 # prepared contexts ``evaluate`` keeps, least recently used first
 MEMO_ENTRIES = 4
 _memo: OrderedDict[bytes, PreparedContext] = OrderedDict()
@@ -320,16 +342,17 @@ def train(
     sampled minibatch per epoch.  ``params.loss_graph`` builds each
     epoch's loss: the self-supervised model re-masks its input and takes
     its loss only on the masked cells; the autoencoder reconstructs every
-    observed cell.
+    observed cell.  The validation table is checked as ``evaluate``
+    checks a query table: cells of the training table's users and items
+    that it does not hold.
     """
-    if val_table.n_ratings == 0:
-        raise ValueError("the validation table is empty")
     t0 = time.perf_counter()
     dtype = train_config.dtype
     scale = train_table.scale
     x_full = encode_onehot(train_table)
     x_full = x_full.with_values(x_full.values.astype(dtype))
-    val_query = val_table.indices()
+    val_query = _query_cells(train_table, val_table, x_full.find,
+                             "validation")
     val_truth = val_table.ratings
 
     params = initial_params if initial_params is not None else init_params(
@@ -472,15 +495,6 @@ def evaluate(
     check_params(model_config, params)
     if cell_budget is not None and cell_budget < 1:
         raise ValueError("cell budget must be at least 1")
-    if query_table.n_ratings == 0:
-        raise ValueError("the query table is empty")
-    if (query_table.users, query_table.items) != (observed_table.users,
-                                                  observed_table.items):
-        raise ValueError(
-            f"the query table ({query_table.n_users}x{query_table.n_items}) "
-            f"is not over the observed table's users and items "
-            f"({observed_table.n_users}x{observed_table.n_items})"
-        )
     key = _context_digest(model_config, params, observed_table)
     with _memo_lock:
         prepared = _memo.get(key)
@@ -492,12 +506,7 @@ def evaluate(
             _memo[key] = prepared
             while len(_memo) > MEMO_ENTRIES:
                 _memo.popitem(last=False)
-    query = query_table.indices()
-    both = prepared.find(query) >= 0
-    if both.any():
-        raise ValueError(
-            f"{int(both.sum())} query cells are already observed"
-        )
+    query = _query_cells(observed_table, query_table, prepared.find)
     n = query.shape[0]
     n_chunks = 1 if cell_budget is None else int(np.ceil(n / cell_budget))
     preds = np.empty(n, dtype=np.float64)

@@ -67,20 +67,6 @@ class TestForward:
         vals = forward(g, {"x": np.array([[-1.0, 2.0]])})
         assert_allclose(vals[y], [[-0.01, 2.0]])
 
-    def test_sigmoid_at_zero(self):
-        g = Graph()
-        x = g.input("x")
-        y = g.nonlinearity(x, "sigmoid")
-        assert_allclose(forward(g, {"x": np.zeros((1, 1))})[y], [[0.5]])
-
-    def test_sigmoid_extremes_finite(self):
-        g = Graph()
-        x = g.input("x")
-        y = g.nonlinearity(x, "sigmoid")
-        vals = forward(g, {"x": np.array([[-1e4, 1e4]])})
-        assert np.isfinite(vals[y]).all()
-        assert_allclose(vals[y], [[0.0, 1.0]], atol=1e-12)
-
     def test_unbound_node_named_in_error(self):
         g = Graph()
         g.input("presence")
@@ -389,13 +375,6 @@ class TestBackward:
         grads = backward(g, vals, y)
         assert_allclose(grads["w"], [[2.0]])
 
-    def test_sigmoid_gradient_quarter(self):
-        g = Graph()
-        w = g.parameter("w")
-        y = g.nonlinearity(w, "sigmoid")
-        vals = forward(g, {"w": np.zeros((1, 1))})
-        assert_allclose(backward(g, vals, y)["w"], [[0.25]])
-
     def test_non_scalar_loss_rejected(self):
         g = Graph()
         x = g.input("x")
@@ -460,7 +439,7 @@ class TestBackward:
         numeric = numeric_grads(g, bindings, loss, g.parameters)
         assert_grads_close(analytic, numeric)
 
-    def test_sigmoid_softmax_mse_path_matches_finite_differences(self):
+    def test_leaky_relu_softmax_mse_path_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         t = build_sparse(
             (2, 3),
@@ -471,7 +450,7 @@ class TestBackward:
         g = Graph()
         x = g.input("x")
         w, b = g.parameter("w"), g.parameter("b")
-        h = g.nonlinearity(g.channel_mix(x, w, b), "sigmoid")
+        h = g.nonlinearity(g.channel_mix(x, w, b), "leaky_relu")
         h2 = g.gather_broadcast(g.segment_pool(h, cols, "mean"), cols)
         sm = g.nonlinearity(h2, "softmax")
         loss = g.mean_square_error(sm, g.input("t"))

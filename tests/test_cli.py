@@ -579,3 +579,44 @@ class TestTrainOutputAfterSettings:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "abc" in lines[0]
         assert not (out / "report.jsonl").exists()
+
+
+class TestUsageErrorLeavesNoOutput:
+    """A setting any record depends on is checked before the first
+    record: exit 2, one stderr line, nothing on stdout and no JSONL file."""
+
+    @pytest.fixture()
+    def checkpoint(self, tmp_path):
+        config = ModelConfig(architecture="self-supervised", widths=(6, 5))
+        path = tmp_path / "model.exchk"
+        save_checkpoint(path, config, init_params(config, seed=0), FIVE_STAR)
+        return str(path)
+
+    @pytest.mark.parametrize("argv, config, named", [
+        (["evaluate", "CKPT", "--observed-fraction", "0.5,1.5"], "",
+         "observed fraction 1.5"),
+        (["evaluate", "CKPT", "--observed-fraction", "1.5"], "",
+         "observed fraction 1.5"),
+        (["sample-check", "--budget", "999999"], "", "budget 999999"),
+        (["sample-check"], "sampler = bogus\n", "unknown sampler 'bogus'"),
+    ], ids=["fraction-sweep", "fraction", "budget", "sampler"])
+    def test_exits_2_before_any_record(self, tmp_path, capsys, checkpoint,
+                                       argv, config, named):
+        out = tmp_path / "out"
+        argv = [checkpoint if a == "CKPT" else a for a in argv]
+        code = main(argv + ["--data", "synthetic", "--out", str(out),
+                            "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert named in lines[0]
+        assert not list(out.glob("*.jsonl"))
+
+    def test_sample_check_zero_trials_still_reports(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, records, _ = run(capsys, "sample-check", "--data", "synthetic",
+                               "--trials", "0", "--budget", "999999",
+                               "--out", str(out))
+        assert code == 0 and len(records) == 1
+        assert len((out / "sample_check.jsonl").read_text().splitlines()) == 1

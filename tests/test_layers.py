@@ -124,7 +124,7 @@ class TestTensorLayer:
     def test_one_layer_stack_equals_tensor_layer_bitwise(self):
         rng = np.random.default_rng(2)
         t = random_sparse((4, 5), 3, 12, rng)
-        p = random_layer_params(2, 3, 2, rng, nonlinearity="sigmoid")
+        p = random_layer_params(2, 3, 2, rng, nonlinearity="softmax")
         a = exchangeable_tensor_layer(t, p)
         b = apply_stack(t, (p,))
         assert_array_equal(a.values, b.values)
@@ -159,14 +159,14 @@ class TestTensorLayer:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("nonlinearity",
-                             ["identity", "sigmoid", "leaky_relu", "softmax"])
+                             ["identity", "leaky_relu", "softmax"])
     def test_activates_its_own_buffer_bitwise(self, nonlinearity, dtype):
         self.assert_activates_its_own_buffer((6, 7), 25, False, nonlinearity,
                                              dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("nonlinearity",
-                             ["identity", "sigmoid", "leaky_relu", "softmax"])
+                             ["identity", "leaky_relu", "softmax"])
     @pytest.mark.parametrize("dims, n_obs, tied", [
         ((12, 15), 101, False),
         ((11, 11), 97, True),
@@ -291,7 +291,7 @@ class TestEquivariance:
             t = random_sparse(dims, channels, n_obs, rng)
             p = random_layer_params(
                 len(dims), channels, 2, rng,
-                nonlinearity=("sigmoid", "leaky_relu")[trial % 2],
+                nonlinearity=("softmax", "leaky_relu")[trial % 2],
             )
             perm = PermutationSpec.random(dims, rng)
             left = exchangeable_tensor_layer(apply_permutation(t, perm), p)
@@ -302,7 +302,7 @@ class TestEquivariance:
         rng = np.random.default_rng(5)
         t = random_sparse((5, 6), 2, 14, rng)
         p1 = random_layer_params(2, 2, 3, rng, nonlinearity="leaky_relu")
-        p2 = random_layer_params(2, 3, 2, rng, nonlinearity="sigmoid")
+        p2 = random_layer_params(2, 3, 2, rng, nonlinearity="softmax")
         perm = PermutationSpec.random(t.dims, rng)
 
         def stack(x):
@@ -315,7 +315,7 @@ class TestEquivariance:
     def test_tied_blocks_commute_with_transpose(self):
         rng = np.random.default_rng(6)
         t = random_sparse((5, 5), 2, 17, rng)
-        p = random_layer_params(2, 2, 2, rng, tied=True, nonlinearity="sigmoid")
+        p = random_layer_params(2, 2, 2, rng, tied=True, nonlinearity="leaky_relu")
         assert p.blocks[frozenset({0})] is p.blocks[frozenset({1})]
         left = exchangeable_tensor_layer(transpose_matrix(t), p)
         right = transpose_matrix(exchangeable_tensor_layer(t, p))
@@ -334,7 +334,7 @@ class TestLayerGradients:
     def test_layer_parameters_match_finite_differences(self):
         rng = np.random.default_rng(8)
         t = random_sparse((3, 3), 2, 6, rng)
-        params = random_layer_params(2, 2, 3, rng, nonlinearity="sigmoid")
+        params = random_layer_params(2, 2, 3, rng, nonlinearity="softmax")
         g = Graph()
         x = g.input("x")
         out = add_layer_nodes(g, x, pooling_groups(t), params, "L0")

@@ -431,6 +431,33 @@ class TestTrain:
         with pytest.raises(ValueError, match="validation table is empty"):
             train(config, TrainConfig(epochs=1), tr, val.subset([]))
 
+    def test_validation_table_with_other_user_ids_rejected(self):
+        """Same dims, other ids: the cells would be scored at the
+        training table's users of the same index."""
+        tr, val = split_synthetic()
+        relabeled = replace(val, users=tuple(f"other-{u}" for u in val.users))
+        with pytest.raises(ValueError, match=(
+                r"validation table \(12x10\) is not over the observed "
+                r"table's users and items \(12x10\)")):
+            train(tiny_ss_config(), TrainConfig(epochs=1), tr, relabeled)
+
+    def test_validation_table_with_more_users_rejected(self):
+        tr, _ = split_synthetic()
+        _, val = split_synthetic(n_rows=20)
+        with pytest.raises(ValueError, match=(
+                r"validation table \(20x10\) is not over .* \(12x10\)")):
+            train(tiny_ss_config(), TrainConfig(epochs=1), tr, val)
+
+    def test_validation_cells_already_in_training_rejected(self):
+        tr, val = split_synthetic()
+        seen = tr.subset(np.arange(30))
+        both = replace(val, **{
+            f: np.concatenate([getattr(val, f), getattr(seen, f)])
+            for f in ("u_index", "i_index", "ratings")})
+        with pytest.raises(ValueError,
+                           match="30 validation cells are already observed"):
+            train(tiny_ss_config(), TrainConfig(epochs=1), tr, both)
+
     def test_zero_learning_rate_keeps_the_untrained_rmse(self):
         """One no-op epoch reports exactly the untrained model's score."""
         tr, val = split_synthetic()
