@@ -337,14 +337,15 @@ def cmd_evaluate(settings: Settings, args: argparse.Namespace):
     fractions_text = settings.get("observed_fraction", "0.8")
     fractions = [float(x) for x in str(fractions_text).split(",")]
     n = table.n_ratings
+    sizes = []
     for p in fractions:
         if not 0.0 < p < 1.0:
             raise UsageError(f"observed fraction {p} not inside (0, 1)")
-        if max(1, round(p * n)) >= n:
+        sizes.append(max(1, round(p * n)))
+        if sizes[-1] >= n:
             raise UsageError(f"observed fraction {p} leaves no query cells")
     order = np.random.default_rng(settings.get("seed", 0, int)).permutation(n)
-    for p in fractions:
-        n_ctx = max(1, round(p * n))
+    for p, n_ctx in zip(fractions, sizes):
         context = table.subset(np.sort(order[:n_ctx]))
         query = table.subset(np.sort(order[n_ctx:]))
         yield {
