@@ -105,7 +105,8 @@ class Graph:
         """(n, K) cell values -> (n_groups, K) per-group means.
 
         The forward pass is ``groups.group_means``, a product with the
-        pool operator that accumulates in float64 and returns the
+        pool operator that accumulates in the operand's dtype over
+        several groups and in float64 over one, and returns the
         operand's dtype; the backward pass hands each context cell its
         group's gradient over the group's context count.  Pooling is
         always a mean.  ``mode`` admits only "mean"; it stays so that
@@ -225,12 +226,28 @@ def _add_into(total, term, g: AxisGroups | None = None):
     return total
 
 
+def _grouped_sums(x, groups, context=True) -> list[np.ndarray]:
+    """Each grouping's sums of x over its context cells (every member
+    when ``context`` is False), each in the dtype its grouping
+    accumulates in.  A one-group (global) grouping after one of the same
+    context takes the float64 sum of that grouping's sums, which saves a
+    pass over x and any float64 copy of it."""
+    sums = []
+    for i, g in enumerate(groups):
+        if g.n_groups == 1 and i and groups[i - 1].context is g.context:
+            sums.append(sums[-1].sum(axis=0, dtype=np.float64, keepdims=True))
+        else:
+            sums.append(g.operator(x.dtype, context) @ x)
+    return sums
+
+
 def pooled_means(x, groups) -> list[np.ndarray]:
-    """Each grouping's group means of x, which is upcast to float64 once
-    for all of them; the means take x's floating dtype."""
-    x64 = np.asarray(x, dtype=np.float64)
-    return [g.group_means(x64).astype(np.result_type(x, np.float32), copy=False)
-            for g in groups]
+    """Each grouping's group means of x, in x's floating dtype, summed
+    as ``AxisGroups.group_means`` sums them: in x's dtype over several
+    groups, in float64 over one.  The global means, after the row
+    grouping ({0} comes just before {} in ``all_subsets`` order), are
+    the float64 sum of its sums over the count."""
+    return [g.means(s, x.dtype) for g, s in zip(groups, _grouped_sums(x, groups))]
 
 
 def equivariant_layer(x, bias, blocks, groups, nonlinearity="identity",
@@ -281,15 +298,18 @@ def equivariant_layer(x, bias, blocks, groups, nonlinearity="identity",
 
 
 def _equivariant_layer_grads(dY, x, blocks, groups, means):
-    """(dx, dbias, dblocks) of ``equivariant_layer``.  dx adds the pooled
-    terms in reverse subset order and the cell term last, the order in
-    which separate pool, mix and broadcast nodes accumulated them."""
+    """(dx, dbias, dblocks) of ``equivariant_layer``.  The gradient
+    pools are dY's group sums over every member, summed as the forward
+    pools sum.  dx adds the pooled terms in reverse subset order and the
+    cell term last, the order in which separate pool, mix and broadcast
+    nodes accumulated them."""
     dtype = np.result_type(dY, np.float32)
-    dY64 = np.asarray(dY, dtype=np.float64)
     dx = None
     dblocks = [x.T @ dY]
-    for g, m, w in zip(groups[::-1], means[::-1], blocks[:0:-1]):
-        d_mixed = g.group_sums(dY64).astype(dtype, copy=False)
+    sums = _grouped_sums(dY, groups, context=False)
+    for g, s, m, w in zip(groups[::-1], sums[::-1], means[::-1],
+                          blocks[:0:-1]):
+        d_mixed = s.astype(dtype, copy=False)
         dblocks.insert(1, m.T @ d_mixed)
         d_means = d_mixed @ w.T
         dx = _add_into(dx, (d_means / g.divisor[:, None]).astype(d_means.dtype), g)

@@ -51,6 +51,15 @@ class UsageError(Exception):
     """Bad flags, paths, or configuration; exits with code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ``UsageError``, so that ``main``
+    reports them on its one stderr line; ``--help`` still prints and
+    exits 0.  Its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _parse_scale(text: str) -> RatingScale:
     """'1-5' integer scale, 'lo-hi:step' arange, or a comma level list."""
     text = text.strip()
@@ -441,7 +450,7 @@ def cmd_sample_check(settings: Settings, args: argparse.Namespace):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="exchtensor",
         description="Permutation-equivariant matrix and tensor completion.",
     )
@@ -530,11 +539,11 @@ def main(argv=None) -> int:
     """Run one command: print each record it yields as a strict JSON
     line, append it to the command's file in --out (opened at the first
     record), and exit 1 if a record holds ``"passed": false``."""
-    args = build_parser().parse_args(argv)
-    command, name = COMMANDS[args.command]
     out_file = None
     failed = False
     try:
+        args = build_parser().parse_args(argv)
+        command, name = COMMANDS[args.command]
         settings = Settings(args)
         for record in command(settings, args):
             line = json.dumps(_finite(record), sort_keys=True, allow_nan=False)

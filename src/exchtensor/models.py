@@ -92,6 +92,10 @@ class ModelConfig:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
         if not 0.0 <= self.mask_prob < 1.0:
             raise ValueError(f"mask probability {self.mask_prob} not in [0, 1)")
+        if self.architecture == "self-supervised" and self.mask_prob == 0.0:
+            # its loss reads only masked cells, so no epoch could train
+            raise ValueError("the self-supervised model needs a mask "
+                             "probability above 0")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout rate {self.dropout_rate} not in [0, 1)")
         if self.levels < 2:
@@ -105,6 +109,13 @@ class ModelConfig:
         for field, (_, outs, _) in self.stacks.items():
             if not outs:
                 raise ValueError(f"the {field} stack needs widths")
+        for field in ("widths", "encoder_widths", "decoder_widths"):
+            if any(w < 1 for w in getattr(self, field)):
+                raise ValueError(f"{field} must be at least 1, got "
+                                 f"{getattr(self, field)}")
+        if self.factor_size < 1:
+            raise ValueError(f"factor size must be at least 1, got "
+                             f"{self.factor_size}")
         if self.architecture == "fea" \
                 and self.encoder_widths[-1] != self.factor_size:
             raise ValueError(

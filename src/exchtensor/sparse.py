@@ -186,59 +186,68 @@ class AxisGroups:
 
     ``group_of`` maps each cell position (row of the owning tensor's
     ``indices``) to its group id; ``sizes`` are group cardinalities.
-    ``sum_matrix`` is the (n_groups, n_obs) 0/1 CSR operator whose row g
-    selects group g's members, so ``sum_matrix @ x`` gives every group's
-    sum at once.  It serves both pooling (as ``pool_matrix`` when every
-    cell is context) and the gradient of broadcasting (the group sums of
-    the cell gradients).  Its rows list each group's members in
-    ascending order.
+    ``order`` lists the cell positions group by group, each group's in
+    ascending order, and group g's run starts at ``indptr[g]``: the CSR
+    layout of the (n_groups, n_obs) 0/1 operator whose row g selects
+    group g's members, so ``operator(dtype) @ x`` gives every group's sum
+    at once.  It serves both pooling and the gradient of broadcasting
+    (the group sums of the cell gradients).
 
     ``context`` marks the cells the pools read; None marks every cell.
-    ``pool_matrix`` is ``sum_matrix`` over the context cells only,
-    ``counts`` the context cells per group and ``pool_of`` each context
-    cell's group id (``n_groups`` for any other cell), so ``group_means``
-    sums a group's context cells and divides by their count, and
-    ``spread`` of a gradient over the counts is its transpose.  A group
-    with no context cell pools to 0.  With every cell in the context they
-    are ``sum_matrix``, ``sizes`` and ``group_of`` themselves.
+    ``counts`` are the context cells per group and ``pool_of`` each
+    context cell's group id (``n_groups`` for any other cell), so
+    ``group_means`` sums a group's context cells and divides by their
+    count, and ``spread`` of a gradient over the counts is its transpose.
+    A group with no context cell pools to 0.  With every cell in the
+    context they are ``sizes`` and ``group_of`` themselves.
 
-    ``group_sums`` and ``group_means`` accumulate in float64 whatever the
-    operand's dtype and return the operand's floating dtype (float64 for
-    integer operands): the global group of a large matrix sums ~10^5
-    cells, which float32 accumulation would get wrong in the fourth digit.
+    ``group_sums`` and ``group_means`` accumulate in the operand's
+    floating dtype (float64 for integer operands) when there are several
+    groups, and in float64 for a single group: the global group of a
+    large matrix sums ~10^5 cells, which float32 accumulation would get
+    wrong in the fourth digit, while a row or column sums a few hundred.
+    Both return the operand's floating dtype.
     """
 
     fixed_axes: tuple[int, ...]
     keys: np.ndarray       # (n_groups, len(fixed_axes)) coordinates per group
     group_of: np.ndarray   # (n_obs,) group id per cell position
     sizes: np.ndarray      # (n_groups,)
-    sum_matrix: sp.csr_array  # (n_groups, n_obs) float64 0/1 group-sum operator
+    order: np.ndarray      # (n_obs,) cell positions, group by group
+    indptr: np.ndarray     # (n_groups + 1,) start of each group in order
     # (n_groups,) each group's row-major key over the fixed axes, ascending
     flat_keys: np.ndarray
     context: np.ndarray | None = None  # (n_obs,) bool, None for every cell
-    pool_matrix: sp.csr_array = field(init=False, repr=False, compare=False)
     counts: np.ndarray = field(init=False, repr=False, compare=False)
     pool_of: np.ndarray = field(init=False, repr=False, compare=False)
     # counts, with 1 for an empty group, whose sum is 0
     divisor: np.ndarray = field(init=False, repr=False, compare=False)
+    # the context cells' CSR layout, as order and indptr are every cell's
+    _pool_layout: tuple = field(init=False, repr=False, compare=False)
+    # dtype -> operator over every member, built on first use and shared
+    # with the copies ``with_context`` makes
+    _sum_ops: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+    # dtype -> operator over the context cells; _sum_ops for every cell
+    _pool_ops: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.sum_matrix
         if self.context is None:
-            pool, counts, pool_of = m, self.sizes, self.group_of
+            layout, pool_ops = (self.order, self.indptr), self._sum_ops
+            counts, pool_of = self.sizes, self.group_of
         else:
             ctx = np.asarray(self.context, dtype=bool)
             if ctx.shape != (self.n_members,):
                 raise ValueError(f"context mask must be ({self.n_members},), "
                                  f"got {ctx.shape}")
-            keep = ctx[m.indices]
-            kept = np.concatenate([[0], np.cumsum(keep)])[m.indptr]
-            pool = sp.csr_array((m.data[keep], m.indices[keep], kept),
-                                shape=m.shape)
+            keep = ctx[self.order]
+            kept = np.concatenate([[0], np.cumsum(keep)])[self.indptr]
+            layout, pool_ops = (self.order[keep], kept), {}
             counts = kept[1:] - kept[:-1]
             pool_of = np.where(ctx, self.group_of, self.n_groups)
             object.__setattr__(self, "context", ctx)
-        object.__setattr__(self, "pool_matrix", pool)
+        object.__setattr__(self, "_pool_layout", layout)
+        object.__setattr__(self, "_pool_ops", pool_ops)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "pool_of", pool_of)
         object.__setattr__(self, "divisor", np.maximum(counts, 1))
@@ -251,6 +260,28 @@ class AxisGroups:
     def n_members(self) -> int:
         return self.group_of.shape[0]
 
+    def operator(self, dtype, context: bool = True) -> sp.csr_array:
+        """The (n_groups, n_obs) 0/1 operator that sums each group's
+        context cells (every member's when ``context`` is False) of an
+        operand of ``dtype``, in the dtype that operand accumulates in.
+        Built on first use and kept, sharing the index arrays with every
+        other dtype's; a 1.0 entry is exact in either dtype."""
+        ops = self._pool_ops if context else self._sum_ops
+        # keyed by the operand's dtype too, so that a hit skips the ~1 µs
+        # np.result_type: a small fit asks tens of thousands of times
+        op = ops.get(dtype)
+        if op is None:
+            acc = np.result_type(dtype, np.float32) if self.n_groups > 1 \
+                else np.dtype(np.float64)
+            if acc not in ops:
+                order, indptr = self._pool_layout if context else (
+                    self.order, self.indptr)
+                ops[acc] = sp.csr_array(
+                    (np.ones(order.shape[0], acc), order, indptr),
+                    shape=(self.n_groups, self.n_members))
+            op = ops[dtype] = ops[acc]
+        return op
+
     def with_context(self, context: np.ndarray | None) -> "AxisGroups":
         """The same groups, pooling only the cells ``context`` marks;
         these groups themselves when it marks every cell or is None."""
@@ -260,20 +291,28 @@ class AxisGroups:
                 context = None
         if context is None and self.context is None:
             return self
-        return AxisGroups(self.fixed_axes, self.keys, self.group_of, self.sizes,
-                          self.sum_matrix, self.flat_keys, context)
+        groups = AxisGroups(self.fixed_axes, self.keys, self.group_of,
+                            self.sizes, self.order, self.indptr,
+                            self.flat_keys, context)
+        if groups.context is not None:
+            object.__setattr__(groups, "_sum_ops", self._sum_ops)
+        return groups
 
     def group_sums(self, x: np.ndarray) -> np.ndarray:
-        """(n_obs, K) -> (n_groups, K) per-group sums over every member,
-        float64-accumulated."""
-        sums = self.sum_matrix @ x
+        """(n_obs, K) -> (n_groups, K) per-group sums over every member."""
+        sums = self.operator(x.dtype, context=False) @ x
         return sums.astype(np.result_type(x, np.float32), copy=False)
 
     def group_means(self, x: np.ndarray) -> np.ndarray:
         """(n_obs, K) -> (n_groups, K) per-group means over the context
-        members, float64-accumulated; 0 for a group with none."""
-        means = self.pool_matrix @ x / self.divisor[:, None]
-        return means.astype(np.result_type(x, np.float32), copy=False)
+        members; 0 for a group with none."""
+        return self.means(self.operator(x.dtype) @ x, x.dtype)
+
+    def means(self, sums: np.ndarray, dtype) -> np.ndarray:
+        """Context sums, as ``operator(dtype) @ x`` gives them, over the
+        counts, in the floating dtype of an operand of ``dtype``."""
+        means = sums / self.divisor[:, None]
+        return means.astype(np.result_type(dtype, np.float32), copy=False)
 
     def spread(self, rows: np.ndarray) -> np.ndarray:
         """(n_groups, K) -> (n_obs, K): each context cell takes its
@@ -285,9 +324,8 @@ class AxisGroups:
 
     def members(self) -> dict[tuple[int, ...], np.ndarray]:
         """Group key -> array of member cell positions (canonical order)."""
-        m = self.sum_matrix
         return {
-            tuple(self.keys[g]): m.indices[m.indptr[g] : m.indptr[g + 1]].copy()
+            tuple(self.keys[g]): self.order[self.indptr[g] : self.indptr[g + 1]].copy()
             for g in range(self.n_groups)
         }
 
@@ -338,15 +376,13 @@ def axis_groups(
         order = np.arange(n)
         indptr = np.array([0, n])
         group_of = np.zeros(n, dtype=np.int64)
-    sum_matrix = sp.csr_array(
-        (np.ones(n), order, indptr), shape=(keys.shape[0], n)
-    )
     return AxisGroups(
         fixed_axes=fixed,
         keys=keys,
         group_of=group_of,
         sizes=np.diff(indptr),
-        sum_matrix=sum_matrix,
+        order=order,
+        indptr=indptr,
         flat_keys=flat_keys,
     )
 

@@ -96,11 +96,12 @@ class TrainConfig:
     ``precision`` ("float32" or "float64") is the dtype training runs in:
     the parameters (cast on entry, so the returned parameters have it
     too), the one-hot inputs and targets, every value and gradient of the
-    training graph, the Adam moments, and the validation forward.  Only
-    the group sums of pooling accumulate in float64 before they are cast
-    back.  The two precisions agree on short runs: over 3 epochs of the
-    50x60 benchmark the per-epoch ``val_rmse`` differs by about 2e-8, and
-    the tests assert 1e-5.  Fits run to their early-stopping point can
+    training graph, the Adam moments, and the validation forward.  The
+    row and column pools accumulate in it too; only the global pool,
+    taken as the float64 sum of the row sums, accumulates in float64
+    before it is cast back.  The two precisions agree on short runs:
+    over 3 epochs of the 50x60 benchmark the per-epoch ``val_rmse``
+    differs by up to about 3e-8, and the tests assert 1e-5.  Fits run to their early-stopping point can
     stop at different epochs, because last-digit differences decide
     which validation RMSE is best, so their final RMSEs need not agree.
     """
@@ -362,9 +363,12 @@ def train(
     # one buffer per fit, cast once; a tied block is one slot, one array
     arrays = FlatArrays.of(named_arrays(params), dtype)
     params = with_named_arrays(params, arrays)
-    # the context never changes: group it once, before a worker thread
-    # reads it
-    pooling_groups(x_full)
+    # the context never changes: group it once, and build the operators
+    # its pools sum with (the global pool sums the row sums), before a
+    # worker thread reads them
+    for g in pooling_groups(x_full).values():
+        if g.n_groups > 1:
+            g.operator(dtype)
 
     def validate(p) -> float:
         prepared = p.prepare(model_config, x_full)

@@ -101,7 +101,7 @@ def unique_then_argsort_groups(t, fixed_axes):
     """(keys, group_of, sizes, order, indptr) of grouping ``t``'s cells on
     ``fixed_axes`` by ``np.unique`` and a second stable int64 argsort, as
     ``axis_groups`` did before it took them all from one sort; ``order``
-    and ``indptr`` are the CSR member layout of its ``sum_matrix``."""
+    and ``indptr`` are the CSR member layout of its group-sum operator."""
     fixed = tuple(fixed_axes)
     n = t.n_observed
     if fixed:

@@ -490,7 +490,9 @@ def cast_layer(lp, prefix, dtype):
 
 class TestEquivariantLayerOp:
     """The fused layer op against the separate pool, mix, broadcast and
-    add nodes it replaces: equal bit for bit, forward and backward."""
+    add nodes it replaces, forward and backward.  The fused op takes its
+    global pool from the row pool's sums, so the two agree to rounding:
+    within 1e-12 of the largest magnitude in float64, 1e-6 in float32."""
 
     CASES = [
         ((6, 7), 25, False),
@@ -508,7 +510,8 @@ class TestEquivariantLayerOp:
     ]
 
     @staticmethod
-    def fused_and_composed(dims, n_obs, tied, dtype, context=False):
+    def fused_and_composed(dims, n_obs, tied, dtype, context=False,
+                           emits=(add_layer_nodes, composed_layer_nodes)):
         """Outputs of a two-layer stack and the gradients of a loss on
         it, as (outputs, gradients) for the fused op and the composition.
         dtype "mixed" keeps every array float32 but the first layer's
@@ -532,7 +535,7 @@ class TestEquivariantLayerOp:
         if dtype == "mixed":
             bindings["a1.wg"] = bindings["a1.wg"].astype(np.float64)
         results = []
-        for emit in (add_layer_nodes, composed_layer_nodes):
+        for emit in emits:
             g = Graph()
             h = g.parameter("x")  # a parameter, so its gradient is reported
             outs = []
@@ -546,38 +549,49 @@ class TestEquivariantLayerOp:
         return results
 
     @staticmethod
-    def assert_bitwise_same(results):
+    def pairs(results):
         (fused_outs, fused_grads), (ref_outs, ref_grads) = results
-        for got, want in zip(fused_outs, ref_outs):
-            assert_bitwise_equal(got, want)
         assert list(fused_grads) == list(ref_grads)
-        for name in ref_grads:
-            assert_bitwise_equal(fused_grads[name], ref_grads[name])
+        return zip([*fused_outs, *fused_grads.values()],
+                   [*ref_outs, *ref_grads.values()])
+
+    @classmethod
+    def assert_close(cls, results, dtype):
+        tol = 1e-12 if dtype is np.float64 else 1e-6
+        for got, want in cls.pairs(results):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
     @pytest.mark.parametrize("dims, n_obs, tied", CASES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_the_composition_bit_for_bit(self, dims, n_obs, tied,
-                                                 dtype):
-        self.assert_bitwise_same(
-            self.fused_and_composed(dims, n_obs, tied, dtype))
+    def test_matches_the_composition(self, dims, n_obs, tied, dtype):
+        self.assert_close(
+            self.fused_and_composed(dims, n_obs, tied, dtype), dtype)
 
     @pytest.mark.parametrize("dims, n_obs, tied", MULTI_BLOCK_CASES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, "mixed"])
     def test_matches_the_composition_across_row_blocks(
             self, monkeypatch, dims, n_obs, tied, dtype):
+        """The composition to rounding; the op in one row block bit for
+        bit."""
+        (one_block,) = self.fused_and_composed(dims, n_obs, tied, dtype,
+                                               emits=(add_layer_nodes,))
         monkeypatch.setattr(autodiff, "BLOCK_BYTES", 256)
         results = self.fused_and_composed(dims, n_obs, tied, dtype)
         for out in results[0][0]:
             rows = autodiff.BLOCK_BYTES // (out.itemsize * out.shape[1])
             assert out.shape[0] > 2 * rows and out.shape[0] % rows
-        self.assert_bitwise_same(results)
+        self.assert_close(results, dtype)
+        for got, want in self.pairs([results[0], one_block]):
+            assert_bitwise_equal(got, want)
 
     @pytest.mark.parametrize("dims, n_obs, tied", CASES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_the_composition_with_a_context_bit_for_bit(
-            self, dims, n_obs, tied, dtype):
-        self.assert_bitwise_same(
-            self.fused_and_composed(dims, n_obs, tied, dtype, context=True))
+    def test_matches_the_composition_with_a_context(self, dims, n_obs, tied,
+                                                    dtype):
+        self.assert_close(
+            self.fused_and_composed(dims, n_obs, tied, dtype, context=True),
+            dtype)
 
     @pytest.mark.parametrize("dims, n_obs, tied", CASES)
     def test_gradients_match_finite_differences(self, dims, n_obs, tied):
@@ -627,3 +641,80 @@ class TestEquivariantLayerOp:
             forward(g, bindings)
         bindings.update(x=t.values)
         assert forward(g, bindings)[y].shape == (3, 2)
+
+
+class TestPoolAccumulation:
+    """Row and column pools sum in the operand's dtype; the global pool
+    is the float64 sum of the row pool's sums, and a float32 layer makes
+    no float64 copy of its input or of its output gradient."""
+
+    @pytest.mark.parametrize("dims, n_obs", [((30, 40), 500),
+                                             ((6, 5, 7), 103)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("context", [False, True])
+    def test_global_mean_is_the_float64_sum_of_the_row_sums(
+            self, dims, n_obs, dtype, context):
+        rng = np.random.default_rng(n_obs)
+        t = random_sparse(dims, 6, n_obs, rng)
+        ctx = out_of_context(t) if context else np.ones(n_obs, bool)
+        groups = pooling_groups(t, ctx)
+        subsets = all_subsets(t.ndim)
+        assert subsets[-2:] == (frozenset({0}), frozenset())
+        x = t.values.astype(dtype)
+        means = autodiff.pooled_means(x, [groups[S] for S in subsets[1:]])
+        rows = groups[frozenset({0})]
+        # each row's context cells summed in x's dtype, in cell order
+        row_sums = np.zeros((rows.n_groups, 6), dtype)
+        np.add.at(row_sums, rows.group_of[ctx], x[ctx])
+        want = row_sums.sum(axis=0, dtype=np.float64) / ctx.sum()
+        assert_bitwise_equal(means[-1], want[None].astype(dtype))
+        assert_bitwise_equal(
+            means[-2], (row_sums / rows.divisor[:, None]).astype(dtype))
+
+    def test_operators_take_the_accumulation_dtype(self):
+        t = random_sparse((30, 40), 2, 500, np.random.default_rng(5))
+        groups = pooling_groups(t)
+        rows, whole = groups[frozenset({0})], groups[frozenset()]
+        assert rows.operator(np.float32).dtype == np.float32
+        assert rows.operator(np.float64).dtype == np.float64
+        assert rows.operator(np.int64).dtype == np.float64
+        assert whole.operator(np.float32).dtype == np.float64
+        # built once per dtype, index arrays shared between dtypes
+        assert rows.operator(np.float32) is rows.operator(np.float32)
+        assert np.shares_memory(rows.operator(np.float32).indices,
+                                rows.operator(np.float64).indices)
+        # a context copy pools its own cells but shares the sums over all
+        masked = rows.with_context(out_of_context(t))
+        assert masked.operator(np.float32).nnz < t.n_observed
+        assert masked.operator(np.float32, context=False) is \
+            rows.operator(np.float32)
+
+    def test_float32_pools_and_backward_copy_nothing_to_float64(self):
+        """No allocation as large as a float64 copy of the (n, 64)
+        operand: the pools read x and the gradient pools read dY in
+        float32.  The layer is 5 -> 64, so that dx and the cell term's
+        gradient are (n, 5) and the bound sees only a copy."""
+        import tracemalloc
+
+        rng = np.random.default_rng(9)
+        t = random_sparse((200, 300), 5, 20_000, rng)
+        subsets = all_subsets(2)
+        groups = pooling_groups(t)
+        pooled = [groups[S] for S in subsets[1:]]
+        f32 = np.float32
+        x64 = rng.normal(size=(t.n_observed, 64)).astype(f32)
+        x5 = t.values.astype(f32)
+        blocks = [rng.normal(size=(5, 64)).astype(f32) for _ in subsets]
+        means = autodiff.pooled_means(x5, pooled)  # operators built here
+        autodiff.pooled_means(x64, pooled)
+        copy_bytes = t.n_observed * 64 * 8
+        for run in (lambda: autodiff.pooled_means(x64, pooled),
+                    lambda: autodiff._equivariant_layer_grads(
+                        x64, x5, blocks, pooled, means)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < copy_bytes / 4

@@ -462,6 +462,37 @@ class TestVerify:
         assert "--trials must be nonnegative, got -2" in err
 
 
+class TestFlagParsing:
+    """A flag value the parser refuses is a usage error like any other:
+    exit 2 with one stderr line and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["verify", "--dims", "2,3", "--trials", "x"],
+         "argument --trials: invalid int value: 'x'"),
+        (["train", "--epochs", "1.5"], "invalid int value: '1.5'"),
+        (["sample-check", "--sampler", "bogus"], "invalid choice: 'bogus'"),
+        (["verify"], "--dims"),
+        (["verify", "--dims", "2,3", "--bogus"], "unrecognized arguments"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        ([], "command"),
+    ], ids=["int", "train-int", "choice", "required", "unknown-flag",
+            "unknown-command", "no-command"])
+    def test_refused_flag_exits_2_on_one_line(self, capsys, argv, named):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: exchtensor")
+        assert named in lines[0]
+
+    def test_help_prints_to_stdout_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--help"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 0 and captured.err == ""
+        assert captured.out.startswith("usage: exchtensor verify")
+
+
 class TestSampleCheck:
     def test_uniform_report_passes(self, capsys):
         code, records, _ = run(capsys, "sample-check", "--data", "synthetic",

@@ -11,7 +11,9 @@ from exchtensor.autodiff import Graph, forward
 from exchtensor.data import (
     FIVE_STAR, RatingScale, canonical_split, synthetic_lowrank_table,
 )
-from exchtensor.layers import ExchLayerParams, FactorPair, pooling_groups
+from exchtensor.layers import (
+    ExchLayerParams, FactorPair, add_layer_nodes, pooling_groups,
+)
 from exchtensor.models import (
     FeaParams,
     ModelConfig,
@@ -29,9 +31,7 @@ from exchtensor.models import (
 from exchtensor.sparse import PermutationSpec, apply_permutation
 from exchtensor.training import evaluate
 
-from helpers import (
-    assert_bitwise_equal, composed_layer_nodes, random_dense, random_sparse,
-)
+from helpers import assert_bitwise_equal, random_dense, random_sparse
 
 
 def small_ss_config(**overrides):
@@ -100,6 +100,22 @@ class TestModelConfig:
     def test_mask_probability_bounds(self):
         with pytest.raises(ValueError, match="mask probability"):
             small_ss_config(mask_prob=1.0)
+
+    def test_self_supervised_refuses_no_masking(self):
+        """Its loss reads only masked cells: refused before any fit."""
+        with pytest.raises(ValueError, match="mask probability above 0"):
+            small_ss_config(mask_prob=0.0)
+        assert small_fea_config(mask_prob=0.0).mask_prob == 0.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("widths", (0, 5)), ("widths", (6, -1, 5)),
+        ("encoder_widths", (-1, 3)), ("decoder_widths", (0, 5)),
+        ("factor_size", 0), ("factor_size", -2),
+    ])
+    def test_refuses_widths_below_one(self, field, value):
+        make = small_ss_config if field == "widths" else small_fea_config
+        with pytest.raises(ValueError, match="at least 1"):
+            make(**{field: value})
 
     def test_self_supervised_default_shape(self):
         """Nine layers at 256 channels, dropout after the first seven."""
@@ -387,10 +403,11 @@ class TestInductivity:
 
 
 def graph_layer(t, params):
-    """A layer run as its own graph of separate pool, mix, broadcast and
-    add nodes, the way inference ran before the fused layer op."""
+    """A layer run as its own graph of the fused layer node and its
+    nonlinearity node, the way inference ran before it called the layer
+    op directly."""
     g = Graph()
-    out = composed_layer_nodes(g, g.input("x"), pooling_groups(t), params, "L")
+    out = add_layer_nodes(g, g.input("x"), pooling_groups(t), params, "L")
     return t.with_values(forward(g, {"x": t.values, **params.bindings("L")})[out])
 
 

@@ -207,10 +207,10 @@ class TestAxisGroups:
                 gid = np.flatnonzero((g.keys == key).all(axis=1))[0]
                 assert (g.group_of[mem] == gid).all()
 
-    def test_sum_matrix_gives_group_sums(self):
+    def test_operator_gives_group_sums(self):
         t = small_matrix()
         g = axis_groups(t, [0])
-        assert g.sum_matrix.shape == (g.n_groups, t.n_observed)
+        assert g.operator(np.float64).shape == (g.n_groups, t.n_observed)
         assert_allclose(g.group_sums(t.values)[:, 0], [3.0, 3.0, 9.0])
         assert_allclose(g.group_means(t.values)[:, 0], [1.5, 3.0, 4.5])
 
@@ -321,7 +321,9 @@ class TestOneSortGrouping:
             assert_bitwise_equal(g.keys, keys)
             assert_bitwise_equal(g.group_of, group_of)
             assert_bitwise_equal(g.sizes, sizes)
-            m = g.sum_matrix
+            assert_bitwise_equal(g.order, order)
+            assert_bitwise_equal(g.indptr, indptr)
+            m = g.operator(np.float64)
             assert_array_equal(m.indices, order)
             assert_array_equal(m.indptr, indptr)
             assert_bitwise_equal(m.data, np.ones(t.n_observed))

@@ -555,11 +555,8 @@ class TestTrain:
             assert all(np.isfinite(report.train_loss))
 
     def test_self_supervised_requires_masking(self):
-        tr, val = split_synthetic()
-        mc = replace(tiny_ss_config(), mask_prob=0.0)
-        tc = TrainConfig(epochs=1)
         with pytest.raises(ValueError, match="mask probability"):
-            train(mc, tc, tr, val)
+            replace(tiny_ss_config(), mask_prob=0.0)
 
     @pytest.mark.parametrize("arch", ["self-supervised", "fea"])
     def test_full_batch_fit_groups_each_fixed_index_set_once(
@@ -882,3 +879,21 @@ class TestOverlappedValidation:
         assert len(threads) == report.epochs_run == 4
         main = threading.get_ident()
         assert all((t == main) == full_batch for t in threads)
+
+    @pytest.mark.parametrize("arch", ["self-supervised", "fea"])
+    def test_the_worker_builds_no_pool_operator(self, arch, monkeypatch):
+        """The training matrix's pool operators are built before the
+        worker thread validates on them, so the worker only reads them."""
+        real = sparse.sp.csr_array
+        threads = []
+
+        def recorded(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sparse.sp, "csr_array", recorded)
+        tr, val = split_synthetic(seed=3, n_rows=16, n_cols=14)
+        mc = tiny_ss_config() if arch == "self-supervised" \
+            else tiny_fea_config()
+        train(mc, self.minibatch(epochs=4, cell_budget=25), tr, val)
+        assert threads and set(threads) == {threading.get_ident()}
