@@ -28,6 +28,7 @@ __all__ = [
     "Graph",
     "NONLINEARITIES",
     "apply_nonlinearity",
+    "add_terms",
     "equivariant_layer",
     "pooled_means",
     "forward",
@@ -93,22 +94,20 @@ class Graph:
 
     # structure ops
 
-    def equivariant_layer(self, x: str, bias: str, blocks, groups,
-                          name=None) -> str:
+    def equivariant_layer(self, x: str, bias: str, blocks, groups) -> str:
         """One layer's pre-activation, as the module-level
         ``equivariant_layer``; a tied layer names its shared block twice."""
-        return self._add("equivariant_layer", (x, bias, *blocks), name,
+        return self._add("equivariant_layer", (x, bias, *blocks),
                          groups=tuple(groups))
 
-    def segment_pool(self, x: str, groups: AxisGroups, mode: str = "mean",
-                     name=None) -> str:
+    def segment_pool(self, x: str, groups: AxisGroups, mode: str = "mean") -> str:
         """(n, K) cell values -> (n_groups, K) per-group means.
 
-        The forward pass is ``groups.group_means``, a product with the
-        pool operator that accumulates in the operand's dtype over
-        several groups and in float64 over one, and returns the
-        operand's dtype; the backward pass hands each context cell its
-        group's gradient over the group's context count.  Pooling is
+        The forward pass is ``pooled_means`` over this one grouping, a
+        product with the pool operator that accumulates in the operand's
+        dtype over several groups and in float64 over one, and returns
+        the operand's dtype; the backward pass hands each context cell
+        its group's gradient over the group's context count.  Pooling is
         always a mean.  ``mode`` admits only "mean"; it stays so that
         callers which pass it keep working.
         """
@@ -116,53 +115,50 @@ class Graph:
             raise ValueError(f"pool mode must be 'mean', got {mode!r}")
         if (groups.sizes == 0).any():
             raise ValueError("segment_pool: empty group")
-        return self._add("segment_pool", (x,), name, groups=groups)
+        return self._add("segment_pool", (x,), groups=groups)
 
-    def gather_broadcast(self, g: str, groups: AxisGroups, name=None) -> str:
+    def gather_broadcast(self, g: str, groups: AxisGroups) -> str:
         """(n_groups, K) group values -> (n, K), each cell gets its group's row.
 
-        The backward pass sums each group's cell gradients with
-        ``groups.group_sums``.
+        The backward pass sums each group's cell gradients over every
+        member, as the layer op's backward sums them (``_grouped_sums``).
         """
-        return self._add("gather_broadcast", (g,), name, groups=groups)
+        return self._add("gather_broadcast", (g,), groups=groups)
 
-    def channel_mix(self, x: str, weights: str, bias: str | None = None,
-                    name=None) -> str:
+    def channel_mix(self, x: str, weights: str, bias: str | None = None) -> str:
         """Per-row affine map: (n, K) @ (K, O) [+ (O,)] -> (n, O)."""
         ops = (x, weights) if bias is None else (x, weights, bias)
-        return self._add("channel_mix", ops, name)
+        return self._add("channel_mix", ops)
 
-    def nonlinearity(self, x: str, kind: str, slope: float = 0.01,
-                     name=None) -> str:
+    def nonlinearity(self, x: str, kind: str, slope: float = 0.01) -> str:
         if kind not in NONLINEARITIES:
             raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}, got {kind!r}")
         if kind == "leaky_relu" and not 0.0 <= slope <= 1.0:
             raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
-        return self._add("nonlinearity", (x,), name, kind=kind, slope=float(slope))
+        return self._add("nonlinearity", (x,), kind=kind, slope=float(slope))
 
-    def add(self, *xs: str, name=None) -> str:
+    def add(self, *xs: str) -> str:
         if len(xs) < 1:
             raise ValueError("add needs at least one operand")
-        return self._add("add", xs, name)
+        return self._add("add", xs)
 
-    def dropout_mask(self, x: str, mask: np.ndarray, name=None) -> str:
+    def dropout_mask(self, x: str, mask: np.ndarray) -> str:
         """Multiply by a fixed mask (survivor scaling baked into the mask).
 
         The product keeps the values' dtype whatever the mask's dtype.
         """
         mask = np.asarray(mask)
-        return self._add("dropout_mask", (x,), name, mask=mask)
+        return self._add("dropout_mask", (x,), mask=mask)
 
-    def concat_channels(self, *xs: str, name=None) -> str:
+    def concat_channels(self, *xs: str) -> str:
         if len(xs) < 1:
             raise ValueError("concat_channels needs at least one operand")
-        return self._add("concat_channels", xs, name)
+        return self._add("concat_channels", xs)
 
     # losses
 
     def softmax_cross_entropy(self, logits: str, targets: str,
-                              row_weights: np.ndarray | None = None,
-                              name=None) -> str:
+                              row_weights: np.ndarray | None = None) -> str:
         """Fused scalar loss: weighted mean over rows of logsumexp(l) − Σ t·l.
 
         ``row_weights`` selects which rows count (masked-target training);
@@ -173,12 +169,12 @@ class Graph:
             row_weights = np.asarray(row_weights, dtype=np.float64)
             if (row_weights < 0).any() or row_weights.sum() <= 0:
                 raise ValueError("row_weights must be nonnegative with positive sum")
-        return self._add("softmax_cross_entropy", (logits, targets), name,
+        return self._add("softmax_cross_entropy", (logits, targets),
                          row_weights=row_weights)
 
-    def mean_square_error(self, pred: str, target: str, name=None) -> str:
+    def mean_square_error(self, pred: str, target: str) -> str:
         """Scalar: mean over all entries of (pred − target)^2."""
-        return self._add("mean_square_error", (pred, target), name)
+        return self._add("mean_square_error", (pred, target))
 
 
 def _by_channel(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -242,12 +238,45 @@ def _grouped_sums(x, groups, context=True) -> list[np.ndarray]:
 
 
 def pooled_means(x, groups) -> list[np.ndarray]:
-    """Each grouping's group means of x, in x's floating dtype, summed
-    as ``AxisGroups.group_means`` sums them: in x's dtype over several
-    groups, in float64 over one.  The global means, after the row
-    grouping ({0} comes just before {} in ``all_subsets`` order), are
-    the float64 sum of its sums over the count."""
+    """Each grouping's group means of x over its context cells, in x's
+    floating dtype, summed as ``AxisGroups.operator`` sums them: in x's
+    dtype over several groups, in float64 over one.  The global means,
+    after the row grouping ({0} comes just before {} in ``all_subsets``
+    order), are the float64 sum of its sums over the count."""
     return [g.means(s, x.dtype) for g, s in zip(groups, _grouped_sums(x, groups))]
+
+
+def add_terms(cell, terms, nonlinearity="identity", slope=0.01):
+    """``cell`` (n, O) plus each term, then ``nonlinearity``: a layer's
+    output once its cell term is computed.  A term is (rows, at): cell i
+    adds ``rows[at[i]]``, or the single row ``rows`` when ``at`` is None.
+
+    The sum and the activation go over the cell buffer in row blocks of
+    about ``BLOCK_BYTES``, so each block stays in cache.  Each addition
+    keeps the whole-array order and dtype promotion, so the values are
+    those of summing whole arrays, bit for bit; a term of a wider dtype
+    promotes each block on the way, which is then copied into an output
+    of the final dtype.
+    """
+    dtype = np.result_type(cell, *(rows for rows, _ in terms))
+    out = cell if dtype == cell.dtype else np.empty(cell.shape, dtype)
+    step = max(1, BLOCK_BYTES // (dtype.itemsize * max(1, cell.shape[1])))
+    for a in range(0, cell.shape[0], step):
+        y = cell[a : a + step]
+        for rows, at in terms:
+            if at is not None:
+                rows = np.take(rows, at[a : a + step], axis=0)
+            if np.result_type(y, rows) == y.dtype:
+                y += rows
+            else:
+                y = y + rows
+        if nonlinearity == "leaky_relu":
+            np.maximum(y, slope * y, out=y)
+        elif nonlinearity != "identity":
+            y[...] = apply_nonlinearity(y, nonlinearity, slope)
+        if out is not cell:
+            out[a : a + step] = y
+    return out
 
 
 def equivariant_layer(x, bias, blocks, groups, nonlinearity="identity",
@@ -261,40 +290,15 @@ def equivariant_layer(x, bias, blocks, groups, nonlinearity="identity",
     context cells, and its term reaches every cell.  The means are
     ``pooled_means``.
 
-    The cell term is one whole product, written once into the output.
-    The bias, the pooled terms and then ``nonlinearity`` (an activation
-    applied in place; the graph op asks for none, since its backward
-    reads the pre-activation) go over that buffer in row blocks of about
-    ``BLOCK_BYTES``, so each block stays in cache.  Each addition keeps
-    the whole-array order and dtype promotion, so the values are those
-    of summing whole arrays, bit for bit.
+    The cell term is one whole product, written once into the output;
+    ``add_terms`` then adds the bias and the pooled terms and applies
+    ``nonlinearity`` in place (the graph op asks for none, since its
+    backward reads the pre-activation).
     """
     means = pooled_means(x, groups)
-    # (term, its row per cell or None to broadcast), bias first
     terms = [(bias, None)] + [(m @ w, g.group_of if g.n_groups > 1 else None)
                               for g, m, w in zip(groups, means, blocks[1:])]
-    cell = x @ blocks[0]
-    dtype = np.result_type(cell, *(term for term, _ in terms))
-    # a term of a wider dtype promotes each block on the way: sum in
-    # the cell buffer, then copy into an output of the final dtype
-    out = cell if dtype == cell.dtype else np.empty(cell.shape, dtype)
-    rows = max(1, BLOCK_BYTES // (dtype.itemsize * max(1, cell.shape[1])))
-    for a in range(0, cell.shape[0], rows):
-        y = cell[a : a + rows]
-        for term, group_of in terms:
-            if group_of is not None:
-                term = np.take(term, group_of[a : a + rows], axis=0)
-            if np.result_type(y, term) == y.dtype:
-                y += term
-            else:
-                y = y + term
-        if nonlinearity == "leaky_relu":
-            np.maximum(y, slope * y, out=y)
-        elif nonlinearity != "identity":
-            y[...] = apply_nonlinearity(y, nonlinearity, slope)
-        if out is not cell:
-            out[a : a + rows] = y
-    return out, means
+    return add_terms(x @ blocks[0], terms, nonlinearity, slope), means
 
 
 def _equivariant_layer_grads(dY, x, blocks, groups, means):
@@ -360,7 +364,7 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
                     f"node '{name}': groups cover {g.n_members} rows, "
                     f"values have {x.shape[0]}"
                 )
-            values[name] = g.group_means(x)
+            (values[name],) = pooled_means(x, [g])
         elif op == "gather_broadcast":
             (gv,) = args
             g = node.attrs["groups"]
@@ -495,7 +499,9 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
             accumulate(node.operands[0], g.spread(dg))
         elif op == "gather_broadcast":
             g = node.attrs["groups"]
-            accumulate(node.operands[0], g.group_sums(dY))
+            (sums,) = _grouped_sums(dY, [g], context=False)
+            accumulate(node.operands[0], sums.astype(
+                np.result_type(dY, np.float32), copy=False))
         elif op == "channel_mix":
             x, w = args[0], args[1]
             accumulate(node.operands[0], dY @ w.T)

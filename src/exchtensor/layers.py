@@ -272,6 +272,12 @@ def add_stack_nodes(
     return x
 
 
+def _blocks(params: ExchLayerParams) -> list[np.ndarray]:
+    """A layer's blocks in ``all_subsets`` order, the cell block first,
+    as ``equivariant_layer`` takes them."""
+    return [params.blocks[S] for S in all_subsets(params.ndim)]
+
+
 def exchangeable_tensor_layer(
     t: SparseExchangeableTensor, params: ExchLayerParams
 ) -> SparseExchangeableTensor:
@@ -290,10 +296,10 @@ def exchangeable_tensor_layer(
             f"{t.channels}"
         )
     groups = pooling_groups(t)
-    subsets = all_subsets(t.ndim)
     out, _ = equivariant_layer(
-        t.values, params.bias, [params.blocks[S] for S in subsets],
-        [groups[S] for S in subsets[1:]], params.nonlinearity, params.slope,
+        t.values, params.bias, _blocks(params),
+        [groups[S] for S in all_subsets(t.ndim)[1:]],
+        params.nonlinearity, params.slope,
     )
     return t.with_values(out)
 
@@ -325,15 +331,12 @@ def stack_pools(t: SparseExchangeableTensor,
     and output are held; t is not.
     """
     groups = pooling_groups(t)
-    subsets = all_subsets(t.ndim)
-    pooled = [groups[S] for S in subsets[1:]]
+    pooled = [groups[S] for S in all_subsets(t.ndim)[1:]]
     x, kept = t.values, []
     del t  # so t's values go once the first layer has read them
     for lp in stack[:-1]:
-        x, means = equivariant_layer(
-            x, lp.bias, [lp.blocks[S] for S in subsets], pooled,
-            lp.nonlinearity, lp.slope,
-        )
+        x, means = equivariant_layer(x, lp.bias, _blocks(lp), pooled,
+                                     lp.nonlinearity, lp.slope)
         kept.append(read(lp, means))
     kept.append(read(stack[-1], pooled_means(x, pooled)))
     return kept
@@ -407,7 +410,7 @@ def pool_to_factors(t: SparseExchangeableTensor) -> FactorPair:
     flags = []
     for axis in (0, 1):
         g = t.groups([axis])
-        means = g.group_means(t.values)
+        (means,) = pooled_means(t.values, [g])
         table = np.zeros((t.dims[axis], t.channels), dtype=t.values.dtype)
         seen = np.zeros(t.dims[axis], dtype=bool)
         table[g.keys[:, 0]] = means

@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autodiff import NONLINEARITIES, Graph, apply_nonlinearity
+from .autodiff import NONLINEARITIES, Graph, add_terms
 from .data import RatingScale
 from .layers import (
     ExchLayerParams,
@@ -40,7 +40,7 @@ from .layers import (
     random_layer_params,
     stack_pools,
 )
-from .sparse import SparseExchangeableTensor, lookup
+from .sparse import SparseExchangeableTensor, cell_keys, lookup
 
 __all__ = [
     "ModelConfig",
@@ -199,15 +199,6 @@ def union_with_zeros(
     return SparseExchangeableTensor(t.dims, indices, values)
 
 
-def _sub_keys(cells: np.ndarray, dims, axes) -> np.ndarray:
-    """Row-major flat keys of (m, D) cells' coordinates on ``axes``
-    over ``dims``; 0 for every cell when there are no axes."""
-    if not axes:
-        return np.zeros(cells.shape[0], dtype=np.int64)
-    return np.ravel_multi_index(tuple(cells[:, a] for a in axes),
-                                tuple(dims[a] for a in axes))
-
-
 def _with_zero_row(table: np.ndarray) -> np.ndarray:
     """table with a zero row appended, which group id -1 selects."""
     return np.concatenate([table, np.zeros((1, *table.shape[1:]), table.dtype)])
@@ -222,7 +213,9 @@ class PreparedContext:
     and ``dtype`` their values' dtype.  ``groups`` holds, for each pooled
     subset in ``all_subsets`` order after the full subset, the subset,
     the ascending flat keys of the context's groups on its axes and the
-    cells in each.  ``layers`` holds each layer's context-side tables,
+    cells in each.  Every key is ``sparse.cell_keys``, so ``find`` and
+    ``group_at`` key a query cell as the context's tensor and groupings
+    key theirs.  ``layers`` holds each layer's context-side tables,
     one per pooled subset.  Each table, and each count array, has a zero
     last entry for a cell whose group the context lacks.  ``factors``
     are the autoencoder's imputed factors.  Nothing here is as large as
@@ -247,22 +240,12 @@ class PreparedContext:
 
     def find(self, cells: np.ndarray) -> np.ndarray:
         """Row of each (m, D) cell among the context cells, -1 if absent."""
-        return lookup(self.keys, np.ravel_multi_index(tuple(cells.T), self.dims))
+        return lookup(self.keys, cell_keys(cells, self.dims))
 
     def group_at(self, cells: np.ndarray) -> list[np.ndarray]:
         """Per pooled subset, each cell's context group, -1 if none."""
-        return [lookup(keys, _sub_keys(cells, self.dims, sorted(S)))
+        return [lookup(keys, cell_keys(cells, self.dims, sorted(S)))
                 for S, keys, _ in self.groups]
-
-
-def _tail_layer(h: np.ndarray, lp: ExchLayerParams, terms) -> np.ndarray:
-    """One layer at the query cells alone: the cell term over their own
-    values, then the bias and each pooled term's rows, added in the
-    order ``equivariant_layer`` adds them, then the activation."""
-    y = h @ lp.blocks[all_subsets(lp.ndim)[0]]
-    for term in (lp.bias, *terms):
-        y = y + term
-    return apply_nonlinearity(y, lp.nonlinearity, lp.slope)
 
 
 @dataclass(frozen=True)
@@ -289,12 +272,15 @@ class SelfSupervisedParams:
     def predict(self, config: ModelConfig, prepared: PreparedContext,
                 query: np.ndarray) -> np.ndarray:
         """(m, levels) distributions at the query cells, whose inputs are
-        zero: per layer, their cell term plus the context's tables."""
+        zero: per layer, their cell term plus the bias and the context's
+        table rows at their groups (id -1 picks a table's zero row),
+        summed and activated by ``add_terms`` as every layer is."""
         at = prepared.group_at(query)
         h = np.zeros((query.shape[0], config.levels), prepared.dtype)
         for lp, tables in zip(self.layers, prepared.layers):
-            h = _tail_layer(h, lp, [np.take(t, g, axis=0)
-                                    for t, g in zip(tables, at)])
+            h = add_terms(h @ lp.blocks[all_subsets(lp.ndim)[0]],
+                          [(lp.bias, None), *zip(tables, at)],
+                          lp.nonlinearity, lp.slope)
         return h
 
     def loss_graph(self, config: ModelConfig, batch: SparseExchangeableTensor,
@@ -343,21 +329,25 @@ class FeaParams:
                 query: np.ndarray) -> np.ndarray:
         """(m, levels) distributions at the query cells.  Each decodes
         from its row's and column's factors (cold ones were imputed), and
-        each pool reads the context's cells plus the query cell itself."""
+        each pool reads the context's cells plus the query cell itself,
+        so each pooled term has a row per query cell; ``add_terms`` sums
+        and activates them as every layer's terms."""
         at = prepared.group_at(query)
         # each query cell joins its groups' context cells
         joined = [(counts[g] + 1.0)[:, None] for (_, _, counts), g
                   in zip(prepared.groups, at)]
         f = prepared.factors
         h = np.concatenate([f.z_rows[query[:, 0]], f.z_cols[query[:, 1]]], axis=1)
+        own = np.arange(query.shape[0])  # each query cell's own term row
         for lp, sums in zip(self.decoder, prepared.layers):
             h64 = np.asarray(h, np.float64)
             dtype = np.result_type(h, np.float32)
-            h = _tail_layer(h, lp, [
-                ((np.take(s, g, axis=0) + h64) / n).astype(dtype, copy=False)
-                @ lp.blocks[S]
-                for (S, _, _), s, g, n in zip(prepared.groups, sums, at, joined)
-            ])
+            terms = [(lp.bias, None)] + [
+                (((np.take(s, g, axis=0) + h64) / n).astype(dtype, copy=False)
+                 @ lp.blocks[S], own)
+                for (S, _, _), s, g, n in zip(prepared.groups, sums, at, joined)]
+            h = add_terms(h @ lp.blocks[all_subsets(lp.ndim)[0]], terms,
+                          lp.nonlinearity, lp.slope)
         return h
 
     def loss_graph(self, config: ModelConfig, batch: SparseExchangeableTensor,

@@ -26,22 +26,29 @@ __all__ = [
     "AxisGroups",
     "PermutationSpec",
     "axis_groups",
+    "cell_keys",
     "lookup",
     "apply_permutation",
 ]
 
 
-def _flat_keys(idx: np.ndarray, dims: tuple[int, ...], what: str) -> np.ndarray:
-    """Row-major flat keys of (n, D) ``idx``; the first row outside
-    ``dims`` raises ``ValueError`` naming it and the dims."""
+def cell_keys(cells: np.ndarray, dims: tuple[int, ...], axes=None) -> np.ndarray:
+    """Row-major flat keys of (m, D) ``cells`` over ``dims``, or of their
+    coordinates on ``axes`` (ascending) over those axes' sizes; 0 for
+    every cell when ``axes`` is empty.  The first cell outside ``dims``
+    on those axes raises ``ValueError`` naming it and the dims."""
+    axes = list(range(len(dims)) if axes is None else axes)
+    if not axes:
+        return np.zeros(cells.shape[0], dtype=np.int64)
+    sub = tuple(dims[a] for a in axes)
     try:
-        return np.ravel_multi_index(tuple(idx.T), dims)
+        return np.ravel_multi_index(tuple(cells[:, a] for a in axes), sub)
     except ValueError:
-        out = ((idx < 0) | (idx >= np.asarray(dims))).any(axis=1)
+        out = ((cells[:, axes] < 0) | (cells[:, axes] >= np.asarray(sub))).any(axis=1)
         if not out.any():
             raise
-        bad = tuple(int(v) for v in idx[out][0])
-        raise ValueError(f"{what} {bad} out of bounds for dims {dims}") from None
+        bad = tuple(int(v) for v in cells[out][0])
+        raise ValueError(f"cell {bad} out of bounds for dims {tuple(dims)}") from None
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,7 @@ class SparseExchangeableTensor:
         if math.prod(dims) > np.iinfo(np.int64).max:
             raise ValueError(f"dims {dims} hold more cells than int64 keys address")
         # row-major keys sort cells lexicographically, and are unique here
-        keys = _flat_keys(idx, dims, "index")
+        keys = cell_keys(idx, dims)
         if (keys[1:] > keys[:-1]).all():
             # already in order, without duplicates: copy, never alias
             idx, vals = idx.copy(), vals.copy()
@@ -144,7 +151,7 @@ class SparseExchangeableTensor:
         cells = np.asarray(cells, dtype=np.int64)
         if cells.ndim != 2 or cells.shape[1] != self.ndim:
             raise ValueError(f"cells must be (m, {self.ndim}), got {cells.shape}")
-        return lookup(self.keys, _flat_keys(cells, self.dims, "cell"))
+        return lookup(self.keys, cell_keys(cells, self.dims))
 
     @property
     def keys(self) -> np.ndarray:
@@ -159,14 +166,6 @@ class SparseExchangeableTensor:
             and self.values.shape == other.values.shape
             and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.values, other.values)
-        )
-
-    def allclose(self, other: "SparseExchangeableTensor", tol: float = 0.0) -> bool:
-        return (
-            self.dims == other.dims
-            and np.array_equal(self.indices, other.indices)
-            and self.values.shape == other.values.shape
-            and np.allclose(self.values, other.values, rtol=0.0, atol=tol)
         )
 
     def __repr__(self) -> str:
@@ -195,18 +194,18 @@ class AxisGroups:
 
     ``context`` marks the cells the pools read; None marks every cell.
     ``counts`` are the context cells per group and ``pool_of`` each
-    context cell's group id (``n_groups`` for any other cell), so
-    ``group_means`` sums a group's context cells and divides by their
-    count, and ``spread`` of a gradient over the counts is its transpose.
-    A group with no context cell pools to 0.  With every cell in the
-    context they are ``sizes`` and ``group_of`` themselves.
+    context cell's group id (``n_groups`` for any other cell), so a
+    group's mean sums its context cells and divides by their count
+    (``means``), and ``spread`` of a gradient over the counts is its
+    transpose.  A group with no context cell pools to 0.  With every
+    cell in the context they are ``sizes`` and ``group_of`` themselves.
 
-    ``group_sums`` and ``group_means`` accumulate in the operand's
-    floating dtype (float64 for integer operands) when there are several
-    groups, and in float64 for a single group: the global group of a
-    large matrix sums ~10^5 cells, which float32 accumulation would get
-    wrong in the fourth digit, while a row or column sums a few hundred.
-    Both return the operand's floating dtype.
+    The operators accumulate in the operand's floating dtype (float64
+    for integer operands) when there are several groups, and in float64
+    for a single group: the global group of a large matrix sums ~10^5
+    cells, which float32 accumulation would get wrong in the fourth
+    digit, while a row or column sums a few hundred.  The pools that
+    read them are ``autodiff.pooled_means`` and its group sums.
     """
 
     fixed_axes: tuple[int, ...]
@@ -298,16 +297,6 @@ class AxisGroups:
             object.__setattr__(groups, "_sum_ops", self._sum_ops)
         return groups
 
-    def group_sums(self, x: np.ndarray) -> np.ndarray:
-        """(n_obs, K) -> (n_groups, K) per-group sums over every member."""
-        sums = self.operator(x.dtype, context=False) @ x
-        return sums.astype(np.result_type(x, np.float32), copy=False)
-
-    def group_means(self, x: np.ndarray) -> np.ndarray:
-        """(n_obs, K) -> (n_groups, K) per-group means over the context
-        members; 0 for a group with none."""
-        return self.means(self.operator(x.dtype) @ x, x.dtype)
-
     def means(self, sums: np.ndarray, dtype) -> np.ndarray:
         """Context sums, as ``operator(dtype) @ x`` gives them, over the
         counts, in the floating dtype of an operand of ``dtype``."""
@@ -317,17 +306,10 @@ class AxisGroups:
     def spread(self, rows: np.ndarray) -> np.ndarray:
         """(n_groups, K) -> (n_obs, K): each context cell takes its
         group's row, every other cell 0.  Spreading a group's gradient
-        over its count is the transpose of ``group_means``."""
+        over its count is the transpose of pooling to the means."""
         if self.context is not None:
             rows = np.concatenate([rows, np.zeros((1, rows.shape[1]), rows.dtype)])
         return np.take(rows, self.pool_of, axis=0)
-
-    def members(self) -> dict[tuple[int, ...], np.ndarray]:
-        """Group key -> array of member cell positions (canonical order)."""
-        return {
-            tuple(self.keys[g]): self.order[self.indptr[g] : self.indptr[g + 1]].copy()
-            for g in range(self.n_groups)
-        }
 
 
 def lookup(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
@@ -345,37 +327,29 @@ def axis_groups(
     ``fixed_axes`` empty yields a single group of all observed cells;
     fixing every axis yields singleton groups.  The keys, ``group_of``,
     sizes and CSR member order all come from one stable argsort of the
-    cells' flat keys, cast to the smallest unsigned dtype that holds the
-    key space.
+    cells' ``cell_keys`` on the fixed axes, cast to the smallest unsigned
+    dtype that holds the key space.
     """
     fixed = tuple(sorted(set(int(a) for a in fixed_axes)))
     if any(a < 0 or a >= t.ndim for a in fixed):
         raise ValueError(f"fixed_axes {fixed} out of range for ndim {t.ndim}")
     n = t.n_observed
-    if fixed:
-        sub_dims = tuple(t.dims[a] for a in fixed)
-        flat = np.ravel_multi_index(tuple(t.indices[:, a] for a in fixed), sub_dims)
-        # one stable sort orders the groups by key and each group's
-        # members by position; NumPy radix-sorts keys of 16 bits or fewer
-        flat = flat.astype(np.min_scalar_type(math.prod(sub_dims) - 1))
-        order = np.argsort(flat, kind="stable")
-        ranked = flat[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        group_of = np.empty(n, dtype=np.int64)
-        group_of[order] = np.cumsum(first) - 1
-        # a group's key is its first member's coordinates on the fixed axes
-        keys = np.take(t.indices, order[starts], axis=0)[:, list(fixed)]
-        flat_keys = ranked[starts].astype(np.int64)
-        indptr = np.append(starts, n)
-    else:
-        keys = np.zeros((1, 0), dtype=np.int64)
-        flat_keys = np.zeros(1, dtype=np.int64)
-        order = np.arange(n)
-        indptr = np.array([0, n])
-        group_of = np.zeros(n, dtype=np.int64)
+    # one stable sort orders the groups by key and each group's members
+    # by position; NumPy radix-sorts keys of 16 bits or fewer
+    flat = cell_keys(t.indices, t.dims, fixed).astype(
+        np.min_scalar_type(math.prod(t.dims[a] for a in fixed) - 1))
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    group_of = np.empty(n, dtype=np.int64)
+    group_of[order] = np.cumsum(first) - 1
+    # a group's key is its first member's coordinates on the fixed axes
+    keys = np.take(t.indices, order[starts], axis=0)[:, list(fixed)]
+    flat_keys = ranked[starts].astype(np.int64)
+    indptr = np.append(starts, n)
     return AxisGroups(
         fixed_axes=fixed,
         keys=keys,

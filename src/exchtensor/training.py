@@ -41,6 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -89,6 +90,13 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
+def _check_integer(name: str, value) -> None:
+    """TypeError unless value is an integer: a float count (NaN, 2.5) or
+    a None seed would pass the range checks and then change the fit."""
+    if not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Loop hyperparameters; model shape lives in ModelConfig.
@@ -115,6 +123,11 @@ class TrainConfig:
     precision: str = "float32"
 
     def __post_init__(self):
+        for name in ("epochs", "cell_budget", "seed", "patience"):
+            _check_integer(name, getattr(self, name))
+        if not isinstance(self.learning_rate, Real):
+            raise TypeError(f"learning rate must be a number, got "
+                            f"{self.learning_rate!r}")
         if self.sampler not in ("uniform", "conditional"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.cell_budget < 1:
@@ -127,6 +140,8 @@ class TrainConfig:
             raise ValueError("learning rate must be finite and nonnegative")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     @property
     def dtype(self):
@@ -497,8 +512,10 @@ def evaluate(
     context skip the context pass.
     """
     check_params(model_config, params)
-    if cell_budget is not None and cell_budget < 1:
-        raise ValueError("cell budget must be at least 1")
+    if cell_budget is not None:
+        _check_integer("cell budget", cell_budget)
+        if cell_budget < 1:
+            raise ValueError("cell budget must be at least 1")
     key = _context_digest(model_config, params, observed_table)
     with _memo_lock:
         prepared = _memo.get(key)

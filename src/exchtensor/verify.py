@@ -40,7 +40,6 @@ __all__ = [
     "IllegalWitness",
     "EquivarianceReport",
     "agreement_masks",
-    "build_full_weight_matrix",
     "dense_oracle_layer",
     "dense_to_pooled_blocks",
     "is_legal_permutation",
@@ -72,27 +71,6 @@ def agreement_masks(dims) -> np.ndarray:
     for i in range(len(dims)):
         m |= (coords[:, None, i] == coords[None, :, i]).astype(np.int16) << i
     return m
-
-
-def _as_scalar_blocks(params) -> dict[frozenset[int], float]:
-    if isinstance(params, ExchLayerParams):
-        if params.channels_in != 1 or params.channels_out != 1:
-            raise ValueError("full weight matrix needs scalar (1x1) blocks")
-        return {S: float(w[0, 0]) for S, w in params.blocks.items()}
-    return {S: float(np.asarray(v).item()) for S, v in params.items()}
-
-
-def build_full_weight_matrix(params, dims) -> np.ndarray:
-    """The explicit tied matrix: entry (cell, cell') = block of their
-    agreement set."""
-    blocks = _as_scalar_blocks(params)
-    ndim = len(dims)
-    if set(blocks) != set(all_subsets(ndim)):
-        raise ValueError("need one scalar block per subset of the axes")
-    lookup = np.zeros(2**ndim)
-    for S, v in blocks.items():
-        lookup[sum(1 << a for a in S)] = v
-    return lookup[agreement_masks(dims)]
 
 
 def dense_oracle_layer(

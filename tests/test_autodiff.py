@@ -141,16 +141,16 @@ class TestSegmentOps:
         t, rows, _, _ = three_cell_groups()
         g = Graph()
         x = g.input("x")
-        g.segment_pool(x, rows, "mean", name="pool")
-        with pytest.raises(ValueError, match="pool"):
+        pool = g.segment_pool(x, rows, "mean")
+        with pytest.raises(ValueError, match=f"node '{pool}'"):
             forward(g, {"x": np.zeros((4, 1))})
 
     def test_group_count_mismatch_rejected(self):
         t, rows, _, _ = three_cell_groups()
         g = Graph()
         gv = g.input("gv")
-        g.gather_broadcast(gv, rows, name="bcast")
-        with pytest.raises(ValueError, match="bcast"):
+        bcast = g.gather_broadcast(gv, rows)
+        with pytest.raises(ValueError, match=f"node '{bcast}'"):
             forward(g, {"gv": np.zeros((3, 1))})
 
 
@@ -282,8 +282,8 @@ class TestChannelMix:
     def test_shape_mismatch_named(self):
         g = Graph()
         x, w = g.input("x"), g.parameter("w")
-        g.channel_mix(x, w, name="mix")
-        with pytest.raises(ValueError, match="mix"):
+        mix = g.channel_mix(x, w)
+        with pytest.raises(ValueError, match=f"node '{mix}'"):
             forward(g, {"x": np.zeros((2, 3)), "w": np.zeros((2, 2))})
 
 
@@ -632,12 +632,12 @@ class TestEquivariantLayerOp:
         groups = pooling_groups(t)
         y = g.equivariant_layer(
             g.input("x"), g.parameter("b"), [g.parameter("w")] * 4,
-            [groups[S] for S in subsets[1:]], name="layer")
+            [groups[S] for S in subsets[1:]])
         bindings = {"x": t.values, "b": lp.bias, "w": np.zeros((2, 2))}
-        with pytest.raises(ValueError, match="node 'layer'"):
+        with pytest.raises(ValueError, match=f"node '{y}'"):
             forward(g, bindings)
         bindings.update(w=np.zeros((1, 2)), x=np.zeros((4, 1)))
-        with pytest.raises(ValueError, match="node 'layer'"):
+        with pytest.raises(ValueError, match=f"node '{y}'"):
             forward(g, bindings)
         bindings.update(x=t.values)
         assert forward(g, bindings)[y].shape == (3, 2)

@@ -14,7 +14,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from helpers import assert_bitwise_equal, random_sparse
 
 from exchtensor import training
-from exchtensor.autodiff import apply_nonlinearity, backward, forward
+from exchtensor.autodiff import (
+    apply_nonlinearity, backward, forward, pooled_means,
+)
 from exchtensor.checkpoint import load_checkpoint, save_checkpoint
 from exchtensor.data import (
     FIVE_STAR, RatingsTable, canonical_split, encode_onehot,
@@ -220,17 +222,19 @@ class TestContextPools:
         context = rng.random(20) < 0.5
         context[t.indices[:, 0] == t.indices[0, 0]] = False  # an empty row
         g = t.groups(axes).with_context(context)
+        (means,) = pooled_means(t.values, [g])
         for k, key in enumerate(g.keys):
             same = (t.indices[:, list(axes)] == key).all(axis=1)
             sel = same & context
             want = t.values[sel].mean(axis=0) if sel.any() else 0.0
             assert g.counts[k] == sel.sum()
-            assert_allclose(g.group_means(t.values)[k], want, rtol=0,
-                            atol=1e-15)
-        assert_array_equal(g.group_sums(t.values), t.groups(axes).group_sums(t.values))
-        # the pool's transpose: <group_means(x), d> == <x, spread(d / counts)>
+            assert_allclose(means[k], want, rtol=0, atol=1e-15)
+        # the gradient pools sum every member, the context copy's too
+        assert_array_equal(g.operator(np.float64, context=False) @ t.values,
+                           t.groups(axes).operator(np.float64) @ t.values)
+        # the pool's transpose: <means(x), d> == <x, spread(d / counts)>
         d = rng.normal(size=(g.n_groups, 3))
-        assert_allclose((g.group_means(t.values) * d).sum(),
+        assert_allclose((means * d).sum(),
                         (t.values * g.spread(d / g.divisor[:, None])).sum(),
                         rtol=1e-13)
 

@@ -296,7 +296,8 @@ class TestEquivariance:
             perm = PermutationSpec.random(dims, rng)
             left = exchangeable_tensor_layer(apply_permutation(t, perm), p)
             right = apply_permutation(exchangeable_tensor_layer(t, p), perm)
-            assert left.allclose(right, tol=1e-10)
+            assert_array_equal(left.indices, right.indices)
+            assert_allclose(left.values, right.values, rtol=0, atol=1e-10)
 
     def test_two_layer_stack_stays_equivariant(self):
         rng = np.random.default_rng(5)
@@ -310,7 +311,8 @@ class TestEquivariance:
 
         left = stack(apply_permutation(t, perm))
         right = apply_permutation(stack(t), perm)
-        assert left.allclose(right, tol=1e-10)
+        assert_array_equal(left.indices, right.indices)
+        assert_allclose(left.values, right.values, rtol=0, atol=1e-10)
 
     def test_tied_blocks_commute_with_transpose(self):
         rng = np.random.default_rng(6)
@@ -319,7 +321,8 @@ class TestEquivariance:
         assert p.blocks[frozenset({0})] is p.blocks[frozenset({1})]
         left = exchangeable_tensor_layer(transpose_matrix(t), p)
         right = transpose_matrix(exchangeable_tensor_layer(t, p))
-        assert left.allclose(right, tol=1e-10)
+        assert_array_equal(left.indices, right.indices)
+        assert_allclose(left.values, right.values, rtol=0, atol=1e-10)
 
     def test_untied_blocks_do_not_commute_with_transpose(self):
         rng = np.random.default_rng(7)
@@ -327,7 +330,8 @@ class TestEquivariance:
         p = random_layer_params(2, 1, 1, rng)
         left = exchangeable_tensor_layer(transpose_matrix(t), p)
         right = transpose_matrix(exchangeable_tensor_layer(t, p))
-        assert not left.allclose(right, tol=1e-10)
+        assert_array_equal(left.indices, right.indices)
+        assert not np.allclose(left.values, right.values, rtol=0, atol=1e-10)
 
 
 class TestLayerGradients:

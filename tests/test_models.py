@@ -152,7 +152,8 @@ class TestUnionWithZeros:
         rng = np.random.default_rng(6)
         t = random_sparse((4, 4), 2, 6, rng)
         grown = union_with_zeros(t, t.indices)
-        assert grown.allclose(t)
+        assert_array_equal(grown.indices, t.indices)
+        assert_array_equal(grown.values, t.values)
 
 
 class TestInitParams:
@@ -216,7 +217,8 @@ class TestSelfSupervisedForward:
         x = random_sparse((6, 4), 5, 10, rng)
         a = self_supervised_forward(x, cfg, params)
         b = self_supervised_forward(x, cfg, params)
-        assert a.allclose(b)
+        assert_array_equal(a.indices, b.indices)
+        assert_array_equal(a.values, b.values)
 
     def test_pooling_groups_computed_once_per_forward(self, monkeypatch):
         """Every layer pools over the same index set, so a 3-layer stack
@@ -244,7 +246,9 @@ class TestSelfSupervisedForward:
         spec = PermutationSpec.random(x.dims, rng)
         before = self_supervised_forward(x, cfg, params)
         after = self_supervised_forward(apply_permutation(x, spec), cfg, params)
-        assert after.allclose(apply_permutation(before, spec), tol=1e-10)
+        want = apply_permutation(before, spec)
+        assert_array_equal(after.indices, want.indices)
+        assert_allclose(after.values, want.values, rtol=0, atol=1e-10)
 
     def test_wrong_channel_count_rejected(self):
         cfg = small_ss_config()
@@ -320,7 +324,8 @@ class TestFeaDecode:
         one = np.array([[2, 3]])
         a = fea_decode(f, one, cfg, params)
         b = fea_decode(f, one, cfg, params)
-        assert a.allclose(b)
+        assert_array_equal(a.indices, b.indices)
+        assert_array_equal(a.values, b.values)
         assert a.indices.shape == (1, 2)
 
     def test_cold_target_rejected_without_imputation(self):
@@ -360,7 +365,9 @@ class TestFeaDecode:
         after = fea_decode(
             g, apply_permutation(x, spec).indices, cfg, params
         )
-        assert after.allclose(apply_permutation(before, spec), tol=1e-10)
+        want = apply_permutation(before, spec)
+        assert_array_equal(after.indices, want.indices)
+        assert_allclose(after.values, want.values, rtol=0, atol=1e-10)
 
 
 class TestPredictRatings:

@@ -1,18 +1,20 @@
 """Seeded, bounded fuzzing of the CLI's settings and table shapes.
 
 Each case runs one command in-process through ``cli.main``: with the
-settings that command reads set to edge values in a config file (zero,
-negatives, NaN, 1e30, empty width lists, unparsable numbers, one-level
-scales), each alone and then seeded draws of two or three at once; or on
-a degenerate ratings table.  Every case must keep the contract: exit 0,
-1 or 2 and no traceback.  Exit 2 prints one ``error:`` line on stderr,
-nothing on stdout and leaves no JSONL file in ``--out``.  Exit 0 or 1
-prints strict JSON records, which the JSONL file repeats, and exits 1
-exactly when a record holds ``"passed": false``.  A warning counts as a
-stderr line, except the ``RuntimeWarning``s of a run that diverges on
-purpose.
+settings that command reads set to edge values (zero, negatives, NaN,
+1e30, empty width lists, unparsable numbers, one-level scales), each
+alone and then seeded draws of two or three at once; or on a degenerate
+ratings table.  The edge values go in a config file, and again as
+command-line flags for every setting the command takes a flag for.
+Every case must keep the contract: exit 0, 1 or 2 and no traceback.
+Exit 2 prints one ``error:`` line on stderr, nothing on stdout and
+leaves no JSONL file in ``--out``.  Exit 0 or 1 prints strict JSON
+records, which the JSONL file repeats, and exits 1 exactly when a record
+holds ``"passed": false``.  A warning counts as a stderr line, except
+the ``RuntimeWarning``s of a run that diverges on purpose.
 """
 
+import argparse
 import json
 import warnings
 
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 from exchtensor.checkpoint import save_checkpoint
-from exchtensor.cli import SETTINGS, main
+from exchtensor.cli import SETTINGS, build_parser, main
 from exchtensor.data import FIVE_STAR
 from exchtensor.models import ModelConfig, init_params
 
@@ -126,20 +128,51 @@ def settings_cases(label):
                for key in rng.choice(keys, size=size, replace=False)}
 
 
-@pytest.mark.parametrize("label", sorted(RUNS))
-def test_edge_settings_keep_the_contract(label, checkpoint_dir, tmp_path,
-                                         capsys):
+def command_flags(command):
+    """Setting -> the flag that sets it, for each setting ``command``
+    takes a flag for."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a.option_strings[0] for a in sub.choices[command]._actions
+            if a.option_strings and a.dest in SETTINGS}
+
+
+def broken_cases(label, flags, checkpoint_dir, tmp_path, capsys):
+    """The settings cases of ``label`` that break the contract, each
+    setting in ``flags`` passed as its flag and the rest in the config
+    file; only cases that set a flag run when ``flags`` is given."""
     broken = []
     for k, case in enumerate(settings_cases(label)):
+        given = [arg for key, value in case.items() if key in flags
+                 for arg in (flags[key], value)]
+        if flags and not given:
+            continue
+        in_file = {key: v for key, v in case.items() if key not in flags}
         cfg = tmp_path / f"{k}.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in
-                               dict(RUNS[label][2], **case).items()))
+                               dict(RUNS[label][2], **in_file).items()))
         out = tmp_path / f"out{k}"
-        argv = command_argv(label, checkpoint_dir) + [
+        argv = command_argv(label, checkpoint_dir) + given + [
             "--config", str(cfg), "--out", str(out)]
         breach = contract_breach(capsys, argv, out, DIVERGES in case.items())
         if breach:
             broken.append((case, breach))
+    return broken
+
+
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_edge_settings_keep_the_contract(label, checkpoint_dir, tmp_path,
+                                         capsys):
+    broken = broken_cases(label, {}, checkpoint_dir, tmp_path, capsys)
+    assert not broken, broken
+
+
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_edge_flag_values_keep_the_contract(label, checkpoint_dir, tmp_path,
+                                            capsys):
+    flags = command_flags(RUNS[label][0][0])
+    assert flags.keys() & RUNS[label][1]
+    broken = broken_cases(label, flags, checkpoint_dir, tmp_path, capsys)
     assert not broken, broken
 
 

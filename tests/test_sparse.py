@@ -1,7 +1,9 @@
 """Tensor construction, grouping, permutation, and dense round-trips."""
 
+import ast
 import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from helpers import (
     unique_then_argsort_groups,
 )
 
+import exchtensor
+from exchtensor.autodiff import pooled_means
 from exchtensor.layers import pooling_groups
 from exchtensor.sampling import SampleBatch, subset_tensor
 from exchtensor.sparse import (
@@ -19,6 +23,7 @@ from exchtensor.sparse import (
     PermutationSpec,
     apply_permutation,
     axis_groups,
+    cell_keys,
 )
 
 
@@ -161,20 +166,19 @@ class TestAxisGroups:
     def test_row_groups_match_bruteforce(self):
         t = small_matrix()
         g = axis_groups(t, [0])
-        members = g.members()
-        assert set(members) == {(0,), (1,), (2,)}
+        assert_array_equal(g.keys, [[0], [1], [2]])
         # row 0 holds cells (0,0),(0,2); row 2 holds (2,1),(2,3)
-        assert_array_equal(members[(0,)], [0, 1])
-        assert_array_equal(members[(1,)], [2])
-        assert_array_equal(members[(2,)], [3, 4])
+        assert_array_equal(g.order, [0, 1, 2, 3, 4])
+        assert_array_equal(g.indptr, [0, 2, 3, 5])
         assert_array_equal(g.sizes, [2, 1, 2])
 
     def test_column_groups_match_bruteforce(self):
         t = small_matrix()
         g = axis_groups(t, [1])
-        members = g.members()
-        assert set(members) == {(0,), (1,), (2,), (3,)}
-        assert_array_equal(members[(1,)], [2, 3])
+        assert_array_equal(g.keys, [[0], [1], [2], [3]])
+        # column 1 holds cells (1,1),(2,1)
+        assert_array_equal(g.order, [0, 2, 3, 1, 4])
+        assert_array_equal(g.indptr, [0, 1, 3, 4, 5])
         assert_array_equal(g.sizes, [1, 2, 1, 1])
 
     def test_empty_fixed_axes_pools_everything(self):
@@ -182,7 +186,8 @@ class TestAxisGroups:
         g = axis_groups(t, [])
         assert g.n_groups == 1
         assert g.sizes[0] == t.n_observed
-        assert_array_equal(g.members()[()], np.arange(t.n_observed))
+        assert_array_equal(g.order, np.arange(t.n_observed))
+        assert_array_equal(g.indptr, [0, t.n_observed])
 
     def test_all_axes_fixed_gives_singletons(self):
         t = small_matrix()
@@ -200,19 +205,20 @@ class TestAxisGroups:
         for fixed in [(), (0,), (2,), (0, 2), (0, 1, 2)]:
             g = axis_groups(t, fixed)
             assert g.sizes.sum() == t.n_observed
-            covered = np.concatenate(list(g.members().values()))
-            assert_array_equal(np.sort(covered), np.arange(t.n_observed))
-            # group_of agrees with the group-sum operator's rows
-            for key, mem in g.members().items():
-                gid = np.flatnonzero((g.keys == key).all(axis=1))[0]
-                assert (g.group_of[mem] == gid).all()
+            assert_array_equal(np.sort(g.order), np.arange(t.n_observed))
+            assert_array_equal(np.diff(g.indptr), g.sizes)
+            # group_of agrees with the group-sum operator's rows, and
+            # each group's cells share its key on the fixed axes
+            runs = np.repeat(np.arange(g.n_groups), g.sizes)
+            assert_array_equal(g.group_of[g.order], runs)
+            assert_array_equal(t.indices[g.order][:, list(fixed)], g.keys[runs])
 
     def test_operator_gives_group_sums(self):
         t = small_matrix()
         g = axis_groups(t, [0])
         assert g.operator(np.float64).shape == (g.n_groups, t.n_observed)
-        assert_allclose(g.group_sums(t.values)[:, 0], [3.0, 3.0, 9.0])
-        assert_allclose(g.group_means(t.values)[:, 0], [1.5, 3.0, 4.5])
+        assert_allclose((g.operator(np.float64) @ t.values)[:, 0], [3.0, 3.0, 9.0])
+        assert_allclose(pooled_means(t.values, [g])[0][:, 0], [1.5, 3.0, 4.5])
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -411,3 +417,41 @@ class TestDenseRoundTrip:
         dense, mask = to_dense(t)
         assert mask.all()
         assert_allclose(dense, arr)
+
+
+class TestCellKeys:
+    def test_keys_over_every_axis_and_over_a_subset(self):
+        rng = np.random.default_rng(3)
+        dims = (4, 5, 6)
+        cells = np.stack([rng.integers(0, d, size=30) for d in dims], axis=1)
+        assert_array_equal(cell_keys(cells, dims),
+                           np.ravel_multi_index(tuple(cells.T), dims))
+        assert_array_equal(cell_keys(cells, dims, [0, 2]),
+                           cells[:, 0] * 6 + cells[:, 2])
+        assert_array_equal(cell_keys(cells, dims, []), np.zeros(30))
+
+    @pytest.mark.parametrize("axes", [None, [1]])
+    def test_a_cell_outside_the_dims_is_named(self, axes):
+        cells = np.array([[0, 0], [1, 4], [2, 9]])
+        with pytest.raises(ValueError, match=re.escape(
+                "cell (1, 4) out of bounds for dims (3, 4)")):
+            cell_keys(cells, (3, 4), axes)
+
+    def test_an_axis_left_out_is_not_checked(self):
+        assert_array_equal(cell_keys(np.array([[7, 1]]), (3, 4), [1]), [1])
+
+
+def test_only_sparse_makes_cell_keys():
+    """A cell's flat key is one rule, and sparse.py holds it
+    (``cell_keys``): a module that ravels coordinates itself could key
+    cells otherwise than the groupings it looks them up in."""
+    src = Path(exchtensor.__file__).parent
+    callers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in src.glob("*.py") if path.name != "sparse.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        == "ravel_multi_index"
+    )
+    assert not callers, f"ravel_multi_index called outside sparse.py: {callers}"

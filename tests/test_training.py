@@ -127,9 +127,24 @@ class TestTrainConfig:
             dict(learning_rate=float("inf")),
             dict(patience=0),
             dict(patience=-3),
+            dict(seed=-1),
         ):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        # a NaN patience never stopped a fit, and a None seed drew a
+        # different fit each run
+        dict(patience=float("nan")), dict(patience=2.5), dict(seed=None),
+        dict(seed=1.0), dict(epochs=float("inf")), dict(cell_budget=1e30),
+        dict(learning_rate=None), dict(learning_rate="3"),
+    ])
+    def test_non_integer_counts_and_seeds_refused(self, bad):
+        with pytest.raises(TypeError):
+            TrainConfig(**bad)
+
+    def test_numpy_integers_accepted(self):
+        assert TrainConfig(epochs=np.int64(3), seed=np.uint8(2)).epochs == 3
 
     def test_dtype_follows_precision(self):
         assert TrainConfig(precision="float32").dtype == np.float32
@@ -155,7 +170,8 @@ class TestMaskInputs:
         rng = np.random.default_rng(0)
         t = onehot_input((5, 5), 3, 10, rng)
         masked, hit = mask_inputs(t, 0.0, seed=1)
-        assert masked.allclose(t)
+        assert_array_equal(masked.indices, t.indices)
+        assert_array_equal(masked.values, t.values)
         assert hit.shape == (0, 2)
 
     def test_masked_cells_have_all_zero_channels(self):
@@ -181,7 +197,8 @@ class TestMaskInputs:
         t = onehot_input((6, 6), 3, 20, rng)
         a = mask_inputs(t, 0.3, seed=7)
         b = mask_inputs(t, 0.3, seed=7)
-        assert a[0].allclose(b[0])
+        assert_array_equal(a[0].indices, b[0].indices)
+        assert_array_equal(a[0].values, b[0].values)
         assert_array_equal(a[1], b[1])
 
     def test_probability_range_checked(self):
@@ -699,6 +716,13 @@ class TestEvaluate:
         for i, lp in enumerate(params.encoder + params.decoder):
             for S, B in lp.blocks.items():
                 assert_array_equal(before[f"{i}.{sorted(S)}"], B)
+
+    @pytest.mark.parametrize("budget", [2.5, float("nan"), float("inf"), "3"])
+    def test_non_integer_cell_budget_rejected(self, budget):
+        tr, val = split_synthetic()
+        mc = tiny_ss_config()
+        with pytest.raises(TypeError, match="cell budget must be an integer"):
+            evaluate(mc, init_params(mc), tr, val, cell_budget=budget)
 
     @pytest.mark.parametrize("budget", [0, -2])
     def test_cell_budget_below_one_rejected(self, budget):

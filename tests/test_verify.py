@@ -17,7 +17,6 @@ from exchtensor.sparse import PermutationSpec
 from exchtensor.verify import (
     EquivarianceReport,
     apply_flat_permutation,
-    build_full_weight_matrix,
     check_equivariance,
     constant_scalar_blocks,
     count_orbits,
@@ -46,48 +45,6 @@ class TestOwnSoftmax:
             y = rng.uniform(-80.0, 80.0, size=(630, k)).astype(dtype)
             assert_bitwise_equal(verify._activation(y, "softmax", 0.01),
                                  apply_nonlinearity(y, "softmax"))
-
-
-class TestFullWeightMatrix:
-    def test_single_cell(self):
-        w = build_full_weight_matrix(
-            {frozenset({0, 1}): 3.0, frozenset({0}): 1.0,
-             frozenset({1}): 2.0, frozenset(): 0.5},
-            (1, 1),
-        )
-        assert_allclose(w, [[3.0]])
-
-    def test_2x2_four_case_pattern(self):
-        blocks = {frozenset({0, 1}): 1.0, frozenset({0}): 2.0,
-                  frozenset({1}): 3.0, frozenset(): 4.0}
-        w = build_full_weight_matrix(blocks, (2, 2))
-        assert w.shape == (4, 4)
-        assert_allclose(np.diag(w), 1.0)
-        assert len(np.unique(w)) == 4
-        # cells 0=(0,0), 1=(0,1): same row -> the row-agreement block
-        assert w[0, 1] == 2.0
-        # cells 0=(0,0), 2=(1,0): same column
-        assert w[0, 2] == 3.0
-        # cells 0=(0,0), 3=(1,1): nothing shared
-        assert w[0, 3] == 4.0
-
-    def test_three_axes_give_eight_values(self):
-        rng = np.random.default_rng(0)
-        blocks = {S: float(rng.normal()) for S in all_subsets(3)}
-        w = build_full_weight_matrix(blocks, (2, 2, 2))
-        assert len(np.unique(w)) == 8
-
-    def test_symmetry_of_tying(self):
-        # agreement is symmetric, so the matrix is symmetric
-        rng = np.random.default_rng(1)
-        blocks = {S: float(rng.normal()) for S in all_subsets(2)}
-        w = build_full_weight_matrix(blocks, (3, 4))
-        assert_allclose(w, w.T)
-
-    def test_cap_enforced(self):
-        blocks = constant_scalar_blocks(2)
-        with pytest.raises(ValueError, match="cap"):
-            build_full_weight_matrix(blocks, (100, 100))
 
 
 class TestOracleEquivalence:
