@@ -3,13 +3,17 @@
 External ids (1-based MovieLens integers, arbitrary strings in CSV) are
 remapped to dense 0-based indices in first-appearance order at parse
 time; the remap tables ride along on every table so train/test splits
-share one id space.
+share one id space.  A table owns read-only copies of its arrays, so it
+hashes its content once (``RatingsTable.digest``).
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +76,11 @@ class RatingsTable:
     """Observed (user, item, rating) triples over dense 0-based indices.
 
     ``users``/``items`` map dense index back to the external id; splits
-    carry the full tables so all parts agree on matrix dimensions.
+    carry the full tables so all parts agree on matrix dimensions.  The
+    table copies ``u_index``, ``i_index`` and ``ratings`` and makes the
+    copies read-only, so writing into one raises ``ValueError`` and no
+    caller's array can change the table.  ``digest`` is then fixed for
+    the table's lifetime: it is computed on first use and kept.
     """
 
     u_index: np.ndarray
@@ -83,9 +91,10 @@ class RatingsTable:
     items: tuple
 
     def __post_init__(self):
-        u = np.asarray(self.u_index, dtype=np.int64)
-        i = np.asarray(self.i_index, dtype=np.int64)
-        r = np.asarray(self.ratings, dtype=np.float64)
+        # copy, never alias: the digest holds only while no one can write
+        u = np.array(self.u_index, dtype=np.int64)
+        i = np.array(self.i_index, dtype=np.int64)
+        r = np.array(self.ratings, dtype=np.float64)
         if not (u.shape == i.shape == r.shape) or u.ndim != 1:
             raise ValueError("u_index, i_index, ratings must be equal-length 1-d")
         if u.size and (u.min() < 0 or u.max() >= len(self.users)):
@@ -106,9 +115,9 @@ class RatingsTable:
                     f"duplicate rating for user/item pair "
                     f"({self.users[uu]}, {self.items[ii]})"
                 )
-        object.__setattr__(self, "u_index", u)
-        object.__setattr__(self, "i_index", i)
-        object.__setattr__(self, "ratings", r)
+        for name, a in (("u_index", u), ("i_index", i), ("ratings", r)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "users", tuple(self.users))
         object.__setattr__(self, "items", tuple(self.items))
 
@@ -124,6 +133,19 @@ class RatingsTable:
     def n_ratings(self) -> int:
         return self.ratings.shape[0]
 
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of the table's dims, cells, ratings and scale levels.
+
+        Two threads may both compute it on first use; they write the same
+        bytes.  The id tables enter only through the dims.
+        """
+        return _array_digest({
+            "dims": np.array([self.n_users, self.n_items]),
+            "u_index": self.u_index, "i_index": self.i_index,
+            "ratings": self.ratings, "levels": np.array(self.scale.levels),
+        })
+
     def subset(self, rows: np.ndarray) -> "RatingsTable":
         """Rows selected by index array; remap tables are kept whole."""
         return RatingsTable(
@@ -133,6 +155,17 @@ class RatingsTable:
 
     def indices(self) -> np.ndarray:
         return np.column_stack([self.u_index, self.i_index])
+
+
+def _array_digest(arrays: Mapping[str, np.ndarray], head: bytes = b"") -> bytes:
+    """SHA-256 of ``head``, then of each array's name, dtype, shape and
+    bytes in the mapping's order."""
+    h = hashlib.sha256(head)
+    for name, a in arrays.items():
+        a = np.ascontiguousarray(a)
+        h.update(f"\n{name} {a.dtype.str} {a.shape} ".encode())
+        h.update(a)
+    return h.digest()
 
 
 def _read_triples(path, fmt: str):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
@@ -64,6 +65,13 @@ __all__ = [
 ]
 
 
+def _check_integer(name: str, value) -> None:
+    """TypeError unless value is an integer: a float count (NaN, 2.5) or
+    a None seed would pass the range checks and then change the fit."""
+    if not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters; widths are per-layer output channels.
@@ -98,6 +106,8 @@ class ModelConfig:
                              "probability above 0")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout rate {self.dropout_rate} not in [0, 1)")
+        _check_integer("levels", self.levels)
+        _check_integer("factor size", self.factor_size)
         if self.levels < 2:
             raise ValueError("need at least two rating levels")
         object.__setattr__(self, "widths", tuple(self.widths))
@@ -110,6 +120,8 @@ class ModelConfig:
             if not outs:
                 raise ValueError(f"the {field} stack needs widths")
         for field in ("widths", "encoder_widths", "decoder_widths"):
+            for w in getattr(self, field):
+                _check_integer(f"{field} entry", w)
             if any(w < 1 for w in getattr(self, field)):
                 raise ValueError(f"{field} must be at least 1, got "
                                  f"{getattr(self, field)}")

@@ -20,18 +20,20 @@ predictions depend on no other query cell.  Validation prepares the
 training matrix with each epoch's parameters; groupings are cached on
 their index set, so a fit groups the training matrix once and the
 validation cells not at all.  ``evaluate`` keeps its last few prepared
-contexts by a digest of their content, so repeated calls with an equal
-model and observed table run the context pass once.  A minibatch fit
-validates each epoch on one worker thread while the next epoch's step
-runs, with results bit for bit those of the sequential loop; a
-multithreaded BLAS then serves two callers at once, so set its thread
-count with that in mind.  ``mask_inputs`` and the two loss-graph
-builders live in ``models`` and are re-exported here.
+contexts by a SHA-256 digest of their content: the config, the
+parameters and the observed table's own digest, which a table computes
+once and keeps (its arrays are read-only).  So repeated calls with an
+equal model and observed table run the context pass once, and calls
+with one table object hash it once.  A minibatch fit validates each
+epoch on one worker thread while the next epoch's step runs, with
+results bit for bit those of the sequential loop; a multithreaded BLAS
+then serves two callers at once, so set its thread count with that in
+mind.  ``mask_inputs`` and the two loss-graph builders live in
+``models`` and are re-exported here.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 import time
@@ -41,16 +43,19 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .autodiff import backward, forward
-from .data import RatingScale, RatingsTable, encode_onehot, rmse
+from .data import (
+    RatingScale, RatingsTable, _array_digest, encode_onehot, rmse,
+)
 from .layers import dropout_channel_mask, pooling_groups
 from .models import (
     ModelConfig,
     PreparedContext,
+    _check_integer,
     build_fea_loss_graph,
     build_ss_loss_graph,
     check_params,
@@ -88,13 +93,6 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-
-
-def _check_integer(name: str, value) -> None:
-    """TypeError unless value is an integer: a float count (NaN, 2.5) or
-    a None seed would pass the range checks and then change the fit."""
-    if not isinstance(value, Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -312,19 +310,11 @@ _memo_lock = threading.Lock()
 
 
 def _context_digest(config: ModelConfig, params, table: RatingsTable) -> bytes:
-    """A digest of all a prepared context depends on: the model config,
-    each named array's name, dtype, shape and bytes, and the table's
-    dims, cells, ratings and scale."""
-    h = hashlib.blake2b(repr(config).encode(), digest_size=32)
-    arrays = dict(named_arrays(params))  # 'layer1.w01': no table field's name
-    arrays.update(dims=np.array([table.n_users, table.n_items]),
-                  u_index=table.u_index, i_index=table.i_index,
-                  ratings=table.ratings, levels=np.array(table.scale.levels))
-    for name, a in arrays.items():
-        a = np.ascontiguousarray(a)
-        h.update(f"\n{name} {a.dtype.str} {a.shape} ".encode())
-        h.update(a)
-    return h.digest()
+    """SHA-256 of all a prepared context depends on: the table's digest
+    (its dims, cells, ratings and scale, hashed once per table), the
+    model config, and each named array's name, dtype, shape and bytes."""
+    return _array_digest(named_arrays(params),
+                         table.digest + repr(config).encode())
 
 
 def _prepare_context(config: ModelConfig, params, table: RatingsTable
@@ -506,10 +496,12 @@ def evaluate(
     ``cell_budget`` cells without changing one (beyond the last bits of
     the chunk's matrix products).  ``params.prepare`` reads the observed
     table once; each chunk then runs a tail pass over its own cells.
-    The prepared context is kept for the next call by a digest of the
-    config, the parameters and the observed table's content, the last
+    The prepared context is kept for the next call by a SHA-256 digest of
+    the config, the parameters and the observed table's content, the last
     ``MEMO_ENTRIES`` of them, so repeated calls with an equal model and
-    context skip the context pass.
+    context skip the context pass.  The table's part is
+    ``observed_table.digest``, computed once per table object, so a
+    caller that sends many requests against one table hashes it once.
     """
     check_params(model_config, params)
     if cell_budget is not None:

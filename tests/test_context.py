@@ -13,13 +13,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import assert_bitwise_equal, random_sparse
 
-from exchtensor import training
+from exchtensor import data, training
 from exchtensor.autodiff import (
     apply_nonlinearity, backward, forward, pooled_means,
 )
 from exchtensor.checkpoint import load_checkpoint, save_checkpoint
 from exchtensor.data import (
-    FIVE_STAR, RatingsTable, canonical_split, encode_onehot,
+    FIVE_STAR, RatingScale, RatingsTable, canonical_split, encode_onehot,
     synthetic_lowrank_table,
 )
 from exchtensor.layers import (
@@ -287,6 +287,76 @@ class TestMemo:
         evaluate(SS, params, context, query)
         assert counted["prepare"] == 3
 
+    def test_a_changed_cell_scale_or_dims_recomputes(self, counted):
+        """Each table field ``prepare`` reads is in the key: one moved
+        cell in ``u_index`` or ``i_index``, another scale, one more user
+        or item each run a new context pass."""
+        context, query, _ = split()
+        # no 5-star rating, so a scale whose top level is 4.5 holds them
+        context = context.subset(np.flatnonzero(context.ratings < 5))
+        params = init_params(SS, seed=5)
+        taken = {tuple(c) for c in concat(context, query).indices().tolist()}
+
+        def moved(axis):
+            """The table with its first cell moved along ``axis`` onto a
+            cell that neither it nor the query holds."""
+            index = ("u_index", "i_index")[axis]
+            column = getattr(context, index).copy()
+            cell = context.indices()[0].tolist()
+            column[0] = next(
+                k for k in range((context.n_users, context.n_items)[axis])
+                if (*cell[:axis], k, *cell[axis + 1:]) not in taken)
+            return dataclasses.replace(context, **{index: column})
+
+        users = context.users + ("new",)
+        items = context.items + ("new",)
+        variants = [
+            (moved(0), query), (moved(1), query),
+            (dataclasses.replace(context, scale=RatingScale((1, 2, 3, 4, 4.5))),
+             query),
+            (dataclasses.replace(context, users=users),
+             dataclasses.replace(query, users=users)),
+            (dataclasses.replace(context, items=items),
+             dataclasses.replace(query, items=items)),
+        ]
+        evaluate(SS, params, context, query)
+        for k, (observed, asked) in enumerate(variants, 2):
+            evaluate(SS, params, observed, asked)
+            assert counted["prepare"] == k
+        evaluate(SS, params, *variants[-1])
+        assert counted["prepare"] == len(variants) + 1
+
+    def test_the_key_covers_every_table_field(self):
+        """A new RatingsTable field fails here until someone decides
+        whether ``RatingsTable.digest`` covers it.  The cells, ratings
+        and scale enter as they are; ``users`` and ``items`` only by
+        their lengths, the dims, since ``prepare`` reads no id."""
+        assert [f.name for f in dataclasses.fields(RatingsTable)] == [
+            "u_index", "i_index", "ratings", "scale", "users", "items"]
+
+    def test_one_table_object_is_hashed_once(self, counted, monkeypatch):
+        """Calls against one table object hash it on the first call only,
+        whether the memo hits or misses; an equal fresh table hashes
+        itself once and shares the context pass."""
+        tables = []
+        real = data._array_digest
+
+        def spy(arrays, head=b""):
+            if "u_index" in arrays:
+                tables.append(arrays["u_index"])
+            return real(arrays, head)
+
+        monkeypatch.setattr(data, "_array_digest", spy)
+        context, query, _ = split()
+        params = init_params(SS, seed=5)
+        evaluate(SS, params, context, query)
+        evaluate(SS, params, context, query)
+        evaluate(FEA, init_params(FEA, seed=5), context, query)
+        assert len(tables) == 1 and tables[0] is context.u_index
+        assert counted["prepare"] == 2
+        evaluate(SS, params, split()[0], query)
+        assert len(tables) == 2 and counted["prepare"] == 2
+
     def test_the_memo_keeps_its_last_entries_only(self, counted):
         context, query, _ = split()
         n = training.MEMO_ENTRIES + 2
@@ -310,12 +380,14 @@ class TestMemo:
 
     def test_threads_share_the_memo(self, counted):
         """More callers than cores and more models than memo entries,
-        with the interpreter switching threads every microsecond: every
+        with the interpreter switching threads every microsecond, on an
+        equal fresh table whose digest the threads race to compute: every
         prediction is the sequential one, and the memo keeps its bound."""
         context, query, _ = split()
         models = [(c, init_params(c, seed=s)) for c in (SS, FEA) for s in range(3)]
         want = [evaluate(c, p, context, query).predictions for c, p in models]
         training._memo.clear()
+        context = split()[0]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -1,5 +1,7 @@
 """Ratings ingestion, splitting, encoding, and scale conversion."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -79,6 +81,58 @@ class TestRatingsTable:
         s = t.subset(np.array([1, 3]))
         assert s.n_users == 3 and s.n_items == 2
         assert_array_equal(s.ratings, [3.0, 4.0])
+
+
+class TestTableIsImmutable:
+    """A table owns read-only copies of its arrays, so the digest it
+    computes once holds for its lifetime."""
+
+    def arrays(self):
+        return (np.array([0, 0, 1, 2]), np.array([0, 1, 1, 0]),
+                np.array([5.0, 3.0, 1.0, 4.0]))
+
+    def test_arrays_are_read_only_copies(self):
+        u, i, r = self.arrays()
+        t = RatingsTable(u, i, r, FIVE_STAR, ("a", "b", "c"), ("x", "y"))
+        for got, given in ((t.u_index, u), (t.i_index, i), (t.ratings, r)):
+            assert not got.flags.writeable
+            assert not np.shares_memory(got, given)
+            assert given.flags.writeable
+        u[0], r[0] = 2, 1.0
+        assert t.u_index[0] == 0 and t.ratings[0] == 5.0
+
+    @pytest.mark.parametrize("field", ["u_index", "i_index", "ratings"])
+    def test_a_write_into_an_array_raises(self, field):
+        t = small_table()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(t, field)[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(t, field)[:] += 1
+
+    def test_subset_and_split_parts_are_read_only(self):
+        parts = canonical_split(synthetic_lowrank_table(10, 12, seed=1),
+                                "random", fraction=0.3, seed=0)
+        for t in (*parts, parts[0].subset(np.arange(3))):
+            assert not (t.u_index.flags.writeable or t.i_index.flags.writeable
+                        or t.ratings.flags.writeable)
+
+    def test_digest_is_kept_and_follows_content(self):
+        t = small_table()
+        assert t.digest is t.digest and len(t.digest) == 32
+        assert small_table().digest == t.digest
+        assert t.subset(np.arange(4)).digest == t.digest
+        # the id tables enter only through the dims
+        relabeled = replace(t, users=("p", "q", "r"), items=("s", "t"))
+        assert relabeled.digest == t.digest
+        for changed in (
+            replace(t, u_index=[0, 0, 1, 1]),
+            replace(t, i_index=[1, 0, 1, 0]),
+            replace(t, ratings=[5.0, 3.0, 2.0, 4.0]),
+            replace(t, scale=RatingScale((1.0, 2.0, 3.0, 4.0, 5.0, 6.0))),
+            replace(t, users=("a", "b", "c", "d")),
+            replace(t, items=("x", "y", "z")),
+        ):
+            assert changed.digest != t.digest
 
 
 class TestParseRatings:

@@ -117,6 +117,29 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="at least 1"):
             make(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("levels", 5.0), ("factor_size", 2.5), ("factor_size", float("nan")),
+        ("factor_size", None), ("widths", (4.5, 5)), ("widths", (6, "5")),
+        ("encoder_widths", (4, 3.0)), ("decoder_widths", (float("inf"), 5)),
+    ])
+    def test_refuses_non_integer_counts(self, field, value):
+        """A float count would construct, train and then fail to save
+        (NaN) or save as a float (2.5); both models refuse it."""
+        make = small_ss_config if field in ("widths", "levels") \
+            else small_fea_config
+        with pytest.raises(TypeError, match="must be an integer"):
+            make(**{field: value})
+        if field == "factor_size":
+            with pytest.raises(TypeError, match="must be an integer"):
+                small_ss_config(factor_size=value)
+
+    def test_numpy_integer_counts_pass(self):
+        cfg = small_fea_config(levels=np.int64(5), factor_size=np.int32(3),
+                               encoder_widths=(np.int64(4), 3),
+                               decoder_widths=(4, np.uint8(5)))
+        assert cfg.stacks["decoder"][0] == 6
+        assert small_ss_config(widths=(np.int16(6), 5)).widths == (6, 5)
+
     def test_self_supervised_default_shape(self):
         """Nine layers at 256 channels, dropout after the first seven."""
         cfg = ModelConfig.self_supervised_default()
