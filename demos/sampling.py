@@ -27,8 +27,7 @@ trials = 4000
 counts = np.zeros(60)
 for k in range(trials):
     batch = uniform_subsample(t, batch_size=15, seed=k)
-    flat = batch.indices[:, 0] * 10 + batch.indices[:, 1]
-    counts[np.searchsorted(np.sort(picks), flat)] += 1
+    counts[batch.positions] += 1
 freq = counts / trials
 print(f"uniform: inclusion frequency {freq.min():.3f}..{freq.max():.3f} "
       f"around the exact 0.250")

@@ -69,6 +69,8 @@ def _parse_scale(text: str) -> RatingScale:
         if ":" in text:
             span, step = text.rsplit(":", 1)
             lo, hi = span.split("-")
+            if not float(step) > 0:
+                raise ValueError(f"step {step} is not positive")
             return RatingScale(
                 tuple(np.arange(float(lo), float(hi) + float(step) / 2,
                                 float(step)))
@@ -426,7 +428,7 @@ def cmd_sample_check(settings: Settings, args: argparse.Namespace):
         counts = np.zeros(n)
         for k in range(trials):
             batch = uniform_subsample(t, budget, seed=seed + k)
-            counts[t.find(batch.indices)] += 1
+            counts[batch.positions] += 1
         record = {"budget": budget, "cells": int(n),
                   "expected_frequency": budget / n}
     else:

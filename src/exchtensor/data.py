@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sparse import SparseExchangeableTensor
+from .sparse import SparseExchangeableTensor, cell_keys
 
 __all__ = [
     "RatingScale",
@@ -106,14 +106,14 @@ class RatingsTable:
             raise ScaleError(f"rating {r[~inside][0]} outside scale "
                              f"[{self.scale.lo}, {self.scale.hi}]")
         if u.size:
-            flat = u * len(self.items) + i
-            if np.unique(flat).size != flat.size:
-                dup = flat[np.argsort(flat)]
-                at = np.flatnonzero(np.diff(dup) == 0)[0]
-                uu, ii = divmod(int(dup[at]), len(self.items))
+            flat = cell_keys(np.column_stack([u, i]), (len(self.users), len(self.items)))
+            ranked = np.sort(flat)
+            dup = ranked[1:] == ranked[:-1]
+            if dup.any():  # name the pair of the smallest repeated key
+                at = int(np.flatnonzero(flat == ranked[np.argmax(dup)])[0])
                 raise ValueError(
                     f"duplicate rating for user/item pair "
-                    f"({self.users[uu]}, {self.items[ii]})"
+                    f"({self.users[u[at]]}, {self.items[i[at]]})"
                 )
         for name, a in (("u_index", u), ("i_index", i), ("ratings", r)):
             a.setflags(write=False)
@@ -297,14 +297,14 @@ def canonical_split(
         return (train, test, val) if val_fraction > 0 else (train, test)
     if mode == "file-pair":
         train, test = _parse_files([base_path, test_path], fmt, scale)
-        base_cells = set(zip(train.u_index.tolist(), train.i_index.tolist()))
-        overlap = base_cells & set(zip(test.u_index.tolist(),
-                                       test.i_index.tolist()))
-        if overlap:
-            u, i = next(iter(overlap))
+        dims = (train.n_users, train.n_items)  # one id space for both files
+        base = cell_keys(train.indices(), dims)
+        both = np.intersect1d(base, cell_keys(test.indices(), dims), assume_unique=True)
+        if both.size:
+            at = int(np.flatnonzero(base == both[0])[0])
             raise ValueError(
-                f"user {train.users[u]!r} / item {train.items[i]!r} "
-                f"appears in both files"
+                f"user {train.users[train.u_index[at]]!r} / item "
+                f"{train.items[train.i_index[at]]!r} appears in both files"
             )
         return train, test
     raise ValueError(f"unknown split mode {mode!r}")

@@ -413,8 +413,9 @@ def pool_to_factors(t: SparseExchangeableTensor) -> FactorPair:
         (means,) = pooled_means(t.values, [g])
         table = np.zeros((t.dims[axis], t.channels), dtype=t.values.dtype)
         seen = np.zeros(t.dims[axis], dtype=bool)
-        table[g.keys[:, 0]] = means
-        seen[g.keys[:, 0]] = True
+        # over one axis, a group's flat key is its coordinate
+        table[g.flat_keys] = means
+        seen[g.flat_keys] = True
         out.append(table)
         flags.append(seen)
     return FactorPair(out[0], out[1], flags[0], flags[1])

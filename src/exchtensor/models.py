@@ -301,17 +301,15 @@ class SelfSupervisedParams:
         inputs are zeroed and which the pools do not read; another seed
         is tried while none is masked."""
         for attempt in range(10):
-            x_in, masked = mask_inputs(batch, config.mask_prob,
-                                       seed=seed + attempt)
-            if masked.shape[0] > 0:
+            x_in, hit = mask_inputs(batch, config.mask_prob,
+                                    seed=seed + attempt)
+            if hit.any():
                 break
         else:
             raise ValueError(f"mask probability {config.mask_prob} masked "
                              f"no cell of the batch in 10 tries")
-        weights = np.zeros(batch.n_observed)
-        weights[batch.find(masked)] = 1.0
-        return build_ss_loss_graph(x_in, self.layers, batch.values, weights,
-                                   masks, context=weights == 0)
+        return build_ss_loss_graph(x_in, self.layers, batch.values,
+                                   hit.astype(np.float64), masks, context=~hit)
 
 
 @dataclass(frozen=True)
@@ -453,7 +451,8 @@ def _check_forward(config: ModelConfig, params, cls: type, forward: str,
 def mask_inputs(
     t: SparseExchangeableTensor, probability: float, seed: int = 0
 ) -> tuple[SparseExchangeableTensor, np.ndarray]:
-    """Zero whole cells independently; returns (masked tensor, masked set).
+    """Zero whole cells independently; returns (masked tensor, boolean
+    mask over ``t``'s cells, True where masked).
 
     Masked cells stay in the index set so the model still produces
     outputs there; only their channel vectors become zero.
@@ -464,7 +463,7 @@ def mask_inputs(
     hit = rng.random(t.indices.shape[0]) < probability
     values = t.values.copy()
     values[hit] = 0.0
-    return t.with_values(values), t.indices[hit]
+    return t.with_values(values), hit
 
 
 def _logits_stack(stack):

@@ -31,20 +31,11 @@ DEFAULT_CELL_BUDGET = 20_000
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """A duplicate-free subset of an observed index set."""
+    """Cells drawn from a tensor: ``positions`` are ascending rows of its
+    ``indices``, and ``indices`` are those rows."""
 
+    positions: np.ndarray
     indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 2 or idx.shape[0] == 0:
-            raise ValueError("a batch holds a non-empty (b, ndim) index array")
-        order = np.lexsort(idx.T[::-1])
-        idx = idx[order]
-        if (np.diff(idx, axis=0) == 0).all(axis=1).any():
-            raise ValueError("duplicate index in batch")
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
 
 
 def uniform_subsample(
@@ -55,8 +46,9 @@ def uniform_subsample(
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch size {batch_size} not in [1, {n}]")
     rng = np.random.default_rng(seed)
-    rows = rng.choice(n, size=batch_size, replace=False)
-    return SampleBatch(t.indices[rows])
+    # t's cells ascend, so sorted positions are the batch in cell order
+    pos = np.sort(rng.choice(n, size=batch_size, replace=False))
+    return SampleBatch(pos, np.take(t.indices, pos, axis=0))
 
 
 def row_marginal(t: SparseExchangeableTensor) -> np.ndarray:
@@ -121,7 +113,8 @@ def conditional_subsample(
     keep = np.isin(t.indices[:, 0], picked_rows) & np.isin(
         t.indices[:, 1], picked_cols
     )
-    return SampleBatch(t.indices[keep])
+    pos = np.flatnonzero(keep)
+    return SampleBatch(pos, np.take(t.indices, pos, axis=0))
 
 
 def budget_targets(
@@ -142,10 +135,13 @@ def budget_targets(
 def subset_tensor(
     t: SparseExchangeableTensor, batch: SampleBatch
 ) -> SparseExchangeableTensor:
-    """Restrict a tensor to a batch's cells; dims are kept whole."""
-    pos = t.find(batch.indices)
-    if (pos < 0).any():
-        raise ValueError("batch contains an unobserved index")
-    return SparseExchangeableTensor(
-        t.dims, np.take(t.indices, pos, axis=0), np.take(t.values, pos, axis=0)
-    )
+    """Restrict a tensor to the rows at a batch's positions; dims are kept
+    whole.  A batch drawn from another tensor raises ``ValueError``."""
+    pos = np.asarray(batch.positions)
+    n = t.n_observed
+    if pos.size and (pos.min() < 0 or pos.max() >= n):
+        raise ValueError(f"batch positions outside the tensor's {n} cells")
+    indices = np.take(t.indices, pos, axis=0)
+    if not np.array_equal(indices, batch.indices):
+        raise ValueError("batch cells differ from the tensor's at its positions")
+    return SparseExchangeableTensor(t.dims, indices, np.take(t.values, pos, axis=0))

@@ -209,12 +209,12 @@ class AxisGroups:
     """
 
     fixed_axes: tuple[int, ...]
-    keys: np.ndarray       # (n_groups, len(fixed_axes)) coordinates per group
     group_of: np.ndarray   # (n_obs,) group id per cell position
     sizes: np.ndarray      # (n_groups,)
     order: np.ndarray      # (n_obs,) cell positions, group by group
     indptr: np.ndarray     # (n_groups + 1,) start of each group in order
-    # (n_groups,) each group's row-major key over the fixed axes, ascending
+    # (n_groups,) each group's one name, ascending: its cells' ``cell_keys``
+    # on the fixed axes, the coordinate itself for a single axis
     flat_keys: np.ndarray
     context: np.ndarray | None = None  # (n_obs,) bool, None for every cell
     counts: np.ndarray = field(init=False, repr=False, compare=False)
@@ -290,9 +290,8 @@ class AxisGroups:
                 context = None
         if context is None and self.context is None:
             return self
-        groups = AxisGroups(self.fixed_axes, self.keys, self.group_of,
-                            self.sizes, self.order, self.indptr,
-                            self.flat_keys, context)
+        groups = AxisGroups(self.fixed_axes, self.group_of, self.sizes,
+                            self.order, self.indptr, self.flat_keys, context)
         if groups.context is not None:
             object.__setattr__(groups, "_sum_ops", self._sum_ops)
         return groups
@@ -325,7 +324,7 @@ def axis_groups(
     """Group observed cells by their coordinates on ``fixed_axes``.
 
     ``fixed_axes`` empty yields a single group of all observed cells;
-    fixing every axis yields singleton groups.  The keys, ``group_of``,
+    fixing every axis yields singleton groups.  The flat keys, ``group_of``,
     sizes and CSR member order all come from one stable argsort of the
     cells' ``cell_keys`` on the fixed axes, cast to the smallest unsigned
     dtype that holds the key space.
@@ -346,13 +345,10 @@ def axis_groups(
     starts = np.flatnonzero(first)
     group_of = np.empty(n, dtype=np.int64)
     group_of[order] = np.cumsum(first) - 1
-    # a group's key is its first member's coordinates on the fixed axes
-    keys = np.take(t.indices, order[starts], axis=0)[:, list(fixed)]
     flat_keys = ranked[starts].astype(np.int64)
     indptr = np.append(starts, n)
     return AxisGroups(
         fixed_axes=fixed,
-        keys=keys,
         group_of=group_of,
         sizes=np.diff(indptr),
         order=order,

@@ -98,20 +98,20 @@ def assert_bitwise_equal(got, want):
 
 
 def unique_then_argsort_groups(t, fixed_axes):
-    """(keys, group_of, sizes, order, indptr) of grouping ``t``'s cells on
-    ``fixed_axes`` by ``np.unique`` and a second stable int64 argsort, as
-    ``axis_groups`` did before it took them all from one sort; ``order``
-    and ``indptr`` are the CSR member layout of its group-sum operator."""
+    """(flat keys, group_of, sizes, order, indptr) of grouping ``t``'s
+    cells on ``fixed_axes`` by ``np.unique`` and a second stable int64
+    argsort, as ``axis_groups`` did before it took them all from one sort;
+    ``order`` and ``indptr`` are the CSR member layout of its group-sum
+    operator."""
     fixed = tuple(fixed_axes)
     n = t.n_observed
     if fixed:
         sub_dims = tuple(t.dims[a] for a in fixed)
         flat = np.ravel_multi_index(tuple(t.indices[:, fixed].T), sub_dims)
-        uniq, group_of = np.unique(flat, return_inverse=True)
-        keys = np.stack(np.unravel_index(uniq, sub_dims), axis=1)
+        keys, group_of = np.unique(flat, return_inverse=True)
     else:
         group_of = np.zeros(n, dtype=np.int64)
-        keys = np.zeros((1, 0), dtype=np.int64)
+        keys = np.zeros(1, dtype=np.int64)
     group_of = group_of.astype(np.int64)
     sizes = np.bincount(group_of, minlength=keys.shape[0]).astype(np.int64)
     order = np.argsort(group_of, kind="stable")

@@ -29,6 +29,7 @@ from exchtensor.models import (
     ModelConfig, build_ss_loss_graph, fea_encode, init_params, named_arrays,
     union_with_zeros, with_named_arrays,
 )
+from exchtensor.sparse import cell_keys
 from exchtensor.training import evaluate
 
 SS = ModelConfig(
@@ -200,7 +201,7 @@ class TestNoContextCell:
         assert np.isfinite(values[loss])
         assert all(np.isfinite(d).all() for d in grads.values())
         by_row = pooling_groups(batch)[frozenset({0})]
-        row = int(np.flatnonzero(by_row.keys[:, 0] == 2)[0])
+        row = int(np.flatnonzero(by_row.flat_keys == 2)[0])
         for node in (n for n in g.nodes if n.op == "equivariant_layer"):
             means = values[node.name, "means"][1]  # the row pool's
             assert (means[row] == 0).all()
@@ -223,8 +224,8 @@ class TestContextPools:
         context[t.indices[:, 0] == t.indices[0, 0]] = False  # an empty row
         g = t.groups(axes).with_context(context)
         (means,) = pooled_means(t.values, [g])
-        for k, key in enumerate(g.keys):
-            same = (t.indices[:, list(axes)] == key).all(axis=1)
+        for k, key in enumerate(g.flat_keys):
+            same = cell_keys(t.indices, t.dims, axes) == key
             sel = same & context
             want = t.values[sel].mean(axis=0) if sel.any() else 0.0
             assert g.counts[k] == sel.sum()

@@ -29,18 +29,42 @@ def three_cell_matrix():
     )
 
 
-class TestSampleBatch:
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            SampleBatch(np.array([[0, 1], [0, 1]]))
+def draw(sampler, t, seed):
+    """A batch of about a third of t's cells from either sampler."""
+    if sampler == "uniform":
+        return uniform_subsample(t, max(1, t.n_observed // 3), seed=seed)
+    rows, cols = budget_targets(t, max(1, t.n_observed // 3))
+    return conditional_subsample(t, rows, cols, seed=seed)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            SampleBatch(np.zeros((0, 2), dtype=np.int64))
 
-    def test_indices_are_canonically_ordered(self):
-        b = SampleBatch(np.array([[1, 0], [0, 1], [0, 0]]))
-        assert_array_equal(b.indices, [[0, 0], [0, 1], [1, 0]])
+class TestSamplerContract:
+    """A batch names its cells by ascending positions into the tensor."""
+
+    @pytest.mark.parametrize("sampler", ["uniform", "conditional"])
+    @pytest.mark.parametrize("dims,n_obs", [((9, 7), 30), ((40, 25), 300),
+                                            ((3, 60), 90)])
+    def test_positions_ascend_in_range_and_name_the_indices(
+            self, sampler, dims, n_obs):
+        t = random_sparse(dims, 2, n_obs, np.random.default_rng(n_obs))
+        for seed in range(8):
+            b = draw(sampler, t, seed)
+            assert b.positions.dtype == np.int64 and b.positions.ndim == 1
+            assert (np.diff(b.positions) > 0).all()
+            assert 0 <= b.positions[0] and b.positions[-1] < t.n_observed
+            assert_array_equal(t.indices[b.positions], b.indices)
+
+    def test_fixed_seed_batches_are_pinned(self):
+        """The cells each sampler draws at a fixed seed, as recorded
+        before batches carried positions."""
+        t = random_sparse((9, 7), 1, 30, np.random.default_rng(0))
+        u = uniform_subsample(t, 6, seed=11)
+        assert_array_equal(u.positions, [3, 13, 17, 18, 21, 25])
+        assert_array_equal(
+            u.indices, [[0, 3], [4, 1], [5, 0], [5, 2], [6, 2], [7, 0]])
+        c = conditional_subsample(t, 3, 3, seed=4)
+        assert_array_equal(c.positions, [12, 13, 15, 25, 26, 27, 28, 29])
+        assert_array_equal(c.indices, [[4, 0], [4, 1], [4, 5], [7, 0],
+                                       [7, 1], [8, 0], [8, 1], [8, 5]])
 
 
 class TestUniformSubsample:
@@ -207,9 +231,16 @@ class TestSubsetTensor:
         for ix, v in zip(sub.indices.tolist(), sub.values):
             assert_allclose(v, lookup[tuple(ix)])
 
-    def test_unobserved_index_rejected(self):
+    def test_a_batch_of_another_tensor_is_rejected(self):
+        t = random_sparse((8, 8), 1, 20, np.random.default_rng(3))
+        other = random_sparse((8, 8), 1, 20, np.random.default_rng(4))
+        with pytest.raises(ValueError, match="differ"):
+            subset_tensor(t, uniform_subsample(other, 7, seed=9))
+
+    @pytest.mark.parametrize("positions", [[0, 3], [-1, 0]])
+    def test_positions_outside_the_tensor_are_rejected(self, positions):
         t = three_cell_matrix()
-        b = SampleBatch(np.array([[1, 1]]))
-        with pytest.raises(ValueError, match="unobserved"):
+        b = SampleBatch(np.array(positions), t.indices[[0, 1]])
+        with pytest.raises(ValueError, match="outside the tensor's 3 cells"):
             subset_tensor(t, b)
 

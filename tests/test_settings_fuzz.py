@@ -28,7 +28,7 @@ from exchtensor.models import ModelConfig, init_params
 
 SEED = 2026
 EDGE_VALUES = ["0", "-1", "-2.5", "nan", "1e30", "", ",", "abc", "1", "0.5",
-               "3-3", "2-2:1"]
+               "3-3", "2-2:1", "1-5:0"]
 # a learning rate this large overflows the weights on purpose
 DIVERGES = ("learning_rate", "1e30")
 SMALL_MODELS = {"widths": "4,5", "encoder_widths": "4,3",

@@ -166,7 +166,7 @@ class TestAxisGroups:
     def test_row_groups_match_bruteforce(self):
         t = small_matrix()
         g = axis_groups(t, [0])
-        assert_array_equal(g.keys, [[0], [1], [2]])
+        assert_array_equal(g.flat_keys, [0, 1, 2])
         # row 0 holds cells (0,0),(0,2); row 2 holds (2,1),(2,3)
         assert_array_equal(g.order, [0, 1, 2, 3, 4])
         assert_array_equal(g.indptr, [0, 2, 3, 5])
@@ -175,7 +175,7 @@ class TestAxisGroups:
     def test_column_groups_match_bruteforce(self):
         t = small_matrix()
         g = axis_groups(t, [1])
-        assert_array_equal(g.keys, [[0], [1], [2], [3]])
+        assert_array_equal(g.flat_keys, [0, 1, 2, 3])
         # column 1 holds cells (1,1),(2,1)
         assert_array_equal(g.order, [0, 2, 3, 1, 4])
         assert_array_equal(g.indptr, [0, 1, 3, 4, 5])
@@ -211,7 +211,8 @@ class TestAxisGroups:
             # each group's cells share its key on the fixed axes
             runs = np.repeat(np.arange(g.n_groups), g.sizes)
             assert_array_equal(g.group_of[g.order], runs)
-            assert_array_equal(t.indices[g.order][:, list(fixed)], g.keys[runs])
+            assert_array_equal(cell_keys(t.indices[g.order], t.dims, fixed),
+                               g.flat_keys[runs])
 
     def test_operator_gives_group_sums(self):
         t = small_matrix()
@@ -234,7 +235,7 @@ class TestIndexSetCache:
             ref = axis_groups(t, fixed)
             assert g.fixed_axes == ref.fixed_axes
             assert_array_equal(g.group_of, ref.group_of)
-            assert_array_equal(g.keys, ref.keys)
+            assert_array_equal(g.flat_keys, ref.flat_keys)
 
     def test_with_values_shares_the_very_same_groups(self):
         t = small_matrix()
@@ -251,7 +252,7 @@ class TestIndexSetCache:
         same_cells = apply_permutation(t, identity)
         assert same_cells == t
         assert same_cells.groups([0]) is not g
-        sub = subset_tensor(t, SampleBatch(t.indices))
+        sub = subset_tensor(t, SampleBatch(np.arange(t.n_observed), t.indices))
         assert_array_equal(sub.indices, t.indices)
         assert sub.groups([0]) is not g
 
@@ -324,7 +325,7 @@ class TestOneSortGrouping:
             g = axis_groups(t, fixed)
             keys, group_of, sizes, order, indptr = unique_then_argsort_groups(
                 t, fixed)
-            assert_bitwise_equal(g.keys, keys)
+            assert_bitwise_equal(g.flat_keys, keys)
             assert_bitwise_equal(g.group_of, group_of)
             assert_bitwise_equal(g.sizes, sizes)
             assert_bitwise_equal(g.order, order)
@@ -336,8 +337,7 @@ class TestOneSortGrouping:
 
     def test_wide_case_crosses_sixteen_bit_keys(self):
         t = dict(grouping_cases())["wide"]
-        keys = axis_groups(t, (0, 1)).keys
-        assert np.ravel_multi_index(tuple(keys.T), (300, 300)).max() >= 2**16
+        assert axis_groups(t, (0, 1)).flat_keys.max() >= 2**16
 
 
 class TestPermutation:
