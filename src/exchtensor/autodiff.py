@@ -1,13 +1,13 @@
 """A minimal reverse-mode differentiation engine over static graphs.
 
-The graph vocabulary is deliberately small: exactly the primitives the
-exchangeable layers and their losses need (one fused op for a layer's
-pooled sum, segment pooling over observed cells, broadcasting group
-values back, per-row channel mixing, a few element-wise nonlinearities,
-and two fused losses).  There is no control
-flow, no general broadcasting, and no in-graph randomness: dropout enters
-as a precomputed mask attribute so that forward passes are deterministic
-functions of the bindings.
+The graph vocabulary is deliberately small.  The models use one fused
+op for a layer's pooled sum, segment pooling, broadcasting group values
+back, channel concat, dropout, a few element-wise nonlinearities and a
+fused loss; ``channel_mix``, ``add`` and ``mean_square_error`` run only
+in the fused op's test reference and the benchmark's probes.  There is
+no control flow, no general broadcasting, and no in-graph randomness:
+dropout enters as a precomputed mask attribute, so forward passes are
+deterministic functions of the bindings.
 
 Graphs are built once and never mutated.  Operands must already exist
 when a node is added, so graphs are acyclic and stored in topological
@@ -207,21 +207,6 @@ def apply_nonlinearity(x: np.ndarray, kind: str, slope: float = 0.01) -> np.ndar
     raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}, got {kind!r}")
 
 
-def _add_into(total, term, g: AxisGroups | None = None):
-    """total + term, with term's rows spread to g's cells when g is
-    given (a single group's row broadcasts when every cell is context);
-    in place when total, a temporary or None, keeps the sum's shape and
-    dtype."""
-    if g is not None and (g.context is not None or g.n_groups > 1):
-        term = g.spread(term)
-    if total is None:
-        return term
-    if total.shape[0] < term.shape[0] or np.result_type(total, term) != total.dtype:
-        return total + term
-    total += term
-    return total
-
-
 def _grouped_sums(x, groups, context=True) -> list[np.ndarray]:
     """Each grouping's sums of x over its context cells (every member
     when ``context`` is False), each in the dtype its grouping
@@ -248,8 +233,9 @@ def pooled_means(x, groups) -> list[np.ndarray]:
 
 def add_terms(cell, terms, nonlinearity="identity", slope=0.01):
     """``cell`` (n, O) plus each term, then ``nonlinearity``: a layer's
-    output once its cell term is computed.  A term is (rows, at): cell i
-    adds ``rows[at[i]]``, or the single row ``rows`` when ``at`` is None.
+    output from its cell term, or its dx from its last pooled term.  A
+    term is (rows, at), as ``AxisGroups.term`` gives a pooled one: cell
+    i adds ``rows[at[i]]``, or the single row ``rows`` when at is None.
 
     The sum and the activation go over the cell buffer in row blocks of
     about ``BLOCK_BYTES``, so each block stays in cache.  Each addition
@@ -296,7 +282,7 @@ def equivariant_layer(x, bias, blocks, groups, nonlinearity="identity",
     backward reads the pre-activation).
     """
     means = pooled_means(x, groups)
-    terms = [(bias, None)] + [(m @ w, g.group_of if g.n_groups > 1 else None)
+    terms = [(bias, None)] + [g.term(m @ w)
                               for g, m, w in zip(groups, means, blocks[1:])]
     return add_terms(x @ blocks[0], terms, nonlinearity, slope), means
 
@@ -304,20 +290,23 @@ def equivariant_layer(x, bias, blocks, groups, nonlinearity="identity",
 def _equivariant_layer_grads(dY, x, blocks, groups, means):
     """(dx, dbias, dblocks) of ``equivariant_layer``.  The gradient
     pools are dY's group sums over every member, summed as the forward
-    pools sum.  dx adds the pooled terms in reverse subset order and the
-    cell term last, the order in which separate pool, mix and broadcast
-    nodes accumulated them."""
+    pools sum.  dx spreads the last subset's term, ``add_terms`` adds
+    the others in reverse subset order, then the whole cell product:
+    the order separate pool, mix and broadcast nodes summed them in."""
     dtype = np.result_type(dY, np.float32)
-    dx = None
-    dblocks = [x.T @ dY]
+    dblocks, pooled = [x.T @ dY], []
     sums = _grouped_sums(dY, groups, context=False)
     for g, s, m, w in zip(groups[::-1], sums[::-1], means[::-1],
                           blocks[:0:-1]):
         d_mixed = s.astype(dtype, copy=False)
         dblocks.insert(1, m.T @ d_mixed)
         d_means = d_mixed @ w.T
-        dx = _add_into(dx, (d_means / g.divisor[:, None]).astype(d_means.dtype), g)
-    return _add_into(dx, dY @ blocks[0].T), dY.sum(axis=0), dblocks
+        pooled.append((g, (d_means / g.divisor[:, None]).astype(d_means.dtype)))
+    (g, last), *rest = pooled
+    dx = add_terms(g.spread(last), [g.term(d, context=True) for g, d in rest])
+    cell = dY @ blocks[0].T
+    dx = np.add(dx, cell, out=dx if np.result_type(dx, cell) == dx.dtype else None)
+    return dx, dY.sum(axis=0), dblocks
 
 
 def _check_2d(name: str, label: str, v: np.ndarray):

@@ -88,8 +88,8 @@ def save_checkpoint(
     """Write a model to ``path`` in the EXCHK001 container format.
 
     Params that ``models.check_params`` refuses for ``config`` raise, so
-    every file written loads.  The header is strict JSON: a non-finite
-    number in ``metadata`` raises ValueError rather than writing a NaN or
+    every file written loads.  A non-finite weight raises ValueError, and
+    so does one in ``metadata``: the header is strict JSON, with no NaN or
     Infinity token.
     """
     try:
@@ -106,6 +106,8 @@ def save_checkpoint(
     payload = bytearray()
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
+        if not np.isfinite(arr).all():
+            raise ValueError(f"cannot checkpoint to {path}: array {name!r} is not finite")
         if arr.dtype.byteorder == ">":
             arr = arr.astype(arr.dtype.newbyteorder("<"))
         raw = arr.tobytes(order="C")
@@ -183,10 +185,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read an EXCHK001 container back into config, params, and scale.
 
     A malformed container raises ValueError: a header that is not a JSON
-    object, lacks a required key or holds an entry of the wrong type, an
-    array entry whose byte count does not match its shape and dtype,
-    array byte ranges that do not tile the payload in order, or a layer
-    whose shape disagrees with the widths in ``model_config``.
+    object, lacks a required key or holds an entry of the wrong type, a
+    non-finite array or one whose byte count does not fit its shape and
+    dtype, array byte ranges that do not tile the payload in order, or a
+    layer whose shape disagrees with the widths in ``model_config``.
     """
     try:
         return _load(path)
@@ -241,6 +243,8 @@ def _load(path: str | Path) -> Checkpoint:
                 )
             arr = np.frombuffer(payload, dtype=dtype, count=count,
                                 offset=entry["offset"])
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: array {entry['name']!r} is not finite")
             arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
     if end != len(payload):
         raise ValueError(f"{path}: {len(payload) - end} payload bytes after "

@@ -41,7 +41,7 @@ from .layers import (
     random_layer_params,
     stack_pools,
 )
-from .sparse import SparseExchangeableTensor, cell_keys, lookup
+from .sparse import SparseExchangeableTensor, cell_keys, lookup, with_zero_row
 
 __all__ = [
     "ModelConfig",
@@ -211,11 +211,6 @@ def union_with_zeros(
     return SparseExchangeableTensor(t.dims, indices, values)
 
 
-def _with_zero_row(table: np.ndarray) -> np.ndarray:
-    """table with a zero row appended, which group id -1 selects."""
-    return np.concatenate([table, np.zeros((1, *table.shape[1:]), table.dtype)])
-
-
 @dataclass(frozen=True)
 class PreparedContext:
     """What every request against one observed context reads, computed
@@ -246,7 +241,7 @@ class PreparedContext:
            factors: FactorPair | None = None) -> "PreparedContext":
         groups = pooling_groups(x)
         return cls(x.dims, x.keys, x.values.dtype, tuple(
-            (S, groups[S].flat_keys, _with_zero_row(groups[S].counts))
+            (S, groups[S].flat_keys, with_zero_row(groups[S].counts))
             for S in all_subsets(x.ndim)[1:]
         ), tuple(layers), factors)
 
@@ -276,7 +271,7 @@ class SelfSupervisedParams:
         subsets = all_subsets(x_obs.ndim)[1:]
 
         def mixed(lp, means):
-            return tuple(_with_zero_row(m @ lp.blocks[S])
+            return tuple(with_zero_row(m @ lp.blocks[S])
                          for S, m in zip(subsets, means))
 
         return PreparedContext.of(x_obs, stack_pools(x_obs, self.layers, mixed))
@@ -329,7 +324,7 @@ class FeaParams:
         subsets = all_subsets(x_obs.ndim)[1:]
 
         def sums(lp, means):
-            return tuple(_with_zero_row(m * groups[S].counts[:, None])
+            return tuple(with_zero_row(m * groups[S].counts[:, None])
                          for S, m in zip(subsets, means))
 
         return PreparedContext.of(x_obs, stack_pools(

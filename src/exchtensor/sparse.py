@@ -28,6 +28,7 @@ __all__ = [
     "axis_groups",
     "cell_keys",
     "lookup",
+    "with_zero_row",
     "apply_permutation",
 ]
 
@@ -195,10 +196,10 @@ class AxisGroups:
     ``context`` marks the cells the pools read; None marks every cell.
     ``counts`` are the context cells per group and ``pool_of`` each
     context cell's group id (``n_groups`` for any other cell), so a
-    group's mean sums its context cells and divides by their count
-    (``means``), and ``spread`` of a gradient over the counts is its
-    transpose.  A group with no context cell pools to 0.  With every
-    cell in the context they are ``sizes`` and ``group_of`` themselves.
+    group's mean sums its context cells over their count (``means``);
+    ``spread`` (or ``term`` with ``context``) of a gradient over the
+    counts is its transpose.  A group with no context cell pools to 0.
+    With every cell in the context they are ``sizes`` and ``group_of``.
 
     The operators accumulate in the operand's floating dtype (float64
     for integer operands) when there are several groups, and in float64
@@ -302,13 +303,24 @@ class AxisGroups:
         means = sums / self.divisor[:, None]
         return means.astype(np.result_type(dtype, np.float32), copy=False)
 
+    def term(self, rows: np.ndarray, context: bool = False) -> tuple:
+        """(n_groups, K) rows as an ``autodiff.add_terms`` term: each
+        member's group row, or with ``context`` a zero row off context."""
+        if context and self.context is not None:
+            return with_zero_row(rows), self.pool_of
+        return rows, self.group_of if self.n_groups > 1 else None
+
     def spread(self, rows: np.ndarray) -> np.ndarray:
         """(n_groups, K) -> (n_obs, K): each context cell takes its
         group's row, every other cell 0.  Spreading a group's gradient
         over its count is the transpose of pooling to the means."""
-        if self.context is not None:
-            rows = np.concatenate([rows, np.zeros((1, rows.shape[1]), rows.dtype)])
-        return np.take(rows, self.pool_of, axis=0)
+        rows, at = self.term(rows, context=True)
+        return np.take(rows, self.group_of if at is None else at, axis=0)
+
+
+def with_zero_row(table: np.ndarray) -> np.ndarray:
+    """table and a zero row, which index -1 or ``len(table)`` picks."""
+    return np.concatenate([table, np.zeros((1, *table.shape[1:]), table.dtype)])
 
 
 def lookup(keys: np.ndarray, want: np.ndarray) -> np.ndarray:

@@ -72,8 +72,11 @@ def rewrite_header(src, dst, edit):
 def composed_layer_nodes(g, x, groups, params, prefix):
     """One layer as separate nodes: per pooled subset pool -> mix ->
     broadcast, the cell term's mix with the bias, one add and the
-    nonlinearity.  The fused ``equivariant_layer`` node must match this
-    composition bit for bit, values and gradients alike."""
+    nonlinearity.  The fused ``equivariant_layer`` node matches this
+    composition to rounding, values and gradients alike: within 1e-12 of
+    the largest magnitude in float64 and 1e-6 in float32, since it takes
+    its global pool from the row pool's sums.  ``whole_array_layer_grads``
+    pins the order of its backward's sums bit for bit."""
     ndim = params.ndim
     bias = g.parameter(f"{prefix}.bias")
     added, terms = {}, []
@@ -87,6 +90,46 @@ def composed_layer_nodes(g, x, groups, params, prefix):
             mixed = g.channel_mix(g.segment_pool(x, groups[S]), added[nm])
             terms.append(g.gather_broadcast(mixed, groups[S]))
     return g.nonlinearity(g.add(*terms), params.nonlinearity, params.slope)
+
+
+def whole_array_layer_grads(dY, x, blocks, groups, means):
+    """(dx, dbias, dblocks) of ``autodiff.equivariant_layer`` summed over
+    whole arrays, as its backward summed them before ``add_terms`` wrote
+    dx: each pooled term gathered to an (n, K) array, 0 off the context,
+    the terms added in reverse subset order, then the cell term.  The
+    layer backward must match it bit for bit."""
+    from exchtensor.autodiff import _grouped_sums
+
+    dtype = np.result_type(dY, np.float32)
+    sums = _grouped_sums(dY, groups, context=False)
+    dx, dblocks = None, [x.T @ dY]
+    for g, s, m, w in zip(groups[::-1], sums[::-1], means[::-1],
+                          blocks[:0:-1]):
+        d_mixed = s.astype(dtype, copy=False)
+        dblocks.insert(1, m.T @ d_mixed)
+        d_means = d_mixed @ w.T
+        rows = (d_means / g.divisor[:, None]).astype(d_means.dtype)
+        in_context = np.ones(g.n_members, bool) if g.context is None \
+            else g.context
+        term = np.where(in_context[:, None], rows[g.group_of],
+                        rows.dtype.type(0))
+        dx = term if dx is None else dx + term
+    return dx + dY @ blocks[0].T, dY.sum(axis=0), dblocks
+
+
+def fill_array(src, dst, name, value):
+    """Copy a checkpoint with every entry of array ``name`` set to
+    ``value`` in its payload, the header untouched."""
+    raw = bytearray(src.read_bytes())
+    header_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + header_len])
+    (entry,) = [e for e in header["arrays"] if e["name"] == name]
+    dtype = np.dtype(entry["dtype"])
+    start = 16 + header_len + entry["offset"]
+    raw[start:start + entry["nbytes"]] = np.full(
+        entry["nbytes"] // dtype.itemsize, value, dtype).tobytes()
+    dst.write_bytes(bytes(raw))
+    return dst
 
 
 def assert_bitwise_equal(got, want):

@@ -1,12 +1,15 @@
 """Forward semantics and gradient correctness of the operation graph."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from helpers import (
     assert_bitwise_equal, build_sparse, composed_layer_nodes, random_sparse,
-    row_wise_cross_entropy, row_wise_softmax,
+    row_wise_cross_entropy, row_wise_softmax, whole_array_layer_grads,
 )
 
 from exchtensor import autodiff
@@ -585,6 +588,48 @@ class TestEquivariantLayerOp:
         for got, want in self.pairs([results[0], one_block]):
             assert_bitwise_equal(got, want)
 
+    @pytest.mark.parametrize("dims, n_obs, tied", CASES + MULTI_BLOCK_CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, "mixed"])
+    @pytest.mark.parametrize("context", [False, True])
+    def test_backward_sums_as_the_whole_array_reference(
+            self, monkeypatch, dims, n_obs, tied, dtype, context):
+        """Outputs and gradients bit for bit with the layer backward
+        swapped for ``whole_array_layer_grads``: dx adds the pooled
+        terms in reverse subset order and the cell term last, across row
+        blocks."""
+        monkeypatch.setattr(autodiff, "BLOCK_BYTES", 256)
+        fused = dict(context=context, emits=(add_layer_nodes,))
+        (blocked,) = self.fused_and_composed(dims, n_obs, tied, dtype, **fused)
+        monkeypatch.setattr(autodiff, "_equivariant_layer_grads",
+                            whole_array_layer_grads)
+        (whole,) = self.fused_and_composed(dims, n_obs, tied, dtype, **fused)
+        for got, want in self.pairs([blocked, whole]):
+            assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("wide", [0, 1, 3])
+    @pytest.mark.parametrize("context", [False, True])
+    def test_backward_promotes_as_the_whole_array_reference(
+            self, monkeypatch, wide, context):
+        """A float64 block under a float32 dY (the cell block, the row
+        pool's or the global pool's): dx turns float64 at that block's
+        term, as whole arrays would, bit for bit."""
+        monkeypatch.setattr(autodiff, "BLOCK_BYTES", 256)
+        rng = np.random.default_rng(wide)
+        t = random_sparse((12, 15), 3, 101, rng)
+        by_subset = pooling_groups(t, out_of_context(t) if context else None)
+        groups = [by_subset[S] for S in all_subsets(2)[1:]]
+        x = t.values.astype(np.float32)
+        blocks = [rng.normal(size=(3, 4)).astype(np.float32) for _ in range(4)]
+        blocks[wide] = blocks[wide].astype(np.float64)
+        _, means = autodiff.equivariant_layer(x, np.zeros(4, np.float32),
+                                              blocks, groups)
+        dY = rng.normal(size=(101, 4)).astype(np.float32)
+        got = autodiff._equivariant_layer_grads(dY, x, blocks, groups, means)
+        want = whole_array_layer_grads(dY, x, blocks, groups, means)
+        assert got[0].dtype == np.float64
+        for a, b in zip([got[0], got[1], *got[2]], [want[0], want[1], *want[2]]):
+            assert_bitwise_equal(a, b)
+
     @pytest.mark.parametrize("dims, n_obs, tied", CASES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_the_composition_with_a_context(self, dims, n_obs, tied,
@@ -718,3 +763,26 @@ class TestPoolAccumulation:
             finally:
                 tracemalloc.stop()
             assert peak < copy_bytes / 4
+
+
+def test_only_add_terms_reads_block_bytes():
+    """One row-block rule: ``add_terms`` writes every blocked pass over a
+    layer's cells, forward and backward, and is the one reader of
+    ``BLOCK_BYTES`` in the package.  A second reader would be a copy of
+    its blocking rule."""
+    readers = set()
+    for path in sorted(Path(autodiff.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}  # node -> its innermost function; ast.walk goes outside in
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((node, fn.name) for node in ast.walk(fn))
+        readers |= {
+            f"{path.name}:{scope.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)
+            and "BLOCK_BYTES" in (getattr(node, "id", None),
+                                  getattr(node, "attr", None))
+        }
+    assert readers == {"autodiff.py:add_terms"}

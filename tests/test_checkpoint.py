@@ -25,10 +25,11 @@ from exchtensor.models import (
     init_params,
     named_arrays,
     self_supervised_forward,
+    with_named_arrays,
 )
 from exchtensor.training import build_fea_loss_graph, build_ss_loss_graph
 
-from helpers import rewrite_header
+from helpers import fill_array, rewrite_header
 
 
 def header_of(path):
@@ -358,6 +359,26 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             save_checkpoint(tmp_path / "x.exchk", config, params, FIVE_STAR,
                             metadata={"best_val_rmse": float("inf")})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_weight_refused_on_save(self, tmp_path, value):
+        config, params = small_ss()
+        arrays = named_arrays(params)
+        arrays["layer1.w01"] = np.full_like(arrays["layer1.w01"], value)
+        path = tmp_path / "x.exchk"
+        with pytest.raises(ValueError, match="array 'layer1.w01' is not finite"):
+            save_checkpoint(path, config, with_named_arrays(params, arrays),
+                            FIVE_STAR)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_nonfinite_weight_refused_on_load(self, tmp_path, value):
+        config, params = small_fea()
+        path = tmp_path / "model.exchk"
+        save_checkpoint(path, config, params, FIVE_STAR)
+        bad = fill_array(path, tmp_path / "bad.exchk", "dec2.bias", value)
+        with pytest.raises(ValueError, match="array 'dec2.bias' is not finite"):
+            load_checkpoint(bad)
 
     def test_unknown_params_type_rejected(self, tmp_path):
         config, _ = small_ss()

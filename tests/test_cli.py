@@ -18,7 +18,7 @@ from exchtensor.cli import SETTINGS, Settings, main
 from exchtensor.data import FIVE_STAR, RatingScale
 from exchtensor.models import ModelConfig, init_params
 
-from helpers import rewrite_header
+from helpers import fill_array, rewrite_header
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -308,11 +308,14 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("edit, named", [
         (lambda h: h["arrays"][0].update(dtype="foo"), "array entry"),
+        # as many bytes as the float64 bias, but text: not a number
+        (lambda h: h["arrays"][0].update(dtype="<U2"), "array entry"),
         (lambda h: h["arrays"][0].update(offset="x"), "array entry"),
         (lambda h: h["arrays"][0].update(nbytes=None), "array entry"),
         (lambda h: h.update(arrays=5), "'arrays' entry"),
         (lambda h: h["scale"].update(levels=3), "'scale' entry"),
-    ], ids=["dtype", "offset", "nbytes", "arrays", "scale-levels"])
+    ], ids=["dtype", "text-dtype", "offset", "nbytes", "arrays",
+            "scale-levels"])
     def test_malformed_header_entry_exits_2(self, capsys, tmp_path, edit,
                                             named):
         config = ModelConfig(architecture="self-supervised", widths=(6, 5))
@@ -338,6 +341,18 @@ class TestEvaluate:
                            "synthetic")
         assert code == 2
         assert "layer1" in err and "13" in err
+
+    def test_nonfinite_weight_exits_2(self, checkpoint, capsys, tmp_path):
+        """A NaN weight would predict NaN for every cell; the checkpoint
+        is refused with one error line rather than read as an rmse of
+        null."""
+        bad = fill_array(Path(checkpoint), tmp_path / "bad.exchk",
+                         "layer1.w01", np.nan)
+        code, records, err = run(capsys, "evaluate", str(bad), "--data",
+                                 "synthetic")
+        assert (code, records) == (2, [])
+        assert err.splitlines() == [
+            f"error: {bad}: array 'layer1.w01' is not finite"]
 
     def test_header_that_is_not_an_object_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "list.exchk"
