@@ -1,13 +1,15 @@
 """A minimal reverse-mode differentiation engine over static graphs.
 
 The graph vocabulary is deliberately small.  The models use one fused
-op for a layer's pooled sum, segment pooling, broadcasting group values
-back, channel concat, dropout, a few element-wise nonlinearities and a
-fused loss; ``channel_mix``, ``add`` and ``mean_square_error`` run only
-in the fused op's test reference and the benchmark's probes.  There is
-no control flow, no general broadcasting, and no in-graph randomness:
-dropout enters as a precomputed mask attribute, so forward passes are
-deterministic functions of the bindings.
+op per layer, which sums the layer's terms and applies its activation
+and dropout mask in the same pass, plus segment pooling, broadcasting
+group values back, channel concat and a fused loss; ``channel_mix``,
+``add``, ``nonlinearity``, ``dropout_mask`` and ``mean_square_error``
+run only in the fused op's test references and the benchmark's probes.
+There is no control flow, no general broadcasting, and no in-graph
+randomness: dropout enters as a precomputed mask attribute of the layer
+node, so forward passes are deterministic functions of the bindings.
+The backward pass forms no gradient for a data leaf.
 
 Graphs are built once and never mutated.  Operands must already exist
 when a node is added, so graphs are acyclic and stored in topological
@@ -21,7 +23,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .sparse import AxisGroups
+from .sparse import AxisGroups, with_zero_row
 
 __all__ = [
     "Node",
@@ -94,11 +96,22 @@ class Graph:
 
     # structure ops
 
-    def equivariant_layer(self, x: str, bias: str, blocks, groups) -> str:
-        """One layer's pre-activation, as the module-level
-        ``equivariant_layer``; a tied layer names its shared block twice."""
+    def equivariant_layer(self, x: str, bias: str, blocks, groups,
+                          nonlinearity: str = "identity", slope: float = 0.01,
+                          mask: np.ndarray | None = None) -> str:
+        """One layer's output, as the module-level ``equivariant_layer``:
+        the activation and the dropout ``mask`` (survivor scaling baked
+        in) are applied in the same pass as the sum.  A tied layer names
+        its shared block twice.  A softmax layer takes no mask, since its
+        backward reads the activation the mask would hide."""
+        _check_activation(nonlinearity, slope)
+        if mask is not None:
+            if nonlinearity == "softmax":
+                raise ValueError("a softmax layer takes no dropout mask")
+            mask = np.asarray(mask)
         return self._add("equivariant_layer", (x, bias, *blocks),
-                         groups=tuple(groups))
+                         groups=tuple(groups), nonlinearity=nonlinearity,
+                         slope=float(slope), mask=mask)
 
     def segment_pool(self, x: str, groups: AxisGroups, mode: str = "mean") -> str:
         """(n, K) cell values -> (n_groups, K) per-group means.
@@ -131,10 +144,7 @@ class Graph:
         return self._add("channel_mix", ops)
 
     def nonlinearity(self, x: str, kind: str, slope: float = 0.01) -> str:
-        if kind not in NONLINEARITIES:
-            raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}, got {kind!r}")
-        if kind == "leaky_relu" and not 0.0 <= slope <= 1.0:
-            raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
+        _check_activation(kind, slope)
         return self._add("nonlinearity", (x,), kind=kind, slope=float(slope))
 
     def add(self, *xs: str) -> str:
@@ -177,6 +187,13 @@ class Graph:
         return self._add("mean_square_error", (pred, target))
 
 
+def _check_activation(kind: str, slope: float) -> None:
+    if kind not in NONLINEARITIES:
+        raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}, got {kind!r}")
+    if kind == "leaky_relu" and not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
+
+
 def _by_channel(x: np.ndarray) -> tuple[np.ndarray, int]:
     """(n, K) x as (its contiguous (K, n) copy, 0) when K is at most
     ``CHANNEL_MAJOR_MAX``, else (x, 1): reducing the first over the
@@ -193,6 +210,11 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     e = np.exp(xc - xc.max(axis=axis, keepdims=True))
     e /= e.sum(axis=axis, keepdims=True)
     return np.ascontiguousarray(e.T) if axis == 0 else e
+
+
+def _softmax_grad(y: np.ndarray, dY: np.ndarray) -> np.ndarray:
+    """The gradient at softmax's input, from its output y and dY."""
+    return y * (dY - (dY * y).sum(axis=1, keepdims=True))
 
 
 def apply_nonlinearity(x: np.ndarray, kind: str, slope: float = 0.01) -> np.ndarray:
@@ -231,24 +253,43 @@ def pooled_means(x, groups) -> list[np.ndarray]:
     return [g.means(s, x.dtype) for g, s in zip(groups, _grouped_sums(x, groups))]
 
 
-def add_terms(cell, terms, nonlinearity="identity", slope=0.01):
-    """``cell`` (n, O) plus each term, then ``nonlinearity``: a layer's
-    output from its cell term, or its dx from its last pooled term.  A
-    term is (rows, at), as ``AxisGroups.term`` gives a pooled one: cell
-    i adds ``rows[at[i]]``, or the single row ``rows`` when at is None.
+def add_terms(cell, terms, nonlinearity="identity", slope=0.01, mask=None,
+              sign=None, grad=False):
+    """``cell`` (n, O) plus each term, then ``nonlinearity``, then times
+    the dropout ``mask``, a (1, O) row: a layer's output from its cell
+    term, or its dx from its last pooled term.  A term is (rows, at), as
+    ``AxisGroups.term`` gives a pooled one: cell i adds ``rows[at[i]]``,
+    or the single row ``rows`` when at is None.  A leaky ReLU writes
+    into ``sign``, an (n, O) bool array when given, whether each sum is
+    at least 0: its derivative's input, which at a slope of 0 the output
+    cannot tell from x < 0.
 
-    The sum and the activation go over the cell buffer in row blocks of
-    about ``BLOCK_BYTES``, so each block stays in cache.  Each addition
-    keeps the whole-array order and dtype promotion, so the values are
-    those of summing whole arrays, bit for bit; a term of a wider dtype
-    promotes each block on the way, which is then copied into an output
-    of the final dtype.
+    With ``grad`` the pass is that map's backward at an output gradient
+    ``cell``, with no terms and a leaky ReLU or a mask: a new array of
+    ``cell`` times the mask, then times the leaky ReLU's derivative as
+    ``sign`` recorded it.
+
+    Each pass goes over the rows in blocks of about ``BLOCK_BYTES``, so
+    each block stays in cache.  Each step keeps the whole-array order
+    and dtype promotion, so the values are those of whole-array passes,
+    bit for bit; a term of a wider dtype promotes each block on the way,
+    which is then copied into an output of the final dtype.
     """
     dtype = np.result_type(cell, *(rows for rows, _ in terms))
-    out = cell if dtype == cell.dtype else np.empty(cell.shape, dtype)
+    out = cell if dtype == cell.dtype and not grad \
+        else np.empty(cell.shape, dtype)
+    if mask is not None:
+        mask = mask.astype(np.result_type(dtype, np.float32))
     step = max(1, BLOCK_BYTES // (dtype.itemsize * max(1, cell.shape[1])))
     for a in range(0, cell.shape[0], step):
         y = cell[a : a + step]
+        if grad:
+            if mask is not None:
+                y = np.multiply(y, mask, out=out[a : a + step])
+            if nonlinearity == "leaky_relu":
+                np.multiply(y, np.maximum(sign[a : a + step], slope,
+                                          dtype=dtype), out=out[a : a + step])
+            continue
         for rows, at in terms:
             if at is not None:
                 rows = np.take(rows, at[a : a + step], axis=0)
@@ -256,43 +297,85 @@ def add_terms(cell, terms, nonlinearity="identity", slope=0.01):
                 y += rows
             else:
                 y = y + rows
+        rows = None  # free the last gathered block before the activation
         if nonlinearity == "leaky_relu":
+            if sign is not None:
+                np.greater_equal(y, 0, out=sign[a : a + step])
             np.maximum(y, slope * y, out=y)
         elif nonlinearity != "identity":
             y[...] = apply_nonlinearity(y, nonlinearity, slope)
+        if mask is not None:
+            y *= mask
         if out is not cell:
             out[a : a + step] = y
     return out
 
 
+def fold_rows(table, rows):
+    """``table`` plus each single row of ``rows`` in turn, in place
+    unless a row's dtype is wider: a layer adds its bias and its global
+    term to every cell, so adding them once to a table every cell
+    gathers a row of saves two adds per cell."""
+    for row in rows:
+        table = np.add(table, row, out=table if np.result_type(
+            table, row) == table.dtype else None)
+    return table
+
+
 def equivariant_layer(x, bias, blocks, groups, nonlinearity="identity",
-                      slope=0.01):
+                      slope=0.01, mask=None, sign=None, levels=None,
+                      means=None):
     """One layer's output, and each pooled term's group means.
 
     ``blocks`` are the 2^D (K, O) weights in ``all_subsets`` order, the
     cell block first, and ``groups`` the grouping of each later subset.
     ``x @ blocks[0] + bias`` adds each term's mixed group means, gathered
-    to the cells, in that order.  Each pool reads only its grouping's
-    context cells, and its term reaches every cell.  The means are
-    ``pooled_means``.
+    to the cells.  Each pool reads only its grouping's context cells,
+    and its term reaches every cell.  The means are ``pooled_means``,
+    or ``means`` when the caller already has them.  The bias and every
+    single-group term (the global one) are folded into the first table
+    of several groups (``fold_rows``), so a cell adds one term per
+    pooled subset of several groups.
 
-    The cell term is one whole product, written once into the output;
-    ``add_terms`` then adds the bias and the pooled terms and applies
-    ``nonlinearity`` in place (the graph op asks for none, since its
-    backward reads the pre-activation).
+    ``levels``, when x is one-hot or zero in each row, gives each row's
+    level (K for a zero row).  The cell term is then the cell block's
+    rows gathered by level, which equals ``x @ blocks[0]`` bit for bit
+    while the block is finite, without the product.
+
+    The cell term is written once into the output; ``add_terms`` then
+    adds the other terms, applies ``nonlinearity``, records ``sign`` and
+    multiplies by the dropout ``mask`` in place, one row block at a time.
     """
-    means = pooled_means(x, groups)
-    terms = [(bias, None)] + [g.term(m @ w)
-                              for g, m, w in zip(groups, means, blocks[1:])]
-    return add_terms(x @ blocks[0], terms, nonlinearity, slope), means
+    if means is None:
+        means = pooled_means(x, groups)
+    single, tables = [bias], []
+    for g, m, w in zip(groups, means, blocks[1:]):
+        rows, at = g.term(m @ w)
+        if at is None:
+            single.append(rows)
+        else:
+            tables.append((rows, at))
+    if tables:
+        tables[0] = (fold_rows(tables[0][0], single), tables[0][1])
+    else:  # every pool is one group, as over one axis: one summed row
+        tables = [(sum(single[1:], bias), None)]
+    if levels is None:
+        cell = x @ blocks[0]
+    else:
+        # cast the few rows, not the gathered (n, O) cells
+        rows = with_zero_row(blocks[0]).astype(np.result_type(x, blocks[0]),
+                                               copy=False)
+        cell = np.take(rows, levels, axis=0)
+    return add_terms(cell, tables, nonlinearity, slope, mask, sign), means
 
 
-def _equivariant_layer_grads(dY, x, blocks, groups, means):
-    """(dx, dbias, dblocks) of ``equivariant_layer``.  The gradient
-    pools are dY's group sums over every member, summed as the forward
-    pools sum.  dx spreads the last subset's term, ``add_terms`` adds
-    the others in reverse subset order, then the whole cell product:
-    the order separate pool, mix and broadcast nodes summed them in."""
+def _equivariant_layer_grads(dY, x, blocks, groups, means, dx=True):
+    """(dx, dbias, dblocks) of ``equivariant_layer`` before its
+    activation, dx None unless asked for.  The gradient pools are dY's
+    group sums over every member, summed as the forward pools sum.  dx
+    spreads the last subset's term, ``add_terms`` adds the others in
+    reverse subset order, then the whole cell product: the order
+    separate pool, mix and broadcast nodes summed them in."""
     dtype = np.result_type(dY, np.float32)
     dblocks, pooled = [x.T @ dY], []
     sums = _grouped_sums(dY, groups, context=False)
@@ -300,8 +383,12 @@ def _equivariant_layer_grads(dY, x, blocks, groups, means):
                           blocks[:0:-1]):
         d_mixed = s.astype(dtype, copy=False)
         dblocks.insert(1, m.T @ d_mixed)
-        d_means = d_mixed @ w.T
-        pooled.append((g, (d_means / g.divisor[:, None]).astype(d_means.dtype)))
+        if dx:
+            d_means = d_mixed @ w.T
+            pooled.append((g, (d_means / g.divisor[:, None]).astype(
+                d_means.dtype)))
+    if not dx:
+        return None, dY.sum(axis=0), dblocks
     (g, last), *rest = pooled
     dx = add_terms(g.spread(last), [g.term(d, context=True) for g, d in rest])
     cell = dY @ blocks[0].T
@@ -309,17 +396,36 @@ def _equivariant_layer_grads(dY, x, blocks, groups, means):
     return dx, dY.sum(axis=0), dblocks
 
 
+def _cross_entropy_grads(dY, logits, targets, row_weights, dtargets=True):
+    """(dlogits, dtargets) of the fused softmax cross entropy, dtargets
+    None unless asked for."""
+    dtype = np.result_type(logits, np.float32)
+    if row_weights is None:
+        coef = np.full(logits.shape[0], 1.0 / logits.shape[0], dtype)
+    else:
+        coef = (row_weights / row_weights.sum()).astype(dtype)
+    dlogits = dY * coef[:, None] * (_softmax(logits) - targets)
+    return dlogits, -dY * coef[:, None] * logits if dtargets else None
+
+
 def _check_2d(name: str, label: str, v: np.ndarray):
     if v.ndim != 2:
         raise ValueError(f"node '{name}': {label} must be 2-d, got shape {v.shape}")
+
+
+def _check_mask(name: str, mask: np.ndarray, shape: tuple):
+    if np.broadcast_shapes(shape, mask.shape) != shape:
+        raise ValueError(f"node '{name}': mask shape {mask.shape} does not "
+                         f"fit values {shape}")
 
 
 def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Evaluate every node in topological order; returns name -> value.
 
     All input and parameter nodes must be bound; shape errors name the
-    offending node.  A layer node also keeps its pooled group means under
-    (name, "means") for the backward pass.
+    offending node.  A layer node also keeps, for the backward pass, its
+    pooled group means under (name, "means") and, for a leaky ReLU, the
+    sign of its sum (``add_terms``) under (name, "sign").
     """
     values: dict[str, np.ndarray] = {}
     for node in graph.nodes:
@@ -332,7 +438,8 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
             continue
         args = [values[o] for o in node.operands]
         if op == "equivariant_layer":
-            x, b, blocks, groups = args[0], args[1], args[2:], node.attrs["groups"]
+            x, b, blocks, a = args[0], args[1], args[2:], node.attrs
+            groups, mask = a["groups"], a["mask"]
             _check_2d(name, "values", x)
             if {w.shape for w in blocks} != {(x.shape[1], *b.shape)} \
                     or len(blocks) != len(groups) + 1 \
@@ -342,8 +449,14 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
                     f"blocks {[w.shape for w in blocks]} and groups of "
                     f"{[g.n_members for g in groups]} cells do not fit"
                 )
+            shape = (x.shape[0], *b.shape)
+            if mask is not None:
+                _check_mask(name, mask, shape)
+            sign = np.empty(shape, bool) \
+                if a["nonlinearity"] == "leaky_relu" else None
             values[name], values[name, "means"] = equivariant_layer(
-                x, b, blocks, groups)
+                x, b, blocks, groups, a["nonlinearity"], a["slope"], mask, sign)
+            values[name, "sign"] = sign
         elif op == "segment_pool":
             (x,) = args
             g: AxisGroups = node.attrs["groups"]
@@ -401,11 +514,7 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
         elif op == "dropout_mask":
             (x,) = args
             mask = node.attrs["mask"]
-            if np.broadcast_shapes(x.shape, mask.shape) != x.shape:
-                raise ValueError(
-                    f"node '{name}': mask shape {mask.shape} does not fit "
-                    f"values {x.shape}"
-                )
+            _check_mask(name, mask, x.shape)
             values[name] = x * mask.astype(np.result_type(x, np.float32))
         elif op == "concat_channels":
             for a in args:
@@ -454,14 +563,19 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
     Returns a gradient for every parameter node; parameters the loss never
     touches get zeros.  Loss targets (second operand of the fused losses)
     do receive gradient flow, so parameters are differentiable wherever
-    they enter the graph.
+    they enter the graph.  No gradient is formed for a data leaf
+    (``Graph.input``): not a layer's dx over its input data, nor a loss's
+    gradient for its targets.
     """
     lv = np.asarray(values[loss])
     if lv.size != 1:
         raise ValueError(f"loss node '{loss}' is not scalar: shape {lv.shape}")
     grads: dict[str, np.ndarray] = {loss: np.ones_like(lv)}
+    leaves = {n.name for n in graph.nodes if n.op == "input"}
 
     def accumulate(name, g):
+        if name in leaves:
+            return
         if name in grads:
             grads[name] = grads[name] + g
         else:
@@ -474,9 +588,15 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
         args = [values[o] for o in node.operands]
         op = node.op
         if op == "equivariant_layer":
+            a = node.attrs
+            if a["nonlinearity"] == "softmax":
+                dY = _softmax_grad(values[node.name], dY)
+            elif a["nonlinearity"] == "leaky_relu" or a["mask"] is not None:
+                dY = add_terms(dY, [], a["nonlinearity"], a["slope"], a["mask"],
+                               values[node.name, "sign"], grad=True)
             dx, dbias, dblocks = _equivariant_layer_grads(
-                dY, args[0], args[2:], node.attrs["groups"],
-                values[node.name, "means"])
+                dY, args[0], args[2:], a["groups"], values[node.name, "means"],
+                dx=node.operands[0] not in leaves)
             accumulate(node.operands[0], dx)
             accumulate(node.operands[1], dbias)
             # a tied block takes the later subset's gradient first
@@ -508,7 +628,7 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
                 # because 0 <= slope <= 1
                 dx = dY * np.maximum(x >= 0, node.attrs["slope"], dtype=dY.dtype)
             else:
-                dx = y * (dY - (dY * y).sum(axis=1, keepdims=True))
+                dx = _softmax_grad(y, dY)
             accumulate(node.operands[0], dx)
         elif op == "add":
             for o in node.operands:
@@ -522,16 +642,10 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
                 accumulate(o, dY[:, off : off + a.shape[1]])
                 off += a.shape[1]
         elif op == "softmax_cross_entropy":
-            logits, targets = args
-            w = node.attrs["row_weights"]
-            dtype = np.result_type(logits, np.float32)
-            if w is None:
-                coef = np.full(logits.shape[0], 1.0 / logits.shape[0], dtype)
-            else:
-                coef = (w / w.sum()).astype(dtype)
-            p = _softmax(logits)
-            accumulate(node.operands[0], dY * coef[:, None] * (p - targets))
-            accumulate(node.operands[1], -dY * coef[:, None] * logits)
+            for o, d in zip(node.operands, _cross_entropy_grads(
+                    dY, *args, node.attrs["row_weights"],
+                    dtargets=node.operands[1] not in leaves)):
+                accumulate(o, d)
         elif op == "mean_square_error":
             pred, target = args
             d = dY * 2.0 * (pred - target) / pred.size

@@ -16,11 +16,15 @@ order is free and the layer mixes the few group rows instead of all n
 cells.  Pool -> mix -> broadcast leaves one (n, K) @ (K, O) product per
 layer, for the cell term, instead of 2^D.  The whole sum is one op,
 ``autodiff.equivariant_layer``: training graphs hold it as one node per
-layer, and inference calls it directly, with no graph.  The cell term's
-product writes a layer's output once; the bias, the pooled terms and, at
-inference, the activation are then added or applied in place, one
-cache-sized row block at a time.  The graph op keeps the pre-activation,
-which its nonlinearity node's backward reads.
+layer, and inference calls it directly, with no graph.  The cell term
+writes a layer's output once; the pooled terms, the bias, the activation
+and, in training, the dropout mask are then added or applied in place,
+one cache-sized row block at a time.  The bias and the global term are
+single rows, so they are added once into the first pooled table instead
+of into every cell.  The graph op records the sign of each sum in that
+pass, which its backward reads for the leaky ReLU's derivative.  A
+one-hot input, as the ratings enter the first layer, is read by level:
+its cell term is a row gather of the cell block.
 
 For matrices (D=2) the four subsets are: both axes (the cell itself), the
 column axis (mean over the cell's column), the row axis (mean over the
@@ -56,6 +60,7 @@ __all__ = [
     "add_stack_nodes",
     "apply_stack",
     "stack_pools",
+    "one_hot_input",
     "exchangeable_tensor_layer",
     "dropout_channel_mask",
     "pool_to_factors",
@@ -231,23 +236,21 @@ def add_layer_nodes(
 ) -> str:
     """Append one equivariant layer to a graph; returns the output node.
 
-    The layer is one ``equivariant_layer`` node, then its nonlinearity
-    and, when given, its dropout mask.  Parameter nodes are named per
-    ``block_name``, as in ``params.bindings(prefix)``.  A tied layer
-    contributes a single parameter node for its shared block, so the
-    backward pass accumulates both terms' gradients into it.
+    The layer is one ``equivariant_layer`` node, which applies its
+    nonlinearity and, when given, its dropout mask in the pass that sums
+    its terms.  Parameter nodes are named per ``block_name``, as in
+    ``params.bindings(prefix)``.  A tied layer contributes a single
+    parameter node for its shared block, so the backward pass
+    accumulates both terms' gradients into it.
     """
     subsets = all_subsets(params.ndim)
     bias = g.parameter(f"{prefix}.bias")
     blocks = [block_name(prefix, S, params.tied) for S in subsets]
     for nm in dict.fromkeys(blocks):
         g.parameter(nm)
-    summed = g.equivariant_layer(x, bias, blocks,
-                                 [groups[S] for S in subsets[1:]])
-    out = g.nonlinearity(summed, params.nonlinearity, params.slope)
-    if dropout_mask is not None:
-        out = g.dropout_mask(out, dropout_mask)
-    return out
+    return g.equivariant_layer(x, bias, blocks,
+                               [groups[S] for S in subsets[1:]],
+                               params.nonlinearity, params.slope, dropout_mask)
 
 
 def add_stack_nodes(
@@ -278,14 +281,53 @@ def _blocks(params: ExchLayerParams) -> list[np.ndarray]:
     return [params.blocks[S] for S in all_subsets(params.ndim)]
 
 
+def _one_hot_levels(x: np.ndarray) -> np.ndarray | None:
+    """Each row's level when every row of (n, K) x is one-hot or zero (K
+    for a zero row), else None.  The first row is checked alone first,
+    so most other inputs cost one row."""
+    for rows in (x[:1], x):
+        hot = rows != 0
+        if (hot.sum(axis=1) > 1).any() or (rows[hot] != 1).any():
+            return None
+    return np.where(hot.any(axis=1), hot.argmax(axis=1), x.shape[1])
+
+
+def one_hot_input(t: SparseExchangeableTensor):
+    """(levels, means) of t's values as a layer over t reads them when
+    they are one-hot (``_one_hot_levels``): each row's level, and their
+    group means over t's pooling groups, in ``all_subsets`` order after
+    the full subset.  (None, None) for other values.
+
+    Kept on t's index set for these values (``for_values``), so a fit
+    that reads its fixed one-hot context every epoch levels and pools it
+    once; ``training.train`` computes it before a worker thread reads it.
+    The arrays are read-only: every later pass shares them."""
+    def levels_and_means(t):
+        levels = _one_hot_levels(t.values)
+        if levels is None:
+            return None, None
+        groups = pooling_groups(t)
+        means = pooled_means(t.values,
+                             [groups[S] for S in all_subsets(t.ndim)[1:]])
+        for a in (levels, *means):
+            a.setflags(write=False)
+        return levels, means
+
+    if _one_hot_levels(t.values[:1]) is None:
+        return None, None
+    return t.for_values("one-hot", levels_and_means)
+
+
 def exchangeable_tensor_layer(
     t: SparseExchangeableTensor, params: ExchLayerParams
 ) -> SparseExchangeableTensor:
     """Apply one equivariant layer; output lives on the same index set.
 
-    The output is written once by the cell term's product; the bias, the
-    pooled terms and the activation are then added or applied in place,
-    one row block at a time (``equivariant_layer``)."""
+    The output is written once by the cell term; the bias, the pooled
+    terms and the activation are then added or applied in place, one row
+    block at a time (``equivariant_layer``).  A one-hot input's cell
+    term is gathered by level and its means are read, not pooled again
+    (``one_hot_input``)."""
     if params.ndim != t.ndim:
         raise ValueError(
             f"params cover {params.ndim} axes, tensor has {t.ndim}"
@@ -296,10 +338,11 @@ def exchangeable_tensor_layer(
             f"{t.channels}"
         )
     groups = pooling_groups(t)
+    pooled = [groups[S] for S in all_subsets(t.ndim)[1:]]
+    levels, means = one_hot_input(t)
     out, _ = equivariant_layer(
-        t.values, params.bias, _blocks(params),
-        [groups[S] for S in all_subsets(t.ndim)[1:]],
-        params.nonlinearity, params.slope,
+        t.values, params.bias, _blocks(params), pooled,
+        params.nonlinearity, params.slope, levels=levels, means=means,
     )
     return t.with_values(out)
 
@@ -312,7 +355,7 @@ def apply_stack(
     Every layer's output shares t's index set and so its cached pooling
     groups.  No graph is built: each layer calls ``equivariant_layer`` and
     its nonlinearity directly, so only the current layer's values are
-    held.
+    held.  A one-hot input is read by level (``one_hot_input``).
     """
     for lp in stack:
         t = exchangeable_tensor_layer(t, lp)
@@ -326,19 +369,25 @@ def stack_pools(t: SparseExchangeableTensor,
 
     The group means are those the layer's pooled terms read, in
     ``all_subsets`` order after the full subset, so a caller keeps what
-    the pools of t hold without pooling again.  The last layer's output,
-    which no pool reads, is not computed.  Only the current layer's input
-    and output are held; t is not.
+    the pools of t hold without pooling again.  A one-hot t, such as a
+    context's encoded ratings, is read by level and its means are kept
+    with it (``one_hot_input``).  The last layer's output, which no pool
+    reads, is not computed.  Only the current layer's input and output
+    are held; t is not.
     """
     groups = pooling_groups(t)
     pooled = [groups[S] for S in all_subsets(t.ndim)[1:]]
+    levels, means = one_hot_input(t)
     x, kept = t.values, []
     del t  # so t's values go once the first layer has read them
     for lp in stack[:-1]:
         x, means = equivariant_layer(x, lp.bias, _blocks(lp), pooled,
-                                     lp.nonlinearity, lp.slope)
+                                     lp.nonlinearity, lp.slope,
+                                     levels=levels, means=means)
         kept.append(read(lp, means))
-    kept.append(read(stack[-1], pooled_means(x, pooled)))
+        levels = means = None
+    kept.append(read(stack[-1], pooled_means(x, pooled)
+                     if means is None else means))
     return kept
 
 

@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autodiff import NONLINEARITIES, Graph, add_terms
+from .autodiff import NONLINEARITIES, Graph, add_terms, fold_rows
 from .data import RatingScale
 from .layers import (
     ExchLayerParams,
@@ -266,28 +266,33 @@ class SelfSupervisedParams:
                 ) -> PreparedContext:
         """Each layer's pooled terms over the context, mixed: the query
         cells are not context, so these tables are all a request reads
-        of it."""
+        of it.  The global term, which every cell reads, and the bias
+        are folded into the first table (``fold_rows``), zero row and
+        all, so its zero row is their sum."""
         _check_forward(config, self, SelfSupervisedParams, "prepare", x_obs)
         subsets = all_subsets(x_obs.ndim)[1:]
 
         def mixed(lp, means):
-            return tuple(with_zero_row(m @ lp.blocks[S])
-                         for S, m in zip(subsets, means))
+            *tables, whole = (with_zero_row(m @ lp.blocks[S])
+                              for S, m in zip(subsets, means))
+            if not tables:
+                return (fold_rows(whole, [lp.bias]),)
+            return (fold_rows(tables[0], [lp.bias, whole[:1]]), *tables[1:])
 
         return PreparedContext.of(x_obs, stack_pools(x_obs, self.layers, mixed))
 
     def predict(self, config: ModelConfig, prepared: PreparedContext,
                 query: np.ndarray) -> np.ndarray:
         """(m, levels) distributions at the query cells, whose inputs are
-        zero: per layer, their cell term plus the bias and the context's
-        table rows at their groups (id -1 picks a table's zero row),
-        summed and activated by ``add_terms`` as every layer is."""
+        zero: per layer, their cell term plus the context's table rows at
+        their groups (id -1 picks a table's zero row), the first holding
+        the bias and the global term, summed and activated by
+        ``add_terms`` as every layer is."""
         at = prepared.group_at(query)
         h = np.zeros((query.shape[0], config.levels), prepared.dtype)
         for lp, tables in zip(self.layers, prepared.layers):
             h = add_terms(h @ lp.blocks[all_subsets(lp.ndim)[0]],
-                          [(lp.bias, None), *zip(tables, at)],
-                          lp.nonlinearity, lp.slope)
+                          list(zip(tables, at)), lp.nonlinearity, lp.slope)
         return h
 
     def loss_graph(self, config: ModelConfig, batch: SparseExchangeableTensor,

@@ -136,12 +136,16 @@ def subset_tensor(
     t: SparseExchangeableTensor, batch: SampleBatch
 ) -> SparseExchangeableTensor:
     """Restrict a tensor to the rows at a batch's positions; dims are kept
-    whole.  A batch drawn from another tensor raises ``ValueError``."""
-    pos = np.asarray(batch.positions)
+    whole (``SparseExchangeableTensor.at_positions``).  A batch drawn from
+    another tensor raises ``ValueError``."""
+    pos, cells = np.asarray(batch.positions), batch.indices
     n = t.n_observed
     if pos.size and (pos.min() < 0 or pos.max() >= n):
         raise ValueError(f"batch positions outside the tensor's {n} cells")
-    indices = np.take(t.indices, pos, axis=0)
-    if not np.array_equal(indices, batch.indices):
+    if (pos[1:] < pos[:-1]).any():  # t's cells ascend with their positions
+        order = np.argsort(pos, kind="stable")
+        pos, cells = pos[order], np.take(cells, order, axis=0)
+    sub = t.at_positions(pos)
+    if not np.array_equal(sub.indices, cells):
         raise ValueError("batch cells differ from the tensor's at its positions")
-    return SparseExchangeableTensor(t.dims, indices, np.take(t.values, pos, axis=0))
+    return sub

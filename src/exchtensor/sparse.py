@@ -15,6 +15,7 @@ permutations.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -118,6 +119,17 @@ class SparseExchangeableTensor:
     def channels(self) -> int:
         return self.values.shape[1]
 
+    def _of_ordered(self, indices, values, cache) -> "SparseExchangeableTensor":
+        """A tensor over ``dims`` taking over ordered, distinct ``indices``,
+        their ``values`` and the index set's ``cache``, all unchecked."""
+        t = object.__new__(SparseExchangeableTensor)
+        object.__setattr__(t, "dims", self.dims)
+        for name, a in (("indices", indices), ("values", values)):
+            a.setflags(write=False)
+            object.__setattr__(t, name, a)
+        object.__setattr__(t, "_cache", cache)
+        return t
+
     def with_values(self, values: np.ndarray) -> "SparseExchangeableTensor":
         """Same index set and cached groupings, new channel values.
 
@@ -128,13 +140,20 @@ class SparseExchangeableTensor:
             raise ValueError(
                 f"values must be ({self.n_observed}, K), got {values.shape}"
             )
-        t = object.__new__(SparseExchangeableTensor)
-        object.__setattr__(t, "dims", self.dims)
-        object.__setattr__(t, "indices", self.indices)
-        values.setflags(write=False)
-        object.__setattr__(t, "values", values)
-        object.__setattr__(t, "_cache", self._cache)
-        return t
+        return self._of_ordered(self.indices, values, self._cache)
+
+    def at_positions(self, positions: np.ndarray) -> "SparseExchangeableTensor":
+        """The cells at ``positions``, rows of ``indices``, as a tensor
+        over the same dims.  Ascending positions give cells in order
+        already, so their keys are read off, not recomputed and sorted;
+        any others go through the constructor.  A position outside the
+        cells raises ``IndexError``."""
+        pos = np.asarray(positions)
+        indices = np.take(self.indices, pos, axis=0)
+        values = np.take(self.values, pos, axis=0)
+        if pos.size == 0 or (pos[1:] <= pos[:-1]).any():
+            return SparseExchangeableTensor(self.dims, indices, values)
+        return self._of_ordered(indices, values, {"keys": self.keys[pos]})
 
     def groups(self, fixed_axes: Iterable[int]) -> "AxisGroups":
         """``axis_groups(self, fixed_axes)``, computed once per index set."""
@@ -143,6 +162,15 @@ class SparseExchangeableTensor:
         if key not in self._cache:
             self._cache[key] = axis_groups(self, fixed)
         return self._cache[key]
+
+    def for_values(self, key, compute):
+        """``compute(self)``, kept on the index set for these values: a
+        tensor that shares the index set and the same values array reads
+        it back.  One entry per key; other values replace it."""
+        hit = self._cache.get(key)
+        if hit is None or hit[0]() is not self.values:
+            hit = self._cache[key] = (weakref.ref(self.values), compute(self))
+        return hit[1]
 
     def find(self, cells: np.ndarray) -> np.ndarray:
         """Row position in ``indices`` of each (m, D) cell, -1 if absent.

@@ -51,7 +51,7 @@ from .autodiff import backward, forward
 from .data import (
     RatingScale, RatingsTable, _array_digest, encode_onehot, rmse,
 )
-from .layers import dropout_channel_mask, pooling_groups
+from .layers import dropout_channel_mask, one_hot_input
 from .models import (
     ModelConfig,
     PreparedContext,
@@ -284,10 +284,11 @@ def _predict_at(
 def _query_cells(observed: RatingsTable, query: RatingsTable, find,
                  what: str = "query") -> np.ndarray:
     """The (m, 2) cells of ``query``, after checking that it is a
-    nonempty table over the observed table's users and items and holds
-    none of its cells; ``find`` gives a cell's observed row, -1 if none.
-    ``train`` checks its validation table and ``evaluate`` its query
-    table here."""
+    nonempty table over the observed table's users, items and rating
+    scale and holds none of its cells; ``find`` gives a cell's observed
+    row, -1 if none.  ``train`` checks its validation table and
+    ``evaluate`` its query table here: both predict on the observed
+    table's scale and score against the query table's ratings."""
     if query.n_ratings == 0:
         raise ValueError(f"the {what} table is empty")
     if (query.users, query.items) != (observed.users, observed.items):
@@ -295,6 +296,11 @@ def _query_cells(observed: RatingsTable, query: RatingsTable, find,
             f"the {what} table ({query.n_users}x{query.n_items}) is not "
             f"over the observed table's users and items "
             f"({observed.n_users}x{observed.n_items})"
+        )
+    if query.scale != observed.scale:
+        raise ValueError(
+            f"the {what} table's rating scale {query.scale.levels} is not "
+            f"the observed table's {observed.scale.levels}"
         )
     cells = query.indices()
     both = find(cells) >= 0
@@ -368,12 +374,10 @@ def train(
     # one buffer per fit, cast once; a tied block is one slot, one array
     arrays = FlatArrays.of(named_arrays(params), dtype)
     params = with_named_arrays(params, arrays)
-    # the context never changes: group it once, and build the operators
-    # its pools sum with (the global pool sums the row sums), before a
-    # worker thread reads them
-    for g in pooling_groups(x_full).values():
-        if g.n_groups > 1:
-            g.operator(dtype)
+    # the context never changes: group it, level its one-hot rows and
+    # pool them once, which builds the operators its pools sum with,
+    # before a worker thread reads them
+    one_hot_input(x_full)
 
     def validate(p) -> float:
         prepared = p.prepare(model_config, x_full)

@@ -92,17 +92,34 @@ def composed_layer_nodes(g, x, groups, params, prefix):
     return g.nonlinearity(g.add(*terms), params.nonlinearity, params.slope)
 
 
-def whole_array_layer_grads(dY, x, blocks, groups, means):
+def separate_layer_nodes(g, x, groups, params, prefix, dropout_mask=None):
+    """One layer as the three nodes ``layers.add_layer_nodes`` emitted
+    before the layer node applied its activation and dropout mask: the
+    layer's sum, its nonlinearity and, when given, its dropout mask.
+    The fused node must match it bit for bit, values and gradients."""
+    subsets = all_subsets(params.ndim)
+    bias = g.parameter(f"{prefix}.bias")
+    blocks = [block_name(prefix, S, params.tied) for S in subsets]
+    for nm in dict.fromkeys(blocks):
+        g.parameter(nm)
+    out = g.nonlinearity(
+        g.equivariant_layer(x, bias, blocks, [groups[S] for S in subsets[1:]]),
+        params.nonlinearity, params.slope)
+    return out if dropout_mask is None else g.dropout_mask(out, dropout_mask)
+
+
+def whole_array_layer_grads(dY, x, blocks, groups, means, dx=True):
     """(dx, dbias, dblocks) of ``autodiff.equivariant_layer`` summed over
     whole arrays, as its backward summed them before ``add_terms`` wrote
     dx: each pooled term gathered to an (n, K) array, 0 off the context,
     the terms added in reverse subset order, then the cell term.  The
-    layer backward must match it bit for bit."""
+    layer backward must match it bit for bit.  dx is None unless asked
+    for, as there."""
     from exchtensor.autodiff import _grouped_sums
 
     dtype = np.result_type(dY, np.float32)
     sums = _grouped_sums(dY, groups, context=False)
-    dx, dblocks = None, [x.T @ dY]
+    acc, dblocks = None, [x.T @ dY]
     for g, s, m, w in zip(groups[::-1], sums[::-1], means[::-1],
                           blocks[:0:-1]):
         d_mixed = s.astype(dtype, copy=False)
@@ -113,8 +130,8 @@ def whole_array_layer_grads(dY, x, blocks, groups, means):
             else g.context
         term = np.where(in_context[:, None], rows[g.group_of],
                         rows.dtype.type(0))
-        dx = term if dx is None else dx + term
-    return dx + dY @ blocks[0].T, dY.sum(axis=0), dblocks
+        acc = term if acc is None else acc + term
+    return acc + dY @ blocks[0].T if dx else None, dY.sum(axis=0), dblocks
 
 
 def fill_array(src, dst, name, value):

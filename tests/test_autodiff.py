@@ -9,14 +9,15 @@ from numpy.testing import assert_allclose
 
 from helpers import (
     assert_bitwise_equal, build_sparse, composed_layer_nodes, random_sparse,
-    row_wise_cross_entropy, row_wise_softmax, whole_array_layer_grads,
+    row_wise_cross_entropy, row_wise_softmax, separate_layer_nodes,
+    whole_array_layer_grads,
 )
 
 from exchtensor import autodiff
 from exchtensor.autodiff import Graph, backward, forward
 from exchtensor.layers import (
-    add_layer_nodes, all_subsets, block_name, pooling_groups,
-    random_layer_params,
+    add_layer_nodes, add_stack_nodes, all_subsets, block_name,
+    dropout_channel_mask, pooling_groups, random_layer_params,
 )
 from exchtensor.sparse import SparseExchangeableTensor, axis_groups
 
@@ -786,3 +787,162 @@ def test_only_add_terms_reads_block_bytes():
                                   getattr(node, "attr", None))
         }
     assert readers == {"autodiff.py:add_terms"}
+
+
+class TestFusedLayerNode:
+    """The layer node applies its leaky ReLU and its dropout mask in the
+    pass that sums its terms, and records the sign of the sum there for
+    its backward.  It equals the layer's sum, its nonlinearity and its
+    mask as separate nodes (``helpers.separate_layer_nodes``) bit for
+    bit, values and gradients alike."""
+
+    @staticmethod
+    def fused_and_separate(dims, n_obs, tied, dtype, context, masked, slope):
+        """(layer outputs, gradients) of a two-layer stack, leaky ReLU
+        then identity, under a loss, for the fused node and for the
+        separate nodes.  The first layer's first output channel has zero
+        weights and bias, so its sum is exactly 0 at every cell."""
+        rng = np.random.default_rng(sum(dims) + n_obs)
+        t = random_sparse(dims, 3, n_obs, rng)
+        groups = pooling_groups(t, out_of_context(t) if context else None)
+        ndim = len(dims)
+        stack = [random_layer_params(ndim, 3, 4, rng, "leaky_relu", tied),
+                 random_layer_params(ndim, 4, 2, rng, tied=tied)]
+        stack[0].slope = slope
+        for w in stack[0].blocks.values():
+            w[:, 0] = 0.0
+        stack = [cast_layer(lp, f"a{k}", dtype)
+                 for k, lp in enumerate(stack, start=1)]
+        for lp in stack:
+            lp.bias[...] = rng.normal(size=lp.bias.shape)
+        stack[0].bias[0] = 0.0
+        masks = [dropout_channel_mask(lp.channels_out, 0.3, rng) if masked
+                 else None for lp in stack]
+        bindings = {"x": t.values.astype(dtype),
+                    "target": rng.normal(size=(n_obs, 2)).astype(dtype),
+                    **stack[0].bindings("a1"), **stack[1].bindings("a2")}
+        results = []
+        for emit in (add_layer_nodes, separate_layer_nodes):
+            g = Graph()
+            h = g.parameter("x")  # a parameter, so its gradient is reported
+            outs = []
+            for k, (lp, mask) in enumerate(zip(stack, masks), start=1):
+                h = emit(g, h, groups, lp, f"a{k}", mask)
+                outs.append(h)
+            loss = g.mean_square_error(h, g.input("target"))
+            values = forward(g, bindings)
+            results.append(([values[o] for o in outs],
+                            backward(g, values, loss)))
+        return results
+
+    @pytest.mark.parametrize("dims, n_obs, tied",
+                             TestEquivariantLayerOp.CASES
+                             + TestEquivariantLayerOp.MULTI_BLOCK_CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("context", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("slope", [0.0, 0.01])
+    def test_equals_the_separate_nodes_bit_for_bit(
+            self, monkeypatch, dims, n_obs, tied, dtype, context, masked,
+            slope):
+        monkeypatch.setattr(autodiff, "BLOCK_BYTES", 256)
+        (fused_outs, fused_grads), (ref_outs, ref_grads) = \
+            self.fused_and_separate(dims, n_obs, tied, dtype, context,
+                                    masked, slope)
+        assert list(fused_grads) == list(ref_grads)
+        for got, want in zip([*fused_outs, *fused_grads.values()],
+                             [*ref_outs, *ref_grads.values()]):
+            assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradients_match_finite_differences(self, slope, masked):
+        """float64, one layer whose first output channel has zero weights
+        and bias, so its sum is exactly 0 at every cell.  There the
+        backward takes the leaky ReLU's derivative as 1 (x >= 0), which
+        the difference quotient from above gives, at a slope of 0 too;
+        every other entry matches central differences."""
+        rng = np.random.default_rng(11)
+        t = random_sparse((5, 6), 2, 17, rng)
+        lp = random_layer_params(2, 2, 3, rng, "leaky_relu")
+        lp.slope = slope
+        for w in lp.blocks.values():
+            w[:, 0] = 0.0
+        lp.bias[...] = [0.0, *rng.normal(size=2)]
+        mask = np.array([[1 / 0.7, 1 / 0.7, 0.0]]) if masked else None
+        g = Graph()
+        y = add_layer_nodes(g, g.parameter("x"), pooling_groups(t), lp, "L",
+                            mask)
+        loss = g.mean_square_error(y, g.input("target"))
+        bindings = {"x": t.values, "target": rng.normal(size=(17, 3)),
+                    **lp.bindings("L")}
+        values = forward(g, bindings)
+        assert (values[y][:, 0] == 0).all()
+        grads = backward(g, values, loss)
+        numeric = numeric_grads(g, bindings, loss, g.parameters)
+        # channel 0's own arrays meet the kink at 0; x does not move it
+        assert_grads_close({p: a if p == "x" else a[..., 1:]
+                            for p, a in grads.items()},
+                           {p: n if p == "x" else n[..., 1:]
+                            for p, n in numeric.items()}, rtol=1e-7)
+        eps = 1e-7
+        up = dict(bindings, **{"L.bias": lp.bias + [eps, 0.0, 0.0]})
+        above = (float(forward(g, up)[loss]) - float(values[loss])) / eps
+        assert grads["L.bias"][0] != 0
+        assert abs(above - grads["L.bias"][0]) < 1e-5 * abs(above)
+
+    def test_a_softmax_layer_takes_no_mask(self):
+        t, *_ = three_cell_groups()
+        lp = random_layer_params(2, 1, 2, np.random.default_rng(0),
+                                 "softmax")
+        with pytest.raises(ValueError, match="softmax layer takes no"):
+            add_layer_nodes(Graph(), "x", pooling_groups(t), lp, "L",
+                            np.ones((1, 2)))
+
+
+class TestDataLeaves:
+    def test_backward_forms_no_gradient_for_a_data_leaf(self, monkeypatch):
+        """A layer fed by a ``Graph.input`` forms no dx, and the loss no
+        gradient for input targets.  Every parameter's gradient is that
+        of the same graph with those leaves as parameters, bit for bit."""
+        rng = np.random.default_rng(4)
+        t = random_sparse((12, 15), 5, 101, rng)
+        stack = [random_layer_params(2, 5, 4, rng, "leaky_relu"),
+                 random_layer_params(2, 4, 3, rng)]
+        hit = rng.random(101) < 0.3
+        groups = pooling_groups(t, ~hit)
+        formed = {"dx": [], "dtargets": []}
+
+        def spy(key, i):
+            real = getattr(autodiff, f"_{key}")
+
+            def grads(*args, **kwargs):
+                out = real(*args, **kwargs)
+                formed["dx" if i == 0 else "dtargets"].append(
+                    out[i] is not None)
+                return out
+            return grads
+
+        monkeypatch.setattr(autodiff, "_equivariant_layer_grads",
+                            spy("equivariant_layer_grads", 0))
+        monkeypatch.setattr(autodiff, "_cross_entropy_grads",
+                            spy("cross_entropy_grads", 1))
+        bindings = {"x": np.where(hit[:, None], 0.0, t.values),
+                    "targets": np.eye(3)[rng.integers(0, 3, size=101)],
+                    **stack[0].bindings("layer1"),
+                    **stack[1].bindings("layer2")}
+        grads = {}
+        for leaf in (Graph.input, Graph.parameter):
+            g = Graph()
+            logits = add_stack_nodes(g, leaf(g, "x"), groups, stack, "layer",
+                                     {1: np.array([[2.0, 0.0, 2.0, 2.0]])})
+            loss = g.softmax_cross_entropy(logits, leaf(g, "targets"),
+                                           row_weights=hit.astype(float))
+            grads[leaf.__name__] = backward(g, forward(g, bindings), loss)
+        # the loss first, then the layers last to first, per graph
+        assert formed == {"dx": [True, False, True, True],
+                          "dtargets": [False, True]}
+        data, params = grads["input"], grads["parameter"]
+        assert list(data) == [p for p in params if p not in ("x", "targets")]
+        for p in data:
+            assert_bitwise_equal(data[p], params[p])

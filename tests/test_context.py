@@ -311,10 +311,13 @@ class TestMemo:
 
         users = context.users + ("new",)
         items = context.items + ("new",)
+        # a query is scored on its context's scale, so it moves with it
+        other = RatingScale((1, 2, 3, 4, 4.5))
         variants = [
             (moved(0), query), (moved(1), query),
-            (dataclasses.replace(context, scale=RatingScale((1, 2, 3, 4, 4.5))),
-             query),
+            (dataclasses.replace(context, scale=other),
+             dataclasses.replace(query, scale=other,
+                                 ratings=np.minimum(query.ratings, 4.5))),
             (dataclasses.replace(context, users=users),
              dataclasses.replace(query, users=users)),
             (dataclasses.replace(context, items=items),

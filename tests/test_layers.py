@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (
-    build_sparse, random_dense, random_sparse, to_dense, transpose_matrix,
+    assert_bitwise_equal, build_sparse, random_dense, random_sparse, to_dense,
+    transpose_matrix,
 )
 
 from exchtensor import autodiff
@@ -23,11 +24,14 @@ from exchtensor.layers import (
     broadcast_factors,
     dropout_channel_mask,
     exchangeable_tensor_layer,
+    one_hot_input,
     pool_to_factors,
     pooling_groups,
     random_layer_params,
 )
-from exchtensor.sparse import PermutationSpec, apply_permutation
+from exchtensor.sparse import (
+    PermutationSpec, SparseExchangeableTensor, apply_permutation,
+)
 
 
 def unit_params(ndim, nonlinearity="identity"):
@@ -279,6 +283,53 @@ class TestTensorLayer:
             assert sum(sizes) == 2**ndim * K * O + O
 
 
+def one_hot(dims, n_obs, levels, dtype, rng):
+    """A tensor of one-hot rows, a fifth of them zero, as masked cells."""
+    t = random_sparse(dims, 1, n_obs, rng)
+    values = np.eye(levels, dtype=dtype)[rng.integers(0, levels, n_obs)]
+    values[rng.random(n_obs) < 0.2] = 0
+    return t.with_values(values)
+
+
+class TestOneHotInput:
+    """A one-hot input is read by level, and its levels and means are
+    kept for its values array."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dims, n_obs", [((12, 15), 101), ((6, 5, 7), 103)])
+    def test_a_one_hot_layer_equals_the_product_bit_for_bit(self, dims, n_obs,
+                                                           dtype):
+        rng = np.random.default_rng(n_obs)
+        t = one_hot(dims, n_obs, 5, dtype, rng)
+        lp = random_layer_params(len(dims), 5, 4, rng, "leaky_relu")
+        lp.bias[...] = rng.normal(size=4)
+        subsets = all_subsets(len(dims))
+        want, _ = equivariant_layer(
+            t.values, lp.bias, [lp.blocks[S] for S in subsets],
+            [pooling_groups(t)[S] for S in subsets[1:]], "leaky_relu",
+            lp.slope)
+        assert one_hot_input(t)[0] is not None
+        assert_bitwise_equal(exchangeable_tensor_layer(t, lp).values, want)
+
+    def test_levels_and_means_are_kept_for_the_values(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        t = one_hot((12, 15), 101, 5, np.float32, rng)
+        levels, means = one_hot_input(t)
+        assert_array_equal(levels, np.where(t.values.any(axis=1),
+                                            t.values.argmax(axis=1), 5))
+        assert not levels.flags.writeable
+        # a tensor on the index set with the same values array reads them
+        assert one_hot_input(t.with_values(t.values))[0] is levels
+        # other values on the index set are levelled and pooled afresh
+        values = np.roll(t.values, 1, axis=0)
+        fresh = SparseExchangeableTensor(t.dims, t.indices, values)
+        for got, want in zip(*(one_hot_input(u)[1] for u in
+                               (t.with_values(values), fresh))):
+            assert_bitwise_equal(got, want)
+        not_one_hot = t.with_values(2 * t.values)
+        assert one_hot_input(not_one_hot) == (None, None)
+
+
 class TestEquivariance:
     @pytest.mark.parametrize(
         "dims,channels", [((3, 4), 1), ((6, 7), 3), ((3, 4, 2), 2), ((2, 2, 2, 2), 1)]
@@ -370,11 +421,15 @@ class TestLayerGradients:
         params = random_layer_params(ndim, 2, 2, rng)
         g = Graph()
         x = g.input("x")
+        mask = np.ones((1, 2))
         add_layer_nodes(g, x, pooling_groups(t), params, "L0",
-                        dropout_mask=np.ones((1, 2)))
+                        dropout_mask=mask)
         assert len(g.parameters) == n_params
-        assert [n.op for n in g.nodes if n.op not in ("input", "parameter")] \
-            == ["equivariant_layer", "nonlinearity", "dropout_mask"]
+        (node,) = [n for n in g.nodes if n.op not in ("input", "parameter")]
+        assert node.op == "equivariant_layer"
+        assert (node.attrs["nonlinearity"], node.attrs["slope"]) == \
+            (params.nonlinearity, params.slope)
+        assert node.attrs["mask"] is mask
 
     def test_tied_layer_shares_one_parameter_node(self):
         rng = np.random.default_rng(9)

@@ -231,6 +231,18 @@ class TestSubsetTensor:
         for ix, v in zip(sub.indices.tolist(), sub.values):
             assert_allclose(v, lookup[tuple(ix)])
 
+    def test_positions_in_any_order_give_the_same_batch(self):
+        """Samplers hand over ascending positions, which skip the sort;
+        the same cells in another order give the same tensor."""
+        t = random_sparse((8, 8), 3, 20, np.random.default_rng(3))
+        b = uniform_subsample(t, 7, seed=9)
+        order = np.random.default_rng(1).permutation(7)
+        shuffled = SampleBatch(b.positions[order], b.indices[order])
+        want = subset_tensor(t, b)
+        got = subset_tensor(t, shuffled)
+        assert got == want
+        assert_array_equal(got.keys, want.keys)
+
     def test_a_batch_of_another_tensor_is_rejected(self):
         t = random_sparse((8, 8), 1, 20, np.random.default_rng(3))
         other = random_sparse((8, 8), 1, 20, np.random.default_rng(4))

@@ -458,6 +458,17 @@ class TestTrain:
                 r"validation table \(20x10\) is not over .* \(12x10\)")):
             train(tiny_ss_config(), TrainConfig(epochs=1), tr, val)
 
+    def test_validation_table_on_another_scale_rejected(self):
+        """The fit predicts on the training table's scale, so ratings on
+        another would be scored against the wrong levels."""
+        tr, val = split_synthetic()
+        doubled = replace(val, ratings=2 * val.ratings,
+                          scale=RatingScale((2, 4, 6)))
+        with pytest.raises(ValueError, match=(
+                r"validation table's rating scale \(2.0, 4.0, 6.0\) is not "
+                r"the observed table's \(1.0, 2.0, 3.0\)")):
+            train(tiny_ss_config(), TrainConfig(epochs=1), tr, doubled)
+
     def test_validation_cells_already_in_training_rejected(self):
         tr, val = split_synthetic()
         seen = tr.subset(np.arange(30))
@@ -654,6 +665,19 @@ class TestEvaluate:
         tr, val = split_synthetic()
         with pytest.raises(ValueError, match="query table is empty"):
             evaluate(config, init_params(config), tr, val.subset([]))
+
+    @pytest.mark.parametrize("config", [tiny_ss_config(), tiny_fea_config()],
+                             ids=["ss", "fea"])
+    def test_query_table_on_another_scale_rejected(self, config):
+        """Predictions are on the observed table's scale; the same cells
+        doubled onto (2, 4, 6) would be scored against other levels."""
+        tr, val = split_synthetic()
+        doubled = replace(val, ratings=2 * val.ratings,
+                          scale=RatingScale((2, 4, 6)))
+        with pytest.raises(ValueError, match=(
+                r"query table's rating scale \(2.0, 4.0, 6.0\) is not the "
+                r"observed table's \(1.0, 2.0, 3.0\)")):
+            evaluate(config, init_params(config), tr, doubled)
 
     def test_overlapping_query_rejected(self):
         tr, val = split_synthetic()
