@@ -80,7 +80,9 @@ class RatingsTable:
     table copies ``u_index``, ``i_index`` and ``ratings`` and makes the
     copies read-only, so writing into one raises ``ValueError`` and no
     caller's array can change the table.  ``digest`` is then fixed for
-    the table's lifetime: it is computed on first use and kept.
+    the table's lifetime: it is computed on first use and kept.  ``keys``
+    holds the cells' ascending ``sparse.cell_keys``, as ``encode_onehot``
+    keys them: the duplicate check sorts them, and the table keeps them.
     """
 
     u_index: np.ndarray
@@ -105,17 +107,15 @@ class RatingsTable:
         if not inside.all():
             raise ScaleError(f"rating {r[~inside][0]} outside scale "
                              f"[{self.scale.lo}, {self.scale.hi}]")
-        if u.size:
-            flat = cell_keys(np.column_stack([u, i]), (len(self.users), len(self.items)))
-            ranked = np.sort(flat)
-            dup = ranked[1:] == ranked[:-1]
-            if dup.any():  # name the pair of the smallest repeated key
-                at = int(np.flatnonzero(flat == ranked[np.argmax(dup)])[0])
-                raise ValueError(
-                    f"duplicate rating for user/item pair "
-                    f"({self.users[u[at]]}, {self.items[i[at]]})"
-                )
-        for name, a in (("u_index", u), ("i_index", i), ("ratings", r)):
+        dims = (len(self.users), len(self.items))
+        keys = np.sort(cell_keys(np.column_stack([u, i]), dims))
+        dup = keys[1:] == keys[:-1]
+        if dup.any():  # name the pair of the smallest repeated key
+            at = np.unravel_index(keys[np.argmax(dup)], dims)
+            raise ValueError(f"duplicate rating for user/item pair "
+                             f"({self.users[at[0]]}, {self.items[at[1]]})")
+        for name, a in (("u_index", u), ("i_index", i), ("ratings", r),
+                        ("keys", keys)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "users", tuple(self.users))
@@ -297,15 +297,12 @@ def canonical_split(
         return (train, test, val) if val_fraction > 0 else (train, test)
     if mode == "file-pair":
         train, test = _parse_files([base_path, test_path], fmt, scale)
-        dims = (train.n_users, train.n_items)  # one id space for both files
-        base = cell_keys(train.indices(), dims)
-        both = np.intersect1d(base, cell_keys(test.indices(), dims), assume_unique=True)
+        # one id space for both files, so equal keys are one cell
+        both = np.intersect1d(train.keys, test.keys, assume_unique=True)
         if both.size:
-            at = int(np.flatnonzero(base == both[0])[0])
-            raise ValueError(
-                f"user {train.users[train.u_index[at]]!r} / item "
-                f"{train.items[train.i_index[at]]!r} appears in both files"
-            )
+            u, i = np.unravel_index(both[0], (train.n_users, train.n_items))
+            raise ValueError(f"user {train.users[u]!r} / item "
+                             f"{train.items[i]!r} appears in both files")
         return train, test
     raise ValueError(f"unknown split mode {mode!r}")
 

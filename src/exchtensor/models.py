@@ -145,6 +145,10 @@ class ModelConfig:
             raise ValueError(
                 f"dropout placement {sorted(bad)} outside layers 1..{depth}"
             )
+        # a softmax layer takes no mask; the last trains as logits
+        if self.nonlinearity == "softmax" and self.dropout_rate > 0 \
+                and any(k < depth for k in self.dropout_placement):
+            raise ValueError("a hidden softmax layer takes no dropout mask")
 
     @property
     def stacks(self) -> dict[str, tuple[int, tuple[int, ...], str]]:
@@ -216,22 +220,19 @@ class PreparedContext:
     """What every request against one observed context reads, computed
     once per (parameters, context) by ``params.prepare``.
 
-    ``keys`` are the context cells' ascending flat keys over ``dims``,
-    and ``dtype`` their values' dtype.  ``groups`` holds, for each pooled
-    subset in ``all_subsets`` order after the full subset, the subset,
-    the ascending flat keys of the context's groups on its axes and the
-    cells in each.  Every key is ``sparse.cell_keys``, so ``find`` and
-    ``group_at`` key a query cell as the context's tensor and groupings
-    key theirs.  ``layers`` holds each layer's context-side tables,
-    one per pooled subset.  Each table, and each count array, has a zero
-    last entry for a cell whose group the context lacks.  ``factors``
-    are the autoencoder's imputed factors.  Nothing here is as large as
-    the context's values.
+    ``groups`` holds, for each pooled subset in ``all_subsets`` order
+    after the full subset, the subset, the ascending flat keys of the
+    context's groups on its axes and the cells in each.  Every key is
+    ``sparse.cell_keys``, so ``group_at`` keys a query cell as the
+    context's groupings key theirs.  ``layers`` holds each layer's
+    context-side tables, one per pooled subset, in the parameters'
+    dtype.  Each table, and each count array, has a zero last entry for
+    a cell whose group the context lacks.  ``factors`` are the
+    autoencoder's imputed factors.  Nothing here is as large as the
+    context's values; which cells it holds is ``RatingsTable.keys``.
     """
 
     dims: tuple[int, ...]
-    keys: np.ndarray
-    dtype: np.dtype
     groups: tuple[tuple[frozenset[int], np.ndarray, np.ndarray], ...]
     layers: tuple[tuple, ...]
     factors: FactorPair | None = None
@@ -240,14 +241,10 @@ class PreparedContext:
     def of(cls, x: SparseExchangeableTensor, layers,
            factors: FactorPair | None = None) -> "PreparedContext":
         groups = pooling_groups(x)
-        return cls(x.dims, x.keys, x.values.dtype, tuple(
+        return cls(x.dims, tuple(
             (S, groups[S].flat_keys, with_zero_row(groups[S].counts))
             for S in all_subsets(x.ndim)[1:]
         ), tuple(layers), factors)
-
-    def find(self, cells: np.ndarray) -> np.ndarray:
-        """Row of each (m, D) cell among the context cells, -1 if absent."""
-        return lookup(self.keys, cell_keys(cells, self.dims))
 
     def group_at(self, cells: np.ndarray) -> list[np.ndarray]:
         """Per pooled subset, each cell's context group, -1 if none."""
@@ -269,7 +266,7 @@ class SelfSupervisedParams:
         of it.  The global term, which every cell reads, and the bias
         are folded into the first table (``fold_rows``), zero row and
         all, so its zero row is their sum."""
-        _check_forward(config, self, SelfSupervisedParams, "prepare", x_obs)
+        x_obs = _check_forward(config, self, SelfSupervisedParams, "prepare", x_obs)
         subsets = all_subsets(x_obs.ndim)[1:]
 
         def mixed(lp, means):
@@ -289,7 +286,7 @@ class SelfSupervisedParams:
         the bias and the global term, summed and activated by
         ``add_terms`` as every layer is."""
         at = prepared.group_at(query)
-        h = np.zeros((query.shape[0], config.levels), prepared.dtype)
+        h = np.zeros((query.shape[0], config.levels), prepared.layers[0][0].dtype)
         for lp, tables in zip(self.layers, prepared.layers):
             h = add_terms(h @ lp.blocks[all_subsets(lp.ndim)[0]],
                           list(zip(tables, at)), lp.nonlinearity, lp.slope)
@@ -351,9 +348,8 @@ class FeaParams:
         own = np.arange(query.shape[0])  # each query cell's own term row
         for lp, sums in zip(self.decoder, prepared.layers):
             h64 = np.asarray(h, np.float64)
-            dtype = np.result_type(h, np.float32)
             terms = [(lp.bias, None)] + [
-                (((np.take(s, g, axis=0) + h64) / n).astype(dtype, copy=False)
+                (((np.take(s, g, axis=0) + h64) / n).astype(h.dtype, copy=False)
                  @ lp.blocks[S], own)
                 for (S, _, _), s, g, n in zip(prepared.groups, sums, at, joined)]
             h = add_terms(h @ lp.blocks[all_subsets(lp.ndim)[0]], terms,
@@ -439,6 +435,7 @@ def count_parameters(params) -> int:
 
 def _check_forward(config: ModelConfig, params, cls: type, forward: str,
                    x: SparseExchangeableTensor | None = None):
+    """Refuse a forward's params or input; return the input in the params' dtype."""
     check_params(config, params)
     if not isinstance(params, cls):  # the other model's matching pair
         raise TypeError(f"{forward} takes {cls.__name__}, not {type(params).__name__}")
@@ -446,6 +443,8 @@ def _check_forward(config: ModelConfig, params, cls: type, forward: str,
         raise ValueError(
             f"input has {x.channels} channels, expected {config.levels}"
         )
+    dtype = np.result_type(*named_arrays(params).values())
+    return x if x is None else x.with_values(x.values.astype(dtype, copy=False))
 
 
 def mask_inputs(
@@ -549,8 +548,8 @@ def self_supervised_forward(
     at unobserved cells leave them out of the pools:
     ``SelfSupervisedParams.prepare`` and ``predict``.
     """
-    _check_forward(config, params, SelfSupervisedParams, "self_supervised_forward",
-                   x_in)
+    x_in = _check_forward(config, params, SelfSupervisedParams,
+                          "self_supervised_forward", x_in)
     return apply_stack(x_in, params.layers)
 
 
@@ -560,7 +559,7 @@ def fea_encode(
     params: FeaParams,
 ) -> FactorPair:
     """Pool an exchangeable stack into per-row and per-column factors."""
-    _check_forward(config, params, FeaParams, "fea_encode", x)
+    x = _check_forward(config, params, FeaParams, "fea_encode", x)
     return pool_to_factors(apply_stack(x, params.encoder))
 
 

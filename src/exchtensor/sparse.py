@@ -353,7 +353,9 @@ def with_zero_row(table: np.ndarray) -> np.ndarray:
 
 def lookup(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
     """Position of each of ``want`` in the ascending, distinct ``keys``;
-    -1 where it is absent."""
+    -1 where it is absent, as for every one when ``keys`` is empty."""
+    if keys.size == 0:
+        return np.full(np.shape(want), -1, dtype=np.intp)
     pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
     return np.where(keys[pos] == want, pos, -1)
 

@@ -14,22 +14,25 @@ Adam step runs as a few vector ops over the whole buffer and builds a
 fresh one.  No buffer is updated in place: the previous epoch's
 parameters may still be validating on the worker thread, and the best
 epoch's are kept to be returned.  Validation and ``evaluate`` take one
-path: ``params.prepare`` reads the observed context alone, and
-``params.predict`` runs a tail pass over the query cells, whose
-predictions depend on no other query cell.  Validation prepares the
-training matrix with each epoch's parameters; groupings are cached on
-their index set, so a fit groups the training matrix once and the
-validation cells not at all.  ``evaluate`` keeps its last few prepared
-contexts by a SHA-256 digest of their content: the config, the
-parameters and the observed table's own digest, which a table computes
-once and keeps (its arrays are read-only).  So repeated calls with an
-equal model and observed table run the context pass once, and calls
-with one table object hash it once.  A minibatch fit validates each
-epoch on one worker thread while the next epoch's step runs, with
-results bit for bit those of the sequential loop; a multithreaded BLAS
-then serves two callers at once, so set its thread count with that in
-mind.  ``mask_inputs`` and the two loss-graph builders live in
-``models`` and are re-exported here.
+path: ``_query_cells`` checks the request from the two tables alone,
+before anything is encoded; ``params.prepare`` reads the observed
+context alone, in the parameters' dtype; and ``params.predict`` runs a
+tail pass over the query cells, whose predictions depend on no other
+query cell.  So ``evaluate`` at a fit's validation cells gives its
+validation RMSE bit for bit.  Validation prepares the training matrix
+with each epoch's parameters; groupings are cached on their index set,
+so a fit groups the training matrix once and the validation cells not
+at all.  ``evaluate`` keeps its last few prepared contexts by a SHA-256
+digest of their content: the config, the parameters and the observed
+table's own digest, which a table computes once and keeps (its arrays
+are read-only).  So repeated calls with an equal model and observed
+table run the context pass once, calls with one table object hash it
+once, and a refused request leaves the memo as it was.  A minibatch fit
+validates each epoch on one worker thread while the next epoch's step
+runs, with results bit for bit those of the sequential loop; a
+multithreaded BLAS then serves two callers at once, so set its thread
+count with that in mind.  ``mask_inputs`` and the two loss-graph
+builders live in ``models`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from .sampling import (
     subset_tensor,
     uniform_subsample,
 )
+from .sparse import cell_keys, lookup
 
 __all__ = [
     "TrainConfig",
@@ -105,11 +109,14 @@ class TrainConfig:
     training graph, the Adam moments, and the validation forward.  The
     row and column pools accumulate in it too; only the global pool,
     taken as the float64 sum of the row sums, accumulates in float64
-    before it is cast back.  The two precisions agree on short runs:
-    over 3 epochs of the 50x60 benchmark the per-epoch ``val_rmse``
-    differs by up to about 3e-8, and the tests assert 1e-5.  Fits run to their early-stopping point can
-    stop at different epochs, because last-digit differences decide
-    which validation RMSE is best, so their final RMSEs need not agree.
+    before it is cast back.  The returned model keeps it: ``evaluate``
+    runs a model in its parameters' dtype, so at the validation cells it
+    gives ``best_val_rmse`` bit for bit.  The two precisions agree on
+    short runs: over 3 epochs of the 50x60 benchmark the per-epoch
+    ``val_rmse`` differs by up to about 3e-8, and the tests assert 1e-5.
+    Fits run to their early-stopping point can stop at different epochs,
+    because last-digit differences decide which validation RMSE is best,
+    so their final RMSEs need not agree.
     """
 
     epochs: int = 100
@@ -281,14 +288,14 @@ def _predict_at(
     return predict_ratings(dist, scale)
 
 
-def _query_cells(observed: RatingsTable, query: RatingsTable, find,
+def _query_cells(observed: RatingsTable, query: RatingsTable,
                  what: str = "query") -> np.ndarray:
-    """The (m, 2) cells of ``query``, after checking that it is a
-    nonempty table over the observed table's users, items and rating
-    scale and holds none of its cells; ``find`` gives a cell's observed
-    row, -1 if none.  ``train`` checks its validation table and
-    ``evaluate`` its query table here: both predict on the observed
-    table's scale and score against the query table's ratings."""
+    """The (m, 2) cells of ``query``, after checking from the two tables
+    alone that it is a nonempty table over the observed table's users,
+    items and rating scale and holds none of its cells.  ``train`` and
+    ``evaluate`` check here first, before any encoding or context pass:
+    both predict on the observed table's scale and score against the
+    query table's ratings."""
     if query.n_ratings == 0:
         raise ValueError(f"the {what} table is empty")
     if (query.users, query.items) != (observed.users, observed.items):
@@ -303,7 +310,8 @@ def _query_cells(observed: RatingsTable, query: RatingsTable, find,
             f"the observed table's {observed.scale.levels}"
         )
     cells = query.indices()
-    both = find(cells) >= 0
+    both = lookup(observed.keys,
+                  cell_keys(cells, (observed.n_users, observed.n_items))) >= 0
     if both.any():
         raise ValueError(f"{int(both.sum())} {what} cells are already observed")
     return cells
@@ -361,11 +369,10 @@ def train(
     t0 = time.perf_counter()
     dtype = train_config.dtype
     scale = train_table.scale
+    val_query = _query_cells(train_table, val_table, "validation")
+    val_truth = val_table.ratings
     x_full = encode_onehot(train_table)
     x_full = x_full.with_values(x_full.values.astype(dtype))
-    val_query = _query_cells(train_table, val_table, x_full.find,
-                             "validation")
-    val_truth = val_table.ratings
 
     params = initial_params if initial_params is not None else init_params(
         model_config, seed=train_config.seed
@@ -492,8 +499,12 @@ def evaluate(
     Works on the training matrix (interpolation) or on an entirely fresh
     matrix with its own id space (extrapolation), since no parameter
     depends on the matrix shape.  The query table must share the observed
-    table's ``users`` and ``items``, as two splits of one table do.  Never
-    mutates the parameters.
+    table's ``users``, ``items`` and ``scale``, as two splits of one table
+    do, be nonempty and hold none of its cells; these checks come first,
+    from the two tables alone, so a refused request raises ``ValueError``
+    before any encoding or context pass and leaves the memo as it was.
+    The model runs in its parameters' dtype.  Never mutates the
+    parameters.
 
     A prediction depends only on the parameters, the observed table and
     its own cell, so the query may be split into chunks of at most
@@ -512,6 +523,7 @@ def evaluate(
         _check_integer("cell budget", cell_budget)
         if cell_budget < 1:
             raise ValueError("cell budget must be at least 1")
+    query = _query_cells(observed_table, query_table)
     key = _context_digest(model_config, params, observed_table)
     with _memo_lock:
         prepared = _memo.get(key)
@@ -523,7 +535,6 @@ def evaluate(
             _memo[key] = prepared
             while len(_memo) > MEMO_ENTRIES:
                 _memo.popitem(last=False)
-    query = _query_cells(observed_table, query_table, prepared.find)
     n = query.shape[0]
     n_chunks = 1 if cell_budget is None else int(np.ceil(n / cell_budget))
     preds = np.empty(n, dtype=np.float64)

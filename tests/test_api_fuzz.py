@@ -113,3 +113,16 @@ def test_evaluate_cell_budget_refuses_or_repeats(arch):
     broken = [(value, first, second) for value, first, second
               in zip(EDGE_VALUES, runs[::2], runs[1::2]) if first != second]
     assert not broken, broken
+
+
+@pytest.mark.parametrize("arch", sorted(MODELS))
+def test_an_empty_observed_table_is_refused(arch):
+    """A fit or a request with no observed cell raises ValueError, as
+    the contract above asks, not an IndexError from a lookup in it."""
+    config = MODELS[arch]
+    train_table, val, test = tables()
+    empty = train_table.subset(np.array([], dtype=np.int64))
+    with pytest.raises(ValueError):
+        train(config, TRAIN, empty, val)
+    with pytest.raises(ValueError):
+        evaluate(config, init_params(config, seed=1), empty, test)

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import assert_bitwise_equal, random_sparse
 
-from exchtensor import data, training
+from exchtensor import data, layers, training
 from exchtensor.autodiff import (
     apply_nonlinearity, backward, forward, pooled_means,
 )
@@ -27,10 +27,10 @@ from exchtensor.layers import (
 )
 from exchtensor.models import (
     ModelConfig, build_ss_loss_graph, fea_encode, init_params, named_arrays,
-    union_with_zeros, with_named_arrays,
+    self_supervised_forward, union_with_zeros, with_named_arrays,
 )
 from exchtensor.sparse import cell_keys
-from exchtensor.training import evaluate
+from exchtensor.training import TrainConfig, evaluate, train
 
 SS = ModelConfig(
     architecture="self-supervised", levels=5, widths=(6, 6, 5),
@@ -382,6 +382,45 @@ class TestMemo:
             evaluate(SS, params, context, concat(query, context.subset([0])))
         assert counted["prepare"] == 1
 
+    @CONFIGS
+    def test_a_refused_request_costs_nothing(self, config, counted):
+        """The two tables alone decide a refusal: no encoding, no context
+        pass, and the memo as it was, whether it misses or hits."""
+        context, query, _ = split()
+        params = init_params(config, seed=5)
+        other = RatingScale((1, 2, 3, 4, 4.5))
+        refused = {
+            "is empty": query.subset(np.array([], dtype=np.int64)),
+            "users and items": dataclasses.replace(
+                query, users=query.users + ("new",)),
+            "rating scale": dataclasses.replace(
+                query, scale=other, ratings=np.minimum(query.ratings, 4.5)),
+            "already observed": concat(query, context.subset([0])),
+        }
+
+        def refuse_all():
+            for match, asked in refused.items():
+                with pytest.raises(ValueError, match=match):
+                    evaluate(config, params, context, asked)
+
+        refuse_all()
+        assert counted == {"prepare": 0, "encode": 0}
+        assert not training._memo
+        evaluate(config, params, context, query)
+        kept = list(training._memo.items())
+        refuse_all()
+        assert counted == {"prepare": 1, "encode": 1}
+        assert list(training._memo.items()) == kept
+
+    @CONFIGS
+    def test_train_refuses_a_bad_validation_table_before_encoding(
+            self, config, counted):
+        context, query, _ = split()
+        with pytest.raises(ValueError, match="validation cells are already"):
+            train(config, TrainConfig(epochs=1), context,
+                  concat(query, context.subset([0])))
+        assert counted == {"prepare": 0, "encode": 0}
+
     def test_threads_share_the_memo(self, counted):
         """More callers than cores and more models than memo entries,
         with the interpreter switching threads every microsecond, on an
@@ -404,3 +443,61 @@ class TestMemo:
         for k, preds in enumerate(got):
             assert_bitwise_equal(preds, want[k % len(models)])
         assert len(training._memo) <= training.MEMO_ENTRIES
+
+
+class TestOneDtype:
+    """A model runs in its parameters' dtype at every entry point, so
+    ``evaluate`` answers a validation request as ``train`` did."""
+
+    @CONFIGS
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_evaluate_reproduces_the_best_validation_rmse(self, config,
+                                                          precision):
+        context, query, _ = split()
+        tc = TrainConfig(epochs=4, seed=2, precision=precision)
+        report, best = train(config, tc, context, query)
+        assert named_arrays(best)["dec1.bias" if config is FEA
+                                  else "layer1.bias"].dtype == tc.dtype
+        assert evaluate(config, best, context, query).rmse \
+            == report.best_val_rmse
+
+    @CONFIGS
+    def test_float32_params_compute_in_float32_on_float64_input(self, config):
+        x64 = encode_onehot(split()[0])
+        x32 = x64.with_values(x64.values.astype(np.float32))
+        params = with_named_arrays(init_params(config, seed=5), {
+            k: a.astype(np.float32)
+            for k, a in named_arrays(init_params(config, seed=5)).items()})
+        q = split()[1].indices()
+        runs = [params.predict(config, params.prepare(config, x), q)
+                for x in (x64, x32)]
+        assert runs[0].dtype == np.float32
+        assert_bitwise_equal(runs[0], runs[1])
+        if config is SS:
+            out = [self_supervised_forward(x, config, params).values
+                   for x in (x64, x32)]
+        else:
+            out = [fea_encode(x, config, params).z_rows for x in (x64, x32)]
+        assert out[0].dtype == np.float32
+        assert_bitwise_equal(out[0], out[1])
+
+    @CONFIGS
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_a_fit_levels_its_context_once(self, config, precision,
+                                           monkeypatch):
+        """``train``'s context is in the training dtype already, so each
+        validation's ``prepare`` reads it as it is: its one-hot levels,
+        computed before the first epoch, are not computed again."""
+        leveled = []
+        real = layers._one_hot_levels
+
+        def spy(x):
+            if x.shape[0] > 1:  # not the first-row check
+                leveled.append(x.shape)
+            return real(x)
+
+        monkeypatch.setattr(layers, "_one_hot_levels", spy)
+        context, query, _ = split()
+        train(config, TrainConfig(epochs=3, precision=precision), context,
+              query)
+        assert leveled == [(context.n_ratings, config.levels)]

@@ -29,7 +29,7 @@ from exchtensor.models import (
     with_named_arrays,
 )
 from exchtensor.sparse import PermutationSpec, apply_permutation
-from exchtensor.training import evaluate
+from exchtensor.training import TrainConfig, evaluate, train
 
 from helpers import assert_bitwise_equal, random_dense, random_sparse
 
@@ -96,6 +96,28 @@ class TestModelConfig:
     def test_dropout_placement_bounded_by_depth(self):
         with pytest.raises(ValueError, match="placement"):
             small_ss_config(dropout_placement=frozenset({3}))
+
+    def test_hidden_softmax_layers_refuse_dropout(self):
+        """A softmax layer takes no dropout mask, so a hidden one with
+        dropout is refused here, not in a fit's first epoch.  The last
+        layer trains as logits and keeps its dropout; no rate, no mask."""
+        with pytest.raises(ValueError, match="hidden softmax layer"):
+            small_ss_config(widths=(8, 8, 5), nonlinearity="softmax",
+                            dropout_placement=frozenset({1}), mask_prob=0.5)
+        with pytest.raises(ValueError, match="hidden softmax layer"):
+            small_fea_config(nonlinearity="softmax")
+        for config in (
+                small_ss_config(widths=(8, 8, 5), nonlinearity="softmax",
+                                dropout_placement=frozenset({3})),
+                small_ss_config(widths=(8, 8, 5), nonlinearity="softmax",
+                                dropout_rate=0.0,
+                                dropout_placement=frozenset({1, 2})),
+                small_fea_config(nonlinearity="softmax",
+                                 dropout_placement=frozenset({2}))):
+            table = synthetic_lowrank_table(6, 7, observed_fraction=0.6, seed=1)
+            tr, val = canonical_split(table, "random", fraction=0.2, seed=0)
+            report, _ = train(config, TrainConfig(epochs=2, seed=0), tr, val)
+            assert np.isfinite(report.train_loss).all()
 
     def test_mask_probability_bounds(self):
         with pytest.raises(ValueError, match="mask probability"):

@@ -24,6 +24,7 @@ from exchtensor.sparse import (
     apply_permutation,
     axis_groups,
     cell_keys,
+    lookup,
 )
 
 
@@ -276,6 +277,15 @@ class TestIndexSetCache:
         assert_array_equal(pos >= 0, mask.ravel())
         assert_array_equal(t.indices[pos[pos >= 0]], every[mask.ravel()])
         assert_array_equal(t.values[pos[pos >= 0], 0], dense[mask][:, 0])
+
+    def test_lookup_in_no_keys_finds_nothing(self):
+        """An empty key array holds no wanted key: -1 for each, none for
+        no wanted key, and no IndexError from reading its last key."""
+        empty = np.array([], dtype=np.int64)
+        assert_array_equal(lookup(empty, np.array([3, 0])), [-1, -1])
+        assert lookup(empty, empty).shape == (0,)
+        assert_array_equal(lookup(np.array([2, 5]), np.array([5, 3, 2, 9])),
+                           [1, -1, 0, -1])
 
     def test_find_rejects_cells_of_another_rank(self):
         with pytest.raises(ValueError, match=r"\(m, 2\)"):
