@@ -243,6 +243,8 @@ def add_layer_nodes(
     parameter node for its shared block, so the backward pass
     accumulates both terms' gradients into it.
     """
+    # the pooled subsets of a D-axis tensor run up to D - 1 axes
+    _check_axes(params, max(map(len, groups)) + 1)
     subsets = all_subsets(params.ndim)
     bias = g.parameter(f"{prefix}.bias")
     blocks = [block_name(prefix, S, params.tied) for S in subsets]
@@ -273,6 +275,13 @@ def add_stack_nodes(
             g, x, groups, lp, f"{prefix}{k}", dropout_masks.get(k)
         )
     return x
+
+
+def _check_axes(params: ExchLayerParams, ndim: int) -> None:
+    """ValueError unless the layer's blocks are those of an ndim-axis
+    tensor: a matrix layer would pool a tensor over the wrong axes."""
+    if params.ndim != ndim:
+        raise ValueError(f"params cover {params.ndim} axes, tensor has {ndim}")
 
 
 def _blocks(params: ExchLayerParams) -> list[np.ndarray]:
@@ -328,10 +337,7 @@ def exchangeable_tensor_layer(
     block at a time (``equivariant_layer``).  A one-hot input's cell
     term is gathered by level and its means are read, not pooled again
     (``one_hot_input``)."""
-    if params.ndim != t.ndim:
-        raise ValueError(
-            f"params cover {params.ndim} axes, tensor has {t.ndim}"
-        )
+    _check_axes(params, t.ndim)
     if params.channels_in != t.channels:
         raise ValueError(
             f"params expect {params.channels_in} channels, tensor has "
@@ -375,6 +381,8 @@ def stack_pools(t: SparseExchangeableTensor,
     reads, is not computed.  Only the current layer's input and output
     are held; t is not.
     """
+    for lp in stack:
+        _check_axes(lp, t.ndim)
     groups = pooling_groups(t)
     pooled = [groups[S] for S in all_subsets(t.ndim)[1:]]
     levels, means = one_hot_input(t)

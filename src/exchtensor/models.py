@@ -20,6 +20,7 @@ the parameters and the context: ``prepare`` computes them once, and
 
 from __future__ import annotations
 
+import math
 from copy import copy
 from dataclasses import dataclass, replace
 from numbers import Integral
@@ -41,7 +42,7 @@ from .layers import (
     random_layer_params,
     stack_pools,
 )
-from .sparse import SparseExchangeableTensor, cell_keys, lookup, with_zero_row
+from .sparse import SparseExchangeableTensor, cell_keys, with_zero_row
 
 __all__ = [
     "ModelConfig",
@@ -221,15 +222,18 @@ class PreparedContext:
     once per (parameters, context) by ``params.prepare``.
 
     ``groups`` holds, for each pooled subset in ``all_subsets`` order
-    after the full subset, the subset, the ascending flat keys of the
-    context's groups on its axes and the cells in each.  Every key is
-    ``sparse.cell_keys``, so ``group_at`` keys a query cell as the
-    context's groupings key theirs.  ``layers`` holds each layer's
-    context-side tables, one per pooled subset, in the parameters'
-    dtype.  Each table, and each count array, has a zero last entry for
-    a cell whose group the context lacks.  ``factors`` are the
-    autoencoder's imputed factors.  Nothing here is as large as the
-    context's values; which cells it holds is ``RatingsTable.keys``.
+    after the full subset, the subset, its group map and the context
+    cells in each group.  The map is indexed by a cell's ``cell_keys``
+    on the subset's axes, as the context's groupings key theirs, and
+    holds the context's group there, -1 where the context has none; so
+    ``group_at`` reads a query cell's group with one ``np.take``.
+    ``layers`` holds what each layer reads of the context, as the
+    model's ``prepare`` says, in the parameters' dtype.  Each table, and
+    each count array, has a zero last entry for a cell whose group the
+    context lacks.  ``factors`` are the autoencoder's imputed factors.
+    The largest array here is a map or a table over one axis: for a
+    matrix, one entry or row per user and per item.  Which cells the
+    context holds is ``RatingsTable.keys``.
     """
 
     dims: tuple[int, ...]
@@ -240,16 +244,18 @@ class PreparedContext:
     @classmethod
     def of(cls, x: SparseExchangeableTensor, layers,
            factors: FactorPair | None = None) -> "PreparedContext":
-        groups = pooling_groups(x)
-        return cls(x.dims, tuple(
-            (S, groups[S].flat_keys, with_zero_row(groups[S].counts))
-            for S in all_subsets(x.ndim)[1:]
-        ), tuple(layers), factors)
+        groups = []
+        for S, g in pooling_groups(x).items():  # all_subsets order
+            at = np.full(math.prod(x.dims[a] for a in S), -1, dtype=np.intp)
+            at[g.flat_keys] = np.arange(g.n_groups)
+            groups.append((S, at, with_zero_row(g.counts)))
+        return cls(x.dims, tuple(groups), tuple(layers), factors)
 
     def group_at(self, cells: np.ndarray) -> list[np.ndarray]:
-        """Per pooled subset, each cell's context group, -1 if none."""
-        return [lookup(keys, cell_keys(cells, self.dims, sorted(S)))
-                for S, keys, _ in self.groups]
+        """Per pooled subset, each cell's context group, -1 if none.  A
+        cell outside the dims raises ``ValueError`` (``cell_keys``)."""
+        return [np.take(at, cell_keys(cells, self.dims, sorted(S)))
+                for S, at, _ in self.groups]
 
 
 @dataclass(frozen=True)
@@ -318,42 +324,59 @@ class FeaParams:
 
     def prepare(self, config: ModelConfig, x_obs: SparseExchangeableTensor
                 ) -> PreparedContext:
-        """The context's imputed factors, and each decoder layer's input
-        sums per context group, in float64: its group means times the
-        group's cell count."""
+        """The context's imputed factors, and per decoder layer the
+        context's input sums per column group and per row group, each
+        multiplied by its block once.  A query cell's pool joins its
+        group's context cells, so its term is the group's mixed sum plus
+        its own input's product, over the joined count: each table holds
+        its mixed sums over that count already.  The global subset is
+        one group, which every query cell joins to N + 1 cells, so it
+        folds away: its block over N + 1 goes into the cell block, and
+        its mixed sum over N + 1, with the bias, into the first table
+        (``fold_rows``), zero row and all.  Per layer, in the
+        parameters' dtype: [cell block | column block | row block], in
+        ``all_subsets`` order, and the two tables."""
         factors = fea_encode(x_obs, config, self).imputed()
         groups = pooling_groups(x_obs)
-        subsets = all_subsets(x_obs.ndim)[1:]
+        full, *pooled, whole = all_subsets(x_obs.ndim)
+        counts = [groups[S].counts[:, None] for S in (*pooled, whole)]
+        dtype = factors.z_rows.dtype
 
-        def sums(lp, means):
-            return tuple(with_zero_row(m * groups[S].counts[:, None])
-                         for S, m in zip(subsets, means))
+        def mixed(lp, means):
+            *tables, total = (
+                with_zero_row(m * n @ lp.blocks[S] / (n + 1.0))
+                for S, m, n in zip((*pooled, whole), means, counts))
+            cell = lp.blocks[full] + lp.blocks[whole] / (counts[-1][0] + 1.0)
+            w = np.concatenate([cell, *(lp.blocks[S] for S in pooled)], axis=1)
+            tables[0] = fold_rows(tables[0], [lp.bias, total[:1]])
+            return w.astype(dtype), *(t.astype(dtype) for t in tables)
 
         return PreparedContext.of(x_obs, stack_pools(
-            broadcast_factors(factors, x_obs), self.decoder, sums), factors)
+            broadcast_factors(factors, x_obs), self.decoder, mixed), factors)
 
     def predict(self, config: ModelConfig, prepared: PreparedContext,
                 query: np.ndarray) -> np.ndarray:
         """(m, levels) distributions at the query cells.  Each decodes
         from its row's and column's factors (cold ones were imputed), and
-        each pool reads the context's cells plus the query cell itself,
-        so each pooled term has a row per query cell; ``add_terms`` sums
-        and activates them as every layer's terms."""
+        each pool reads the context's cells plus the query cell itself.
+        Per layer, one product of the inputs with all three blocks gives
+        the cell term and the cell's own products for its column and row
+        terms, each over its joined count; the tables add the context's
+        share at the cell's groups (id -1 picks a zero row), and
+        ``add_terms`` sums and activates them as every layer's terms."""
         at = prepared.group_at(query)
-        # each query cell joins its groups' context cells
-        joined = [(counts[g] + 1.0)[:, None] for (_, _, counts), g
-                  in zip(prepared.groups, at)]
         f = prepared.factors
         h = np.concatenate([f.z_rows[query[:, 0]], f.z_cols[query[:, 1]]], axis=1)
-        own = np.arange(query.shape[0])  # each query cell's own term row
-        for lp, sums in zip(self.decoder, prepared.layers):
-            h64 = np.asarray(h, np.float64)
-            terms = [(lp.bias, None)] + [
-                (((np.take(s, g, axis=0) + h64) / n).astype(h.dtype, copy=False)
-                 @ lp.blocks[S], own)
-                for (S, _, _), s, g, n in zip(prepared.groups, sums, at, joined)]
-            h = add_terms(h @ lp.blocks[all_subsets(lp.ndim)[0]], terms,
-                          lp.nonlinearity, lp.slope)
+        # each query cell joins its column's and row's context cells; the
+        # global subset, last, is folded into the blocks and tables
+        shares = [(1.0 / (counts[g] + 1.0)).astype(h.dtype)[:, None]
+                  for (_, _, counts), g in zip(prepared.groups[:-1], at)]
+        for lp, (w, *tables) in zip(self.decoder, prepared.layers):
+            cell, *own = np.split(h @ w, len(tables) + 1, axis=1)
+            h = cell.copy()
+            for y, share in zip(own, shares):
+                h += y * share
+            h = add_terms(h, list(zip(tables, at)), lp.nonlinearity, lp.slope)
         return h
 
     def loss_graph(self, config: ModelConfig, batch: SparseExchangeableTensor,

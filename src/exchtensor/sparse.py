@@ -352,12 +352,20 @@ def with_zero_row(table: np.ndarray) -> np.ndarray:
 
 
 def lookup(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """Position of each of ``want`` in the ascending, distinct ``keys``;
-    -1 where it is absent, as for every one when ``keys`` is empty."""
+    """Position of each of ``want``, an array of any shape, in the
+    ascending, distinct ``keys``; -1 where it is absent, as for every
+    one when ``keys`` is empty.  The wanted keys are searched in
+    ascending order, each search starting where the last one ended,
+    and each answer is put back in its place."""
+    want = np.asarray(want)
     if keys.size == 0:
-        return np.full(np.shape(want), -1, dtype=np.intp)
-    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-    return np.where(keys[pos] == want, pos, -1)
+        return np.full(want.shape, -1, dtype=np.intp)
+    order = np.argsort(want, axis=None)
+    ranked = want.ravel()[order]
+    pos = np.minimum(np.searchsorted(keys, ranked), keys.size - 1)
+    out = np.empty(want.size, dtype=np.intp)
+    out[order] = np.where(keys[pos] == ranked, pos, -1)
+    return out.reshape(want.shape)
 
 
 def axis_groups(

@@ -5,9 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 
+from exchtensor.autodiff import apply_nonlinearity
 from exchtensor.checkpoint import MAGIC
-from exchtensor.layers import all_subsets, block_name
-from exchtensor.sparse import SparseExchangeableTensor
+from exchtensor.layers import (
+    all_subsets, block_name, broadcast_factors, pooling_groups, stack_pools,
+)
+from exchtensor.models import fea_encode
+from exchtensor.sparse import (
+    SparseExchangeableTensor, cell_keys, lookup, with_zero_row,
+)
 
 
 def build_sparse(dims, entries):
@@ -155,6 +161,38 @@ def assert_bitwise_equal(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
+
+
+def termwise_fea_tail(config, params, x, query):
+    """The autoencoder's distributions at ``query`` cells against the
+    context ``x``, term by term, as ``FeaParams.predict`` formed them
+    before it mixed the context's sums once per context.  Per decoder
+    layer and pooled subset S the term is ((s[g] + h) / n) @ W_S: s
+    holds the context's input sums per group, g is the cell's group,
+    found by a binary search of the groups' keys (-1 picks a zero row),
+    and n is the group's context cells plus the query cell itself.  h is
+    staged in float64 for the sum and divide, and mixed in its own
+    dtype."""
+    factors = fea_encode(x, config, params).imputed()
+    groups = pooling_groups(x)
+    full, *subsets = all_subsets(x.ndim)
+    sums = stack_pools(broadcast_factors(factors, x), params.decoder,
+                       lambda lp, means: [
+                           with_zero_row(m * groups[S].counts[:, None])
+                           for S, m in zip(subsets, means)])
+    at = [lookup(groups[S].flat_keys, cell_keys(query, x.dims, sorted(S)))
+          for S in subsets]
+    joined = [(with_zero_row(groups[S].counts)[g] + 1.0)[:, None]
+              for S, g in zip(subsets, at)]
+    h = np.concatenate([factors.z_rows[query[:, 0]],
+                        factors.z_cols[query[:, 1]]], axis=1)
+    for lp, layer_sums in zip(params.decoder, sums):
+        h64 = h.astype(np.float64)
+        out = h @ lp.blocks[full] + lp.bias
+        for S, s, g, n in zip(subsets, layer_sums, at, joined):
+            out += ((s[g] + h64) / n).astype(h.dtype) @ lp.blocks[S]
+        h = apply_nonlinearity(out, lp.nonlinearity, lp.slope)
+    return h
 
 
 def unique_then_argsort_groups(t, fixed_axes):

@@ -454,6 +454,40 @@ class TestInductivity:
         assert out.values.shape == (100, 5)
 
 
+class TestMatrixModelsRefuseTensors:
+    """A model's layers are matrix layers: a 3-axis tensor is refused
+    with the layer's own message, not pooled over the wrong axes."""
+
+    @staticmethod
+    def tensor():
+        rng = np.random.default_rng(4)
+        idx = np.argwhere(np.ones((4, 3, 2), dtype=bool))
+        return sparse.SparseExchangeableTensor(
+            (4, 3, 2), idx, np.eye(5)[rng.integers(0, 5, size=len(idx))])
+
+    @pytest.mark.parametrize("cfg", [small_ss_config(), small_fea_config()],
+                             ids=["ss", "fea"])
+    def test_loss_graph_and_prepare(self, cfg):
+        params = init_params(cfg, seed=0)
+        t = self.tensor()
+        with pytest.raises(ValueError,
+                           match="params cover 2 axes, tensor has 3"):
+            params.loss_graph(cfg, t, {}, seed=0)
+        with pytest.raises(ValueError,
+                           match="params cover 2 axes, tensor has 3"):
+            params.prepare(cfg, t)
+
+    def test_graph_nodes_and_stack_pools(self):
+        t = self.tensor()
+        lp = layers.random_layer_params(2, 5, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError,
+                           match="params cover 2 axes, tensor has 3"):
+            add_layer_nodes(Graph(), "x", pooling_groups(t), lp, "L")
+        with pytest.raises(ValueError,
+                           match="params cover 2 axes, tensor has 3"):
+            layers.stack_pools(t, [lp], lambda lp, means: means)
+
+
 def graph_layer(t, params):
     """A layer run as its own graph of the fused layer node and its
     nonlinearity node, the way inference ran before it called the layer

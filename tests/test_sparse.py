@@ -287,6 +287,31 @@ class TestIndexSetCache:
         assert_array_equal(lookup(np.array([2, 5]), np.array([5, 3, 2, 9])),
                            [1, -1, 0, -1])
 
+    def test_lookup_matches_a_search_key_by_key(self):
+        """Random, repeated, absent and descending wanted keys, in one or
+        two dimensions, each answered as a search for it alone would."""
+        rng = np.random.default_rng(9)
+        keys = np.unique(rng.integers(0, 500, size=120))
+        where = {int(k): i for i, k in enumerate(keys)}
+        absent = np.setdiff1d(np.arange(-5, 505), keys)
+        wants = [
+            rng.integers(-5, 505, size=300),
+            rng.choice(keys, size=50),  # repeated
+            absent[:40],
+            np.sort(rng.integers(-5, 505, size=80))[::-1],
+            np.concatenate([keys[::-1], absent[::-1]]),
+            rng.integers(-5, 505, size=(7, 9)),
+            np.array([keys[0]]),
+            np.array([], dtype=np.int64),
+        ]
+        for want in wants:
+            got = lookup(keys, want)
+            assert got.shape == want.shape and got.dtype == np.intp
+            assert_array_equal(got, np.vectorize(
+                lambda k: where.get(int(k), -1), otypes=[np.intp])(want))
+            # no keys hold no wanted key, whatever its shape
+            assert_array_equal(lookup(keys[:0], want), np.full(want.shape, -1))
+
     def test_find_rejects_cells_of_another_rank(self):
         with pytest.raises(ValueError, match=r"\(m, 2\)"):
             small_matrix().find(np.zeros((3, 3), dtype=np.int64))
