@@ -222,7 +222,8 @@ def apply_nonlinearity(x: np.ndarray, kind: str, slope: float = 0.01) -> np.ndar
     if kind == "identity":
         return x
     if kind == "leaky_relu":
-        # equals where(x >= 0, x, slope * x) because 0 <= slope <= 1
+        # equals where(x >= 0, x, slope * x) for finite x because
+        # 0 <= slope <= 1
         return np.maximum(x, slope * x)
     if kind == "softmax":
         return _softmax(x)
@@ -256,13 +257,13 @@ def pooled_means(x, groups) -> list[np.ndarray]:
 def add_terms(cell, terms, nonlinearity="identity", slope=0.01, mask=None,
               sign=None, grad=False):
     """``cell`` (n, O) plus each term, then ``nonlinearity``, then times
-    the dropout ``mask``, a (1, O) row: a layer's output from its cell
-    term, or its dx from its last pooled term.  A term is (rows, at), as
-    ``AxisGroups.term`` gives a pooled one: cell i adds ``rows[at[i]]``,
-    or the single row ``rows`` when at is None.  A leaky ReLU writes
-    into ``sign``, an (n, O) bool array when given, whether each sum is
-    at least 0: its derivative's input, which at a slope of 0 the output
-    cannot tell from x < 0.
+    the dropout ``mask``, a (1, O) row: a layer's output or its dx, each
+    from its cell product.  A term is (rows, at), as ``AxisGroups.term``
+    gives a pooled one: cell i adds ``rows[at[i]]``, or the single row
+    ``rows`` when at is None.  A leaky ReLU writes into ``sign``, an
+    (n, O) bool array when given, whether each sum is at least 0: its
+    derivative's input, which at a slope of 0 the output cannot tell
+    from x < 0.
 
     With ``grad`` the pass is that map's backward at an output gradient
     ``cell``, with no terms and a leaky ReLU or a mask: a new array of
@@ -373,26 +374,22 @@ def _equivariant_layer_grads(dY, x, blocks, groups, means, dx=True):
     """(dx, dbias, dblocks) of ``equivariant_layer`` before its
     activation, dx None unless asked for.  The gradient pools are dY's
     group sums over every member, summed as the forward pools sum.  dx
-    spreads the last subset's term, ``add_terms`` adds the others in
-    reverse subset order, then the whole cell product: the order
-    separate pool, mix and broadcast nodes summed them in."""
+    is the layer's sum run backwards, written as the forward writes its
+    output: the cell product ``dY @ blocks[0].T`` is the buffer, and
+    ``add_terms`` adds each pooled term, its gradient over the group's
+    context count spread to the context cells, in ``all_subsets``
+    order."""
     dtype = np.result_type(dY, np.float32)
-    dblocks, pooled = [x.T @ dY], []
-    sums = _grouped_sums(dY, groups, context=False)
-    for g, s, m, w in zip(groups[::-1], sums[::-1], means[::-1],
-                          blocks[:0:-1]):
+    dblocks, terms = [x.T @ dY], []
+    for g, s, m, w in zip(groups, _grouped_sums(dY, groups, context=False),
+                          means, blocks[1:]):
         d_mixed = s.astype(dtype, copy=False)
-        dblocks.insert(1, m.T @ d_mixed)
+        dblocks.append(m.T @ d_mixed)
         if dx:
             d_means = d_mixed @ w.T
-            pooled.append((g, (d_means / g.divisor[:, None]).astype(
-                d_means.dtype)))
-    if not dx:
-        return None, dY.sum(axis=0), dblocks
-    (g, last), *rest = pooled
-    dx = add_terms(g.spread(last), [g.term(d, context=True) for g, d in rest])
-    cell = dY @ blocks[0].T
-    dx = np.add(dx, cell, out=dx if np.result_type(dx, cell) == dx.dtype else None)
+            terms.append(g.term((d_means / g.divisor[:, None]).astype(
+                d_means.dtype), context=True))
+    dx = add_terms(dY @ blocks[0].T, terms) if dx else None
     return dx, dY.sum(axis=0), dblocks
 
 
@@ -599,8 +596,7 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
                 dx=node.operands[0] not in leaves)
             accumulate(node.operands[0], dx)
             accumulate(node.operands[1], dbias)
-            # a tied block takes the later subset's gradient first
-            for o, d in reversed(list(zip(node.operands[2:], dblocks))):
+            for o, d in zip(node.operands[2:], dblocks):
                 accumulate(o, d)
         elif op == "segment_pool":
             g = node.attrs["groups"]

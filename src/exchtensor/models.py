@@ -252,8 +252,15 @@ class PreparedContext:
         return cls(x.dims, tuple(groups), tuple(layers), factors)
 
     def group_at(self, cells: np.ndarray) -> list[np.ndarray]:
-        """Per pooled subset, each cell's context group, -1 if none.  A
-        cell outside the dims raises ``ValueError`` (``cell_keys``)."""
+        """Per pooled subset, each cell's context group, -1 if none.
+        ``cells`` other than an (m, D) integer array raise ``ValueError``
+        naming their shape and dtype, as a cell outside the dims raises
+        one naming it (``cell_keys``)."""
+        cells = np.asarray(cells)
+        if cells.shape[1:] != (len(self.dims),) or cells.dtype.kind not in "iu":
+            raise ValueError(f"query cells must be an (m, {len(self.dims)}) "
+                             f"integer array, got shape {cells.shape} and "
+                             f"dtype {cells.dtype}")
         return [np.take(at, cell_keys(cells, self.dims, sorted(S)))
                 for S, at, _ in self.groups]
 

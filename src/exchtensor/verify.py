@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import apply_nonlinearity
 from .layers import (
     ExchLayerParams,
     all_subsets,
@@ -98,12 +97,15 @@ def dense_oracle_layer(
 
 
 def _activation(y: np.ndarray, kind: str, slope: float) -> np.ndarray:
-    """The layer's activation; softmax is written out row-wise here, so
-    the oracle does not share the production path's channel-major one."""
+    """The layer's activation, written out here so that the oracle does
+    not share the production path's: softmax row-wise, not channel-major,
+    and leaky ReLU as its definition, not as a maximum."""
     if kind == "softmax":
         e = np.exp(y - y.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
-    return apply_nonlinearity(y, kind, slope)
+    if kind == "leaky_relu":
+        return np.where(y >= 0, y, slope * y)
+    return y
 
 
 def _pool_size(S: frozenset[int], dims) -> int:

@@ -116,28 +116,26 @@ def separate_layer_nodes(g, x, groups, params, prefix, dropout_mask=None):
 
 def whole_array_layer_grads(dY, x, blocks, groups, means, dx=True):
     """(dx, dbias, dblocks) of ``autodiff.equivariant_layer`` summed over
-    whole arrays, as its backward summed them before ``add_terms`` wrote
-    dx: each pooled term gathered to an (n, K) array, 0 off the context,
-    the terms added in reverse subset order, then the cell term.  The
-    layer backward must match it bit for bit.  dx is None unless asked
-    for, as there."""
+    whole arrays: dx is the cell term ``dY @ blocks[0].T`` plus each
+    pooled term gathered to an (n, K) array, 0 off the context, added in
+    ``all_subsets`` order, as ``add_terms`` adds them a row block at a
+    time.  The layer backward must match it bit for bit.  dx is None
+    unless asked for, as there."""
     from exchtensor.autodiff import _grouped_sums
 
     dtype = np.result_type(dY, np.float32)
     sums = _grouped_sums(dY, groups, context=False)
-    acc, dblocks = None, [x.T @ dY]
-    for g, s, m, w in zip(groups[::-1], sums[::-1], means[::-1],
-                          blocks[:0:-1]):
+    acc, dblocks = dY @ blocks[0].T, [x.T @ dY]
+    for g, s, m, w in zip(groups, sums, means, blocks[1:]):
         d_mixed = s.astype(dtype, copy=False)
-        dblocks.insert(1, m.T @ d_mixed)
+        dblocks.append(m.T @ d_mixed)
         d_means = d_mixed @ w.T
         rows = (d_means / g.divisor[:, None]).astype(d_means.dtype)
         in_context = np.ones(g.n_members, bool) if g.context is None \
             else g.context
-        term = np.where(in_context[:, None], rows[g.group_of],
-                        rows.dtype.type(0))
-        acc = term if acc is None else acc + term
-    return acc + dY @ blocks[0].T if dx else None, dY.sum(axis=0), dblocks
+        acc = acc + np.where(in_context[:, None], rows[g.group_of],
+                             rows.dtype.type(0))
+    return acc if dx else None, dY.sum(axis=0), dblocks
 
 
 def fill_array(src, dst, name, value):

@@ -596,8 +596,7 @@ class TestEquivariantLayerOp:
             self, monkeypatch, dims, n_obs, tied, dtype, context):
         """Outputs and gradients bit for bit with the layer backward
         swapped for ``whole_array_layer_grads``: dx adds the pooled
-        terms in reverse subset order and the cell term last, across row
-        blocks."""
+        terms onto the cell term in subset order, across row blocks."""
         monkeypatch.setattr(autodiff, "BLOCK_BYTES", 256)
         fused = dict(context=context, emits=(add_layer_nodes,))
         (blocked,) = self.fused_and_composed(dims, n_obs, tied, dtype, **fused)
@@ -764,6 +763,31 @@ class TestPoolAccumulation:
             finally:
                 tracemalloc.stop()
             assert peak < copy_bytes / 4
+
+
+@pytest.mark.parametrize("context", [False, True])
+def test_layer_backward_holds_little_beyond_its_dx(context):
+    """A float64 64->64 layer over 40k cells: the cell product is dx,
+    and the pooled terms go over it a row block at a time, so the
+    traced peak stays within 2 MiB of dx's 19.5 MiB."""
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    t = random_sparse((200, 400), 64, 40_000, rng)
+    by_subset = pooling_groups(t, out_of_context(t) if context else None)
+    groups = [by_subset[S] for S in all_subsets(2)[1:]]
+    blocks = [rng.normal(size=(64, 64)) for _ in range(4)]
+    means = autodiff.pooled_means(t.values, groups)
+    dY = rng.normal(size=t.values.shape)
+    autodiff._grouped_sums(dY, groups, context=False)  # operators built here
+    tracemalloc.start()
+    try:
+        dx, _, _ = autodiff._equivariant_layer_grads(dY, t.values, blocks,
+                                                     groups, means)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= dx.nbytes + 2 * 2**20
 
 
 def test_only_add_terms_reads_block_bytes():

@@ -3,6 +3,7 @@ its own cell: pools that read only the context, the tail pass over the
 query cells, and the memo that reuses a prepared context across calls."""
 
 import dataclasses
+import re
 import sys
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -256,6 +257,38 @@ class TestGroupMaps:
             prepared.group_at(cells)
         with pytest.raises(ValueError, match=message):
             params.predict(config, prepared, cells)
+
+    @CONFIGS
+    @pytest.mark.parametrize("malformed", [
+        lambda q: np.concatenate([q, q[:, :1]], axis=1),  # (m, 3)
+        lambda q: q[:, 0],
+        lambda q: q[:, :1],
+        lambda q: q.astype(np.float64),
+        lambda q: q.astype(bool),
+    ], ids=["m-by-3", "m", "m-by-1", "float", "bool"])
+    def test_a_malformed_query_is_refused(self, config, malformed):
+        """Only an (m, 2) integer array is a query of a matrix: a third
+        column is not ignored, nor a bool array read as 0s and 1s."""
+        x, q = self.cold_context()
+        params = init_params(config, seed=5)
+        prepared = params.prepare(config, x)
+        cells = malformed(q)
+        message = (rf"query cells must be an \(m, 2\) integer array, got "
+                   rf"shape {re.escape(str(cells.shape))} and dtype "
+                   rf"{cells.dtype}")
+        with pytest.raises(ValueError, match=message):
+            prepared.group_at(cells)
+        with pytest.raises(ValueError, match=message):
+            params.predict(config, prepared, cells)
+
+    @CONFIGS
+    def test_an_int32_query_predicts_as_an_int64_one(self, config):
+        x, q = self.cold_context()
+        params = init_params(config, seed=5)
+        prepared = params.prepare(config, x)
+        assert_bitwise_equal(
+            params.predict(config, prepared, q.astype(np.int32)),
+            params.predict(config, prepared, q.astype(np.int64)))
 
 
 class TestNoContextCell:

@@ -46,6 +46,23 @@ class TestOwnSoftmax:
             assert_bitwise_equal(verify._activation(y, "softmax", 0.01),
                                  apply_nonlinearity(y, "softmax"))
 
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
+    def test_own_leaky_relu_equals_the_production_one(self, slope):
+        """where(y >= 0, y, slope * y) and the production maximum agree
+        bit for bit on every finite input, signed zeros and values too
+        small for their product with the slope among them."""
+        rng = np.random.default_rng(int(slope * 100))
+        for dtype in (np.float32, np.float64):
+            tiny = np.finfo(dtype).smallest_subnormal
+            special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny,
+                                np.finfo(dtype).tiny, -np.finfo(dtype).tiny],
+                               dtype)
+            y = np.concatenate([rng.normal(scale=10.0, size=624).astype(dtype),
+                                special]).reshape(79, 8)
+            assert_bitwise_equal(verify._activation(y, "leaky_relu", slope),
+                                 apply_nonlinearity(y, "leaky_relu", slope))
+            assert_bitwise_equal(verify._activation(y, "identity", slope), y)
+
 
 class TestOracleEquivalence:
     def test_1x1_uses_only_the_full_agreement_block(self):
