@@ -20,8 +20,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.stats import norm
 
+from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     FIVE_STAR,
@@ -143,6 +145,19 @@ def _finite(record: dict) -> dict:
     """Copy of a flat record with every non-finite float as None."""
     return {k: None if isinstance(v, float) and not math.isfinite(v) else v
             for k, v in record.items()}
+
+
+def _provenance(train_fields: dict, train_table: RatingsTable) -> dict:
+    """Where a trained checkpoint came from: the package, NumPy and SciPy
+    versions, the loop settings, and the training table's fingerprint,
+    its ``RatingsTable.digest`` (dims, cells, ratings and scale)."""
+    return {
+        "exchtensor": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "train_config": train_fields,
+        "train_table_sha256": train_table.digest.hex(),
+    }
 
 
 def _out_dir(settings: Settings) -> Path | None:
@@ -332,6 +347,10 @@ def cmd_train(settings: Settings, args: argparse.Namespace):
             "wall_clock_seconds": round(report.wall_clock_seconds, 3),
             "diverged": report.diverged,
         }
+    fields = dataclasses.asdict(train_config)
+    if zero_epochs:
+        fields["epochs"] = 0
+    metadata["provenance"] = _provenance(fields, train_table)
     if test is not None and test.n_ratings:
         final["test_rmse"] = evaluate(model_config, params, train_table,
                                       test).rmse

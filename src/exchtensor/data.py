@@ -3,8 +3,8 @@
 External ids (1-based MovieLens integers, arbitrary strings in CSV) are
 remapped to dense 0-based indices in first-appearance order at parse
 time; the remap tables ride along on every table so train/test splits
-share one id space.  A table owns read-only copies of its arrays, so it
-hashes its content once (``RatingsTable.digest``).
+share one id space.  A table owns read-only copies of its arrays, so its
+content fingerprint (``RatingsTable.digest``) is computed once.
 """
 
 from __future__ import annotations

@@ -67,9 +67,10 @@ __all__ = [
 
 
 def _check_integer(name: str, value) -> None:
-    """TypeError unless value is an integer: a float count (NaN, 2.5) or
-    a None seed would pass the range checks and then change the fit."""
-    if not isinstance(value, Integral):
+    """TypeError unless value is an integer: a float count (NaN, 2.5), a
+    bool or a None seed would pass the range checks and then change the
+    fit."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 

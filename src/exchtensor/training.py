@@ -22,17 +22,19 @@ query cell.  So ``evaluate`` at a fit's validation cells gives its
 validation RMSE bit for bit.  Validation prepares the training matrix
 with each epoch's parameters; groupings are cached on their index set,
 so a fit groups the training matrix once and the validation cells not
-at all.  ``evaluate`` keeps its last few prepared contexts by a SHA-256
-digest of their content: the config, the parameters and the observed
-table's own digest, which a table computes once and keeps (its arrays
-are read-only).  So repeated calls with an equal model and observed
-table run the context pass once, calls with one table object hash it
-once, and a refused request leaves the memo as it was.  A minibatch fit
-validates each epoch on one worker thread while the next epoch's step
-runs, with results bit for bit those of the sequential loop; a
-multithreaded BLAS then serves two callers at once, so set its thread
-count with that in mind.  ``mask_inputs`` and the two loss-graph
-builders live in ``models`` and are re-exported here.
+at all.  ``evaluate`` keeps its last few prepared contexts, each with
+what it depends on: the config, a copy of the named arrays and the
+observed table (whose arrays are read-only).  A request matches one by
+exact content, with no hash: a table by identity or by its dims, scale,
+cells and ratings bit for bit, the config with ``==``, each array by
+name, dtype, shape and bits.  So repeated calls with an equal model and
+observed table run the context pass once, and a refused request leaves
+the memo as it was.  A minibatch fit validates each epoch on one worker
+thread while the next epoch's step runs, with results bit for bit those
+of the sequential loop; a multithreaded BLAS then serves two callers
+at once, so set its thread count with that in mind.  ``mask_inputs``
+and the two loss-graph builders live in ``models`` and are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import OrderedDict
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ import numpy as np
 
 from .autodiff import backward, forward
 from .data import (
-    RatingScale, RatingsTable, _array_digest, encode_onehot, rmse,
+    RatingScale, RatingsTable, encode_onehot, rmse,
 )
 from .layers import dropout_channel_mask, one_hot_input
 from .models import (
@@ -75,7 +76,6 @@ from .sampling import (
     subset_tensor,
     uniform_subsample,
 )
-from .sparse import cell_keys, lookup
 
 __all__ = [
     "TrainConfig",
@@ -309,26 +309,78 @@ def _query_cells(observed: RatingsTable, query: RatingsTable,
             f"the {what} table's rating scale {query.scale.levels} is not "
             f"the observed table's {observed.scale.levels}"
         )
-    cells = query.indices()
-    both = lookup(observed.keys,
-                  cell_keys(cells, (observed.n_users, observed.n_items))) >= 0
-    if both.any():
-        raise ValueError(f"{int(both.sum())} {what} cells are already observed")
-    return cells
+    keys = observed.keys  # both tables' sorted keys, over the same dims
+    if keys.size:
+        at = np.searchsorted(keys, query.keys).clip(max=keys.size - 1)
+        both = np.count_nonzero(keys[at] == query.keys)
+        if both:
+            raise ValueError(f"{both} {what} cells are already observed")
+    return query.indices()
+
+
+@dataclass(eq=False)
+class _MemoEntry:
+    """A prepared context and all it depends on: the model config, a copy
+    of each named array, and the observed table.  ``table`` is the last
+    equal table object asked for, so the memo holds no table that every
+    caller has dropped."""
+
+    config: ModelConfig
+    arrays: dict
+    table: RatingsTable
+    prepared: PreparedContext
 
 
 # prepared contexts ``evaluate`` keeps, least recently used first
 MEMO_ENTRIES = 4
-_memo: OrderedDict[bytes, PreparedContext] = OrderedDict()
+_memo: list[_MemoEntry] = []
 _memo_lock = threading.Lock()
 
 
-def _context_digest(config: ModelConfig, params, table: RatingsTable) -> bytes:
-    """SHA-256 of all a prepared context depends on: the table's digest
-    (its dims, cells, ratings and scale, hashed once per table), the
-    model config, and each named array's name, dtype, shape and bytes."""
-    return _array_digest(named_arrays(params),
-                         table.digest + repr(config).encode())
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes, so -0.0 is not 0.0 and two NaN
+    payloads differ, as under a hash of the bytes."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype.itemsize not in (1, 2, 4, 8):
+        return a.tobytes() == b.tobytes()
+    word = np.dtype(f"u{a.dtype.itemsize}")
+    return np.array_equal(a.view(word), b.view(word))
+
+
+def _same_table(a: RatingsTable, b: RatingsTable) -> bool:
+    """Equal for ``prepare``: the dims, the scale, and the cells and
+    ratings bit for bit; the ids enter only through the dims."""
+    return (
+        (a.n_users, a.n_items, a.scale) == (b.n_users, b.n_items, b.scale)
+        and np.array_equal(a.u_index, b.u_index)
+        and np.array_equal(a.i_index, b.i_index)
+        and _same_bits(a.ratings, b.ratings))
+
+
+def _memo_find(config: ModelConfig, arrays: dict, table: RatingsTable
+               ) -> _MemoEntry | None:
+    """The entry for this content, moved to the most recent end; call
+    under ``_memo_lock``.  Every entry whose table equals ``table`` takes
+    ``table`` as its own, so an older equal table can be freed."""
+    found = None
+    equal = {id(table): True}  # verdicts on the table objects held
+    for entry in _memo:
+        key = id(entry.table)
+        if key not in equal:
+            equal[key] = _same_table(entry.table, table)
+        if not equal[key]:
+            continue
+        entry.table = table
+        if found is None and entry.config == config \
+                and entry.arrays.keys() == arrays.keys() \
+                and all(_same_bits(entry.arrays[k], a)
+                        for k, a in arrays.items()):
+            found = entry
+    if found is not None:
+        _memo.remove(found)
+        _memo.append(found)
+    return found
 
 
 def _prepare_context(config: ModelConfig, params, table: RatingsTable
@@ -511,12 +563,15 @@ def evaluate(
     ``cell_budget`` cells without changing one (beyond the last bits of
     the chunk's matrix products).  ``params.prepare`` reads the observed
     table once; each chunk then runs a tail pass over its own cells.
-    The prepared context is kept for the next call by a SHA-256 digest of
-    the config, the parameters and the observed table's content, the last
+    The prepared context is kept for the next call, the last
     ``MEMO_ENTRIES`` of them, so repeated calls with an equal model and
-    context skip the context pass.  The table's part is
-    ``observed_table.digest``, computed once per table object, so a
-    caller that sends many requests against one table hashes it once.
+    context skip the context pass.  A call matches a kept context by
+    exact content, not by a hash: the observed table by identity, or by
+    equal dims and scale and bitwise equal cells and ratings; the config
+    with ``==``; each named array by name, dtype, shape and bits, so
+    -0.0 and 0.0 differ.  Every kept context whose table equals
+    ``observed_table`` then holds ``observed_table`` itself, so the memo
+    keeps alive no table that its callers have dropped.
     """
     check_params(model_config, params)
     if cell_budget is not None:
@@ -524,17 +579,21 @@ def evaluate(
         if cell_budget < 1:
             raise ValueError("cell budget must be at least 1")
     query = _query_cells(observed_table, query_table)
-    key = _context_digest(model_config, params, observed_table)
+    arrays = named_arrays(params)
     with _memo_lock:
-        prepared = _memo.get(key)
-        if prepared is not None:
-            _memo.move_to_end(key)
-    if prepared is None:
+        entry = _memo_find(model_config, arrays, observed_table)
+    if entry is None:
         prepared = _prepare_context(model_config, params, observed_table)
         with _memo_lock:
-            _memo[key] = prepared
-            while len(_memo) > MEMO_ENTRIES:
-                _memo.popitem(last=False)
+            # another thread may have prepared equal content meanwhile
+            entry = _memo_find(model_config, arrays, observed_table)
+            if entry is None:
+                entry = _MemoEntry(
+                    model_config, {k: a.copy() for k, a in arrays.items()},
+                    observed_table, prepared)
+                _memo.append(entry)
+                del _memo[:-MEMO_ENTRIES]
+    prepared = entry.prepared
     n = query.shape[0]
     n_chunks = 1 if cell_budget is None else int(np.ceil(n / cell_budget))
     preds = np.empty(n, dtype=np.float64)

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -11,12 +12,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
+
+import exchtensor
 
 from exchtensor.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from exchtensor import cli
 from exchtensor.cli import SETTINGS, Settings, main
-from exchtensor.data import FIVE_STAR, RatingScale
+from exchtensor.data import (
+    FIVE_STAR, RatingScale, canonical_split, parse_ratings,
+)
 from exchtensor.models import ModelConfig, init_params
+from exchtensor.training import TrainConfig
 
 from helpers import fill_array, rewrite_header
 
@@ -57,6 +64,45 @@ class TestTrain:
         ck = load_checkpoint(tmp_path / "run" / "model.exchk")
         assert ck.config.widths == (12, 5)
         assert ck.metadata["epochs_run"] == 2
+
+    def test_checkpoint_records_its_provenance(self, tmp_path, capsys):
+        """A checkpoint names the versions, the loop settings and the
+        training split's fingerprint, also after zero epochs: equal data
+        give an equal fingerprint, and one changed rating another."""
+        rng = np.random.default_rng(0)
+        lines = {(u, i): int(rng.integers(1, 6)) for u in range(1, 13)
+                 for i in range(1, 11) if rng.random() < 0.6}
+        cfg = write_config(tmp_path, "widths = 12,5\n")
+
+        def train_on(name, epochs):
+            path = tmp_path / f"{name}.data"
+            path.write_text("".join(f"{u}\t{i}\t{r}\t0\n"
+                                    for (u, i), r in lines.items()))
+            code, _, _ = run(capsys, "train", "--arch", "ss", "--data",
+                             str(path), "--epochs", str(epochs), "--seed", "0",
+                             "--out", str(tmp_path / name), "--config", cfg)
+            assert code == 0
+            ck = load_checkpoint(tmp_path / name / "model.exchk")
+            return path, ck.metadata["provenance"]
+
+        path, zero = train_on("zero", 0)
+        _, one = train_on("one", 1)
+        train, _, _ = canonical_split(parse_ratings(path), "random",
+                                      fraction=0.2, seed=0, val_fraction=0.1)
+        assert zero["train_table_sha256"] == one["train_table_sha256"] \
+            == train.digest.hex()
+        assert (zero["exchtensor"], zero["numpy"], zero["scipy"]) == (
+            exchtensor.__version__, np.__version__, scipy.__version__)
+        assert zero["train_config"] == dict(
+            dataclasses.asdict(TrainConfig(seed=0)), epochs=0)
+        assert one["train_config"] == dataclasses.asdict(
+            TrainConfig(seed=0, epochs=1))
+        # one rating of a training cell moves to another level
+        cell = (int(train.users[train.u_index[0]]),
+                int(train.items[train.i_index[0]]))
+        lines[cell] = lines[cell] % 5 + 1
+        _, changed = train_on("changed", 0)
+        assert changed["train_table_sha256"] != zero["train_table_sha256"]
 
     def test_deterministic_given_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "widths = 10,5\nmask_prob = 0.3\n")

@@ -5,7 +5,8 @@ query cells, and the memo that reuses a prepared context across calls."""
 import dataclasses
 import re
 import sys
-from collections import OrderedDict
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
@@ -367,7 +368,7 @@ class TestContextPools:
 @pytest.fixture
 def counted(monkeypatch):
     """An empty memo, and counts of context passes and one-hot encodings."""
-    monkeypatch.setattr(training, "_memo", OrderedDict())
+    monkeypatch.setattr(training, "_memo", [])
     calls = {"prepare": 0, "encode": 0}
     real_prepare, real_encode = training._prepare_context, training.encode_onehot
 
@@ -456,34 +457,89 @@ class TestMemo:
 
     def test_the_key_covers_every_table_field(self):
         """A new RatingsTable field fails here until someone decides
-        whether ``RatingsTable.digest`` covers it.  The cells, ratings
+        whether the memo's table match covers it.  The cells, ratings
         and scale enter as they are; ``users`` and ``items`` only by
         their lengths, the dims, since ``prepare`` reads no id."""
         assert [f.name for f in dataclasses.fields(RatingsTable)] == [
             "u_index", "i_index", "ratings", "scale", "users", "items"]
 
-    def test_one_table_object_is_hashed_once(self, counted, monkeypatch):
-        """Calls against one table object hash it on the first call only,
-        whether the memo hits or misses; an equal fresh table hashes
-        itself once and shares the context pass."""
-        tables = []
+    def test_no_request_hashes_a_table(self, counted, monkeypatch):
+        """The memo compares content instead of hashing it: a miss, a
+        hit, and a hit with an equal fresh table make no digest."""
+        calls = []
         real = data._array_digest
 
-        def spy(arrays, head=b""):
-            if "u_index" in arrays:
-                tables.append(arrays["u_index"])
-            return real(arrays, head)
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(data, "_array_digest", spy)
         context, query, _ = split()
         params = init_params(SS, seed=5)
         evaluate(SS, params, context, query)
         evaluate(SS, params, context, query)
-        evaluate(FEA, init_params(FEA, seed=5), context, query)
-        assert len(tables) == 1 and tables[0] is context.u_index
-        assert counted["prepare"] == 2
         evaluate(SS, params, split()[0], query)
-        assert len(tables) == 2 and counted["prepare"] == 2
+        assert counted["prepare"] == 1
+        assert not calls
+
+    def test_a_parameter_differing_in_a_zero_sign_recomputes(self, counted):
+        """Parameters match bit for bit, as under a hash of their bytes:
+        -0.0 is not 0.0 there, though the two compare equal."""
+        context, query, _ = split()
+        params = init_params(SS, seed=5)
+        arrays = {k: v.copy() for k, v in named_arrays(params).items()}
+        arrays["layer2.w0"].flat[0] = 0.0
+        evaluate(SS, with_named_arrays(params, arrays), context, query)
+        arrays = {k: v.copy() for k, v in arrays.items()}
+        arrays["layer2.w0"].flat[0] = -0.0
+        evaluate(SS, with_named_arrays(params, arrays), context, query)
+        assert counted["prepare"] == 2
+
+    def test_the_same_cells_in_another_order_recompute(self, counted):
+        """A table matches its cells in order, as the digest hashed them."""
+        context, query, _ = split()
+        params = init_params(SS, seed=5)
+        evaluate(SS, params, context, query)
+        order = np.random.default_rng(0).permutation(context.n_ratings)
+        evaluate(SS, params, context.subset(order), query)
+        assert counted["prepare"] == 2
+
+    def test_a_hit_lets_go_of_an_equal_older_table(self, counted):
+        """A hit with an equal fresh table moves every entry over that
+        table onto the fresh one, so the memo keeps no table that its
+        callers dropped."""
+        context, query, _ = split()
+        params = init_params(SS, seed=5)
+        evaluate(SS, params, context, query)
+        evaluate(FEA, init_params(FEA, seed=5), context, query)
+        old = weakref.ref(context)
+        context = split()[0]
+        evaluate(SS, params, context, query)
+        assert counted["prepare"] == 2
+        assert old() is None
+        assert all(e.table is context for e in training._memo)
+
+    def test_concurrent_misses_leave_one_entry(self, counted, monkeypatch):
+        """Two threads that miss on equal content both run the context
+        pass; the second to finish finds the first's entry and keeps it."""
+        context, query, _ = split()
+        params = init_params(SS, seed=5)
+        both_missed = threading.Barrier(2, timeout=60)
+        prepare = training._prepare_context
+
+        def prepare_after_both_missed(*args):
+            both_missed.wait()
+            return prepare(*args)
+
+        monkeypatch.setattr(training, "_prepare_context",
+                            prepare_after_both_missed)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(evaluate, SS, params, context, query)
+                       for _ in range(2)]
+            got = [f.result(timeout=120).predictions for f in futures]
+        assert counted["prepare"] == 2
+        assert len(training._memo) == 1
+        assert_bitwise_equal(got[1], got[0])
 
     def test_the_memo_keeps_its_last_entries_only(self, counted):
         context, query, _ = split()
@@ -531,10 +587,16 @@ class TestMemo:
         assert counted == {"prepare": 0, "encode": 0}
         assert not training._memo
         evaluate(config, params, context, query)
-        kept = list(training._memo.items())
+
+        def held():
+            return [(e, e.config, e.arrays, e.table, e.prepared)
+                    for e in training._memo]
+
+        kept = held()
         refuse_all()
         assert counted == {"prepare": 1, "encode": 1}
-        assert list(training._memo.items()) == kept
+        assert all(a is b for now, was in zip(held(), kept, strict=True)
+                   for a, b in zip(now, was))
 
     @CONFIGS
     def test_train_refuses_a_bad_validation_table_before_encoding(
@@ -548,8 +610,9 @@ class TestMemo:
     def test_threads_share_the_memo(self, counted):
         """More callers than cores and more models than memo entries,
         with the interpreter switching threads every microsecond, on an
-        equal fresh table whose digest the threads race to compute: every
-        prediction is the sequential one, and the memo keeps its bound."""
+        equal fresh table that the threads' lookups race to move the
+        entries onto: every prediction is the sequential one, and the
+        memo keeps its bound."""
         context, query, _ = split()
         models = [(c, init_params(c, seed=s)) for c in (SS, FEA) for s in range(3)]
         want = [evaluate(c, p, context, query).predictions for c, p in models]

@@ -1,7 +1,5 @@
 """Self-supervised stack and factorized autoencoder behaviour."""
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -143,6 +141,8 @@ class TestModelConfig:
         ("levels", 5.0), ("factor_size", 2.5), ("factor_size", float("nan")),
         ("factor_size", None), ("widths", (4.5, 5)), ("widths", (6, "5")),
         ("encoder_widths", (4, 3.0)), ("decoder_widths", (float("inf"), 5)),
+        ("levels", True), ("factor_size", True), ("widths", (6, True)),
+        ("encoder_widths", (True, 3)), ("decoder_widths", (4, False)),
     ])
     def test_refuses_non_integer_counts(self, field, value):
         """A float count would construct, train and then fail to save
@@ -536,7 +536,7 @@ class TestInferenceBuildsNoGraph:
 
         monkeypatch.setattr(autodiff.Graph, "__init__", no_graph)
         # evaluate's memo would skip the context pass this test watches
-        monkeypatch.setattr(training, "_memo", OrderedDict())
+        monkeypatch.setattr(training, "_memo", [])
         got = self.outputs(dtype)
         assert len(got) == len(want) == 8
         for a, b in zip(got, want):

@@ -138,6 +138,9 @@ class TestTrainConfig:
         dict(patience=float("nan")), dict(patience=2.5), dict(seed=None),
         dict(seed=1.0), dict(epochs=float("inf")), dict(cell_budget=1e30),
         dict(learning_rate=None), dict(learning_rate="3"),
+        # a bool is an int to Python, but no count or seed means one
+        dict(epochs=True), dict(seed=False), dict(cell_budget=True),
+        dict(patience=True),
     ])
     def test_non_integer_counts_and_seeds_refused(self, bad):
         with pytest.raises(TypeError):
@@ -734,7 +737,8 @@ class TestEvaluate:
             for S, B in lp.blocks.items():
                 assert_array_equal(before[f"{i}.{sorted(S)}"], B)
 
-    @pytest.mark.parametrize("budget", [2.5, float("nan"), float("inf"), "3"])
+    @pytest.mark.parametrize("budget", [2.5, float("nan"), float("inf"), "3",
+                                        True])
     def test_non_integer_cell_budget_rejected(self, budget):
         tr, val = split_synthetic()
         mc = tiny_ss_config()
