@@ -216,6 +216,9 @@ def _load_data_table(
         raise UsageError("--data is required")
     seed = settings.get("seed", 0, int)
     if data == "synthetic":
+        if settings.get("rebin_from") is not None:
+            raise UsageError("--rebin-from applies to a ratings file, "
+                             "not --data synthetic")
         p = density if density is not None \
             else settings.get("observed_fraction", 0.3, float)
         return synthetic_lowrank_table(observed_fraction=p, seed=seed,

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sparse import SparseExchangeableTensor, cell_keys
+from .sparse import SparseExchangeableTensor, _integer_array, cell_keys
 
 __all__ = [
     "RatingScale",
@@ -94,8 +94,8 @@ class RatingsTable:
 
     def __post_init__(self):
         # copy, never alias: the digest holds only while no one can write
-        u = np.array(self.u_index, dtype=np.int64)
-        i = np.array(self.i_index, dtype=np.int64)
+        u = np.array(_integer_array("u_index", self.u_index))
+        i = np.array(_integer_array("i_index", self.i_index))
         r = np.array(self.ratings, dtype=np.float64)
         if not (u.shape == i.shape == r.shape) or u.ndim != 1:
             raise ValueError("u_index, i_index, ratings must be equal-length 1-d")

@@ -16,10 +16,13 @@ order is free and the layer mixes the few group rows instead of all n
 cells.  Pool -> mix -> broadcast leaves one (n, K) @ (K, O) product per
 layer, for the cell term, instead of 2^D.  The whole sum is one op,
 ``autodiff.equivariant_layer``: training graphs hold it as one node per
-layer, and inference calls it directly, with no graph.  The cell term
-writes a layer's output once; the pooled terms, the bias, the activation
-and, in training, the dropout mask are then added or applied in place,
-one cache-sized row block at a time.  The bias and the global term are
+layer, and inference calls it once per layer from ``apply_stack``, the
+one eval-mode loop over a stack, which builds no graph, checks every
+layer before the first runs, and reads the pooling groups and a one-hot
+input once per stack.  The cell term writes a layer's output once; the
+pooled terms, the bias, the activation and, in training, the dropout
+mask are then added or applied in place, one cache-sized row block at a
+time.  The bias and the global term are
 single rows, so they are added once into the first pooled table instead
 of into every cell.  The graph op records the sign of each sum in that
 pass, which its backward reads for the leaky ReLU's derivative.  A
@@ -59,7 +62,6 @@ __all__ = [
     "add_layer_nodes",
     "add_stack_nodes",
     "apply_stack",
-    "stack_pools",
     "one_hot_input",
     "exchangeable_tensor_layer",
     "dropout_channel_mask",
@@ -284,20 +286,12 @@ def _check_axes(params: ExchLayerParams, ndim: int) -> None:
         raise ValueError(f"params cover {params.ndim} axes, tensor has {ndim}")
 
 
-def _blocks(params: ExchLayerParams) -> list[np.ndarray]:
-    """A layer's blocks in ``all_subsets`` order, the cell block first,
-    as ``equivariant_layer`` takes them."""
-    return [params.blocks[S] for S in all_subsets(params.ndim)]
-
-
 def _one_hot_levels(x: np.ndarray) -> np.ndarray | None:
     """Each row's level when every row of (n, K) x is one-hot or zero (K
-    for a zero row), else None.  The first row is checked alone first,
-    so most other inputs cost one row."""
-    for rows in (x[:1], x):
-        hot = rows != 0
-        if (hot.sum(axis=1) > 1).any() or (rows[hot] != 1).any():
-            return None
+    for a zero row), else None."""
+    hot = x != 0
+    if (hot.sum(axis=1) > 1).any() or (x[hot] != 1).any():
+        return None
     return np.where(hot.any(axis=1), hot.argmax(axis=1), x.shape[1])
 
 
@@ -305,7 +299,8 @@ def one_hot_input(t: SparseExchangeableTensor):
     """(levels, means) of t's values as a layer over t reads them when
     they are one-hot (``_one_hot_levels``): each row's level, and their
     group means over t's pooling groups, in ``all_subsets`` order after
-    the full subset.  (None, None) for other values.
+    the full subset.  (None, None) for other values.  The first row is
+    checked alone first, so most other values cost one row.
 
     Kept on t's index set for these values (``for_values``), so a fit
     that reads its fixed one-hot context every epoch levels and pools it
@@ -332,68 +327,56 @@ def exchangeable_tensor_layer(
 ) -> SparseExchangeableTensor:
     """Apply one equivariant layer; output lives on the same index set.
 
-    The output is written once by the cell term; the bias, the pooled
-    terms and the activation are then added or applied in place, one row
-    block at a time (``equivariant_layer``).  A one-hot input's cell
-    term is gathered by level and its means are read, not pooled again
-    (``one_hot_input``)."""
-    _check_axes(params, t.ndim)
-    if params.channels_in != t.channels:
-        raise ValueError(
-            f"params expect {params.channels_in} channels, tensor has "
-            f"{t.channels}"
-        )
-    groups = pooling_groups(t)
-    pooled = [groups[S] for S in all_subsets(t.ndim)[1:]]
-    levels, means = one_hot_input(t)
-    out, _ = equivariant_layer(
-        t.values, params.bias, _blocks(params), pooled,
-        params.nonlinearity, params.slope, levels=levels, means=means,
-    )
-    return t.with_values(out)
+    A stack of one layer (``apply_stack``): the output is written once
+    by the cell term, and the bias, the pooled terms and the activation
+    are then added or applied in place, one row block at a time
+    (``equivariant_layer``)."""
+    return apply_stack(t, (params,))
 
 
-def apply_stack(
-    t: SparseExchangeableTensor, stack: Sequence[ExchLayerParams]
-) -> SparseExchangeableTensor:
-    """Eval-mode forward of a layer stack over t's index set.
+def apply_stack(t: SparseExchangeableTensor,
+                stack: Sequence[ExchLayerParams], read=None):
+    """Eval-mode forward of a layer stack over t's index set: the one
+    loop that runs layers outside a graph.
 
-    Every layer's output shares t's index set and so its cached pooling
-    groups.  No graph is built: each layer calls ``equivariant_layer`` and
-    its nonlinearity directly, so only the current layer's values are
-    held.  A one-hot input is read by level (``one_hot_input``).
+    Before the first layer runs, every layer's axes are checked against
+    t's, and its input width against the previous layer's output (t's
+    channels for the first).  t's pooling groups and its one-hot levels
+    and means (``one_hot_input``) are read once: every layer's output
+    shares t's index set and so its groups, and a one-hot t, such as a
+    context's encoded ratings, is read by level.  No graph is built:
+    each layer is one ``equivariant_layer`` call, and only the current
+    layer's input and output are held.  Returns the last layer's output.
+
+    With ``read``, returns what ``read(layer, group means)`` returns for
+    each layer instead.  The group means are those the layer's pooled
+    terms read, in ``all_subsets`` order after the full subset, so a
+    caller keeps what the pools of t hold without pooling again.  The
+    last layer's output, which no pool reads, is not computed, and t is
+    not held.
     """
-    for lp in stack:
-        t = exchangeable_tensor_layer(t, lp)
-    return t
-
-
-def stack_pools(t: SparseExchangeableTensor,
-                stack: Sequence[ExchLayerParams], read) -> list:
-    """What ``read(layer, group means)`` returns for each layer of an
-    eval-mode pass of the stack over t, as ``apply_stack`` runs it.
-
-    The group means are those the layer's pooled terms read, in
-    ``all_subsets`` order after the full subset, so a caller keeps what
-    the pools of t hold without pooling again.  A one-hot t, such as a
-    context's encoded ratings, is read by level and its means are kept
-    with it (``one_hot_input``).  The last layer's output, which no pool
-    reads, is not computed.  Only the current layer's input and output
-    are held; t is not.
-    """
-    for lp in stack:
+    width = t.channels
+    for k, lp in enumerate(stack, start=1):
         _check_axes(lp, t.ndim)
-    groups = pooling_groups(t)
-    pooled = [groups[S] for S in all_subsets(t.ndim)[1:]]
+        if lp.channels_in != width:
+            raise ValueError(f"layer {k} expects {lp.channels_in} channels, "
+                             f"its input has {width}")
+        width = lp.channels_out
+    groups, subsets = pooling_groups(t), all_subsets(t.ndim)
+    pooled = [groups[S] for S in subsets[1:]]
     levels, means = one_hot_input(t)
-    x, kept = t.values, []
-    del t  # so t's values go once the first layer has read them
-    for lp in stack[:-1]:
-        x, means = equivariant_layer(x, lp.bias, _blocks(lp), pooled,
-                                     lp.nonlinearity, lp.slope,
+    x, kept, run = t.values, [], stack
+    if read is not None:  # t's values then go once the first layer reads them
+        run, t = stack[:-1], None
+    for lp in run:  # the blocks in ``all_subsets`` order, the cell block first
+        x, means = equivariant_layer(x, lp.bias, [lp.blocks[S] for S in subsets],
+                                     pooled, lp.nonlinearity, lp.slope,
                                      levels=levels, means=means)
-        kept.append(read(lp, means))
+        if read is not None:
+            kept.append(read(lp, means))
         levels = means = None
+    if read is None:
+        return t.with_values(x)
     kept.append(read(stack[-1], pooled_means(x, pooled)
                      if means is None else means))
     return kept

@@ -40,7 +40,6 @@ from .layers import (
     pool_to_factors,
     pooling_groups,
     random_layer_params,
-    stack_pools,
 )
 from .sparse import SparseExchangeableTensor, cell_keys, with_zero_row
 
@@ -290,7 +289,7 @@ class SelfSupervisedParams:
                 return (fold_rows(whole, [lp.bias]),)
             return (fold_rows(tables[0], [lp.bias, whole[:1]]), *tables[1:])
 
-        return PreparedContext.of(x_obs, stack_pools(x_obs, self.layers, mixed))
+        return PreparedContext.of(x_obs, apply_stack(x_obs, self.layers, mixed))
 
     def predict(self, config: ModelConfig, prepared: PreparedContext,
                 query: np.ndarray) -> np.ndarray:
@@ -359,7 +358,7 @@ class FeaParams:
             tables[0] = fold_rows(tables[0], [lp.bias, total[:1]])
             return w.astype(dtype), *(t.astype(dtype) for t in tables)
 
-        return PreparedContext.of(x_obs, stack_pools(
+        return PreparedContext.of(x_obs, apply_stack(
             broadcast_factors(factors, x_obs), self.decoder, mixed), factors)
 
     def predict(self, config: ModelConfig, prepared: PreparedContext,

@@ -34,6 +34,16 @@ __all__ = [
 ]
 
 
+def _integer_array(name: str, a) -> np.ndarray:
+    """``a`` as an int64 array.  A nonempty array of another kind, float
+    or bool, raises ``TypeError`` naming ``name`` and its dtype, since
+    the cast would truncate it."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise TypeError(f"{name} must be an integer array, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 def cell_keys(cells: np.ndarray, dims: tuple[int, ...], axes=None) -> np.ndarray:
     """Row-major flat keys of (m, D) ``cells`` over ``dims``, or of their
     coordinates on ``axes`` (ascending) over those axes' sizes; 0 for
@@ -75,7 +85,7 @@ class SparseExchangeableTensor:
         object.__setattr__(self, "dims", dims)
         if len(dims) < 1 or any(d < 1 for d in dims):
             raise ValueError(f"dims must be positive, got {dims}")
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = _integer_array("indices", self.indices)
         vals = np.asarray(self.values)
         if idx.ndim != 2 or idx.shape[1] != len(dims):
             raise ValueError(f"indices must be (n, {len(dims)}), got {idx.shape}")
@@ -354,18 +364,12 @@ def with_zero_row(table: np.ndarray) -> np.ndarray:
 def lookup(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
     """Position of each of ``want``, an array of any shape, in the
     ascending, distinct ``keys``; -1 where it is absent, as for every
-    one when ``keys`` is empty.  The wanted keys are searched in
-    ascending order, each search starting where the last one ended,
-    and each answer is put back in its place."""
+    one when ``keys`` is empty."""
     want = np.asarray(want)
     if keys.size == 0:
         return np.full(want.shape, -1, dtype=np.intp)
-    order = np.argsort(want, axis=None)
-    ranked = want.ravel()[order]
-    pos = np.minimum(np.searchsorted(keys, ranked), keys.size - 1)
-    out = np.empty(want.size, dtype=np.intp)
-    out[order] = np.where(keys[pos] == ranked, pos, -1)
-    return out.reshape(want.shape)
+    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    return np.where(keys[pos] == want, pos, -1)
 
 
 def axis_groups(

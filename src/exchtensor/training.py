@@ -76,6 +76,7 @@ from .sampling import (
     subset_tensor,
     uniform_subsample,
 )
+from .sparse import lookup
 
 __all__ = [
     "TrainConfig",
@@ -289,13 +290,16 @@ def _predict_at(
 
 
 def _query_cells(observed: RatingsTable, query: RatingsTable,
-                 what: str = "query") -> np.ndarray:
+                 what: str = "query", source: str = "observed") -> np.ndarray:
     """The (m, 2) cells of ``query``, after checking from the two tables
-    alone that it is a nonempty table over the observed table's users,
-    items and rating scale and holds none of its cells.  ``train`` and
-    ``evaluate`` check here first, before any encoding or context pass:
-    both predict on the observed table's scale and score against the
-    query table's ratings."""
+    alone that ``observed``, the ``source`` table, holds a cell and that
+    ``query`` is a nonempty table over its users, items and rating scale
+    that holds none of its cells.  ``train`` and ``evaluate`` check here
+    first, before any encoding or context pass: both predict on the
+    observed table's scale and score against the query table's
+    ratings."""
+    if observed.n_ratings == 0:
+        raise ValueError(f"the {source} table is empty")
     if query.n_ratings == 0:
         raise ValueError(f"the {what} table is empty")
     if (query.users, query.items) != (observed.users, observed.items):
@@ -309,12 +313,10 @@ def _query_cells(observed: RatingsTable, query: RatingsTable,
             f"the {what} table's rating scale {query.scale.levels} is not "
             f"the observed table's {observed.scale.levels}"
         )
-    keys = observed.keys  # both tables' sorted keys, over the same dims
-    if keys.size:
-        at = np.searchsorted(keys, query.keys).clip(max=keys.size - 1)
-        both = np.count_nonzero(keys[at] == query.keys)
-        if both:
-            raise ValueError(f"{both} {what} cells are already observed")
+    # both tables' sorted keys, over the same dims
+    both = np.count_nonzero(lookup(observed.keys, query.keys) >= 0)
+    if both:
+        raise ValueError(f"{both} {what} cells are already observed")
     return query.indices()
 
 
@@ -421,7 +423,8 @@ def train(
     t0 = time.perf_counter()
     dtype = train_config.dtype
     scale = train_table.scale
-    val_query = _query_cells(train_table, val_table, "validation")
+    val_query = _query_cells(train_table, val_table, "validation",
+                             "training")
     val_truth = val_table.ratings
     x_full = encode_onehot(train_table)
     x_full = x_full.with_values(x_full.values.astype(dtype))

@@ -8,7 +8,7 @@ import numpy as np
 from exchtensor.autodiff import apply_nonlinearity
 from exchtensor.checkpoint import MAGIC
 from exchtensor.layers import (
-    all_subsets, block_name, broadcast_factors, pooling_groups, stack_pools,
+    all_subsets, apply_stack, block_name, broadcast_factors, pooling_groups,
 )
 from exchtensor.models import fea_encode
 from exchtensor.sparse import (
@@ -174,7 +174,7 @@ def termwise_fea_tail(config, params, x, query):
     factors = fea_encode(x, config, params).imputed()
     groups = pooling_groups(x)
     full, *subsets = all_subsets(x.ndim)
-    sums = stack_pools(broadcast_factors(factors, x), params.decoder,
+    sums = apply_stack(broadcast_factors(factors, x), params.decoder,
                        lambda lp, means: [
                            with_zero_row(m * groups[S].counts[:, None])
                            for S, m in zip(subsets, means)])

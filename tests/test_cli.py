@@ -300,6 +300,20 @@ class TestEvaluate:
         assert code == 0, err
         assert len(records) == 1
 
+    @pytest.mark.parametrize("flags", [["--rebin-from", "1-10"],
+                                       ["--rebin-from", "1-10",
+                                        "--rebin-to", "1-5"]])
+    def test_rebin_from_with_synthetic_data_exits_2(self, checkpoint, capsys,
+                                                    tmp_path, flags):
+        """Synthetic data has no source scale to rebin from."""
+        for argv in (["train", "--epochs", "0", "--out", str(tmp_path / "d")],
+                     ["evaluate", checkpoint]):
+            code, records, err = run(capsys, *argv, "--data", "synthetic",
+                                     *flags)
+            assert (code, records) == (2, [])
+            assert "--rebin-from applies to a ratings file" in err
+        assert not (tmp_path / "d").exists()
+
     def test_foreign_scale_without_rebin_exits_2(self, checkpoint, capsys,
                                                  tmp_path):
         data = tmp_path / "wide.csv"

@@ -569,19 +569,22 @@ class TestMemo:
         context, query, _ = split()
         params = init_params(config, seed=5)
         other = RatingScale((1, 2, 3, 4, 4.5))
-        refused = {
-            "is empty": query.subset(np.array([], dtype=np.int64)),
-            "users and items": dataclasses.replace(
-                query, users=query.users + ("new",)),
-            "rating scale": dataclasses.replace(
-                query, scale=other, ratings=np.minimum(query.ratings, 4.5)),
-            "already observed": concat(query, context.subset([0])),
+        empty = np.array([], dtype=np.int64)
+        refused = {  # message: (observed, query)
+            "observed table is empty": (context.subset(empty), query),
+            "query table is empty": (context, query.subset(empty)),
+            "users and items": (context, dataclasses.replace(
+                query, users=query.users + ("new",))),
+            "rating scale": (context, dataclasses.replace(
+                query, scale=other, ratings=np.minimum(query.ratings, 4.5))),
+            "already observed": (context,
+                                 concat(query, context.subset([0]))),
         }
 
         def refuse_all():
-            for match, asked in refused.items():
+            for match, (observed, asked) in refused.items():
                 with pytest.raises(ValueError, match=match):
-                    evaluate(config, params, context, asked)
+                    evaluate(config, params, observed, asked)
 
         refuse_all()
         assert counted == {"prepare": 0, "encode": 0}

@@ -76,6 +76,26 @@ class TestRatingsTable:
         with pytest.raises(ValueError, match="remap table"):
             RatingsTable([3], [0], [3.0], FIVE_STAR, ("a",), ("x",))
 
+    @pytest.mark.parametrize("field, bad", [
+        ("u_index", [0.7, 1.2]), ("u_index", [True, False]),
+        ("i_index", [0.0, 1.0]), ("i_index", [False, True])])
+    def test_non_integer_index_refused(self, field, bad):
+        """A cast would truncate these: users 0.7 and 1.2 would become 0
+        and 1."""
+        arrays = {"u_index": [0, 1], "i_index": [0, 1], field: bad}
+        with pytest.raises(TypeError, match=(
+                rf"{field} must be an integer array, got dtype "
+                rf"{np.asarray(bad).dtype}")):
+            RatingsTable(ratings=[3.0, 4.0], scale=FIVE_STAR,
+                         users=("a", "b"), items=("x", "y"), **arrays)
+
+    def test_integer_and_empty_indices_taken(self):
+        t = RatingsTable(np.array([1, 0], np.uint8), np.array([0, 1], np.int32),
+                         [3.0, 4.0], FIVE_STAR, ("a", "b"), ("x", "y"))
+        assert t.u_index.dtype == t.i_index.dtype == np.int64
+        assert_array_equal(t.u_index, [1, 0])
+        assert RatingsTable([], [], [], FIVE_STAR, ("a",), ("x",)).n_ratings == 0
+
     def test_subset_keeps_id_space(self):
         t = small_table()
         s = t.subset(np.array([1, 3]))

@@ -11,7 +11,7 @@ from helpers import (
     transpose_matrix,
 )
 
-from exchtensor import autodiff
+from exchtensor import autodiff, layers
 from exchtensor.autodiff import (
     Graph, apply_nonlinearity, backward, equivariant_layer, forward,
 )
@@ -328,6 +328,75 @@ class TestOneHotInput:
             assert_bitwise_equal(got, want)
         not_one_hot = t.with_values(2 * t.values)
         assert one_hot_input(not_one_hot) == (None, None)
+
+
+class TestApplyStack:
+    """The one eval-mode loop over a stack: every layer is checked before
+    any runs, and a read pass stops short of the last layer's output."""
+
+    @staticmethod
+    def stack(rng, widths):
+        return [random_layer_params(2, k, o, rng, "leaky_relu")
+                for k, o in zip(widths, widths[1:])]
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"layer": 0, "read": 0}
+        real = layers.equivariant_layer
+
+        def layer(*args, **kwargs):
+            calls["layer"] += 1
+            return real(*args, **kwargs)
+
+        def read(lp, means):
+            calls["read"] += 1
+            return means
+
+        monkeypatch.setattr(layers, "equivariant_layer", layer)
+        return calls, read
+
+    @pytest.mark.parametrize("misfit", [1, 2, 3])
+    @pytest.mark.parametrize("with_read", [False, True], ids=["out", "read"])
+    def test_a_layer_of_another_width_is_refused_before_any_runs(
+            self, monkeypatch, misfit, with_read):
+        """Layer ``misfit`` takes one channel more than its input has.
+        A read pass never applies its last layer, and is refused all the
+        same."""
+        rng = np.random.default_rng(misfit)
+        t = random_sparse((5, 6), 3, 17, rng)
+        widths = [3, 4, 4, 2]
+        stack = self.stack(rng, widths)
+        stack[misfit - 1] = random_layer_params(
+            2, widths[misfit - 1] + 1, widths[misfit], rng)
+        calls, read = self.counted(monkeypatch)
+        with pytest.raises(ValueError, match=(
+                rf"layer {misfit} expects {widths[misfit - 1] + 1} channels, "
+                rf"its input has {widths[misfit - 1]}")):
+            apply_stack(t, stack, read if with_read else None)
+        assert calls == {"layer": 0, "read": 0}
+
+    @pytest.mark.parametrize("input_kind", ["one-hot", "dense values"])
+    def test_a_read_pass_reads_every_layer_and_applies_all_but_the_last(
+            self, monkeypatch, input_kind):
+        """``read`` gets each layer and the group means of its input, bit
+        for bit those of a pass that stops before it."""
+        rng = np.random.default_rng(7)
+        t = one_hot((8, 9), 40, 5, np.float64, rng)
+        if input_kind != "one-hot":
+            t = t.with_values(rng.normal(size=t.values.shape))
+        stack = self.stack(rng, [5, 6, 4, 3])
+        groups = pooling_groups(t)
+        pooled = [groups[S] for S in all_subsets(2)[1:]]
+        want = [autodiff.pooled_means(
+            apply_stack(t, stack[:k]).values if k else t.values, pooled)
+            for k in range(len(stack))]
+        calls, read = self.counted(monkeypatch)
+        got = apply_stack(t, stack, read)
+        assert calls == {"layer": len(stack) - 1, "read": len(stack)}
+        assert len(got) == len(want)
+        for layer_got, layer_want in zip(got, want):
+            for a, b in zip(layer_got, layer_want, strict=True):
+                assert_bitwise_equal(a, b)
 
 
 class TestEquivariance:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from exchtensor import autodiff, layers, sparse, training
+from exchtensor import autodiff, layers, models, sparse, training
 from exchtensor.autodiff import Graph, forward
 from exchtensor.data import (
     FIVE_STAR, RatingScale, canonical_split, synthetic_lowrank_table,
@@ -477,15 +477,16 @@ class TestMatrixModelsRefuseTensors:
                            match="params cover 2 axes, tensor has 3"):
             params.prepare(cfg, t)
 
-    def test_graph_nodes_and_stack_pools(self):
+    def test_graph_nodes_and_apply_stack(self):
         t = self.tensor()
         lp = layers.random_layer_params(2, 5, 4, np.random.default_rng(0))
         with pytest.raises(ValueError,
                            match="params cover 2 axes, tensor has 3"):
             add_layer_nodes(Graph(), "x", pooling_groups(t), lp, "L")
-        with pytest.raises(ValueError,
-                           match="params cover 2 axes, tensor has 3"):
-            layers.stack_pools(t, [lp], lambda lp, means: means)
+        for read in (None, lambda lp, means: means):
+            with pytest.raises(ValueError,
+                               match="params cover 2 axes, tensor has 3"):
+                layers.apply_stack(t, [lp], read)
 
 
 def graph_layer(t, params):
@@ -495,6 +496,20 @@ def graph_layer(t, params):
     g = Graph()
     out = add_layer_nodes(g, g.input("x"), pooling_groups(t), params, "L")
     return t.with_values(forward(g, {"x": t.values, **params.bindings("L")})[out])
+
+
+def graph_stack(t, stack, read=None):
+    """``layers.apply_stack`` run as one graph per layer (``graph_layer``);
+    with ``read``, what it returns for each layer and the group means of
+    the layer's input, pooled afresh."""
+    groups = pooling_groups(t)
+    pooled = [groups[S] for S in layers.all_subsets(t.ndim)[1:]]
+    kept = []
+    for lp in stack:
+        if read is not None:
+            kept.append(read(lp, autodiff.pooled_means(t.values, pooled)))
+        t = graph_layer(t, lp)
+    return t if read is None else kept
 
 
 class TestInferenceBuildsNoGraph:
@@ -527,7 +542,10 @@ class TestInferenceBuildsNoGraph:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_values_of_per_layer_graphs_without_a_graph(self, monkeypatch,
                                                         dtype):
-        monkeypatch.setattr(layers, "exchangeable_tensor_layer", graph_layer)
+        # the reference runs every eval-mode forward and context pass of
+        # ``models`` as one-layer graphs; an empty memo skips none of them
+        monkeypatch.setattr(models, "apply_stack", graph_stack)
+        monkeypatch.setattr(training, "_memo", [])
         want = self.outputs(dtype)
         monkeypatch.undo()
 
@@ -535,7 +553,6 @@ class TestInferenceBuildsNoGraph:
             raise AssertionError("inference built a Graph")
 
         monkeypatch.setattr(autodiff.Graph, "__init__", no_graph)
-        # evaluate's memo would skip the context pass this test watches
         monkeypatch.setattr(training, "_memo", [])
         got = self.outputs(dtype)
         assert len(got) == len(want) == 8

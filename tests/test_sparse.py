@@ -68,6 +68,15 @@ class TestConstruction:
                 (2, 2), np.array([[-1, 0]]), np.array([[1.0]])
             )
 
+    @pytest.mark.parametrize("indices", [
+        [[0.5, 1.9]], np.array([[0, 1]], dtype=np.float32), [[True, False]]])
+    def test_non_integer_indices_refused(self, indices):
+        """A cast would truncate these: [[0.5, 1.9]] would be cell (0, 1)."""
+        with pytest.raises(TypeError, match=(
+                rf"indices must be an integer array, got dtype "
+                rf"{np.asarray(indices).dtype}")):
+            SparseExchangeableTensor((3, 3), indices, [[1.0]])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one observed cell"):
             SparseExchangeableTensor(

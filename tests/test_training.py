@@ -444,6 +444,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="validation table is empty"):
             train(config, TrainConfig(epochs=1), tr, val.subset([]))
 
+    @pytest.mark.parametrize("config", [tiny_ss_config(), tiny_fea_config()],
+                             ids=["ss", "fea"])
+    def test_empty_training_table_rejected(self, config):
+        """Named before any encoding, which would refuse a tensor of no
+        cells."""
+        tr, val = split_synthetic()
+        with pytest.raises(ValueError, match="training table is empty"):
+            train(config, TrainConfig(epochs=1), tr.subset([]), val)
+
     def test_validation_table_with_other_user_ids_rejected(self):
         """Same dims, other ids: the cells would be scored at the
         training table's users of the same index."""
@@ -668,6 +677,13 @@ class TestEvaluate:
         tr, val = split_synthetic()
         with pytest.raises(ValueError, match="query table is empty"):
             evaluate(config, init_params(config), tr, val.subset([]))
+
+    @pytest.mark.parametrize("config", [tiny_ss_config(), tiny_fea_config()],
+                             ids=["ss", "fea"])
+    def test_empty_observed_table_rejected(self, config):
+        tr, val = split_synthetic()
+        with pytest.raises(ValueError, match="observed table is empty"):
+            evaluate(config, init_params(config), tr.subset([]), val)
 
     @pytest.mark.parametrize("config", [tiny_ss_config(), tiny_fea_config()],
                              ids=["ss", "fea"])
