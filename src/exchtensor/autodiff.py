@@ -1,15 +1,18 @@
-"""A minimal reverse-mode differentiation engine over static graphs.
+"""The layer op, its backward, and a small reverse-mode graph engine.
 
-The graph vocabulary is deliberately small.  The models use one fused
-op per layer, which sums the layer's terms and applies its activation
-and dropout mask in the same pass, plus segment pooling, broadcasting
-group values back, channel concat and a fused loss; ``channel_mix``,
-``add``, ``nonlinearity``, ``dropout_mask`` and ``mean_square_error``
-run only in the fused op's test references and the benchmark's probes.
-There is no control flow, no general broadcasting, and no in-graph
-randomness: dropout enters as a precomputed mask attribute of the layer
-node, so forward passes are deterministic functions of the bindings.
-The backward pass forms no gradient for a data leaf.
+A layer is one op, ``equivariant_layer``, which sums the layer's terms
+and applies its activation and dropout mask in the same pass;
+``_equivariant_layer_grads`` is its backward before the activation.
+``layers.train_stack`` runs a stack of them on a tape, and
+``cross_entropy`` is the fused training loss.
+
+The graph engine (``Graph``, ``forward`` and ``backward``) keeps the
+generic ops of a layer taken apart: segment pooling, broadcasting group
+values back, channel mixing, the nonlinearity, ``add``, and two losses.
+They serve the fused op's test references and the benchmark's per-op
+probes; no model trains through them.  There is no control flow and no
+general broadcasting, so forward passes are deterministic functions of
+the bindings.  The backward pass forms no gradient for a data leaf.
 
 Graphs are built once and never mutated.  Operands must already exist
 when a node is added, so graphs are acyclic and stored in topological
@@ -33,6 +36,7 @@ __all__ = [
     "add_terms",
     "equivariant_layer",
     "pooled_means",
+    "cross_entropy",
     "forward",
     "backward",
 ]
@@ -96,23 +100,6 @@ class Graph:
 
     # structure ops
 
-    def equivariant_layer(self, x: str, bias: str, blocks, groups,
-                          nonlinearity: str = "identity", slope: float = 0.01,
-                          mask: np.ndarray | None = None) -> str:
-        """One layer's output, as the module-level ``equivariant_layer``:
-        the activation and the dropout ``mask`` (survivor scaling baked
-        in) are applied in the same pass as the sum.  A tied layer names
-        its shared block twice.  A softmax layer takes no mask, since its
-        backward reads the activation the mask would hide."""
-        _check_activation(nonlinearity, slope)
-        if mask is not None:
-            if nonlinearity == "softmax":
-                raise ValueError("a softmax layer takes no dropout mask")
-            mask = np.asarray(mask)
-        return self._add("equivariant_layer", (x, bias, *blocks),
-                         groups=tuple(groups), nonlinearity=nonlinearity,
-                         slope=float(slope), mask=mask)
-
     def segment_pool(self, x: str, groups: AxisGroups, mode: str = "mean") -> str:
         """(n, K) cell values -> (n_groups, K) per-group means.
 
@@ -152,35 +139,12 @@ class Graph:
             raise ValueError("add needs at least one operand")
         return self._add("add", xs)
 
-    def dropout_mask(self, x: str, mask: np.ndarray) -> str:
-        """Multiply by a fixed mask (survivor scaling baked into the mask).
-
-        The product keeps the values' dtype whatever the mask's dtype.
-        """
-        mask = np.asarray(mask)
-        return self._add("dropout_mask", (x,), mask=mask)
-
-    def concat_channels(self, *xs: str) -> str:
-        if len(xs) < 1:
-            raise ValueError("concat_channels needs at least one operand")
-        return self._add("concat_channels", xs)
-
     # losses
 
-    def softmax_cross_entropy(self, logits: str, targets: str,
-                              row_weights: np.ndarray | None = None) -> str:
-        """Fused scalar loss: weighted mean over rows of logsumexp(l) − Σ t·l.
-
-        ``row_weights`` selects which rows count (masked-target training);
-        None means every row with weight 1.  The loss and its gradients
-        keep the logits' dtype.
-        """
-        if row_weights is not None:
-            row_weights = np.asarray(row_weights, dtype=np.float64)
-            if (row_weights < 0).any() or row_weights.sum() <= 0:
-                raise ValueError("row_weights must be nonnegative with positive sum")
-        return self._add("softmax_cross_entropy", (logits, targets),
-                         row_weights=row_weights)
+    def softmax_cross_entropy(self, logits: str, targets: str) -> str:
+        """Fused scalar loss ``cross_entropy``: the mean over rows of
+        logsumexp(l) − Σ t·l, in the logits' dtype."""
+        return self._add("softmax_cross_entropy", (logits, targets))
 
     def mean_square_error(self, pred: str, target: str) -> str:
         """Scalar: mean over all entries of (pred − target)^2."""
@@ -393,13 +357,41 @@ def _equivariant_layer_grads(dY, x, blocks, groups, means, dx=True):
     return dx, dY.sum(axis=0), dblocks
 
 
-def _cross_entropy_grads(dY, logits, targets, row_weights, dtargets=True):
-    """(dlogits, dtargets) of the fused softmax cross entropy, dtargets
-    None unless asked for."""
+def cross_entropy(logits, targets, row_weights=None):
+    """Fused softmax cross entropy of (n, K) ``logits`` against targets
+    of their shape: the weighted mean over rows of logsumexp(l) − Σ t·l,
+    as a 0-d array of the logits' dtype, float32 at least.  Rows of up
+    to ``CHANNEL_MAJOR_MAX`` channels reduce channel-major.
+    ``row_weights``, n nonnegative weights with a positive sum, select
+    which rows count (masked-target training); None counts every row
+    once."""
+    if targets.shape != logits.shape:
+        raise ValueError(f"targets {targets.shape} vs logits {logits.shape}")
+    if row_weights is not None:
+        row_weights = np.asarray(row_weights, dtype=np.float64)
+        if row_weights.shape != (logits.shape[0],):
+            raise ValueError(f"row_weights shape {row_weights.shape}, "
+                             f"expected ({logits.shape[0]},)")
+        if (row_weights < 0).any() or row_weights.sum() <= 0:
+            raise ValueError("row_weights must be nonnegative with positive sum")
+    lc, axis = _by_channel(logits)
+    m = lc.max(axis=axis, keepdims=True)
+    lse = (m + np.log(np.exp(lc - m).sum(axis=axis, keepdims=True))).ravel()
+    ce = lse - (_by_channel(targets)[0] * lc).sum(axis=axis)
+    loss = ce.mean() if row_weights is None \
+        else (row_weights * ce).sum() / row_weights.sum()
+    return np.asarray(loss, np.result_type(logits, np.float32))
+
+
+def _cross_entropy_grads(dY, logits, targets, row_weights=None,
+                         dtargets=True):
+    """(dlogits, dtargets) of ``cross_entropy`` at its output gradient
+    dY, dtargets None unless asked for."""
     dtype = np.result_type(logits, np.float32)
     if row_weights is None:
         coef = np.full(logits.shape[0], 1.0 / logits.shape[0], dtype)
     else:
+        row_weights = np.asarray(row_weights, dtype=np.float64)
         coef = (row_weights / row_weights.sum()).astype(dtype)
     dlogits = dY * coef[:, None] * (_softmax(logits) - targets)
     return dlogits, -dY * coef[:, None] * logits if dtargets else None
@@ -410,19 +402,11 @@ def _check_2d(name: str, label: str, v: np.ndarray):
         raise ValueError(f"node '{name}': {label} must be 2-d, got shape {v.shape}")
 
 
-def _check_mask(name: str, mask: np.ndarray, shape: tuple):
-    if np.broadcast_shapes(shape, mask.shape) != shape:
-        raise ValueError(f"node '{name}': mask shape {mask.shape} does not "
-                         f"fit values {shape}")
-
-
 def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Evaluate every node in topological order; returns name -> value.
 
     All input and parameter nodes must be bound; shape errors name the
-    offending node.  A layer node also keeps, for the backward pass, its
-    pooled group means under (name, "means") and, for a leaky ReLU, the
-    sign of its sum (``add_terms``) under (name, "sign").
+    offending node.
     """
     values: dict[str, np.ndarray] = {}
     for node in graph.nodes:
@@ -434,27 +418,7 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
             values[name] = np.asarray(bindings[name])
             continue
         args = [values[o] for o in node.operands]
-        if op == "equivariant_layer":
-            x, b, blocks, a = args[0], args[1], args[2:], node.attrs
-            groups, mask = a["groups"], a["mask"]
-            _check_2d(name, "values", x)
-            if {w.shape for w in blocks} != {(x.shape[1], *b.shape)} \
-                    or len(blocks) != len(groups) + 1 \
-                    or any(g.n_members != x.shape[0] for g in groups):
-                raise ValueError(
-                    f"node '{name}': values {x.shape}, bias {b.shape}, "
-                    f"blocks {[w.shape for w in blocks]} and groups of "
-                    f"{[g.n_members for g in groups]} cells do not fit"
-                )
-            shape = (x.shape[0], *b.shape)
-            if mask is not None:
-                _check_mask(name, mask, shape)
-            sign = np.empty(shape, bool) \
-                if a["nonlinearity"] == "leaky_relu" else None
-            values[name], values[name, "means"] = equivariant_layer(
-                x, b, blocks, groups, a["nonlinearity"], a["slope"], mask, sign)
-            values[name, "sign"] = sign
-        elif op == "segment_pool":
+        if op == "segment_pool":
             (x,) = args
             g: AxisGroups = node.attrs["groups"]
             _check_2d(name, "values", x)
@@ -508,38 +472,10 @@ def forward(graph: Graph, bindings: Mapping[str, np.ndarray]) -> dict[str, np.nd
                     )
                 out = out + a
             values[name] = out
-        elif op == "dropout_mask":
-            (x,) = args
-            mask = node.attrs["mask"]
-            _check_mask(name, mask, x.shape)
-            values[name] = x * mask.astype(np.result_type(x, np.float32))
-        elif op == "concat_channels":
-            for a in args:
-                _check_2d(name, "operand", a)
-            rows = {a.shape[0] for a in args}
-            if len(rows) != 1:
-                raise ValueError(f"node '{name}': row counts differ: {sorted(rows)}")
-            values[name] = np.concatenate(args, axis=1)
         elif op == "softmax_cross_entropy":
             logits, targets = args
             _check_2d(name, "logits", logits)
-            if targets.shape != logits.shape:
-                raise ValueError(
-                    f"node '{name}': targets {targets.shape} vs logits "
-                    f"{logits.shape}"
-                )
-            w = node.attrs["row_weights"]
-            if w is not None and w.shape != (logits.shape[0],):
-                raise ValueError(
-                    f"node '{name}': row_weights shape {w.shape}, expected "
-                    f"({logits.shape[0]},)"
-                )
-            lc, axis = _by_channel(logits)
-            m = lc.max(axis=axis, keepdims=True)
-            lse = (m + np.log(np.exp(lc - m).sum(axis=axis, keepdims=True))).ravel()
-            ce = lse - (_by_channel(targets)[0] * lc).sum(axis=axis)
-            loss = ce.mean() if w is None else (w * ce).sum() / w.sum()
-            values[name] = np.asarray(loss, np.result_type(logits, np.float32))
+            values[name] = cross_entropy(logits, targets)
         elif op == "mean_square_error":
             pred, target = args
             if pred.shape != target.shape:
@@ -561,8 +497,7 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
     touches get zeros.  Loss targets (second operand of the fused losses)
     do receive gradient flow, so parameters are differentiable wherever
     they enter the graph.  No gradient is formed for a data leaf
-    (``Graph.input``): not a layer's dx over its input data, nor a loss's
-    gradient for its targets.
+    (``Graph.input``), such as a loss's targets.
     """
     lv = np.asarray(values[loss])
     if lv.size != 1:
@@ -584,21 +519,7 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
         dY = grads[node.name]
         args = [values[o] for o in node.operands]
         op = node.op
-        if op == "equivariant_layer":
-            a = node.attrs
-            if a["nonlinearity"] == "softmax":
-                dY = _softmax_grad(values[node.name], dY)
-            elif a["nonlinearity"] == "leaky_relu" or a["mask"] is not None:
-                dY = add_terms(dY, [], a["nonlinearity"], a["slope"], a["mask"],
-                               values[node.name, "sign"], grad=True)
-            dx, dbias, dblocks = _equivariant_layer_grads(
-                dY, args[0], args[2:], a["groups"], values[node.name, "means"],
-                dx=node.operands[0] not in leaves)
-            accumulate(node.operands[0], dx)
-            accumulate(node.operands[1], dbias)
-            for o, d in zip(node.operands[2:], dblocks):
-                accumulate(o, d)
-        elif op == "segment_pool":
+        if op == "segment_pool":
             g = node.attrs["groups"]
             dg = (dY / g.divisor[:, None]).astype(dY.dtype)
             accumulate(node.operands[0], g.spread(dg))
@@ -629,18 +550,9 @@ def backward(graph: Graph, values: Mapping[str, np.ndarray],
         elif op == "add":
             for o in node.operands:
                 accumulate(o, dY)
-        elif op == "dropout_mask":
-            mask = node.attrs["mask"]
-            accumulate(node.operands[0], dY * mask.astype(dY.dtype))
-        elif op == "concat_channels":
-            off = 0
-            for o, a in zip(node.operands, args):
-                accumulate(o, dY[:, off : off + a.shape[1]])
-                off += a.shape[1]
         elif op == "softmax_cross_entropy":
             for o, d in zip(node.operands, _cross_entropy_grads(
-                    dY, *args, node.attrs["row_weights"],
-                    dtargets=node.operands[1] not in leaves)):
+                    dY, *args, dtargets=node.operands[1] not in leaves)):
                 accumulate(o, d)
         elif op == "mean_square_error":
             pred, target = args

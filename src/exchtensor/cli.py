@@ -169,6 +169,17 @@ def _out_dir(settings: Settings) -> Path | None:
     return path
 
 
+def _rebin_target(rebin_to: str, scale: RatingScale) -> RatingScale:
+    """The --rebin-to scale, which must be the model scale."""
+    dst = _parse_scale(rebin_to)
+    if dst.levels != scale.levels:
+        raise UsageError(
+            f"--rebin-to {dst.levels} must match the model scale "
+            f"{scale.levels}"
+        )
+    return dst
+
+
 def _read_rebinned(settings: Settings, scale: RatingScale, read):
     """The tables ``read(file_scale)`` parses, on the model scale.
 
@@ -189,12 +200,7 @@ def _read_rebinned(settings: Settings, scale: RatingScale, read):
                 f"lives on a different scale pass --rebin-from/--rebin-to"
             ) from exc
     src = _parse_scale(rebin_from)
-    dst = _parse_scale(rebin_to)
-    if dst.levels != scale.levels:
-        raise UsageError(
-            f"--rebin-to {dst.levels} must match the model scale "
-            f"{scale.levels}"
-        )
+    dst = _rebin_target(rebin_to, scale)
     return [
         dataclasses.replace(
             table, ratings=rebin_scale(table.ratings, src, dst), scale=dst
@@ -219,6 +225,8 @@ def _load_data_table(
         if settings.get("rebin_from") is not None:
             raise UsageError("--rebin-from applies to a ratings file, "
                              "not --data synthetic")
+        if settings.get("rebin_to") is not None:  # the table is built on scale
+            _rebin_target(settings.get("rebin_to"), scale)
         p = density if density is not None \
             else settings.get("observed_fraction", 0.3, float)
         return synthetic_lowrank_table(observed_fraction=p, seed=seed,

@@ -15,19 +15,19 @@ whole rows, so broadcast(pool(x)) @ W equals broadcast(pool(x) @ W): the
 order is free and the layer mixes the few group rows instead of all n
 cells.  Pool -> mix -> broadcast leaves one (n, K) @ (K, O) product per
 layer, for the cell term, instead of 2^D.  The whole sum is one op,
-``autodiff.equivariant_layer``: training graphs hold it as one node per
-layer, and inference calls it once per layer from ``apply_stack``, the
-one eval-mode loop over a stack, which builds no graph, checks every
-layer before the first runs, and reads the pooling groups and a one-hot
-input once per stack.  The cell term writes a layer's output once; the
-pooled terms, the bias, the activation and, in training, the dropout
-mask are then added or applied in place, one cache-sized row block at a
-time.  The bias and the global term are
-single rows, so they are added once into the first pooled table instead
-of into every cell.  The graph op records the sign of each sum in that
-pass, which its backward reads for the leaky ReLU's derivative.  A
-one-hot input, as the ratings enter the first layer, is read by level:
-its cell term is a row gather of the cell block.
+``autodiff.equivariant_layer``, and two loops call it once per layer:
+``apply_stack``, the eval-mode loop, which reads the pooling groups and
+a one-hot input once per stack, and ``train_stack``, which records each
+layer on a tape that ``stack_grads`` walks back.  Both check every
+layer before the first runs.  The cell term writes a layer's output
+once; the pooled terms, the bias, the activation and, in training, the
+dropout mask are then added or applied in place, one cache-sized row
+block at a time.  The bias and the global term are single rows, so they
+are added once into the first pooled table instead of into every cell.
+In training that pass records the sign of each sum, which the backward
+reads for the leaky ReLU's derivative.  A one-hot input, as the ratings
+enter the first layer in eval mode, is read by level: its cell term is
+a row gather of the cell block.
 
 For matrices (D=2) the four subsets are: both axes (the cell itself), the
 column axis (mean over the cell's column), the row axis (mean over the
@@ -48,7 +48,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import NONLINEARITIES, Graph, equivariant_layer, pooled_means
+from .autodiff import (
+    NONLINEARITIES,
+    _equivariant_layer_grads,
+    _softmax_grad,
+    add_terms,
+    equivariant_layer,
+    pooled_means,
+)
 from .sparse import AxisGroups, SparseExchangeableTensor
 
 __all__ = [
@@ -59,9 +66,9 @@ __all__ = [
     "block_name",
     "random_layer_params",
     "pooling_groups",
-    "add_layer_nodes",
-    "add_stack_nodes",
     "apply_stack",
+    "train_stack",
+    "stack_grads",
     "one_hot_input",
     "exchangeable_tensor_layer",
     "dropout_channel_mask",
@@ -88,8 +95,8 @@ def block_key(S: frozenset[int]) -> str:
 def block_name(prefix: str, S: frozenset[int], tied: bool) -> str:
     """Array name of block S in the layer named prefix, e.g. 'layer1.w01'.
 
-    This is the one naming rule for a layer's arrays: graph parameter
-    nodes, optimizer state and checkpoints all use it.  A tied layer's
+    This is the one naming rule for a layer's arrays: gradients,
+    optimizer state and checkpoints all use it.  A tied layer's
     column-pool block is its row-pool block, so it takes the name 'w0'.
     Cached: every training epoch names each of a model's arrays.
     """
@@ -135,7 +142,7 @@ class ExchLayerParams:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
         if not isinstance(self.slope, Real) or not 0.0 <= self.slope <= 1.0:
             raise ValueError(f"slope must be a number in [0, 1], got {self.slope!r}")
-        # a Python float, as graph nodes hold it, keeps float32 values float32
+        # a Python float keeps float32 values float32
         self.slope = float(self.slope)
         if self.tied:
             if ndim != 2:
@@ -228,62 +235,19 @@ def pooling_groups(
     }
 
 
-def add_layer_nodes(
-    g: Graph,
-    x: str,
-    groups: Mapping[frozenset[int], AxisGroups],
-    params: ExchLayerParams,
-    prefix: str,
-    dropout_mask: np.ndarray | None = None,
-) -> str:
-    """Append one equivariant layer to a graph; returns the output node.
-
-    The layer is one ``equivariant_layer`` node, which applies its
-    nonlinearity and, when given, its dropout mask in the pass that sums
-    its terms.  Parameter nodes are named per ``block_name``, as in
-    ``params.bindings(prefix)``.  A tied layer contributes a single
-    parameter node for its shared block, so the backward pass
-    accumulates both terms' gradients into it.
-    """
-    # the pooled subsets of a D-axis tensor run up to D - 1 axes
-    _check_axes(params, max(map(len, groups)) + 1)
-    subsets = all_subsets(params.ndim)
-    bias = g.parameter(f"{prefix}.bias")
-    blocks = [block_name(prefix, S, params.tied) for S in subsets]
-    for nm in dict.fromkeys(blocks):
-        g.parameter(nm)
-    return g.equivariant_layer(x, bias, blocks,
-                               [groups[S] for S in subsets[1:]],
-                               params.nonlinearity, params.slope, dropout_mask)
-
-
-def add_stack_nodes(
-    g: Graph,
-    x: str,
-    groups: Mapping[frozenset[int], AxisGroups],
-    stack: Sequence[ExchLayerParams],
-    prefix: str,
-    dropout_masks: Mapping[int, np.ndarray] | None = None,
-) -> str:
-    """Append a stack of layers that all pool with ``groups``.
-
-    Layer k (1-based) names its parameters ``params.bindings(prefix + k)``
-    and multiplies its output by ``dropout_masks[k]`` when one is given.
-    Returns the last layer's output node.
-    """
-    dropout_masks = dropout_masks or {}
+def _check_stack(stack: Sequence[ExchLayerParams], ndim: int,
+                 width: int) -> None:
+    """ValueError unless every layer's blocks are those of an ndim-axis
+    tensor, since a matrix layer would pool a tensor over the wrong axes,
+    and each layer takes its input's width: ``width`` for the first,
+    the previous layer's output for the rest."""
     for k, lp in enumerate(stack, start=1):
-        x = add_layer_nodes(
-            g, x, groups, lp, f"{prefix}{k}", dropout_masks.get(k)
-        )
-    return x
-
-
-def _check_axes(params: ExchLayerParams, ndim: int) -> None:
-    """ValueError unless the layer's blocks are those of an ndim-axis
-    tensor: a matrix layer would pool a tensor over the wrong axes."""
-    if params.ndim != ndim:
-        raise ValueError(f"params cover {params.ndim} axes, tensor has {ndim}")
+        if lp.ndim != ndim:
+            raise ValueError(f"params cover {lp.ndim} axes, tensor has {ndim}")
+        if lp.channels_in != width:
+            raise ValueError(f"layer {k} expects {lp.channels_in} channels, "
+                             f"its input has {width}")
+        width = lp.channels_out
 
 
 def _one_hot_levels(x: np.ndarray) -> np.ndarray | None:
@@ -336,17 +300,16 @@ def exchangeable_tensor_layer(
 
 def apply_stack(t: SparseExchangeableTensor,
                 stack: Sequence[ExchLayerParams], read=None):
-    """Eval-mode forward of a layer stack over t's index set: the one
-    loop that runs layers outside a graph.
+    """Eval-mode forward of a layer stack over t's index set.
 
     Before the first layer runs, every layer's axes are checked against
     t's, and its input width against the previous layer's output (t's
     channels for the first).  t's pooling groups and its one-hot levels
     and means (``one_hot_input``) are read once: every layer's output
     shares t's index set and so its groups, and a one-hot t, such as a
-    context's encoded ratings, is read by level.  No graph is built:
-    each layer is one ``equivariant_layer`` call, and only the current
-    layer's input and output are held.  Returns the last layer's output.
+    context's encoded ratings, is read by level.  Each layer is one
+    ``equivariant_layer`` call, and only the current layer's input and
+    output are held.  Returns the last layer's output.
 
     With ``read``, returns what ``read(layer, group means)`` returns for
     each layer instead.  The group means are those the layer's pooled
@@ -355,13 +318,7 @@ def apply_stack(t: SparseExchangeableTensor,
     last layer's output, which no pool reads, is not computed, and t is
     not held.
     """
-    width = t.channels
-    for k, lp in enumerate(stack, start=1):
-        _check_axes(lp, t.ndim)
-        if lp.channels_in != width:
-            raise ValueError(f"layer {k} expects {lp.channels_in} channels, "
-                             f"its input has {width}")
-        width = lp.channels_out
+    _check_stack(stack, t.ndim, t.channels)
     groups, subsets = pooling_groups(t), all_subsets(t.ndim)
     pooled = [groups[S] for S in subsets[1:]]
     levels, means = one_hot_input(t)
@@ -380,6 +337,71 @@ def apply_stack(t: SparseExchangeableTensor,
     kept.append(read(stack[-1], pooled_means(x, pooled)
                      if means is None else means))
     return kept
+
+
+def train_stack(x: np.ndarray, groups: Mapping[frozenset[int], AxisGroups],
+                stack: Sequence[ExchLayerParams],
+                masks: Mapping[int, np.ndarray] | None = None) -> list[tuple]:
+    """Training-mode forward of a layer stack over (n, K) values x whose
+    pools read ``groups`` (``pooling_groups``, perhaps with a context);
+    returns the tape that ``stack_grads`` walks back.
+
+    Every layer is checked before the first runs, as ``apply_stack``
+    checks them.  Layer k (1-based) is one ``equivariant_layer`` call
+    whose output is multiplied by ``masks[k]`` when given, a dropout
+    mask with survivor scaling baked in; a leaky ReLU records the sign
+    of each sum.  A softmax layer takes no mask, since its backward
+    reads the activation the mask would hide.  The tape holds, per
+    layer, (params, input, output, group means, sign, mask); the
+    stack's output is the last entry's."""
+    ndim = max(map(len, groups)) + 1  # the pooled subsets fix up to D - 1 axes
+    _check_stack(stack, ndim, x.shape[1])
+    subsets = all_subsets(ndim)
+    pooled = [groups[S] for S in subsets[1:]]
+    if any(g.n_members != x.shape[0] for g in pooled):
+        raise ValueError(f"groups cover {pooled[0].n_members} cells, "
+                         f"values have {x.shape[0]}")
+    masks = masks or {}
+    if any(lp.nonlinearity == "softmax" and k in masks
+           for k, lp in enumerate(stack, start=1)):
+        raise ValueError("a softmax layer takes no dropout mask")
+    tape = []
+    for k, lp in enumerate(stack, start=1):
+        mask = masks.get(k)
+        sign = np.empty((x.shape[0], lp.channels_out), bool) \
+            if lp.nonlinearity == "leaky_relu" else None
+        y, means = equivariant_layer(x, lp.bias, [lp.blocks[S] for S in subsets],
+                                     pooled, lp.nonlinearity, lp.slope, mask,
+                                     sign)
+        tape.append((lp, x, y, means, sign, mask))
+        x = y
+    return tape
+
+
+def stack_grads(tape: list[tuple], groups: Mapping[frozenset[int], AxisGroups],
+                dY: np.ndarray, prefix: str, dx: bool = False):
+    """(gradients by name, dx) of a ``train_stack`` tape at the gradient
+    dY of its output.  Layer k's arrays are named as
+    ``params.bindings(prefix + k)`` names them; a tied layer's shared
+    block sums its two terms' gradients in ``all_subsets`` order.  dx,
+    the gradient at the stack's input, is None unless asked for."""
+    subsets = all_subsets(max(map(len, groups)) + 1)
+    pooled = [groups[S] for S in subsets[1:]]
+    grads = {}
+    for k in range(len(tape), 0, -1):
+        lp, x, y, means, sign, mask = tape[k - 1]
+        if lp.nonlinearity == "softmax":
+            dY = _softmax_grad(y, dY)
+        elif lp.nonlinearity == "leaky_relu" or mask is not None:
+            dY = add_terms(dY, [], lp.nonlinearity, lp.slope, mask, sign,
+                           grad=True)
+        dY, grads[f"{prefix}{k}.bias"], dblocks = _equivariant_layer_grads(
+            dY, x, [lp.blocks[S] for S in subsets], pooled, means,
+            dx=k > 1 or dx)
+        for S, d in zip(subsets, dblocks):
+            name = block_name(f"{prefix}{k}", S, lp.tied)
+            grads[name] = grads[name] + d if name in grads else d
+    return grads, dY
 
 
 def dropout_channel_mask(

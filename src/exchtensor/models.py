@@ -15,7 +15,9 @@ the query cells are not.  The autoencoder's decoder pools each query
 cell over the context plus itself, as training pools every target cell
 with itself.  So every context-side value at every layer is fixed by
 the parameters and the context: ``prepare`` computes them once, and
-``predict`` runs a tail pass over the query cells alone.
+``predict`` runs a tail pass over the query cells alone.  Training runs
+each stack on a ``layers.train_stack`` tape: ``loss_and_grads`` gives a
+batch's loss and a call that walks the tapes back for its gradients.
 """
 
 from __future__ import annotations
@@ -28,20 +30,35 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autodiff import NONLINEARITIES, Graph, add_terms, fold_rows
+from .autodiff import (
+    NONLINEARITIES,
+    _cross_entropy_grads,
+    _grouped_sums,
+    add_terms,
+    cross_entropy,
+    fold_rows,
+    pooled_means,
+)
 from .data import RatingScale
 from .layers import (
     ExchLayerParams,
     FactorPair,
-    add_stack_nodes,
     all_subsets,
     apply_stack,
     broadcast_factors,
     pool_to_factors,
     pooling_groups,
     random_layer_params,
+    stack_grads,
+    train_stack,
 )
-from .sparse import SparseExchangeableTensor, cell_keys, with_zero_row
+from .sparse import (
+    SparseExchangeableTensor,
+    _integer_array,
+    cell_keys,
+    lookup,
+    with_zero_row,
+)
 
 __all__ = [
     "ModelConfig",
@@ -201,12 +218,15 @@ def union_with_zeros(
     t: SparseExchangeableTensor, extra_indices: np.ndarray
 ) -> SparseExchangeableTensor:
     """Extend the index set with extra cells carrying zero channels;
-    t itself, cached groupings and all, when it holds every extra cell."""
-    extra = np.asarray(extra_indices, dtype=np.int64)
+    t itself, cached groupings and all, when it holds every extra cell.
+    Extra cells that are not an integer array raise ``TypeError``, and
+    one outside t's dims ``ValueError``."""
+    extra = _integer_array("extra indices", extra_indices)
     if extra.ndim != 2 or extra.shape[1] != t.ndim:
         raise ValueError(f"extra indices must be (n, {t.ndim})")
     # drop the cells t already holds and duplicates among the extras
-    extra = np.unique(extra[t.find(extra) < 0], axis=0)
+    extra = np.unique(extra[lookup(t.keys, cell_keys(extra, t.dims)) < 0],
+                      axis=0)
     if extra.shape[0] == 0:
         return t
     indices = np.concatenate([t.indices, extra])
@@ -305,11 +325,12 @@ class SelfSupervisedParams:
                           list(zip(tables, at)), lp.nonlinearity, lp.slope)
         return h
 
-    def loss_graph(self, config: ModelConfig, batch: SparseExchangeableTensor,
-                   masks: dict, seed: int):
+    def loss_and_grads(self, config: ModelConfig,
+                       batch: SparseExchangeableTensor, masks: dict, seed: int):
         """Cross-entropy on a random subset of the batch's cells, whose
-        inputs are zeroed and which the pools do not read; another seed
-        is tried while none is masked."""
+        inputs are zeroed and which the pools do not read, and its
+        gradients (``build_ss_loss_graph``); another seed is tried while
+        none is masked."""
         for attempt in range(10):
             x_in, hit = mask_inputs(batch, config.mask_prob,
                                     seed=seed + attempt)
@@ -386,9 +407,10 @@ class FeaParams:
             h = add_terms(h, list(zip(tables, at)), lp.nonlinearity, lp.slope)
         return h
 
-    def loss_graph(self, config: ModelConfig, batch: SparseExchangeableTensor,
-                   masks: dict, seed: int):
-        """Reconstruct every cell of the batch; nothing is masked."""
+    def loss_and_grads(self, config: ModelConfig,
+                       batch: SparseExchangeableTensor, masks: dict, seed: int):
+        """Reconstruct every cell of the batch; nothing is masked
+        (``build_fea_loss_graph``)."""
         return build_fea_loss_graph(batch, self.encoder, self.decoder,
                                     batch.values, masks)
 
@@ -496,7 +518,7 @@ def mask_inputs(
 
 
 def _logits_stack(stack):
-    """The training graph ends at logits; softmax lives in the fused loss."""
+    """Training ends a stack at logits; softmax lives in the fused loss."""
     last = stack[-1]
     if last.nonlinearity != "softmax":
         raise ValueError(
@@ -508,6 +530,16 @@ def _logits_stack(stack):
     return (*stack[:-1], logits)
 
 
+def _factor_grad(g, d):
+    """The factor step backwards over one grouping: the gradient at x of
+    its group means of x gathered to the cells, from their gradient d.
+    d's group sums over every member, over the group's count, reach
+    each of its context cells."""
+    (sums,) = _grouped_sums(d, [g], context=False)
+    sums = sums.astype(np.result_type(d, np.float32), copy=False)
+    return g.spread((sums / g.divisor[:, None]).astype(sums.dtype))
+
+
 def build_ss_loss_graph(
     x: SparseExchangeableTensor,
     layer_stack,
@@ -516,24 +548,29 @@ def build_ss_loss_graph(
     dropout_masks: dict | None = None,
     context: np.ndarray | None = None,
 ):
-    """Cross-entropy training graph for the plain exchangeable stack.
+    """Cross-entropy of the plain exchangeable stack, and its gradients.
 
     ``context`` masks the cells every pool reads; None reads them all.
-    Returns (graph, loss node, bindings); parameters are named as in
-    ``named_arrays(SelfSupervisedParams(layer_stack))``, so gradients map
-    back onto the model.
+    ``target_weights`` weigh each cell's term (``cross_entropy``).  The
+    forward runs here, on a ``layers.train_stack`` tape.  Returns (loss,
+    grads): the loss as a 0-d array, and ``grads()``, which walks the
+    tape back and returns each array's gradient by its name in
+    ``named_arrays(SelfSupervisedParams(layer_stack))``.  The name
+    predates the tape; the benchmark harness traces it by this name.
     """
-    model = SelfSupervisedParams(tuple(layer_stack))
-    g = Graph()
-    logits = add_stack_nodes(
-        g, g.input("x"), pooling_groups(x, context), _logits_stack(layer_stack),
-        model.STACKS["layers"], dropout_masks,
-    )
-    loss = g.softmax_cross_entropy(
-        logits, g.input("targets"), row_weights=target_weights
-    )
-    bindings = {"x": x.values, "targets": targets, **named_arrays(model)}
-    return g, loss, bindings
+    groups = pooling_groups(x, context)
+    tape = train_stack(x.values, groups, _logits_stack(layer_stack),
+                       dropout_masks)
+    logits = tape[-1][2]
+    loss = cross_entropy(logits, targets, target_weights)
+
+    def grads():
+        dlogits, _ = _cross_entropy_grads(np.ones_like(loss), logits, targets,
+                                          target_weights, dtargets=False)
+        return stack_grads(tape, groups, dlogits,
+                           SelfSupervisedParams.STACKS["layers"])[0]
+
+    return loss, grads
 
 
 def build_fea_loss_graph(
@@ -543,27 +580,35 @@ def build_fea_loss_graph(
     targets: np.ndarray,
     dropout_masks: dict | None = None,
 ):
-    """Reconstruction graph: encode, pool to factors, broadcast back over
-    the same cells, decode, cross-entropy against the input's one-hots.
-    Parameters are named as in ``named_arrays(FeaParams(...))``."""
-    model = FeaParams(tuple(encoder_stack), tuple(decoder_stack))
-    g = Graph()
+    """Reconstruction loss and its gradients: encode, pool to factors,
+    broadcast them back over the same cells, decode, cross-entropy
+    against the input's one-hots.  Returns (loss, grads) as
+    ``build_ss_loss_graph`` does, the arrays named as in
+    ``named_arrays(FeaParams(...))``."""
+    prefixes = FeaParams.STACKS
     groups = pooling_groups(x)
-    hidden = add_stack_nodes(g, g.input("x"), groups, encoder_stack,
-                             model.STACKS["encoder"])
-    by_row = groups[frozenset({0})]
-    by_col = groups[frozenset({1})]
-    factors = g.concat_channels(
-        g.gather_broadcast(g.segment_pool(hidden, by_row), by_row),
-        g.gather_broadcast(g.segment_pool(hidden, by_col), by_col),
-    )
-    logits = add_stack_nodes(
-        g, factors, groups, _logits_stack(decoder_stack),
-        model.STACKS["decoder"], dropout_masks,
-    )
-    loss = g.softmax_cross_entropy(logits, g.input("targets"))
-    bindings = {"x": x.values, "targets": targets, **named_arrays(model)}
-    return g, loss, bindings
+    encoded = train_stack(x.values, groups, encoder_stack)
+    hidden = encoded[-1][2]
+    # the factor step: each cell's row means, then its column means
+    by_axis = (groups[frozenset({0})], groups[frozenset({1})])
+    factors = np.concatenate([pooled_means(hidden, [g])[0][g.group_of]
+                              for g in by_axis], axis=1)
+    decoded = train_stack(factors, groups, _logits_stack(decoder_stack),
+                          dropout_masks)
+    logits = decoded[-1][2]
+    loss = cross_entropy(logits, targets)
+
+    def grads():
+        dlogits, _ = _cross_entropy_grads(np.ones_like(loss), logits, targets,
+                                          dtargets=False)
+        out, dfactors = stack_grads(decoded, groups, dlogits,
+                                    prefixes["decoder"], dx=True)
+        d_rows, d_cols = map(_factor_grad, by_axis,
+                             np.split(dfactors, 2, axis=1))
+        return {**stack_grads(encoded, groups, d_rows + d_cols,
+                              prefixes["encoder"])[0], **out}
+
+    return loss, grads
 
 
 def self_supervised_forward(

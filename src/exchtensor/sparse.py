@@ -70,8 +70,8 @@ class SparseExchangeableTensor:
     ``indices`` is an (n_obs, D) int array of 0-based coordinates, kept in
     lexicographic order so that two tensors with the same content compare
     equal.  ``values`` is (n_obs, K): every observed cell is either fully
-    observed across channels or absent entirely.  ``groups`` and ``find``
-    cache their work on the index set, which ``with_values`` shares.
+    observed across channels or absent entirely.  ``groups`` and ``keys``
+    are kept on the index set, which ``with_values`` shares.
     """
 
     dims: tuple[int, ...]
@@ -181,16 +181,6 @@ class SparseExchangeableTensor:
         if hit is None or hit[0]() is not self.values:
             hit = self._cache[key] = (weakref.ref(self.values), compute(self))
         return hit[1]
-
-    def find(self, cells: np.ndarray) -> np.ndarray:
-        """Row position in ``indices`` of each (m, D) cell, -1 if absent.
-
-        A cell outside ``dims`` raises ``ValueError`` naming the first
-        such cell and the dims, as the constructor does."""
-        cells = np.asarray(cells, dtype=np.int64)
-        if cells.ndim != 2 or cells.shape[1] != self.ndim:
-            raise ValueError(f"cells must be (m, {self.ndim}), got {cells.shape}")
-        return lookup(self.keys, cell_keys(cells, self.dims))
 
     @property
     def keys(self) -> np.ndarray:

@@ -2,14 +2,14 @@
 
 Nothing here depends on the architecture: each params class of
 ``models`` reads a context (``prepare``), predicts (``predict``) and
-builds its training graph (``loss_graph``), and this module only calls
-those.  Training builds one computation graph per epoch (cheap next to
-the forward pass) so channel-dropout masks, input masks and minibatch
-index sets can change freely; dropout exists only here, as masks drawn
-per epoch.  A fit keeps its parameters in one flat buffer of the
-training dtype (``FlatArrays``), one slot per array in ``named_arrays``
-order; each epoch's model, and so its graph bindings, are views into it,
-rebuilt without rederiving a name or rerunning a layer's checks.  Each
+gives a batch's loss and gradients (``loss_and_grads``), and this module
+only calls those.  Each epoch runs its forward on a fresh layer tape
+(``layers.train_stack``), so channel-dropout masks, input masks and
+minibatch index sets can change freely; dropout exists only here, as
+masks drawn per epoch.  A fit keeps its parameters in one flat buffer of
+the training dtype (``FlatArrays``), one slot per array in
+``named_arrays`` order; each epoch's model is views into it, rebuilt
+without rederiving a name or rerunning a layer's checks.  Each
 Adam step runs as a few vector ops over the whole buffer and builds a
 fresh one.  No buffer is updated in place: the previous epoch's
 parameters may still be validating on the worker thread, and the best
@@ -33,8 +33,7 @@ the memo as it was.  A minibatch fit validates each epoch on one worker
 thread while the next epoch's step runs, with results bit for bit those
 of the sequential loop; a multithreaded BLAS then serves two callers
 at once, so set its thread count with that in mind.  ``mask_inputs``
-and the two loss-graph builders live in ``models`` and are re-exported
-here.
+and the two loss builders live in ``models`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from numbers import Real
 
 import numpy as np
 
-from .autodiff import backward, forward
 from .data import (
     RatingScale, RatingsTable, encode_onehot, rmse,
 )
@@ -106,8 +104,8 @@ class TrainConfig:
 
     ``precision`` ("float32" or "float64") is the dtype training runs in:
     the parameters (cast on entry, so the returned parameters have it
-    too), the one-hot inputs and targets, every value and gradient of the
-    training graph, the Adam moments, and the validation forward.  The
+    too), the one-hot inputs and targets, every value and gradient of a
+    training step, the Adam moments, and the validation forward.  The
     row and column pools accumulate in it too; only the global pool,
     taken as the float64 sum of the row sums, accumulates in float64
     before it is cast back.  The returned model keeps it: ``evaluate``
@@ -413,7 +411,7 @@ def train(
     """Fit either architecture; returns (TrainReport, best parameters).
 
     Full-batch when the training cells fit the budget, otherwise one
-    sampled minibatch per epoch.  ``params.loss_graph`` builds each
+    sampled minibatch per epoch.  ``params.loss_and_grads`` gives each
     epoch's loss: the self-supervised model re-masks its input and takes
     its loss only on the masked cells; the autoencoder reconstructs every
     observed cell.  The validation table is checked as ``evaluate``
@@ -484,15 +482,13 @@ def train(
                         x_batch = subset_tensor(x_full, batch)
 
                     masks = _epoch_dropout_masks(model_config, epoch_rng)
-                    g, loss_node, bindings = params.loss_graph(
+                    loss, grads = params.loss_and_grads(
                         model_config, x_batch, masks, epoch_seed
                     )
-
-                    values = forward(g, bindings)
-                    loss = float(np.asarray(values[loss_node]).reshape(()))
+                    loss = float(loss)
                     step_diverged = not np.isfinite(loss)
                     if not step_diverged:
-                        grads = backward(g, values, loss_node)
+                        grads = grads()
                         try:
                             arrays, state = optimizer_step(
                                 arrays, grads, state, train_config

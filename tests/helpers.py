@@ -9,6 +9,7 @@ from exchtensor.autodiff import apply_nonlinearity
 from exchtensor.checkpoint import MAGIC
 from exchtensor.layers import (
     all_subsets, apply_stack, block_name, broadcast_factors, pooling_groups,
+    stack_grads, train_stack,
 )
 from exchtensor.models import fea_encode
 from exchtensor.sparse import (
@@ -78,11 +79,12 @@ def rewrite_header(src, dst, edit):
 def composed_layer_nodes(g, x, groups, params, prefix):
     """One layer as separate nodes: per pooled subset pool -> mix ->
     broadcast, the cell term's mix with the bias, one add and the
-    nonlinearity.  The fused ``equivariant_layer`` node matches this
+    nonlinearity.  A layer tape (``tape_stack``) matches this
     composition to rounding, values and gradients alike: within 1e-12 of
-    the largest magnitude in float64 and 1e-6 in float32, since it takes
-    its global pool from the row pool's sums.  ``whole_array_layer_grads``
-    pins the order of its backward's sums bit for bit."""
+    the largest magnitude in float64 and 1e-6 in float32, since the
+    fused op takes its global pool from the row pool's sums.
+    ``whole_array_layer_grads`` pins the order of its backward's sums bit
+    for bit."""
     ndim = params.ndim
     bias = g.parameter(f"{prefix}.bias")
     added, terms = {}, []
@@ -98,20 +100,88 @@ def composed_layer_nodes(g, x, groups, params, prefix):
     return g.nonlinearity(g.add(*terms), params.nonlinearity, params.slope)
 
 
-def separate_layer_nodes(g, x, groups, params, prefix, dropout_mask=None):
-    """One layer as the three nodes ``layers.add_layer_nodes`` emitted
-    before the layer node applied its activation and dropout mask: the
-    layer's sum, its nonlinearity and, when given, its dropout mask.
-    The fused node must match it bit for bit, values and gradients."""
-    subsets = all_subsets(params.ndim)
-    bias = g.parameter(f"{prefix}.bias")
-    blocks = [block_name(prefix, S, params.tied) for S in subsets]
-    for nm in dict.fromkeys(blocks):
-        g.parameter(nm)
-    out = g.nonlinearity(
-        g.equivariant_layer(x, bias, blocks, [groups[S] for S in subsets[1:]]),
-        params.nonlinearity, params.slope)
-    return out if dropout_mask is None else g.dropout_mask(out, dropout_mask)
+def numeric_grads(loss_of, arrays, names, eps=1e-5):
+    """Central finite differences of the scalar ``loss_of(arrays)`` for
+    each named array, every entry moved by eps both ways in float64."""
+    out = {}
+    for name in names:
+        arr = np.asarray(arrays[name], dtype=np.float64)
+        grad = np.zeros_like(arr)
+        for i in range(arr.size):
+            ends = []
+            for step in (eps, -eps):
+                bumped = arr.copy()
+                bumped.ravel()[i] += step
+                ends.append(float(loss_of({**arrays, name: bumped})))
+            grad.ravel()[i] = (ends[0] - ends[1]) / (2 * eps)
+        out[name] = grad
+    return out
+
+
+def max_rel_error(analytic, numeric):
+    """The largest |a - n| / max(1, |a| + |n|) over the named arrays."""
+    worst = 0.0
+    for name, a in analytic.items():
+        n = numeric[name]
+        denom = np.maximum(1.0, np.abs(a) + np.abs(n))
+        worst = max(worst, float((np.abs(a - n) / denom).max()))
+    return worst
+
+
+def mse_grad(y, target):
+    """The gradient at y of mean((y - target)^2), formed as ``Graph``'s
+    ``mean_square_error`` backward forms it at a loss gradient of one."""
+    one = np.ones_like(np.asarray(np.mean((y - target) ** 2)))
+    return one * 2.0 * (y - target) / y.size
+
+
+def tape_stack(x, groups, stack, prefix, target, masks=None):
+    """(layer outputs, gradients) of mean((y - target)^2) at the output y
+    of a ``layers.train_stack`` tape over x: each array's gradient by
+    its ``block_name`` under ``prefix`` + k, and x's as "x"."""
+    tape = train_stack(x, groups, stack, masks)
+    grads, dx = stack_grads(tape, groups, mse_grad(tape[-1][2], target),
+                            prefix, dx=True)
+    return [y for _, _, y, *_ in tape], {**grads, "x": dx}
+
+
+def separate_layer_passes(x, groups, stack, prefix, target, masks=None):
+    """``tape_stack`` with each layer taken apart as separate graph nodes
+    ran it before the layer op applied its activation and dropout mask:
+    the layer's sum (``equivariant_layer`` with no activation), then its
+    nonlinearity and its mask as whole-array passes; backward, the
+    mask's and the leaky ReLU's derivatives as whole-array products
+    before ``_equivariant_layer_grads``, and a tied block's two
+    gradients summed in ``all_subsets`` order.  The tape's fused passes
+    must match it bit for bit.  Layers are leaky ReLU or identity."""
+    from exchtensor.autodiff import _equivariant_layer_grads, equivariant_layer
+
+    subsets = all_subsets(stack[0].ndim)
+    pooled = [groups[S] for S in subsets[1:]]
+    masks = masks or {}
+    kept, outs = [], []
+    for k, lp in enumerate(stack, start=1):
+        blocks = [lp.blocks[S] for S in subsets]
+        total, means = equivariant_layer(x, lp.bias, blocks, pooled)
+        y = apply_nonlinearity(total, lp.nonlinearity, lp.slope)
+        if k in masks:
+            y = y * masks[k].astype(np.result_type(y, np.float32))
+        kept.append((x, total, means, blocks))
+        outs.append(y)
+        x = y
+    dY, grads = mse_grad(outs[-1], target), {}
+    for k in range(len(stack), 0, -1):
+        lp, (x, total, means, blocks) = stack[k - 1], kept[k - 1]
+        if k in masks:
+            dY = dY * masks[k].astype(dY.dtype)
+        if lp.nonlinearity == "leaky_relu":
+            dY = dY * np.maximum(total >= 0, lp.slope, dtype=dY.dtype)
+        dY, grads[f"{prefix}{k}.bias"], dblocks = _equivariant_layer_grads(
+            dY, x, blocks, pooled, means)
+        for S, d in zip(subsets, dblocks):
+            name = block_name(f"{prefix}{k}", S, lp.tied)
+            grads[name] = grads[name] + d if name in grads else d
+    return outs, {**grads, "x": dY}
 
 
 def whole_array_layer_grads(dY, x, blocks, groups, means, dx=True):
@@ -285,7 +355,6 @@ def sequential_train(model_config, train_config, train_table, val_table):
     ``training.train`` must match it bit for bit.  Returns (TrainReport
     fields as a dict, best parameters)."""
     from exchtensor import training as tr
-    from exchtensor.autodiff import backward, forward
     from exchtensor.data import encode_onehot, rmse
     from exchtensor.models import init_params, named_arrays
     from exchtensor.sampling import (
@@ -321,16 +390,13 @@ def sequential_train(model_config, train_config, train_table, val_table):
             x_batch = subset_tensor(x_full, conditional_subsample(
                 x_full, rows, cols, seed=epoch_seed))
         masks = tr._epoch_dropout_masks(mc, epoch_rng)
-        g, loss_node, bindings = params.loss_graph(mc, x_batch, masks,
-                                                   epoch_seed)
-        values = forward(g, bindings)
-        loss = float(np.asarray(values[loss_node]).reshape(()))
+        loss, grads = params.loss_and_grads(mc, x_batch, masks, epoch_seed)
+        loss = float(loss)
         diverged = not np.isfinite(loss)
         if not diverged:
             try:
                 arrays, state = per_array_adam(
-                    named_arrays(params), backward(g, values, loss_node),
-                    state, tc)
+                    named_arrays(params), grads(), state, tc)
             except FloatingPointError:
                 diverged = True
         losses.append(loss)

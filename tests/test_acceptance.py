@@ -8,10 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_dense, random_sparse
-from test_training import max_rel_error, numeric_grads
+from helpers import max_rel_error, numeric_grads, random_dense, random_sparse
 
-from exchtensor.autodiff import backward, forward
 from exchtensor.checkpoint import load_checkpoint, save_checkpoint
 from exchtensor.data import (
     FIVE_STAR,
@@ -30,6 +28,8 @@ from exchtensor.models import (
     ModelConfig,
     count_parameters,
     init_params,
+    named_arrays,
+    with_named_arrays,
 )
 from exchtensor.sampling import conditional_subsample, uniform_subsample
 from exchtensor.sparse import (
@@ -267,12 +267,14 @@ def test_05_end_to_end_gradient_check():
     x = SparseExchangeableTensor((3, 3), idx, values)
     masked, hit = mask_inputs(x, 0.5, seed=1)
     weights = hit.astype(np.float64)
-    g, loss_node, bindings = build_ss_loss_graph(
-        masked, params.layers, x.values, weights
-    )
-    analytic = backward(g, forward(g, bindings), loss_node)
-    names = [n for n in analytic if n.startswith("layer")]
-    numeric = numeric_grads(g, bindings, loss_node, names)
+    _, grads = build_ss_loss_graph(masked, params.layers, x.values, weights)
+    analytic = grads()
+    names = list(named_arrays(params))
+    numeric = numeric_grads(
+        lambda arrays: build_ss_loss_graph(
+            masked, with_named_arrays(params, arrays).layers, x.values,
+            weights)[0],
+        named_arrays(params), names)
     err = max_rel_error({n: analytic[n] for n in names}, numeric)
     elapsed = time.time() - start
     verdict(

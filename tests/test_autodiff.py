@@ -1,4 +1,5 @@
-"""Forward semantics and gradient correctness of the operation graph."""
+"""Forward semantics and gradient correctness of the operation graph,
+the fused layer op and the layer tape."""
 
 import ast
 from pathlib import Path
@@ -8,37 +9,24 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import (
-    assert_bitwise_equal, build_sparse, composed_layer_nodes, random_sparse,
-    row_wise_cross_entropy, row_wise_softmax, separate_layer_nodes,
-    whole_array_layer_grads,
+    assert_bitwise_equal, build_sparse, composed_layer_nodes, numeric_grads,
+    random_sparse, row_wise_cross_entropy, row_wise_softmax,
+    separate_layer_passes, tape_stack, whole_array_layer_grads,
 )
 
-from exchtensor import autodiff
+from exchtensor import autodiff, layers
 from exchtensor.autodiff import Graph, backward, forward
 from exchtensor.layers import (
-    add_layer_nodes, add_stack_nodes, all_subsets, block_name,
-    dropout_channel_mask, pooling_groups, random_layer_params,
+    all_subsets, dropout_channel_mask, pooling_groups, random_layer_params,
+    stack_grads, train_stack,
 )
+from exchtensor.models import build_ss_loss_graph
 from exchtensor.sparse import SparseExchangeableTensor, axis_groups
 
 
-def numeric_grads(graph, bindings, loss, params, eps=1e-5):
-    """Central finite differences of the scalar loss wrt each parameter."""
-    out = {}
-    for p in params:
-        base = np.asarray(bindings[p], dtype=np.float64)
-        g = np.zeros_like(base)
-        flat = base.ravel()
-        for i in range(flat.size):
-            for sign in (+1, -1):
-                shifted = base.copy().ravel()
-                shifted[i] += sign * eps
-                b = dict(bindings)
-                b[p] = shifted.reshape(base.shape)
-                val = float(forward(graph, b)[loss])
-                g.ravel()[i] += sign * val / (2 * eps)
-        out[p] = g
-    return out
+def graph_numeric_grads(graph, bindings, loss, params):
+    """Central finite differences of a graph's scalar loss node."""
+    return numeric_grads(lambda b: forward(graph, b)[loss], bindings, params)
 
 
 def assert_grads_close(analytic, numeric, rtol=1e-4):
@@ -204,8 +192,8 @@ class TestGroupSumAccuracy:
 
 class TestDtypes:
     def test_float32_graph_values_and_gradients_stay_float32(self):
-        """Float64 masks, row weights and slopes do not promote float32
-        values: every node value and every gradient stays float32."""
+        """A float64 slope does not promote float32 values: every node
+        value and every gradient stays float32."""
         rng = np.random.default_rng(23)
         t = build_sparse(
             (3, 4), [((i, j), (0.0,)) for i in range(3) for j in range(4)
@@ -221,10 +209,7 @@ class TestDtypes:
         summed = g.add(g.channel_mix(x, g.parameter("w"), g.parameter("b")),
                        pooled)
         act = g.nonlinearity(summed, "leaky_relu", slope=0.1)
-        dropped = g.dropout_mask(act, np.array([[2.0, 0.0, 2.0]]))
-        loss = g.softmax_cross_entropy(
-            dropped, g.input("t"), row_weights=np.arange(n) % 2 + 0.0
-        )
+        loss = g.softmax_cross_entropy(act, g.input("t"))
         f32 = np.float32
         bindings = {
             "x": rng.normal(size=(n, 2)).astype(f32),
@@ -237,6 +222,34 @@ class TestDtypes:
         for name, v in values.items():
             assert v.dtype == f32, name
         for name, d in backward(g, values, loss).items():
+            assert d.dtype == f32, name
+
+    def test_float32_tape_values_and_gradients_stay_float32(self):
+        """Float64 dropout masks, row weights and slopes do not promote a
+        float32 tape: every layer output, the loss and every gradient
+        stay float32."""
+        rng = np.random.default_rng(24)
+        f32 = np.float32
+        t = random_sparse((6, 7), 3, 25, rng)
+        x = t.with_values(t.values.astype(f32))
+        stack = [cast_layer(random_layer_params(2, 3, 4, rng, "leaky_relu"),
+                            "layer1", f32),
+                 cast_layer(random_layer_params(2, 4, 3, rng, "softmax"),
+                            "layer2", f32)]
+        stack[0].slope = 0.1
+        masks = {1: np.array([[2.0, 0.0, 2.0, 2.0]]),
+                 2: np.array([[2.0, 2.0, 0.0]])}
+        targets = np.eye(3, dtype=f32)[rng.integers(0, 3, size=25)]
+        hit = np.arange(25) % 3 == 0
+        groups = pooling_groups(x, ~hit)
+        for _, _, y, *_ in train_stack(x.values, groups, stack[:1],
+                                       {1: masks[1]}):
+            assert y.dtype == f32
+        loss, grads = build_ss_loss_graph(x, stack, targets,
+                                          hit.astype(np.float64), masks,
+                                          context=~hit)
+        assert loss.dtype == f32
+        for name, d in grads().items():
             assert d.dtype == f32, name
 
     def test_leaky_relu_slope_outside_unit_interval_rejected(self):
@@ -305,15 +318,23 @@ class TestLosses:
         rng = np.random.default_rng(4)
         z = rng.normal(size=(4, 3))
         t = np.eye(3)[rng.integers(0, 3, size=4)]
-        g1 = Graph()
-        a, b = g1.input("z"), g1.input("t")
-        l1 = g1.softmax_cross_entropy(a, b, row_weights=np.array([1.0, 0, 0, 1.0]))
-        g2 = Graph()
-        a2, b2 = g2.input("z"), g2.input("t")
-        l2 = g2.softmax_cross_entropy(a2, b2)
-        full = forward(g1, {"z": z, "t": t})[l1]
-        sub = forward(g2, {"z": z[[0, 3]], "t": t[[0, 3]]})[l2]
+        full = autodiff.cross_entropy(z, t, np.array([1.0, 0, 0, 1.0]))
+        sub = autodiff.cross_entropy(z[[0, 3]], t[[0, 3]])
         assert_allclose(full, sub, atol=1e-15)
+
+    @pytest.mark.parametrize("weights, match", [
+        ([1.0, -1.0, 0.0, 1.0], "nonnegative"),
+        ([0.0, 0.0, 0.0, 0.0], "positive sum"),
+        ([1.0, 1.0, 1.0], "shape"),
+    ])
+    def test_cross_entropy_refuses_bad_row_weights(self, weights, match):
+        z, t = np.zeros((4, 3)), np.eye(3)[[0, 1, 2, 0]]
+        with pytest.raises(ValueError, match=match):
+            autodiff.cross_entropy(z, t, np.array(weights))
+
+    def test_cross_entropy_refuses_targets_of_another_shape(self):
+        with pytest.raises(ValueError, match="targets"):
+            autodiff.cross_entropy(np.zeros((4, 3)), np.zeros((4, 2)))
 
     def test_cross_entropy_stable_for_large_logits(self):
         g = Graph()
@@ -420,27 +441,23 @@ class TestBackward:
             g.channel_mix(pc, w3),
         )
         act = g.nonlinearity(mixed, "leaky_relu")
-        cat = g.concat_channels(act, pg)
-        mask = np.array([[1.0 / 0.75, 0.0, 1.0 / 0.75, 1.0 / 0.75, 0.0]])
-        dropped = g.dropout_mask(cat, mask)
-        wout = g.parameter("wout")
-        logits = g.channel_mix(dropped, wout)
+        logits = g.add(g.channel_mix(act, g.parameter("wout")),
+                       g.channel_mix(pg, g.parameter("wg")))
         targets = g.input("targets")
-        loss = g.softmax_cross_entropy(
-            logits, targets, row_weights=np.array([1.0, 1, 0, 1, 0])
-        )
+        loss = g.softmax_cross_entropy(logits, targets)
         bindings = {
             "x": t.values,
             "w1": rng.normal(size=(2, 3)),
             "w2": rng.normal(size=(2, 3)),
             "w3": rng.normal(size=(2, 3)),
             "bias": rng.normal(size=3),
-            "wout": rng.normal(size=(5, 4)),
+            "wout": rng.normal(size=(3, 4)),
+            "wg": rng.normal(size=(2, 4)),
             "targets": np.eye(4)[rng.integers(0, 4, size=5)],
         }
         vals = forward(g, bindings)
         analytic = backward(g, vals, loss)
-        numeric = numeric_grads(g, bindings, loss, g.parameters)
+        numeric = graph_numeric_grads(g, bindings, loss, g.parameters)
         assert_grads_close(analytic, numeric)
 
     def test_leaky_relu_softmax_mse_path_matches_finite_differences(self):
@@ -466,7 +483,7 @@ class TestBackward:
         }
         vals = forward(g, bindings)
         analytic = backward(g, vals, loss)
-        numeric = numeric_grads(g, bindings, loss, ["w", "b"])
+        numeric = graph_numeric_grads(g, bindings, loss, ["w", "b"])
         assert_grads_close(analytic, numeric)
 
     def test_reused_operand_accumulates(self):
@@ -493,8 +510,9 @@ def cast_layer(lp, prefix, dtype):
 
 
 class TestEquivariantLayerOp:
-    """The fused layer op against the separate pool, mix, broadcast and
-    add nodes it replaces, forward and backward.  The fused op takes its
+    """A stack of the fused layer op on a tape (``train_stack`` and
+    ``stack_grads``) against the separate pool, mix, broadcast and add
+    nodes it replaces, forward and backward.  The fused op takes its
     global pool from the row pool's sums, so the two agree to rounding:
     within 1e-12 of the largest magnitude in float64, 1e-6 in float32."""
 
@@ -514,14 +532,14 @@ class TestEquivariantLayerOp:
     ]
 
     @staticmethod
-    def fused_and_composed(dims, n_obs, tied, dtype, context=False,
-                           emits=(add_layer_nodes, composed_layer_nodes)):
+    def tape_and_composed(dims, n_obs, tied, dtype, context=False,
+                          composed=True):
         """Outputs of a two-layer stack and the gradients of a loss on
-        it, as (outputs, gradients) for the fused op and the composition.
-        dtype "mixed" keeps every array float32 but the first layer's
-        global block, so that layer's sum turns float64 at its last term.
-        ``context`` leaves a third of the cells, and every cell of the
-        first row, out of the pools."""
+        it, as (outputs, gradients) for the tape and, when ``composed``,
+        for the composition.  dtype "mixed" keeps every array float32 but
+        the first layer's global block, so that layer's sum turns float64
+        at its last term.  ``context`` leaves a third of the cells, and
+        every cell of the first row, out of the pools."""
         rng = np.random.default_rng(sum(dims) + n_obs)
         t = random_sparse(dims, 3, n_obs, rng)
         groups = pooling_groups(t, out_of_context(t) if context else None)
@@ -538,26 +556,28 @@ class TestEquivariantLayerOp:
                     **stack[0].bindings("a1"), **stack[1].bindings("a2")}
         if dtype == "mixed":
             bindings["a1.wg"] = bindings["a1.wg"].astype(np.float64)
-        results = []
-        for emit in emits:
+            stack[0] = stack[0].from_bindings("a1", bindings)
+        results = [tape_stack(bindings["x"], groups, stack, "a",
+                              bindings["target"])]
+        if composed:
             g = Graph()
             h = g.parameter("x")  # a parameter, so its gradient is reported
             outs = []
             for k, lp in enumerate(stack, start=1):
-                h = emit(g, h, groups, lp, f"a{k}")
+                h = composed_layer_nodes(g, h, groups, lp, f"a{k}")
                 outs.append(h)
             loss = g.mean_square_error(h, g.input("target"))
             values = forward(g, bindings)
-            grads = backward(g, values, loss)
-            results.append(([values[o] for o in outs], grads))
+            results.append(([values[o] for o in outs],
+                            backward(g, values, loss)))
         return results
 
     @staticmethod
     def pairs(results):
-        (fused_outs, fused_grads), (ref_outs, ref_grads) = results
-        assert list(fused_grads) == list(ref_grads)
-        return zip([*fused_outs, *fused_grads.values()],
-                   [*ref_outs, *ref_grads.values()])
+        (tape_outs, tape_grads), (ref_outs, ref_grads) = results
+        assert sorted(tape_grads) == sorted(ref_grads)
+        return zip([*tape_outs, *(tape_grads[k] for k in sorted(tape_grads))],
+                   [*ref_outs, *(ref_grads[k] for k in sorted(ref_grads))])
 
     @classmethod
     def assert_close(cls, results, dtype):
@@ -570,18 +590,18 @@ class TestEquivariantLayerOp:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_the_composition(self, dims, n_obs, tied, dtype):
         self.assert_close(
-            self.fused_and_composed(dims, n_obs, tied, dtype), dtype)
+            self.tape_and_composed(dims, n_obs, tied, dtype), dtype)
 
     @pytest.mark.parametrize("dims, n_obs, tied", MULTI_BLOCK_CASES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, "mixed"])
     def test_matches_the_composition_across_row_blocks(
             self, monkeypatch, dims, n_obs, tied, dtype):
-        """The composition to rounding; the op in one row block bit for
+        """The composition to rounding; the tape in one row block bit for
         bit."""
-        (one_block,) = self.fused_and_composed(dims, n_obs, tied, dtype,
-                                               emits=(add_layer_nodes,))
+        (one_block,) = self.tape_and_composed(dims, n_obs, tied, dtype,
+                                              composed=False)
         monkeypatch.setattr(autodiff, "BLOCK_BYTES", 256)
-        results = self.fused_and_composed(dims, n_obs, tied, dtype)
+        results = self.tape_and_composed(dims, n_obs, tied, dtype)
         for out in results[0][0]:
             rows = autodiff.BLOCK_BYTES // (out.itemsize * out.shape[1])
             assert out.shape[0] > 2 * rows and out.shape[0] % rows
@@ -598,11 +618,11 @@ class TestEquivariantLayerOp:
         swapped for ``whole_array_layer_grads``: dx adds the pooled
         terms onto the cell term in subset order, across row blocks."""
         monkeypatch.setattr(autodiff, "BLOCK_BYTES", 256)
-        fused = dict(context=context, emits=(add_layer_nodes,))
-        (blocked,) = self.fused_and_composed(dims, n_obs, tied, dtype, **fused)
-        monkeypatch.setattr(autodiff, "_equivariant_layer_grads",
+        tape = dict(context=context, composed=False)
+        (blocked,) = self.tape_and_composed(dims, n_obs, tied, dtype, **tape)
+        monkeypatch.setattr(layers, "_equivariant_layer_grads",
                             whole_array_layer_grads)
-        (whole,) = self.fused_and_composed(dims, n_obs, tied, dtype, **fused)
+        (whole,) = self.tape_and_composed(dims, n_obs, tied, dtype, **tape)
         for got, want in self.pairs([blocked, whole]):
             assert_bitwise_equal(got, want)
 
@@ -635,57 +655,51 @@ class TestEquivariantLayerOp:
     def test_matches_the_composition_with_a_context(self, dims, n_obs, tied,
                                                     dtype):
         self.assert_close(
-            self.fused_and_composed(dims, n_obs, tied, dtype, context=True),
+            self.tape_and_composed(dims, n_obs, tied, dtype, context=True),
             dtype)
 
     @pytest.mark.parametrize("dims, n_obs, tied", CASES)
-    def test_gradients_match_finite_differences(self, dims, n_obs, tied):
-        self.check_finite_differences(dims, n_obs, tied, context=False)
-
-    @pytest.mark.parametrize("dims, n_obs, tied", CASES)
-    def test_gradients_with_a_context_match_finite_differences(
-            self, dims, n_obs, tied):
-        self.check_finite_differences(dims, n_obs, tied, context=True)
-
-    @staticmethod
-    def check_finite_differences(dims, n_obs, tied, context):
+    @pytest.mark.parametrize("context", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradients_match_finite_differences(self, dims, n_obs, tied,
+                                                context, masked):
+        """``stack_grads`` through ``train_stack``: a two-layer identity
+        stack under a squared loss, every array and the input against
+        central differences in float64."""
         rng = np.random.default_rng(n_obs)
         t = random_sparse(dims, 2, n_obs, rng)
-        lp = random_layer_params(len(dims), 2, 3, rng, tied=tied)
-        subsets = all_subsets(len(dims))
+        stack = [random_layer_params(len(dims), 2, 3, rng, tied=tied),
+                 random_layer_params(len(dims), 3, 2, rng, tied=tied)]
         groups = pooling_groups(t, out_of_context(t) if context else None)
-        g = Graph()
-        blocks = [block_name("L", S, tied) for S in subsets]
-        for nm in dict.fromkeys(blocks):
-            g.parameter(nm)
-        y = g.equivariant_layer(g.parameter("x"), g.parameter("L.bias"),
-                                blocks, [groups[S] for S in subsets[1:]])
-        loss = g.mean_square_error(y, g.input("target"))
-        bindings = {"x": t.values, "target": rng.normal(size=(n_obs, 3)),
-                    **lp.bindings("L")}
-        bindings["L.bias"] = rng.normal(size=3)
-        grads = backward(g, forward(g, bindings), loss)
-        assert sorted(grads) == sorted(g.parameters)
-        assert_grads_close(grads, numeric_grads(g, bindings, loss, grads),
+        masks = {1: np.array([[1 / 0.7, 0.0, 1 / 0.7]]),
+                 2: np.array([[0.0, 2.0]])} if masked else None
+        arrays = {"x": t.values, "target": rng.normal(size=(n_obs, 2)),
+                  **stack[0].bindings("L1"), **stack[1].bindings("L2")}
+        arrays["L1.bias"] = rng.normal(size=3)
+
+        def run(a):
+            layers_ = [lp.from_bindings(f"L{k}", a)
+                       for k, lp in enumerate(stack, start=1)]
+            return tape_stack(a["x"], groups, layers_, "L", a["target"],
+                              masks)
+
+        def loss_of(a):
+            (_, y), _ = run(a)
+            return np.mean((y - a["target"]) ** 2)
+
+        _, grads = run(arrays)
+        assert sorted(grads) == sorted(set(arrays) - {"target"})
+        assert_grads_close(grads, numeric_grads(loss_of, arrays, grads),
                            rtol=1e-7)
 
-    def test_shape_mismatch_names_the_node(self):
-        t, *_ = three_cell_groups()
-        lp = random_layer_params(2, 1, 2, np.random.default_rng(0))
-        g = Graph()
-        subsets = all_subsets(2)
-        groups = pooling_groups(t)
-        y = g.equivariant_layer(
-            g.input("x"), g.parameter("b"), [g.parameter("w")] * 4,
-            [groups[S] for S in subsets[1:]])
-        bindings = {"x": t.values, "b": lp.bias, "w": np.zeros((2, 2))}
-        with pytest.raises(ValueError, match=f"node '{y}'"):
-            forward(g, bindings)
-        bindings.update(w=np.zeros((1, 2)), x=np.zeros((4, 1)))
-        with pytest.raises(ValueError, match=f"node '{y}'"):
-            forward(g, bindings)
-        bindings.update(x=t.values)
-        assert forward(g, bindings)[y].shape == (3, 2)
+    @pytest.mark.parametrize("dims, n_obs, _", CASES)
+    def test_rows_the_groups_do_not_cover_are_refused(self, dims, n_obs, _):
+        rng = np.random.default_rng(0)
+        t = random_sparse(dims, 2, n_obs, rng)
+        lp = random_layer_params(len(dims), 2, 3, rng)
+        with pytest.raises(ValueError, match=f"groups cover {n_obs} cells, "
+                                             f"values have {n_obs + 1}"):
+            train_stack(np.zeros((n_obs + 1, 2)), pooling_groups(t), [lp])
 
 
 class TestPoolAccumulation:
@@ -813,19 +827,19 @@ def test_only_add_terms_reads_block_bytes():
     assert readers == {"autodiff.py:add_terms"}
 
 
-class TestFusedLayerNode:
-    """The layer node applies its leaky ReLU and its dropout mask in the
+class TestFusedLayerPass:
+    """A tape's layer applies its leaky ReLU and its dropout mask in the
     pass that sums its terms, and records the sign of the sum there for
     its backward.  It equals the layer's sum, its nonlinearity and its
-    mask as separate nodes (``helpers.separate_layer_nodes``) bit for
-    bit, values and gradients alike."""
+    mask as separate whole-array passes (``helpers.separate_layer_passes``)
+    bit for bit, values and gradients alike."""
 
     @staticmethod
-    def fused_and_separate(dims, n_obs, tied, dtype, context, masked, slope):
+    def tape_and_separate(dims, n_obs, tied, dtype, context, masked, slope):
         """(layer outputs, gradients) of a two-layer stack, leaky ReLU
-        then identity, under a loss, for the fused node and for the
-        separate nodes.  The first layer's first output channel has zero
-        weights and bias, so its sum is exactly 0 at every cell."""
+        then identity, under a loss, for the tape and for the separate
+        passes.  The first layer's first output channel has zero weights
+        and bias, so its sum is exactly 0 at every cell."""
         rng = np.random.default_rng(sum(dims) + n_obs)
         t = random_sparse(dims, 3, n_obs, rng)
         groups = pooling_groups(t, out_of_context(t) if context else None)
@@ -840,24 +854,12 @@ class TestFusedLayerNode:
         for lp in stack:
             lp.bias[...] = rng.normal(size=lp.bias.shape)
         stack[0].bias[0] = 0.0
-        masks = [dropout_channel_mask(lp.channels_out, 0.3, rng) if masked
-                 else None for lp in stack]
-        bindings = {"x": t.values.astype(dtype),
-                    "target": rng.normal(size=(n_obs, 2)).astype(dtype),
-                    **stack[0].bindings("a1"), **stack[1].bindings("a2")}
-        results = []
-        for emit in (add_layer_nodes, separate_layer_nodes):
-            g = Graph()
-            h = g.parameter("x")  # a parameter, so its gradient is reported
-            outs = []
-            for k, (lp, mask) in enumerate(zip(stack, masks), start=1):
-                h = emit(g, h, groups, lp, f"a{k}", mask)
-                outs.append(h)
-            loss = g.mean_square_error(h, g.input("target"))
-            values = forward(g, bindings)
-            results.append(([values[o] for o in outs],
-                            backward(g, values, loss)))
-        return results
+        masks = {k: dropout_channel_mask(lp.channels_out, 0.3, rng)
+                 for k, lp in enumerate(stack, start=1)} if masked else None
+        x = t.values.astype(dtype)
+        target = rng.normal(size=(n_obs, 2)).astype(dtype)
+        return [run(x, groups, stack, "a", target, masks)
+                for run in (tape_stack, separate_layer_passes)]
 
     @pytest.mark.parametrize("dims, n_obs, tied",
                              TestEquivariantLayerOp.CASES
@@ -866,15 +868,15 @@ class TestFusedLayerNode:
     @pytest.mark.parametrize("context", [False, True])
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("slope", [0.0, 0.01])
-    def test_equals_the_separate_nodes_bit_for_bit(
+    def test_equals_the_separate_passes_bit_for_bit(
             self, monkeypatch, dims, n_obs, tied, dtype, context, masked,
             slope):
         monkeypatch.setattr(autodiff, "BLOCK_BYTES", 256)
-        (fused_outs, fused_grads), (ref_outs, ref_grads) = \
-            self.fused_and_separate(dims, n_obs, tied, dtype, context,
-                                    masked, slope)
-        assert list(fused_grads) == list(ref_grads)
-        for got, want in zip([*fused_outs, *fused_grads.values()],
+        (tape_outs, tape_grads), (ref_outs, ref_grads) = \
+            self.tape_and_separate(dims, n_obs, tied, dtype, context,
+                                   masked, slope)
+        assert list(tape_grads) == list(ref_grads)
+        for got, want in zip([*tape_outs, *tape_grads.values()],
                              [*ref_outs, *ref_grads.values()]):
             assert_bitwise_equal(got, want)
 
@@ -893,80 +895,82 @@ class TestFusedLayerNode:
         for w in lp.blocks.values():
             w[:, 0] = 0.0
         lp.bias[...] = [0.0, *rng.normal(size=2)]
-        mask = np.array([[1 / 0.7, 1 / 0.7, 0.0]]) if masked else None
-        g = Graph()
-        y = add_layer_nodes(g, g.parameter("x"), pooling_groups(t), lp, "L",
-                            mask)
-        loss = g.mean_square_error(y, g.input("target"))
-        bindings = {"x": t.values, "target": rng.normal(size=(17, 3)),
-                    **lp.bindings("L")}
-        values = forward(g, bindings)
-        assert (values[y][:, 0] == 0).all()
-        grads = backward(g, values, loss)
-        numeric = numeric_grads(g, bindings, loss, g.parameters)
+        masks = {1: np.array([[1 / 0.7, 1 / 0.7, 0.0]])} if masked else None
+        groups = pooling_groups(t)
+        arrays = {"x": t.values, "target": rng.normal(size=(17, 3)),
+                  **lp.bindings("L1")}
+
+        def run(a):
+            return tape_stack(a["x"], groups, [lp.from_bindings("L1", a)],
+                              "L", a["target"], masks)
+
+        def loss_of(a):
+            (y,), _ = run(a)
+            return np.mean((y - a["target"]) ** 2)
+
+        (y,), grads = run(arrays)
+        assert (y[:, 0] == 0).all()
+        numeric = numeric_grads(loss_of, arrays, grads)
         # channel 0's own arrays meet the kink at 0; x does not move it
         assert_grads_close({p: a if p == "x" else a[..., 1:]
                             for p, a in grads.items()},
                            {p: n if p == "x" else n[..., 1:]
                             for p, n in numeric.items()}, rtol=1e-7)
         eps = 1e-7
-        up = dict(bindings, **{"L.bias": lp.bias + [eps, 0.0, 0.0]})
-        above = (float(forward(g, up)[loss]) - float(values[loss])) / eps
-        assert grads["L.bias"][0] != 0
-        assert abs(above - grads["L.bias"][0]) < 1e-5 * abs(above)
+        up = dict(arrays, **{"L1.bias": lp.bias + [eps, 0.0, 0.0]})
+        above = (loss_of(up) - loss_of(arrays)) / eps
+        assert grads["L1.bias"][0] != 0
+        assert abs(above - grads["L1.bias"][0]) < 1e-5 * abs(above)
 
     def test_a_softmax_layer_takes_no_mask(self):
         t, *_ = three_cell_groups()
         lp = random_layer_params(2, 1, 2, np.random.default_rng(0),
                                  "softmax")
         with pytest.raises(ValueError, match="softmax layer takes no"):
-            add_layer_nodes(Graph(), "x", pooling_groups(t), lp, "L",
-                            np.ones((1, 2)))
+            train_stack(t.values, pooling_groups(t), [lp],
+                        {1: np.ones((1, 2))})
 
 
 class TestDataLeaves:
-    def test_backward_forms_no_gradient_for_a_data_leaf(self, monkeypatch):
-        """A layer fed by a ``Graph.input`` forms no dx, and the loss no
-        gradient for input targets.  Every parameter's gradient is that
-        of the same graph with those leaves as parameters, bit for bit."""
+    def test_the_tape_forms_no_gradient_for_its_data(self, monkeypatch):
+        """``stack_grads`` forms no dx at a stack's input unless asked,
+        and the training loss no gradient for its targets.  Every array's
+        gradient is the same as with dx formed, bit for bit."""
+        from exchtensor import models
+
         rng = np.random.default_rng(4)
         t = random_sparse((12, 15), 5, 101, rng)
         stack = [random_layer_params(2, 5, 4, rng, "leaky_relu"),
-                 random_layer_params(2, 4, 3, rng)]
+                 random_layer_params(2, 4, 3, rng, "softmax")]
         hit = rng.random(101) < 0.3
-        groups = pooling_groups(t, ~hit)
         formed = {"dx": [], "dtargets": []}
 
-        def spy(key, i):
-            real = getattr(autodiff, f"_{key}")
+        def spy(module, key, i):
+            real = getattr(module, f"_{key}")
 
             def grads(*args, **kwargs):
                 out = real(*args, **kwargs)
                 formed["dx" if i == 0 else "dtargets"].append(
                     out[i] is not None)
                 return out
-            return grads
+            monkeypatch.setattr(module, f"_{key}", grads)
 
-        monkeypatch.setattr(autodiff, "_equivariant_layer_grads",
-                            spy("equivariant_layer_grads", 0))
-        monkeypatch.setattr(autodiff, "_cross_entropy_grads",
-                            spy("cross_entropy_grads", 1))
-        bindings = {"x": np.where(hit[:, None], 0.0, t.values),
-                    "targets": np.eye(3)[rng.integers(0, 3, size=101)],
-                    **stack[0].bindings("layer1"),
-                    **stack[1].bindings("layer2")}
-        grads = {}
-        for leaf in (Graph.input, Graph.parameter):
-            g = Graph()
-            logits = add_stack_nodes(g, leaf(g, "x"), groups, stack, "layer",
-                                     {1: np.array([[2.0, 0.0, 2.0, 2.0]])})
-            loss = g.softmax_cross_entropy(logits, leaf(g, "targets"),
-                                           row_weights=hit.astype(float))
-            grads[leaf.__name__] = backward(g, forward(g, bindings), loss)
-        # the loss first, then the layers last to first, per graph
-        assert formed == {"dx": [True, False, True, True],
-                          "dtargets": [False, True]}
-        data, params = grads["input"], grads["parameter"]
-        assert list(data) == [p for p in params if p not in ("x", "targets")]
-        for p in data:
-            assert_bitwise_equal(data[p], params[p])
+        spy(layers, "equivariant_layer_grads", 0)
+        spy(models, "cross_entropy_grads", 1)
+        x = t.with_values(np.where(hit[:, None], 0.0, t.values))
+        targets = np.eye(3)[rng.integers(0, 3, size=101)]
+        _, grads = build_ss_loss_graph(x, stack, targets, hit.astype(float),
+                                       {1: np.array([[2.0, 0.0, 2.0, 2.0]])},
+                                       context=~hit)
+        grads = grads()
+        # the loss first, then the layers last to first
+        assert formed == {"dx": [True, False], "dtargets": [False]}
+        groups = pooling_groups(x, ~hit)
+        tape = train_stack(x.values, groups, stack)
+        dY = rng.normal(size=(101, 3))
+        without, none = stack_grads(tape, groups, dY, "layer")
+        with_dx, dx = stack_grads(tape, groups, dY, "layer", dx=True)
+        assert none is None and dx.shape == x.values.shape
+        assert list(without) == list(with_dx)
+        for p in without:
+            assert_bitwise_equal(without[p], with_dx[p])

@@ -161,8 +161,8 @@ class TestTiedLayers:
 class TestArrayNames:
     @pytest.mark.parametrize("arch", ["self-supervised", "fea"])
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
-    def test_graph_parameters_are_the_checkpoint_arrays(self, tmp_path,
-                                                        arch, tied):
+    def test_gradients_are_the_checkpoint_arrays(self, tmp_path, arch,
+                                                  tied):
         config, params = small_ss() if arch == "self-supervised" \
             else small_fea()
         if tied:
@@ -173,15 +173,15 @@ class TestArrayNames:
         x = encode_onehot(synthetic_lowrank_table(6, 7, observed_fraction=0.5,
                                                   seed=3))
         if arch == "self-supervised":
-            g, _, _ = build_ss_loss_graph(x, params.layers, x.values,
-                                          np.ones(x.n_observed))
+            _, grads = build_ss_loss_graph(x, params.layers, x.values,
+                                           np.ones(x.n_observed))
         else:
-            g, _, _ = build_fea_loss_graph(x, params.encoder, params.decoder,
-                                           x.values)
+            _, grads = build_fea_loss_graph(x, params.encoder, params.decoder,
+                                            x.values)
         path = tmp_path / "model.exchk"
         save_checkpoint(path, config, params, FIVE_STAR)
         stored = {e["name"] for e in header_of(path)["arrays"]}
-        assert set(g.parameters) == stored == set(named_arrays(params))
+        assert set(grads()) == stored == set(named_arrays(params))
 
     def test_untied_layer_with_one_array_twice_round_trips(self, tmp_path):
         """Sharing is read from ``tied`` alone: an untied layer stores

@@ -314,6 +314,21 @@ class TestEvaluate:
             assert "--rebin-from applies to a ratings file" in err
         assert not (tmp_path / "d").exists()
 
+    def test_rebin_to_another_scale_with_synthetic_data_exits_2(
+            self, checkpoint, capsys):
+        """The synthetic table is built on the model scale, so a
+        --rebin-to of another scale is refused, as with a ratings file;
+        the model's own scale is taken."""
+        code, records, err = run(capsys, "evaluate", checkpoint, "--data",
+                                 "synthetic", "--rebin-to", "1-10")
+        assert (code, records) == (2, [])
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: --rebin-to") \
+            and "must match the model scale" in err
+        code, records, _ = run(capsys, "evaluate", checkpoint, "--data",
+                               "synthetic", "--rebin-to", "1-5")
+        assert code == 0 and len(records) == 1
+
     def test_foreign_scale_without_rebin_exits_2(self, checkpoint, capsys,
                                                  tmp_path):
         data = tmp_path / "wide.csv"
@@ -483,6 +498,26 @@ class TestFactorize:
         assert len(rows) == 1 + 50
         cols = (tmp_path / "fact" / "factors_cols.tsv").read_text().splitlines()
         assert len(cols) == 1 + 60
+
+    def test_rebin_to_another_scale_with_synthetic_data_exits_2(
+            self, tmp_path, capsys):
+        """factorize has no --rebin-to flag, but a config file can set
+        it; with synthetic data another scale than the model's is
+        refused before anything is written."""
+        config = ModelConfig(architecture="fea", levels=5,
+                             encoder_widths=(8, 4), decoder_widths=(8, 5),
+                             factor_size=4)
+        path = tmp_path / "fea.exchk"
+        save_checkpoint(path, config, init_params(config, seed=0), FIVE_STAR)
+        out = tmp_path / "fact"
+        code, records, err = run(
+            capsys, "factorize", str(path), "--data", "synthetic",
+            "--config", write_config(tmp_path, "rebin_to = 1-10\n"),
+            "--out", str(out))
+        assert (code, records) == (2, [])
+        assert len(err.splitlines()) == 1
+        assert "must match the model scale" in err
+        assert not out.exists()
 
     def test_self_supervised_checkpoint_exits_2(self, tmp_path, capsys):
         config = ModelConfig(architecture="self-supervised", levels=5,

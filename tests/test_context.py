@@ -17,17 +17,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 from helpers import assert_bitwise_equal, random_sparse, termwise_fea_tail
 from test_acceptance import FEA_CONFIG as FEA07
 
-from exchtensor import data, layers, training
-from exchtensor.autodiff import (
-    apply_nonlinearity, backward, forward, pooled_means,
-)
+from exchtensor import data, layers, models, training
+from exchtensor.autodiff import apply_nonlinearity, pooled_means
 from exchtensor.checkpoint import load_checkpoint, save_checkpoint
 from exchtensor.data import (
     FIVE_STAR, RatingScale, RatingsTable, canonical_split, encode_onehot,
     synthetic_lowrank_table,
 )
 from exchtensor.layers import (
-    broadcast_factors, exchangeable_tensor_layer, pooling_groups,
+    broadcast_factors, exchangeable_tensor_layer, pooling_groups, train_stack,
 )
 from exchtensor.models import (
     ModelConfig, build_ss_loss_graph, fea_encode, init_params, named_arrays,
@@ -108,42 +106,56 @@ class TestQueryIndependence:
         assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def softmax_at(g, loss_node, bindings, rows):
-    """The distributions of a training graph's logits at ``rows``."""
-    (loss,) = [n for n in g.nodes if n.name == loss_node]
-    return apply_nonlinearity(forward(g, bindings)[loss.operands[0]],
-                              "softmax")[rows]
+def spy_training(monkeypatch):
+    """What the training losses of ``models`` hand to ``train_stack`` and
+    ``cross_entropy``: a list of (groups, depth, tape) per stack, and a
+    list of row weights per loss."""
+    seen = {"stacks": [], "weights": []}
+    real_stack, real_loss = models.train_stack, models.cross_entropy
+
+    def stack(x, groups, stack, masks=None):
+        tape = real_stack(x, groups, stack, masks)
+        seen["stacks"].append((groups, len(stack), tape))
+        return tape
+
+    def loss(logits, targets, row_weights=None):
+        seen["weights"].append(row_weights)
+        return real_loss(logits, targets, row_weights)
+
+    monkeypatch.setattr(models, "train_stack", stack)
+    monkeypatch.setattr(models, "cross_entropy", loss)
+    return seen
 
 
 class TestTailPass:
     def test_ss_tail_is_the_stack_whose_pools_skip_the_query(self):
-        """The self-supervised tail equals the training graph's stack over
+        """The self-supervised tail equals the training tape's stack over
         context and zero-filled query cells, the query out of context."""
         context, query, _ = split()
         params = init_params(SS, seed=5)
         x = encode_onehot(context)
         q = query.indices()
         union = union_with_zeros(x, q)
-        at = union.find(q)
+        at = lookup(union.keys, cell_keys(q, union.dims))
         in_context = np.ones(union.n_observed, dtype=bool)
         in_context[at] = False
-        want = softmax_at(*build_ss_loss_graph(
-            union, params.layers, union.values, None, context=in_context), at)
+        tape = train_stack(union.values, pooling_groups(union, in_context),
+                           params.layers)
         got = params.predict(SS, params.prepare(SS, x), q)
-        assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert_allclose(got, tape[-1][2][at], rtol=0, atol=1e-12)
 
-    def test_ss_training_pools_skip_the_masked_cells(self):
+    def test_ss_training_pools_skip_the_masked_cells(self, monkeypatch):
         params = init_params(SS, seed=5)
         batch = encode_onehot(split()[0])
-        g, loss_node, _ = params.loss_graph(SS, batch, {}, seed=3)
-        (loss,) = [n for n in g.nodes if n.name == loss_node]
-        masked = loss.attrs["row_weights"] > 0
+        seen = spy_training(monkeypatch)
+        params.loss_and_grads(SS, batch, {}, seed=3)
+        (weights,) = seen["weights"]
+        masked = weights > 0
         assert masked.any() and not masked.all()
-        layers = [n for n in g.nodes if n.op == "equivariant_layer"]
-        assert len(layers) == len(SS.widths)
-        for node in layers:
-            for groups in node.attrs["groups"]:
-                assert_array_equal(groups.context, ~masked)
+        ((groups, depth, _),) = seen["stacks"]
+        assert depth == len(SS.widths)
+        for g in groups.values():
+            assert_array_equal(g.context, ~masked)
 
     def test_fea_tail_pools_each_query_cell_with_the_context_and_itself(self):
         context, query, _ = split()
@@ -226,7 +238,7 @@ class TestGroupMaps:
             (context.u_index != 3) & (context.i_index != 2)))
         x = encode_onehot(context)
         every = np.argwhere(np.ones(x.dims, dtype=bool))
-        return x, every[x.find(every) < 0]
+        return x, every[lookup(x.keys, cell_keys(every, x.dims)) < 0]
 
     @CONFIGS
     def test_maps_find_what_the_search_found(self, config):
@@ -313,23 +325,22 @@ class TestNoContextCell:
         preds = evaluate(config, params, context, query).predictions
         assert np.isfinite(preds).all()
 
-    def test_a_training_batch_with_a_whole_row_masked(self):
+    def test_a_training_batch_with_a_whole_row_masked(self, monkeypatch):
         params = init_params(SS, seed=5)
         batch = encode_onehot(split()[0])
         in_context = batch.indices[:, 0] != 2
         x_in = batch.with_values(np.where(in_context[:, None], batch.values, 0.0))
-        g, loss, bindings = build_ss_loss_graph(
+        seen = spy_training(monkeypatch)
+        loss, grads = build_ss_loss_graph(
             x_in, params.layers, batch.values, (~in_context).astype(float),
             context=in_context)
-        values = forward(g, bindings)
-        grads = backward(g, values, loss)
-        assert np.isfinite(values[loss])
-        assert all(np.isfinite(d).all() for d in grads.values())
+        assert np.isfinite(loss)
+        assert all(np.isfinite(d).all() for d in grads().values())
         by_row = pooling_groups(batch)[frozenset({0})]
         row = int(np.flatnonzero(by_row.flat_keys == 2)[0])
-        for node in (n for n in g.nodes if n.op == "equivariant_layer"):
-            means = values[node.name, "means"][1]  # the row pool's
-            assert (means[row] == 0).all()
+        ((_, _, tape),) = seen["stacks"]
+        for _, _, _, means, _, _ in tape:
+            assert (means[1][row] == 0).all()  # the row pool's
 
 
 class TestContextPools:

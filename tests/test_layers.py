@@ -7,18 +7,15 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (
-    assert_bitwise_equal, build_sparse, random_dense, random_sparse, to_dense,
-    transpose_matrix,
+    assert_bitwise_equal, build_sparse, numeric_grads, random_dense,
+    random_sparse, tape_stack, to_dense, transpose_matrix,
 )
 
 from exchtensor import autodiff, layers
-from exchtensor.autodiff import (
-    Graph, apply_nonlinearity, backward, equivariant_layer, forward,
-)
+from exchtensor.autodiff import apply_nonlinearity, equivariant_layer
 from exchtensor.layers import (
     ExchLayerParams,
     FactorPair,
-    add_layer_nodes,
     all_subsets,
     apply_stack,
     broadcast_factors,
@@ -28,6 +25,8 @@ from exchtensor.layers import (
     pool_to_factors,
     pooling_groups,
     random_layer_params,
+    stack_grads,
+    train_stack,
 )
 from exchtensor.sparse import (
     PermutationSpec, SparseExchangeableTensor, apply_permutation,
@@ -454,61 +453,113 @@ class TestEquivariance:
         assert not np.allclose(left.values, right.values, rtol=0, atol=1e-10)
 
 
+class TestTrainStack:
+    """The training loop over a stack: one ``equivariant_layer`` call per
+    layer, checked before any runs as ``apply_stack`` checks, and a tape
+    that ``stack_grads`` names by ``block_name``."""
+
+    @pytest.mark.parametrize("misfit", [1, 2, 3])
+    def test_a_layer_of_another_width_is_refused_before_any_runs(
+            self, monkeypatch, misfit):
+        rng = np.random.default_rng(misfit)
+        t = random_sparse((5, 6), 3, 17, rng)
+        widths = [3, 4, 4, 2]
+        stack = TestApplyStack.stack(rng, widths)
+        stack[misfit - 1] = random_layer_params(
+            2, widths[misfit - 1] + 1, widths[misfit], rng)
+        calls, _ = TestApplyStack.counted(monkeypatch)
+        with pytest.raises(ValueError, match=(
+                rf"layer {misfit} expects {widths[misfit - 1] + 1} channels, "
+                rf"its input has {widths[misfit - 1]}")):
+            train_stack(t.values, pooling_groups(t), stack)
+        assert calls["layer"] == 0
+
+    def test_a_layer_of_other_axes_is_refused_before_any_runs(
+            self, monkeypatch):
+        rng = np.random.default_rng(4)
+        t = random_sparse((5, 6), 3, 17, rng)
+        stack = [random_layer_params(2, 3, 4, rng),
+                 random_layer_params(3, 4, 2, rng)]
+        calls, _ = TestApplyStack.counted(monkeypatch)
+        with pytest.raises(ValueError, match="params cover 3 axes, tensor "
+                                             "has 2"):
+            train_stack(t.values, pooling_groups(t), stack)
+        assert calls["layer"] == 0
+
+    @pytest.mark.parametrize("ndim, n_arrays", [(2, 5), (3, 9)])
+    def test_a_layer_is_one_op_call_with_its_activation_and_mask(
+            self, monkeypatch, ndim, n_arrays):
+        rng = np.random.default_rng(ndim)
+        t = random_sparse((3,) * ndim, 2, 9, rng)
+        params = random_layer_params(ndim, 2, 2, rng, "leaky_relu")
+        mask = np.ones((1, 2))
+        seen = []
+        real = layers.equivariant_layer
+
+        def layer(x, bias, blocks, groups, nonlinearity, slope, mask, sign):
+            seen.append((nonlinearity, slope, mask, sign.shape))
+            return real(x, bias, blocks, groups, nonlinearity, slope, mask,
+                        sign)
+
+        monkeypatch.setattr(layers, "equivariant_layer", layer)
+        groups = pooling_groups(t)
+        tape = train_stack(t.values, groups, [params], {1: mask})
+        assert len(seen) == 1
+        assert seen[0][:2] == (params.nonlinearity, params.slope)
+        assert seen[0][2] is mask and seen[0][3] == (9, 2)
+        grads, _ = stack_grads(tape, groups, np.ones((9, 2)), "L")
+        assert sorted(grads) == sorted(params.bindings("L1"))
+        assert len(grads) == n_arrays
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_tied_layer_sums_its_shared_block_in_subset_order(self, dtype):
+        """One gradient for the shared block: the column pool's term's,
+        then the row pool's added to it, as a graph that names the block
+        twice accumulates them; bit for bit the separate layer grads."""
+        rng = np.random.default_rng(9)
+        t = random_sparse((4, 4), 2, 9, rng)
+        params = random_layer_params(2, 2, 3, rng, tied=True)
+        params = params.from_bindings("L1", {
+            k: v.astype(dtype) for k, v in params.bindings("L1").items()})
+        x = t.values.astype(dtype)
+        groups = pooling_groups(t)
+        tape = train_stack(x, groups, [params])
+        dY = rng.normal(size=(9, 3)).astype(dtype)
+        grads, _ = stack_grads(tape, groups, dY, "L")
+        assert sorted(grads) == ["L1.bias", "L1.w0", "L1.w01", "L1.wg"]
+        subsets = all_subsets(2)
+        _, _, dblocks = autodiff._equivariant_layer_grads(
+            dY, x, [params.blocks[S] for S in subsets],
+            [groups[S] for S in subsets[1:]], tape[0][3], dx=False)
+        assert subsets[1:3] == (frozenset({1}), frozenset({0}))
+        assert_bitwise_equal(grads["L1.w0"], dblocks[1] + dblocks[2])
+        assert_bitwise_equal(grads["L1.w01"], dblocks[0])
+        assert_bitwise_equal(grads["L1.wg"], dblocks[3])
+
+
 class TestLayerGradients:
     def test_layer_parameters_match_finite_differences(self):
         rng = np.random.default_rng(8)
         t = random_sparse((3, 3), 2, 6, rng)
         params = random_layer_params(2, 2, 3, rng, nonlinearity="softmax")
-        g = Graph()
-        x = g.input("x")
-        out = add_layer_nodes(g, x, pooling_groups(t), params, "L0")
-        loss = g.mean_square_error(out, g.input("target"))
-        bindings = {"x": t.values, "target": rng.normal(size=(6, 3)),
-                    **params.bindings("L0")}
-        vals = forward(g, bindings)
-        grads = backward(g, vals, loss)
-        eps = 1e-5
-        for pname in g.parameters:
-            base = bindings[pname]
-            num = np.zeros_like(base)
-            for i in range(base.size):
-                for sign in (+1, -1):
-                    b = dict(bindings)
-                    shifted = base.copy()
-                    shifted.ravel()[i] += sign * eps
-                    b[pname] = shifted
-                    num.ravel()[i] += sign * float(forward(g, b)[loss]) / (2 * eps)
-            rel = np.abs(grads[pname] - num) / np.maximum(
-                1.0, np.abs(grads[pname]) + np.abs(num))
+        groups = pooling_groups(t)
+        arrays = {"target": rng.normal(size=(6, 3)), **params.bindings("L1")}
+
+        def run(a):
+            return tape_stack(t.values, groups, [params.from_bindings("L1", a)],
+                              "L", a["target"])
+
+        def loss_of(a):
+            (y,), _ = run(a)
+            return np.mean((y - a["target"]) ** 2)
+
+        _, grads = run(arrays)
+        names = sorted(params.bindings("L1"))
+        numeric = numeric_grads(loss_of, arrays, names)
+        for pname in names:
+            rel = np.abs(grads[pname] - numeric[pname]) / np.maximum(
+                1.0, np.abs(grads[pname]) + np.abs(numeric[pname]))
             assert rel.max() < 1e-4, pname
-
-    @pytest.mark.parametrize("ndim, n_params", [(2, 5), (3, 9)])
-    def test_a_layer_is_one_op_node_and_its_nonlinearity(self, ndim,
-                                                         n_params):
-        rng = np.random.default_rng(ndim)
-        t = random_sparse((3,) * ndim, 2, 9, rng)
-        params = random_layer_params(ndim, 2, 2, rng)
-        g = Graph()
-        x = g.input("x")
-        mask = np.ones((1, 2))
-        add_layer_nodes(g, x, pooling_groups(t), params, "L0",
-                        dropout_mask=mask)
-        assert len(g.parameters) == n_params
-        (node,) = [n for n in g.nodes if n.op not in ("input", "parameter")]
-        assert node.op == "equivariant_layer"
-        assert (node.attrs["nonlinearity"], node.attrs["slope"]) == \
-            (params.nonlinearity, params.slope)
-        assert node.attrs["mask"] is mask
-
-    def test_tied_layer_shares_one_parameter_node(self):
-        rng = np.random.default_rng(9)
-        t = random_sparse((4, 4), 2, 9, rng)
-        params = random_layer_params(2, 2, 2, rng, tied=True)
-        g = Graph()
-        x = g.input("x")
-        add_layer_nodes(g, x, pooling_groups(t), params, "L0")
-        # 3 distinct blocks + bias for the tied matrix layer
-        assert len(g.parameters) == 4
 
 
 class TestChannelDropout:

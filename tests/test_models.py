@@ -5,12 +5,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from exchtensor import autodiff, layers, models, sparse, training
-from exchtensor.autodiff import Graph, forward
 from exchtensor.data import (
     FIVE_STAR, RatingScale, canonical_split, synthetic_lowrank_table,
 )
 from exchtensor.layers import (
-    ExchLayerParams, FactorPair, add_layer_nodes, pooling_groups,
+    ExchLayerParams, FactorPair, pooling_groups, train_stack,
 )
 from exchtensor.models import (
     FeaParams,
@@ -199,6 +198,27 @@ class TestUnionWithZeros:
         grown = union_with_zeros(t, t.indices)
         assert_array_equal(grown.indices, t.indices)
         assert_array_equal(grown.values, t.values)
+
+    def test_float_cells_refused(self):
+        """Float cells are refused, not truncated: (1.2, 0.0) would
+        otherwise add cell (1, 0)."""
+        t = random_sparse((3, 4), 2, 5, np.random.default_rng(7))
+        with pytest.raises(TypeError, match="extra indices must be an "
+                                            "integer array, got dtype float64"):
+            union_with_zeros(t, [[0.5, 1.9], [1.2, 0.0]])
+
+    def test_cells_of_another_rank_refused(self):
+        t = random_sparse((3, 4), 2, 5, np.random.default_rng(7))
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            union_with_zeros(t, np.zeros((3, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("cell", [(3, 0), (0, 4), (-1, 2)])
+    def test_cells_outside_the_dims_refused(self, cell):
+        t = random_sparse((3, 4), 2, 5, np.random.default_rng(7))
+        cells = np.array([[0, 0], cell, [5, 5]])
+        with pytest.raises(ValueError, match=rf"cell \({cell[0]}, {cell[1]}\) "
+                           r"out of bounds for dims \(3, 4\)"):
+            union_with_zeros(t, cells)
 
 
 class TestInitParams:
@@ -467,39 +487,38 @@ class TestMatrixModelsRefuseTensors:
 
     @pytest.mark.parametrize("cfg", [small_ss_config(), small_fea_config()],
                              ids=["ss", "fea"])
-    def test_loss_graph_and_prepare(self, cfg):
+    def test_loss_and_grads_and_prepare(self, cfg):
         params = init_params(cfg, seed=0)
         t = self.tensor()
         with pytest.raises(ValueError,
                            match="params cover 2 axes, tensor has 3"):
-            params.loss_graph(cfg, t, {}, seed=0)
+            params.loss_and_grads(cfg, t, {}, seed=0)
         with pytest.raises(ValueError,
                            match="params cover 2 axes, tensor has 3"):
             params.prepare(cfg, t)
 
-    def test_graph_nodes_and_apply_stack(self):
+    def test_train_stack_and_apply_stack(self):
         t = self.tensor()
         lp = layers.random_layer_params(2, 5, 4, np.random.default_rng(0))
         with pytest.raises(ValueError,
                            match="params cover 2 axes, tensor has 3"):
-            add_layer_nodes(Graph(), "x", pooling_groups(t), lp, "L")
+            train_stack(t.values, pooling_groups(t), [lp])
         for read in (None, lambda lp, means: means):
             with pytest.raises(ValueError,
                                match="params cover 2 axes, tensor has 3"):
                 layers.apply_stack(t, [lp], read)
 
 
-def graph_layer(t, params):
-    """A layer run as its own graph of the fused layer node and its
-    nonlinearity node, the way inference ran before it called the layer
-    op directly."""
-    g = Graph()
-    out = add_layer_nodes(g, g.input("x"), pooling_groups(t), params, "L")
-    return t.with_values(forward(g, {"x": t.values, **params.bindings("L")})[out])
+def tape_layer(t, params):
+    """A layer run on its own training tape, with no one-hot read and no
+    kept means, as inference ran each layer as a one-node graph before it
+    called the layer op directly."""
+    (entry,) = train_stack(t.values, pooling_groups(t), [params])
+    return t.with_values(entry[2])
 
 
-def graph_stack(t, stack, read=None):
-    """``layers.apply_stack`` run as one graph per layer (``graph_layer``);
+def tape_stack_by_layer(t, stack, read=None):
+    """``layers.apply_stack`` run as one tape per layer (``tape_layer``);
     with ``read``, what it returns for each layer and the group means of
     the layer's input, pooled afresh."""
     groups = pooling_groups(t)
@@ -508,13 +527,13 @@ def graph_stack(t, stack, read=None):
     for lp in stack:
         if read is not None:
             kept.append(read(lp, autodiff.pooled_means(t.values, pooled)))
-        t = graph_layer(t, lp)
+        t = tape_layer(t, lp)
     return t if read is None else kept
 
 
 class TestInferenceBuildsNoGraph:
-    """The eval-mode forwards build no Graph, and give the values of
-    one-layer graphs of separate nodes bit for bit."""
+    """The eval-mode forwards build no Graph and no tape, and give the
+    values of one-layer training tapes bit for bit."""
 
     @staticmethod
     def outputs(dtype):
@@ -540,19 +559,20 @@ class TestInferenceBuildsNoGraph:
         return out
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_values_of_per_layer_graphs_without_a_graph(self, monkeypatch,
-                                                        dtype):
+    def test_values_of_per_layer_tapes_without_a_graph(self, monkeypatch,
+                                                       dtype):
         # the reference runs every eval-mode forward and context pass of
-        # ``models`` as one-layer graphs; an empty memo skips none of them
-        monkeypatch.setattr(models, "apply_stack", graph_stack)
+        # ``models`` as one-layer tapes; an empty memo skips none of them
+        monkeypatch.setattr(models, "apply_stack", tape_stack_by_layer)
         monkeypatch.setattr(training, "_memo", [])
         want = self.outputs(dtype)
         monkeypatch.undo()
 
-        def no_graph(self):
-            raise AssertionError("inference built a Graph")
+        def no_graph(*args):
+            raise AssertionError("inference built a Graph or a tape")
 
         monkeypatch.setattr(autodiff.Graph, "__init__", no_graph)
+        monkeypatch.setattr(models, "train_stack", no_graph)
         monkeypatch.setattr(training, "_memo", [])
         got = self.outputs(dtype)
         assert len(got) == len(want) == 8

@@ -124,7 +124,8 @@ class TestConstruction:
         # the largest addressable product still builds
         t = SparseExchangeableTensor((2**31, 2**32 - 1), np.array([[5, 7]]),
                                      np.array([[1.0]]))
-        assert t.find(np.array([[5, 7], [7, 5]])).tolist() == [0, -1]
+        cells = np.array([[5, 7], [7, 5]])
+        assert lookup(t.keys, cell_keys(cells, t.dims)).tolist() == [0, -1]
 
 
 class TestSortedInput:
@@ -266,23 +267,28 @@ class TestIndexSetCache:
         assert_array_equal(sub.indices, t.indices)
         assert sub.groups([0]) is not g
 
-    def test_find_on_a_matrix(self):
+    @staticmethod
+    def find(t, cells):
+        """Each cell's row in t's indices, -1 if t lacks it."""
+        return lookup(t.keys, cell_keys(cells, t.dims))
+
+    def test_lookup_of_cell_keys_on_a_matrix(self):
         t = small_matrix()
-        assert_array_equal(t.find(t.indices[::-1]), np.arange(5)[::-1])
+        assert_array_equal(self.find(t, t.indices[::-1]), np.arange(5)[::-1])
         assert_array_equal(
-            t.find(np.array([[0, 2], [0, 1], [2, 3], [2, 2], [0, 0]])),
+            self.find(t, np.array([[0, 2], [0, 1], [2, 3], [2, 2], [0, 0]])),
             [1, -1, 4, -1, 0],
         )
-        assert t.find(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+        assert self.find(t, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
 
-    def test_find_on_a_three_axis_tensor(self):
+    def test_lookup_of_cell_keys_on_a_three_axis_tensor(self):
         rng = np.random.default_rng(5)
         dims = (4, 3, 5)
         dense = rng.normal(size=dims + (1,))
         mask = rng.random(dims) < 0.4
         t = from_dense(dense, mask)
         every = np.argwhere(np.ones(dims, dtype=bool))
-        pos = t.find(every)
+        pos = self.find(t, every)
         assert_array_equal(pos >= 0, mask.ravel())
         assert_array_equal(t.indices[pos[pos >= 0]], every[mask.ravel()])
         assert_array_equal(t.values[pos[pos >= 0], 0], dense[mask][:, 0])
@@ -321,16 +327,6 @@ class TestIndexSetCache:
             # no keys hold no wanted key, whatever its shape
             assert_array_equal(lookup(keys[:0], want), np.full(want.shape, -1))
 
-    def test_find_rejects_cells_of_another_rank(self):
-        with pytest.raises(ValueError, match=r"\(m, 2\)"):
-            small_matrix().find(np.zeros((3, 3), dtype=np.int64))
-
-    @pytest.mark.parametrize("cell", [(3, 0), (0, 4), (-1, 2)])
-    def test_find_rejects_cells_outside_the_dims(self, cell):
-        cells = np.array([[0, 0], cell, [5, 5]])
-        with pytest.raises(ValueError, match=rf"cell \({cell[0]}, {cell[1]}\) "
-                           r"out of bounds for dims \(3, 4\)"):
-            small_matrix().find(cells)
 
 
 def grouping_cases():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from exchtensor import sparse, training
-from exchtensor.autodiff import apply_nonlinearity, forward
+from exchtensor import models, sparse, training
+from exchtensor.autodiff import apply_nonlinearity
 from exchtensor.data import (
     FIVE_STAR,
     RatingScale,
@@ -32,6 +32,7 @@ from exchtensor.models import (
     init_params,
     named_arrays,
     self_supervised_forward,
+    with_named_arrays,
 )
 from exchtensor.training import (
     EvalReport,
@@ -48,7 +49,8 @@ from exchtensor.training import (
 )
 
 from helpers import (
-    assert_bitwise_equal, per_array_adam, random_sparse, sequential_train,
+    assert_bitwise_equal, max_rel_error, numeric_grads, per_array_adam,
+    random_sparse, sequential_train,
 )
 
 
@@ -83,36 +85,6 @@ def onehot_input(dims, levels, n_obs, rng):
     values = np.zeros((n_obs, levels))
     values[np.arange(n_obs), rng.integers(0, levels, n_obs)] = 1.0
     return t.with_values(values)
-
-
-def numeric_grads(g, bindings, loss_node, names, eps=1e-5):
-    """Central finite differences of the loss for the named bindings."""
-    out = {}
-    for name in names:
-        arr = np.asarray(bindings[name], dtype=np.float64)
-        grad = np.zeros_like(arr)
-        flat = arr.ravel()
-        for i in range(flat.size):
-            probe = dict(bindings)
-            bumped = arr.copy().ravel()
-            bumped[i] = flat[i] + eps
-            probe[name] = bumped.reshape(arr.shape)
-            hi = float(np.asarray(forward(g, probe)[loss_node]).reshape(()))
-            bumped[i] = flat[i] - eps
-            probe[name] = bumped.reshape(arr.shape)
-            lo = float(np.asarray(forward(g, probe)[loss_node]).reshape(()))
-            grad.ravel()[i] = (hi - lo) / (2 * eps)
-        out[name] = grad
-    return out
-
-
-def max_rel_error(analytic, numeric):
-    worst = 0.0
-    for name, a in analytic.items():
-        n = numeric[name]
-        denom = np.maximum(1.0, np.abs(a) + np.abs(n))
-        worst = max(worst, float((np.abs(a - n) / denom).max()))
-    return worst
 
 
 class TestTrainConfig:
@@ -324,6 +296,15 @@ class TestOptimizerStep:
                                   init.layers[0].blocks[frozenset({0})])
 
 
+def ss_loss_of(masked, params, targets, weights, masks=None):
+    """The self-supervised loss at the named arrays it is called with."""
+    def loss_of(arrays):
+        layers_ = with_named_arrays(params, arrays).layers
+        return build_ss_loss_graph(masked, layers_, targets, weights,
+                                   masks)[0]
+    return loss_of
+
+
 class TestGradientCheck:
     def test_self_supervised_end_to_end(self):
         """Analytic gradients of a 2-layer 4-channel model over a 3x3
@@ -335,38 +316,37 @@ class TestGradientCheck:
         masked, hit = mask_inputs(x, 0.5, seed=1)
         weights = hit.astype(np.float64)
         drop = {1: np.array([[2.0, 0.0, 2.0, 2.0]])}
-        g, loss_node, bindings = build_ss_loss_graph(
+        _, grads = build_ss_loss_graph(
             masked, params.layers, x.values, weights, dropout_masks=drop
         )
-        from exchtensor.autodiff import backward
-
-        values = forward(g, bindings)
-        analytic = backward(g, values, loss_node)
-        names = [n for n in analytic if n.startswith("layer")]
-        numeric = numeric_grads(g, bindings, loss_node, names)
-        assert max_rel_error(
-            {n: analytic[n] for n in names}, numeric
-        ) < 1e-4
+        analytic = grads()
+        arrays = named_arrays(params)
+        assert analytic.keys() == arrays.keys()
+        numeric = numeric_grads(
+            ss_loss_of(masked, params, x.values, weights, drop), arrays,
+            arrays)
+        assert max_rel_error(analytic, numeric) < 1e-4
 
     def test_fea_end_to_end(self):
         rng = np.random.default_rng(6)
         cfg = tiny_fea_config(levels=3)
         params = init_params(cfg, seed=1)
         x = onehot_input((3, 4), 3, 8, rng)
-        g, loss_node, bindings = build_fea_loss_graph(
-            x, params.encoder, params.decoder, x.values
+        drop = {1: np.array([[2.0, 0.0, 2.0, 2.0]])}
+        _, grads = build_fea_loss_graph(
+            x, params.encoder, params.decoder, x.values, drop
         )
-        from exchtensor.autodiff import backward
+        analytic = grads()
+        arrays = named_arrays(params)
+        assert analytic.keys() == arrays.keys()
 
-        values = forward(g, bindings)
-        analytic = backward(g, values, loss_node)
-        names = [
-            n for n in analytic if n.startswith(("enc", "dec"))
-        ]
-        numeric = numeric_grads(g, bindings, loss_node, names)
-        assert max_rel_error(
-            {n: analytic[n] for n in names}, numeric
-        ) < 1e-4
+        def loss_of(a):
+            p = with_named_arrays(params, a)
+            return build_fea_loss_graph(x, p.encoder, p.decoder, x.values,
+                                        drop)[0]
+
+        numeric = numeric_grads(loss_of, arrays, arrays)
+        assert max_rel_error(analytic, numeric) < 1e-4
 
     def test_loss_ignores_targets_at_unweighted_cells(self):
         """Sentinel targets on visible cells leave the loss untouched;
@@ -380,51 +360,51 @@ class TestGradientCheck:
         clean = x.values
         sentinel = clean.copy()
         sentinel[weights == 0] = 999.0
-        losses = []
-        for targets in (clean, sentinel):
-            g, loss_node, bindings = build_ss_loss_graph(
-                masked, params.layers, targets, weights
-            )
-            losses.append(
-                float(np.asarray(forward(g, bindings)[loss_node]).reshape(()))
-            )
+        losses = [float(build_ss_loss_graph(masked, params.layers, targets,
+                                            weights)[0])
+                  for targets in (clean, sentinel)]
         assert losses[0] == losses[1]
 
 
 class TestOneForwardPath:
-    """With dropout off, the training graphs compute the models' own
+    """With dropout off, the training losses read the models' own
     eval-mode forward; only the final softmax moves into the loss."""
 
     @staticmethod
-    def graph_distributions(g, loss_node, bindings):
-        (loss,) = [n for n in g.nodes if n.name == loss_node]
-        logits = loss.operands[0]
-        return apply_nonlinearity(forward(g, bindings)[logits], "softmax")
+    def distributions(monkeypatch, build, *args):
+        """The softmax of the logits ``build(*args)`` hands its loss."""
+        seen, real = [], models.cross_entropy
 
-    def test_ss_graph_matches_self_supervised_forward(self):
+        def loss(logits, targets, row_weights=None):
+            seen.append(logits)
+            return real(logits, targets, row_weights)
+
+        monkeypatch.setattr(models, "cross_entropy", loss)
+        build(*args)
+        monkeypatch.undo()
+        (logits,) = seen
+        return apply_nonlinearity(logits, "softmax")
+
+    def test_ss_loss_reads_self_supervised_forward(self, monkeypatch):
         rng = np.random.default_rng(11)
         cfg = tiny_ss_config(levels=3, widths=(6, 4, 3))
         params = init_params(cfg, seed=3)
         x = onehot_input((5, 6), 3, 17, rng)
-        g, loss_node, bindings = build_ss_loss_graph(
-            x, params.layers, x.values, None
-        )
+        got = self.distributions(monkeypatch, build_ss_loss_graph, x,
+                                 params.layers, x.values, None)
         want = self_supervised_forward(x, cfg, params).values
         assert want.dtype == np.float64
-        assert_allclose(self.graph_distributions(g, loss_node, bindings),
-                        want, rtol=0, atol=1e-12)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_fea_graph_matches_encode_then_decode(self):
+    def test_fea_loss_reads_encode_then_decode(self, monkeypatch):
         rng = np.random.default_rng(12)
         cfg = tiny_fea_config(levels=3)
         params = init_params(cfg, seed=4)
         x = onehot_input((5, 6), 3, 17, rng)
-        g, loss_node, bindings = build_fea_loss_graph(
-            x, params.encoder, params.decoder, x.values
-        )
+        got = self.distributions(monkeypatch, build_fea_loss_graph, x,
+                                 params.encoder, params.decoder, x.values)
         want = fea_decode(fea_encode(x, cfg, params), x.indices, cfg, params)
-        assert_allclose(self.graph_distributions(g, loss_node, bindings),
-                        want.values, rtol=0, atol=1e-12)
+        assert_allclose(got, want.values, rtol=0, atol=1e-12)
 
 
 def split_synthetic(seed=0, n_rows=12, n_cols=10, frac=0.5):
@@ -560,20 +540,48 @@ class TestTrain:
         assert report.epochs_run == 1
 
     def test_non_finite_gradient_is_reported_not_raised(self, monkeypatch):
-        real_backward = training.backward
+        real = SelfSupervisedParams.loss_and_grads
 
-        def nan_backward(*args):
-            grads = real_backward(*args)
-            name = next(iter(grads))
-            grads[name] = np.full_like(grads[name], np.nan)
-            return grads
+        def nan_grads(*args):
+            loss, grads = real(*args)
 
-        monkeypatch.setattr(training, "backward", nan_backward)
+            def poisoned():
+                out = grads()
+                name = next(iter(out))
+                out[name] = np.full_like(out[name], np.nan)
+                return out
+            return loss, poisoned
+
+        monkeypatch.setattr(SelfSupervisedParams, "loss_and_grads", nan_grads)
         tr, val = split_synthetic()
         tc = TrainConfig(epochs=5, seed=6, precision="float64")
         report, _ = train(tiny_ss_config(), tc, tr, val)
         assert report.diverged
         assert report.epochs_run == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_no_backward_runs_for_a_non_finite_loss(self, monkeypatch, bad):
+        real = SelfSupervisedParams.loss_and_grads
+        calls = {"loss": 0, "grads": 0}
+
+        def spoiled(*args):
+            loss, grads = real(*args)
+            calls["loss"] += 1
+
+            def counted():
+                calls["grads"] += 1
+                return grads()
+            return (np.full_like(loss, bad) if calls["loss"] == 2 else loss,
+                    counted)
+
+        monkeypatch.setattr(SelfSupervisedParams, "loss_and_grads", spoiled)
+        tr, val = split_synthetic()
+        tc = TrainConfig(epochs=5, seed=6, precision="float64")
+        report, _ = train(tiny_ss_config(), tc, tr, val)
+        assert report.diverged and report.epochs_run == 2
+        assert np.isnan(report.val_rmse[-1])
+        assert_array_equal(report.train_loss[-1], bad)
+        assert calls == {"loss": 2, "grads": 1}
 
     def test_minibatch_paths_run(self):
         tr, val = split_synthetic(seed=3, n_rows=16, n_cols=14)
@@ -860,15 +868,17 @@ class TestOverlappedValidation:
 
     def stop_at_epoch_2(self, monkeypatch, spoil, full_batch=False):
         """A fit whose validation stops it at epoch 2 (zero learning rate,
-        patience 1), with ``spoil(call)`` applied to each forward pass."""
-        real_forward = training.forward
+        patience 1), with ``spoil(call, loss)`` applied to each step's
+        loss."""
+        real = SelfSupervisedParams.loss_and_grads
         calls = []
 
-        def spoiled(g, bindings):
+        def spoiled(*args):
             calls.append(None)
-            return spoil(len(calls), g, real_forward(g, bindings))
+            loss, grads = real(*args)
+            return spoil(len(calls), loss), grads
 
-        monkeypatch.setattr(training, "forward", spoiled)
+        monkeypatch.setattr(SelfSupervisedParams, "loss_and_grads", spoiled)
         tr, val = split_synthetic(seed=3, n_rows=16, n_cols=14)
         tc = self.minibatch(learning_rate=0.0, patience=1,
                             cell_budget=10**6 if full_batch else 25)
@@ -877,15 +887,13 @@ class TestOverlappedValidation:
     @pytest.mark.parametrize("full_batch", [False, True])
     def test_a_step_after_the_stopping_epoch_does_not_surface(
             self, monkeypatch, full_batch):
-        def raise_at_3(call, g, values):
+        def raise_at_3(call, loss):
             if call == 3:
                 raise RuntimeError("step 3 failed")
-            return values
+            return loss
 
-        def diverge_at_3(call, g, values):
-            if call == 3:
-                values = {k: np.full_like(v, np.nan) for k, v in values.items()}
-            return values
+        def diverge_at_3(call, loss):
+            return np.full_like(loss, np.nan) if call == 3 else loss
 
         for spoil in (raise_at_3, diverge_at_3):
             report, steps = self.stop_at_epoch_2(monkeypatch, spoil,
@@ -896,10 +904,10 @@ class TestOverlappedValidation:
             assert all(np.isfinite(report.train_loss + report.val_rmse))
 
     def test_a_step_before_the_stopping_epoch_surfaces(self, monkeypatch):
-        def raise_at_2(call, g, values):
+        def raise_at_2(call, loss):
             if call == 2:
                 raise RuntimeError("step 2 failed")
-            return values
+            return loss
 
         with pytest.raises(RuntimeError, match="step 2 failed"):
             self.stop_at_epoch_2(monkeypatch, raise_at_2)
